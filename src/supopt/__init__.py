@@ -26,4 +26,4 @@ from .tomo import (Geometry, NoiseModel, add_noise, build_parallel_system,
                    load_flat_binary, noise_sigma, save_flat_binary, save_pgm,
                    shepp_logan)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

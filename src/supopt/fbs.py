@@ -26,7 +26,7 @@ import numpy as np
 
 from .metrics import make_record, require_finite
 from .opslin import shifted_gram_solve, smw_solve, spectral_norm_sq
-from .regtv import prox_tv_with_info, tv_smooth_grad
+from .regtv import prox_tv_with_info, tv_smooth, tv_smooth_grad
 
 INNER_SOLVERS = ("ExactSMW", "PDBasic", "PDNoInv", "TVProx")
 
@@ -101,16 +101,20 @@ def _operator_norm(A):
     return norm
 
 
-def prox_ls_exact(A, b, alpha, x, nonneg=False):
+def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None):
     """Exact prox of 0.5*||Az - b||^2 [+ indicator(z >= 0)] at x.
 
     Unconstrained: solves (I + alpha A^T A) z = x + alpha A^T b through
-    the reduced m x m system. Constrained: runs the inversion-free
-    primal-dual iteration until the duality gap drops below 1e-12.
+    the reduced m x m system (two counted products), plus one counted
+    product for A^T b unless the caller passes it as `atb`. Constrained:
+    runs the inversion-free primal-dual iteration until the duality gap
+    drops below 1e-12.
     """
     x = np.asarray(x, dtype=np.float64)
     if not nonneg:
-        return shifted_gram_solve(A, 1.0, alpha, x + alpha * A.rmatvec(b))
+        if atb is None:
+            atb = A.rmatvec(b)
+        return shifted_gram_solve(A, 1.0, alpha, x + alpha * atb)
     state = pd_noinv_init(A, b, alpha, x, nonneg=True)
     best = np.maximum(state.z, 0.0)
     for l in range(1, 200001):
@@ -339,8 +343,6 @@ def _grad_smooth(splitting, A, b, shape, tvparams, y):
 
 def objective(splitting, A, b, shape, tvparams, x):
     """Full objective 0.5*||Ax-b||^2 + lam*R_tau(x) (uncounted products)."""
-    from .regtv import tv_smooth
-
     r = A.apply_nocount(x) - b
     return 0.5 * float(r @ r) + tvparams.lam * tv_smooth(shape, tvparams, x)
 
@@ -385,6 +387,7 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x0=None, x_ref=None,
     x = np.zeros(A.n_cols) if x0 is None else np.asarray(x0, dtype=np.float64)
     y = x.copy()
     t = config.t0
+    atb = None
     warm = None
     fallback_count = 0
     total_inner = 0
@@ -410,7 +413,10 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x0=None, x_ref=None,
         eps_k = config.inexact_C * float(k) ** (-config.inexact_q)
         inner_iters = 0
         if config.inner == "ExactSMW":
-            z = prox_ls_exact(A, b, alpha, v, nonneg=splitting.nonneg)
+            if atb is None and not splitting.nonneg:
+                atb = A.rmatvec(b)  # constant over the run: charged once
+            z = prox_ls_exact(A, b, alpha, v, nonneg=splitting.nonneg,
+                              atb=atb)
         elif config.inner == "TVProx":
             z, nit, _, _ = prox_tv_with_info(shape, tvparams, v,
                                              alpha * tvparams.lam,

@@ -4,6 +4,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .regtv import tv_smooth
+
 
 class NumericalDivergenceError(RuntimeError):
     """An iterate became non-finite; the run was aborted."""
@@ -42,8 +44,6 @@ def make_record(k, A, b, x, shape, tvparams, x_ref=None, inner_iters=0,
 
     All products here are diagnostic and bypass the matvec counter.
     """
-    from .regtv import tv_smooth  # local import avoids a cycle
-
     r = A.apply_nocount(x) - b
     residual_scaled = float(r @ r) / (2.0 * A.n_rows)
     tv_scaled = tv_smooth(shape, tvparams, x) / shape.n

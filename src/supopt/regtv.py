@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .opslin import spectral_norm_sq  # noqa: F401  (re-export convenience)
-
 
 @dataclass(frozen=True)
 class GridShape:
@@ -51,11 +49,14 @@ def _as_image(shape, x):
 def grad_apply(shape, x):
     """Stacked forward differences (D1 x; D2 x), each of length n."""
     img = _as_image(shape, x)
-    d1 = np.zeros_like(img)
-    d2 = np.zeros_like(img)
-    d1[:-1, :] = img[1:, :] - img[:-1, :]
-    d2[:, :-1] = img[:, 1:] - img[:, :-1]
-    return np.concatenate([d1.ravel(), d2.ravel()])
+    out = np.empty(2 * shape.n)
+    d1 = out[:shape.n].reshape(shape.rows, shape.cols)
+    d2 = out[shape.n:].reshape(shape.rows, shape.cols)
+    np.subtract(img[1:, :], img[:-1, :], out=d1[:-1, :])
+    d1[-1, :] = 0.0
+    np.subtract(img[:, 1:], img[:, :-1], out=d2[:, :-1])
+    d2[:, -1] = 0.0
+    return out
 
 
 def grad_adjoint(shape, y):
@@ -65,8 +66,10 @@ def grad_adjoint(shape, y):
         raise ValueError(f"expected length {2 * shape.n}, got {y.shape}")
     d1 = y[:shape.n].reshape(shape.rows, shape.cols)
     d2 = y[shape.n:].reshape(shape.rows, shape.cols)
-    out = np.zeros((shape.rows, shape.cols))
-    out[:-1, :] -= d1[:-1, :]
+    out = np.empty((shape.rows, shape.cols))
+    # 0 - d (not -d) keeps the sign of zero entries
+    np.subtract(0.0, d1[:-1, :], out=out[:-1, :])
+    out[-1, :] = 0.0
     out[1:, :] += d1[:-1, :]
     out[:, :-1] -= d2[:, :-1]
     out[:, 1:] += d2[:, :-1]
@@ -92,16 +95,26 @@ def tv_value(shape, x):
     return float(np.abs(grad_apply(shape, x)).sum())
 
 
+def _smooth_terms(shape, params, x):
+    """d = D x and root = sqrt(tau^2 + d^2), the terms of R_tau at x.
+
+    R_tau(x) = root.sum() and grad R_tau(x) = D^T (d / root).
+    """
+    d = grad_apply(shape, x)
+    root = np.square(d)
+    root += params.tau ** 2
+    return d, np.sqrt(root, out=root)
+
+
 def tv_smooth(shape, params, x):
     """Smoothed TV R_tau(x); satisfies R(x) <= R_tau(x) <= R(x) + 2*n*tau."""
-    d = grad_apply(shape, x)
-    return float(np.sqrt(params.tau ** 2 + d ** 2).sum())
+    return float(_smooth_terms(shape, params, x)[1].sum())
 
 
 def tv_smooth_grad(shape, params, x):
     """Gradient of the smoothed TV: D^T (d / sqrt(tau^2 + d^2))."""
-    d = grad_apply(shape, x)
-    return grad_adjoint(shape, d / np.sqrt(params.tau ** 2 + d ** 2))
+    d, root = _smooth_terms(shape, params, x)
+    return grad_adjoint(shape, d / root)
 
 
 def lipschitz_bound(params, shape=None, tight=False):
@@ -162,8 +175,7 @@ def prox_tv_with_info(shape, params, x, beta, nonneg=False, tol=1e-6,
     x0 = np.maximum(x, 0.0) if nonneg else x
 
     def objective(z):
-        d = grad_apply(shape, z)
-        root = np.sqrt(params.tau ** 2 + d ** 2)
+        d, root = _smooth_terms(shape, params, z)
         diff = z - x
         val = root.sum() + 0.5 / beta * float(diff @ diff)
         grad = grad_adjoint(shape, d / root) + diff / beta

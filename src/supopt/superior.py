@@ -16,7 +16,7 @@ import numpy as np
 
 from . import basic
 from .metrics import make_record, require_finite
-from .regtv import prox_tv, tv_smooth, tv_smooth_grad
+from .regtv import _smooth_terms, grad_adjoint, prox_tv
 
 # variant -> (basic operator, reduction step, constrained termination)
 VARIANTS = {
@@ -83,13 +83,18 @@ def s_grad(shape, tvparams, y, ell, a, gamma0, kappa):
     shared exponent ell every trial) until the smoothed TV does not
     increase, then commits. Returns (y_new, ell_new) with
     R_tau(y_new) <= R_tau(y).
+
+    A pass costs one D^T and, per trial, one D and one square root: the
+    accepted trial's differences d and roots sqrt(tau^2 + d^2) give the
+    next pass both its gradient D^T (d / root) and its value root.sum().
     """
     y = np.asarray(y, dtype=np.float64)
+    d, root = _smooth_terms(shape, tvparams, y)
+    r_cur = float(root.sum())
     for _ in range(kappa):
-        g = tv_smooth_grad(shape, tvparams, y)
+        g = grad_adjoint(shape, d / root)
         nrm = float(np.linalg.norm(g))
         v = -g / nrm if nrm > 0 else np.zeros_like(y)
-        r_cur = tv_smooth(shape, tvparams, y)
         while True:
             if ell > _ELL_MAX:
                 warnings.warn("step-size exponent exhausted; committing "
@@ -97,8 +102,10 @@ def s_grad(shape, tvparams, y, ell, a, gamma0, kappa):
                 return y, ell
             y_try = y + (gamma0 * a ** ell) * v
             ell += 1
-            if tv_smooth(shape, tvparams, y_try) <= r_cur:
-                y = y_try
+            d_try, root_try = _smooth_terms(shape, tvparams, y_try)
+            r_try = float(root_try.sum())
+            if r_try <= r_cur:
+                y, d, root, r_cur = y_try, d_try, root_try, r_try
                 break
     return y, ell
 

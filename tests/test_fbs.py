@@ -361,3 +361,25 @@ def test_inexact_pd_inner_run_terminates():
     res = afbs_run(Splitting("NaturalLS"), cfg, A, b, shape, tvp)
     assert res.total_inner > 0
     assert all(np.isfinite(r.residual_scaled) for r in res.records)
+
+
+@pytest.mark.parametrize("accelerated", [False, True])
+def test_exact_fbs_matvec_count_closed_form(accelerated):
+    # A^T b is charged once, then each exact prox charges its two products
+    A, b, shape = _tiny_tomo()
+    tvp = SmoothedTVParams(tau=0.01, lam=0.01)
+    cfg = AFBSConfig(accelerated=accelerated, inner="ExactSMW",
+                     max_outer=12, term_tol=0.0)
+    res = afbs_run(Splitting("NaturalLS"), cfg, A, b, shape, tvp)
+    assert [r.cumulative_matvecs for r in res.records] == \
+        [0] + [1 + 2 * k for k in range(1, 13)]
+
+
+def test_prox_ls_exact_reuses_given_atb():
+    A, b, x = make_instance(seed=19)
+    z = prox_ls_exact(A, b, 0.8, x)
+    assert A.matvec_count == 3
+    A.reset_matvec_count()
+    z_hoisted = prox_ls_exact(A, b, 0.8, x, atb=A.applyT_nocount(b))
+    assert A.matvec_count == 2
+    assert np.array_equal(z_hoisted, z)

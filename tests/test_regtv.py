@@ -32,6 +32,22 @@ def test_grad_matches_dense_matrix():
     assert np.allclose(grad_adjoint(SHAPE, y), D.T @ y)
 
 
+def test_grad_exactly_matches_dense_matrix_on_integers():
+    shape = GridShape(16, 16)
+    rng = np.random.default_rng(9)
+    D = dense_grad_matrix(shape)
+    x = rng.integers(-9, 10, shape.n).astype(np.float64)
+    y = rng.integers(-9, 10, 2 * shape.n).astype(np.float64)
+    d = grad_apply(shape, x)
+    assert np.array_equal(d, D @ x)
+    assert np.array_equal(grad_adjoint(shape, y), D.T @ y)
+    # the trailing row of D1 x and column of D2 x are +0.0 exactly
+    d1 = d[:shape.n].reshape(shape.rows, shape.cols)
+    d2 = d[shape.n:].reshape(shape.rows, shape.cols)
+    for edge in (d1[-1, :], d2[:, -1]):
+        assert np.all(edge == 0.0) and not np.any(np.signbit(edge))
+
+
 def test_grad_adjoint_inner_product_identity():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(SHAPE.n)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from supopt import superior
 from supopt.basic import default_gamma, g_u
 from supopt.opslin import SparseOperator
 from supopt.regtv import (GridShape, SmoothedTVParams,
-                          perturbation_norm_bound, tv_smooth)
+                          perturbation_norm_bound, tv_smooth, tv_smooth_grad)
 from supopt.superior import (SupConfig, VARIANTS, s_grad, s_prox,
                              s_prox_plus, superiorize_run)
 
@@ -57,6 +58,51 @@ def test_s_grad_instrumented_trial_count():
     assert all(b <= a for a, b in zip(vals, vals[1:]))
     # ell counts every trial, so it grows at least once per pass
     assert ell >= 5
+
+
+def _s_grad_reference(shape, tvparams, y, ell, a, gamma0, kappa):
+    """s_grad recomputing the gradient, R_tau(y) and R_tau(y_try) anew."""
+    for _ in range(kappa):
+        g = tv_smooth_grad(shape, tvparams, y)
+        nrm = float(np.linalg.norm(g))
+        v = -g / nrm if nrm > 0 else np.zeros_like(y)
+        r_cur = tv_smooth(shape, tvparams, y)
+        while True:
+            if ell > superior._ELL_MAX:
+                return y, ell
+            y_try = y + (gamma0 * a ** ell) * v
+            ell += 1
+            if tv_smooth(shape, tvparams, y_try) <= r_cur:
+                y = y_try
+                break
+    return y, ell
+
+
+@pytest.mark.parametrize("a, gamma0",
+                         [(0.5, 1.0), (0.8, 0.3), (1.0 - 1e-6, 0.01)])
+def test_s_grad_bitwise_equals_reference(a, gamma0):
+    shape = GridShape(16, 16)
+    for seed in range(3):
+        y0 = 0.01 * np.random.default_rng(seed).standard_normal(shape.n)
+        y, ell = s_grad(shape, TVP, y0, 0, a, gamma0, kappa=10)
+        y_ref, ell_ref = _s_grad_reference(shape, TVP, y0, 0, a, gamma0, 10)
+        assert np.array_equal(y, y_ref)
+        assert ell == ell_ref
+        if a < 0.9:
+            assert ell > 10  # some trials were rejected
+
+
+def test_s_grad_exhausted_exponent_returns_current_point(monkeypatch):
+    shape = GridShape(16, 16)
+    monkeypatch.setattr(superior, "_ELL_MAX", 4)
+    y0 = np.random.default_rng(12).standard_normal(shape.n)
+    with pytest.warns(RuntimeWarning, match="exhausted"):
+        y, ell = s_grad(shape, TVP, y0, 0, 0.5, 5.0, kappa=6)
+    y_ref, ell_ref = _s_grad_reference(shape, TVP, y0, 0, 0.5, 5.0, 6)
+    assert np.array_equal(y, y_ref) and ell == ell_ref == 5
+    with pytest.warns(RuntimeWarning, match="exhausted"):
+        y, ell = s_grad(shape, TVP, y0, 5, 0.5, 5.0, kappa=6)
+    assert np.array_equal(y, y0) and ell == 5
 
 
 def test_s_prox_small_beta_bounded_perturbation():
