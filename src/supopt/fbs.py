@@ -4,9 +4,10 @@ Supports both decompositions of the TV-regularized least-squares
 objective h = 0.5*||Ax-b||^2 + lam*R_tau(x) [+ indicator(x >= 0)]:
 
 - NaturalLS: f = lam*R_tau (smooth part), g = least squares
-  (+ constraint); the prox of g is a linear solve, done exactly through
-  the reduced m x m system or inexactly by primal-dual iterations with
-  computable acceptance certificates.
+  (+ constraint); the prox of g is done exactly (a solve of the
+  reduced m x m system, or projected Nesterov steps under the
+  constraint) or inexactly by primal-dual iterations with computable
+  acceptance certificates.
 - ReversedTV: f = least squares, g = lam*R_tau (+ constraint); the prox
   of g is the TV prox.
 
@@ -20,15 +21,18 @@ special case (t_k = 1, y_k = x_k) and never restarts.
 
 import math
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import make_record, require_finite
 from .opslin import shifted_gram_solve, smw_solve, spectral_norm_sq
-from .regtv import prox_tv_with_info, tv_smooth, tv_smooth_grad
+from .regtv import (_projected_nesterov, prox_tv_with_info, tv_smooth,
+                    tv_smooth_grad)
 
 INNER_SOLVERS = ("ExactSMW", "PDBasic", "PDNoInv", "TVProx")
+_LS_MAX_STEPS = 200000
 
 
 @dataclass(frozen=True)
@@ -107,27 +111,32 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None):
     Unconstrained: solves (I + alpha A^T A) z = x + alpha A^T b through
     the reduced m x m system (two counted products), plus one counted
     product for A^T b unless the caller passes it as `atb`. Constrained:
-    runs the inversion-free primal-dual iteration until the duality gap
-    drops below 1e-12.
+    runs projected Nesterov steps (`regtv._projected_nesterov`, two
+    counted products each) on the (1/alpha)-strongly convex subproblem
+    until the uncounted duality gap, checked at the start and every 10
+    steps, is <= 1e-12; warns if `_LS_MAX_STEPS` steps do not get there.
     """
     x = np.asarray(x, dtype=np.float64)
     if not nonneg:
         if atb is None:
             atb = A.rmatvec(b)
         return shifted_gram_solve(A, 1.0, alpha, x + alpha * atb)
-    state = pd_noinv_init(A, b, alpha, x, nonneg=True)
-    best = np.maximum(state.z, 0.0)
-    for l in range(1, 200001):
-        z_prev, tau_prev = state.z, state.tau
-        state = pd_noinv_step(A, alpha, True, state)
-        if l % 50 == 0:
-            # the extrapolated candidate converges much faster than z_l
-            z = state.z + (alpha / tau_prev) * (state.z - z_prev) \
-                + alpha * A.applyT_nocount(state.q - A.apply_nocount(state.z))
-            best = np.maximum(z, 0.0)
-            if dual_gap(A, b, alpha, x, best) <= 1e-12:
-                break
-    return best
+    c = x / alpha + A.applyT_nocount(b)
+
+    def grad(z):
+        return A.rmatvec(A.matvec(z)) + z / alpha - c
+
+    def stop(k, z):
+        return k % 10 == 0 and dual_gap(A, b, alpha, x, z) <= 1e-12
+
+    z, _, converged = _projected_nesterov(
+        grad, np.maximum(x, 0.0), _operator_norm(A) ** 2 + 1.0 / alpha,
+        1.0 / alpha, True, _LS_MAX_STEPS, stop)
+    if not converged:
+        warnings.warn("constrained least-squares prox: duality gap above "
+                      "1e-12 after the step budget; returning the last "
+                      "iterate", RuntimeWarning)
+    return z
 
 
 def dual_gap(A, b, alpha, x, z):
@@ -253,6 +262,8 @@ def cert_constrained(A, b, alpha, eps_k, x, z_prev, tau_prev, state,
     an error-norm estimate at the feasible iterate is compared against
     `fallback_budget` (defaults to eps_k). The accepted prox value is z on
     the primary path and the feasible iterate on the fallback path.
+    `state` comes from `pd_noinv_init`/`pd_noinv_step` at the same
+    (b, alpha, x); the fallback path reads its `c_alpha`.
     """
     if fallback_budget is None:
         fallback_budget = eps_k
@@ -269,9 +280,9 @@ def cert_constrained(A, b, alpha, eps_k, x, z_prev, tau_prev, state,
                                eps_achieved=math.sqrt(
                                    2.0 * alpha * max(lhs, 0.0)),
                                accepted=accepted)
-    # extrapolated point infeasible: bound the prox error at z1 instead
-    c = x / alpha + A.applyT_nocount(b)
-    r = c - (A.applyT_nocount(Az1) + z1 / alpha)
+    # extrapolated point infeasible: bound the prox error at z1 instead;
+    # state.c_alpha is c = x/alpha + A^T b, built by pd_noinv_init
+    r = state.c_alpha - (A.applyT_nocount(Az1) + z1 / alpha)
     r_pos = np.maximum(r, 0.0)
     r_neg = np.minimum(r, 0.0)
     arg = float(r_pos @ r_pos) - (2.0 / alpha) * float(r_neg @ z1)

@@ -489,3 +489,7 @@ def main(argv=None):
 
 def cli_main():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    cli_main()

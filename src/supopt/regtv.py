@@ -1,5 +1,8 @@
 """Discrete gradient, anisotropic TV, its smoothing, and the TV prox.
 
+The prox runs `_projected_nesterov`, the kernel that also solves the
+constrained least-squares prox in `fbs`.
+
 The gradient stacks forward differences along rows and columns with a
 zero final row/column (the one-dimensional difference stencil has no +1
 in its last row). The smoothed TV is
@@ -10,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 
 @dataclass(frozen=True)
@@ -157,42 +159,78 @@ def perturbation_norm_bound(shape):
     return math.sqrt(2.0) * (m1 + m2)
 
 
+def _projected_nesterov(grad, z, lip, mu, nonneg, max_iter, stop):
+    """Constant-momentum projected Nesterov on a mu-strongly convex objective.
+
+    Minimizes an objective with `lip`-Lipschitz gradient `grad`, over
+    z >= 0 when `nonneg` (the start z must then be feasible). A step is
+    z_new = y - grad(y)/lip, clipped at 0 when `nonneg`, then
+    y = z_new + m (z_new - z) with m = (sqrt(lip) - sqrt(mu)) /
+    (sqrt(lip) + sqrt(mu)); the objective gap contracts by
+    1 - sqrt(mu/lip) per step. `stop(k, z)` is asked about the start
+    (k = 0) and about the iterate after each step k. Returns
+    (z, steps, converged); converged is False exactly when `max_iter`
+    steps ran without `stop` accepting.
+    """
+    if stop(0, z):
+        return z, 0, True
+    root_l, root_mu = math.sqrt(lip), math.sqrt(mu)
+    momentum = (root_l - root_mu) / (root_l + root_mu)
+    y = z
+    for k in range(1, max_iter + 1):
+        z_new = y - grad(y) / lip
+        if nonneg:
+            np.maximum(z_new, 0.0, out=z_new)
+        if stop(k, z_new):
+            return z_new, k, True
+        y = z_new + momentum * (z_new - z)
+        z = z_new
+    return z, max_iter, False
+
+
 def prox_tv_with_info(shape, params, x, beta, nonneg=False, tol=1e-6,
                       max_iter=500):
     """Proximal map of the (optionally constrained) smoothed TV.
 
     Approximately minimizes R_tau(z) [+ indicator(z >= 0)] +
-    ||z - x||^2 / (2*beta) with box-constrained L-BFGS-B (memory 10),
-    stopping when the projected-gradient infinity norm drops below `tol`.
+    ||z - x||^2 / (2*beta), (1/beta)-strongly convex with an
+    (8/tau + 1/beta)-Lipschitz gradient, by `_projected_nesterov` from
+    max(x, 0) or x, until the projected-gradient infinity norm at the
+    iterate, min(z, grad) under the constraint, is <= `tol`.
 
-    Returns (z, n_iterations, n_evaluations, warn_flag); `warn_flag` is
-    set when the iteration budget was exhausted. The returned point never
-    increases the objective relative to a feasible input x.
+    Returns (z, n_iterations, n_evaluations, warn_flag): the Nesterov
+    steps, the gradient evaluations (1 at the start, then 2 per step)
+    and whether `max_iter` steps ran without meeting `tol`. The returned
+    point never increases the objective relative to a feasible input x.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     x = np.asarray(x, dtype=np.float64)
     x0 = np.maximum(x, 0.0) if nonneg else x
 
-    def objective(z):
+    def grad(z):
         d, root = _smooth_terms(shape, params, z)
-        diff = z - x
-        val = root.sum() + 0.5 / beta * float(diff @ diff)
-        grad = grad_adjoint(shape, d / root) + diff / beta
-        return val, grad
+        return grad_adjoint(shape, d / root) + (z - x) / beta
 
-    bounds = [(0.0, None)] * shape.n if nonneg else None
-    res = scipy.optimize.minimize(
-        objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-        options={"maxcor": 10, "maxiter": max_iter, "gtol": tol,
-                 "ftol": 1e-16})
-    z = res.x
-    warn = not res.success and res.status == 1  # iteration budget hit
+    def stop(k, z):
+        g = grad(z)
+        if nonneg:
+            g = np.minimum(z, g)
+        return float(np.max(np.abs(g))) <= tol
+
+    def value(z):
+        diff = z - x
+        return _smooth_terms(shape, params, z)[1].sum() \
+            + 0.5 / beta * float(diff @ diff)
+
+    z, nit, converged = _projected_nesterov(
+        grad, x0, lipschitz_bound(params) + 1.0 / beta, 1.0 / beta, nonneg,
+        max_iter, stop)
     # never accept an objective increase relative to a feasible input
     if not nonneg or np.all(x >= 0):
-        if objective(z)[0] >= objective(x0)[0]:
+        if value(z) >= value(x0):
             z = x0.copy()
-    return z, int(res.nit), int(res.nfev), warn
+    return z, nit, 1 + 2 * nit, not converged
 
 
 def prox_tv(shape, params, x, beta, nonneg=False, tol=1e-6, max_iter=500):

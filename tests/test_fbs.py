@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from supopt import fbs
 from supopt.fbs import (AFBSConfig, Splitting, afbs_run, cert_constrained,
                         cert_unconstrained, dual_gap, grad_h_u, lipschitz_f,
                         objective, pd_basic_init, pd_basic_step,
@@ -383,3 +386,25 @@ def test_prox_ls_exact_reuses_given_atb():
     z_hoisted = prox_ls_exact(A, b, 0.8, x, atb=A.applyT_nocount(b))
     assert A.matvec_count == 2
     assert np.array_equal(z_hoisted, z)
+
+
+@pytest.mark.parametrize("seed,alpha", [(3, 0.6), (4, 0.7), (10, 0.7),
+                                        (15, 0.7)])
+def test_prox_ls_exact_constrained_reaches_gap(seed, alpha):
+    A, b, x = make_instance(seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        z = prox_ls_exact(A, b, alpha, x, nonneg=True)
+    assert np.min(z) >= 0.0
+    assert dual_gap(A, b, alpha, x, z) <= 1e-12
+    # two counted products per projected-gradient step
+    assert A.matvec_count % 2 == 0 and A.matvec_count > 0
+
+
+def test_prox_ls_exact_constrained_warns_on_budget(monkeypatch):
+    A, b, x = make_instance(seed=3)
+    monkeypatch.setattr(fbs, "_LS_MAX_STEPS", 5)
+    with pytest.warns(RuntimeWarning, match="duality gap"):
+        z = prox_ls_exact(A, b, 0.6, x, nonneg=True)
+    assert np.min(z) >= 0.0
+    assert A.matvec_count == 10

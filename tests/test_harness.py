@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -213,6 +218,19 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 2
     cfg_path.write_text("bogus_key = 1\n")
     assert main(["run", "--config", str(cfg_path)]) == 2
+
+
+def test_module_entry_point_runs_cli(tmp_path):
+    # `python -m supopt.harness` must run the CLI, not import and exit 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "supopt.harness", "run", "--config",
+         str(tmp_path / "missing.cfg")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr
 
 
 def test_load_config_set_overrides_file(tmp_path):

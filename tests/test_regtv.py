@@ -133,11 +133,13 @@ def test_prox_matches_projected_gradient_oracle():
     params = SmoothedTVParams(tau=0.05)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(shape.n)
-    for nonneg in (False, True):
-        z = prox_tv(shape, params, x, 0.1, nonneg=nonneg, tol=1e-9,
-                    max_iter=2000)
-        oracle = _prox_oracle(shape, params, x, 0.1, nonneg)
-        assert np.max(np.abs(z - oracle)) < 1e-6
+    # 1e-5 is the step regime of the prox superiorization workloads
+    for beta in (0.1, 1e-5):
+        for nonneg in (False, True):
+            z = prox_tv(shape, params, x, beta, nonneg=nonneg, tol=1e-9,
+                        max_iter=2000)
+            oracle = _prox_oracle(shape, params, x, beta, nonneg)
+            assert np.max(np.abs(z - oracle)) < 1e-6
 
 
 def test_prox_stationary_point_returned_unchanged():
@@ -172,3 +174,13 @@ def test_prox_info_reports_iterations():
     assert not warn
     with pytest.raises(ValueError):
         prox_tv(SHAPE, TVP, x, 0.0)
+
+
+def test_prox_info_warns_when_budget_runs_out():
+    # at a large step the subproblem is ill conditioned: one step is short
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(SHAPE.n)
+    for nonneg in (False, True):
+        _, nit, nfev, warn = prox_tv_with_info(SHAPE, TVP, x, 10.0,
+                                               nonneg=nonneg, max_iter=1)
+        assert warn and nit == 1 and nfev >= nit
