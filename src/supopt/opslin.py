@@ -1,7 +1,8 @@
 """Sparse and composite linear operators plus small dense solvers.
 
-CSR is the single storage format. Adjoint products traverse the stored
-matrix (scipy handles the transposed product without materializing A^T).
+CSR is the single storage format. Adjoint products go through a CSC view
+of A^T, built once per operator, that shares the CSR arrays, so A^T is
+never materialized.
 Operators are immutable after construction apart from a matvec counter
 used for cost accounting; all products are deterministic.
 """
@@ -49,6 +50,7 @@ class SparseOperator:
         csr.eliminate_zeros()
         csr.sort_indices()
         self._csr = csr
+        self._csr_t = csr.T  # CSC view sharing csr's arrays: no copy
         self.matvec_count = 0
         self._factor_cache = {}
 
@@ -107,7 +109,7 @@ class SparseOperator:
             raise DimensionMismatchError(
                 f"rmatvec: expected length {self.n_rows}, got {y.shape}")
         self.matvec_count += 1
-        return self._csr.T @ y
+        return self._csr_t @ y
 
     # -- uncounted products (diagnostics, termination checks) ---------------
 
@@ -115,37 +117,7 @@ class SparseOperator:
         return self._csr @ np.asarray(x, dtype=np.float64)
 
     def applyT_nocount(self, y):
-        return self._csr.T @ np.asarray(y, dtype=np.float64)
-
-
-class ShiftedGram:
-    """B = A^T A + shift * I, symmetric positive definite for shift > 0."""
-
-    def __init__(self, base, shift):
-        if shift <= 0:
-            raise ValueError("shift must be positive")
-        self.base = base
-        self.shift = float(shift)
-
-    @property
-    def n(self):
-        return self.base.n_cols
-
-    def apply(self, x):
-        return self.base.rmatvec(self.base.matvec(x)) + self.shift * x
-
-    def apply_nocount(self, x):
-        return self.base.applyT_nocount(self.base.apply_nocount(x)) + self.shift * x
-
-
-def matvec(A, x):
-    """Exact CSR product A @ x."""
-    return A.matvec(x)
-
-
-def rmatvec(A, y):
-    """Exact adjoint product A.T @ y."""
-    return A.rmatvec(y)
+        return self._csr_t @ np.asarray(y, dtype=np.float64)
 
 
 def spectral_norm_sq(A, tol=1e-8, max_iter=500, seed=0):
@@ -204,7 +176,9 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, counted=True):
         factor = _woodbury_factor(A, ratio)
         A._factor_cache[key] = factor
     t = A.matvec(rhs) if counted else A.apply_nocount(rhs)
-    s = scipy.linalg.cho_solve(factor, t)
+    # cho_factor checked the matrix once; check only the right-hand side
+    s = scipy.linalg.cho_solve(factor, np.asarray_chkfinite(t),
+                               check_finite=False)
     ATs = A.rmatvec(s) if counted else A.applyT_nocount(s)
     return (rhs - ratio * ATs) / c_id
 

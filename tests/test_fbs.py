@@ -222,6 +222,8 @@ def test_cert_constrained_accepts_at_fixed_point():
     class FakeState:
         z = z_star
         q = A.apply_nocount(z_star)
+        atq = A.applyT_nocount(q)
+        c_alpha = x / alpha + A.applyT_nocount(b)
 
     cert = cert_constrained(A, b, alpha, 1e-6, x, z_star, 0.5, FakeState())
     assert cert.accepted
@@ -244,6 +246,89 @@ def test_cert_constrained_fallback_bound_dominates_error():
             assert err <= cert.eps_achieved + 1e-9
             checked += 1
     assert checked > 0
+
+
+def _cert_constrained_reference(A, b, alpha, eps_k, x, z_prev, tau_prev,
+                                state):
+    # the certificate's formulas as written out, four uncounted products
+    z1, q1 = state.z, state.q
+    Az1 = A.apply_nocount(z1)
+    z = z1 + (alpha / tau_prev) * (z1 - z_prev) \
+        + alpha * A.applyT_nocount(q1 - Az1)
+    w = A.applyT_nocount(Az1 - b) - (x - z) / alpha
+    if np.min(z) >= 0:
+        d = A.apply_nocount(z - z1)
+        lhs = 0.5 * float(d @ d) + float(w @ z)
+        return z, w, lhs, lhs <= eps_k ** 2 / (2.0 * alpha)
+    c = x / alpha + A.applyT_nocount(b)
+    r = c - (A.applyT_nocount(Az1) + z1 / alpha)
+    arg = float(np.maximum(r, 0.0) @ np.maximum(r, 0.0)) \
+        - (2.0 / alpha) * float(np.minimum(r, 0.0) @ z1)
+    estimate = alpha * np.sqrt(max(arg, 0.0))
+    return z1, w, estimate, estimate <= eps_k
+
+
+def _constrained_certificates(shift, eps_k, steps=300):
+    # (certificate, reference, uncounted products, state) per PDNoInv step
+    A, b, x = make_instance(seed=20)
+    x = x + shift
+    alpha = 0.7
+    calls = []
+
+    def counting(product):
+        def wrapper(v):
+            calls.append(1)
+            return product(v)
+        return wrapper
+
+    A.apply_nocount = counting(A.apply_nocount)
+    A.applyT_nocount = counting(A.applyT_nocount)
+    st = pd_noinv_init(A, b, alpha, x, nonneg=True)
+    out = []
+    for _ in range(steps):
+        zp, tp = st.z, st.tau
+        st = pd_noinv_step(A, alpha, True, st)
+        del calls[:]
+        cert = cert_constrained(A, b, alpha, eps_k, x, zp, tp, st)
+        products = len(calls)
+        ref = _cert_constrained_reference(A, b, alpha, eps_k, x, zp, tp, st)
+        out.append((cert, ref, products, st))
+    return out
+
+
+@pytest.mark.parametrize("shift,fallback,eps_k", [(3.0, False, 1.7e-3),
+                                                  (-1.0, True, 6e-3)])
+def test_cert_constrained_matches_four_product_reference(shift, fallback,
+                                                         eps_k):
+    # eps_k puts the acceptance switch inside the run on the path tested
+    alpha = 0.7
+    decisions = set()
+    for cert, (z, w, gap, accepted), _, st in \
+            _constrained_certificates(shift, eps_k):
+        if cert.fallback != fallback:
+            continue
+        decisions.add(accepted)
+        assert cert.accepted == accepted
+        # 1e-12 relative to the magnitude of the terms summed into w and z
+        mag = np.max(np.abs(st.c_alpha)) + np.max(np.abs(st.atq))
+        assert np.max(np.abs(cert.w - w)) <= 1e-12 * mag
+        if fallback:
+            # same operations in the same order as the reference
+            assert np.array_equal(cert.z, z) and cert.gap_value == gap
+        else:
+            assert np.max(np.abs(cert.z - z)) <= \
+                1e-12 * max(np.max(np.abs(z)), alpha * mag)
+            assert abs(cert.gap_value - gap) <= \
+                1e-12 * (abs(gap) + mag * np.sum(np.abs(z)))
+    assert decisions == {False, True}
+
+
+@pytest.mark.parametrize("shift,fallback,products", [(3.0, False, 3),
+                                                     (-1.0, True, 2)])
+def test_cert_constrained_uncounted_products(shift, fallback, products):
+    certs = _constrained_certificates(shift, eps_k=0.0, steps=50)
+    seen = [n for cert, _, n, _ in certs if cert.fallback == fallback]
+    assert seen and set(seen) == {products}
 
 
 def _tiny_tomo(side=16, seed=0):
@@ -408,3 +493,24 @@ def test_prox_ls_exact_constrained_warns_on_budget(monkeypatch):
         z = prox_ls_exact(A, b, 0.6, x, nonneg=True)
     assert np.min(z) >= 0.0
     assert A.matvec_count == 10
+
+
+def test_prox_ls_exact_constrained_stops_at_rounding_floor():
+    # scaling x and b by s scales the prox by s and the gap's rounding
+    # floor by s^2: at s = 100 the gap of this instance levels off between
+    # 2e-11 and 3e-10, and an absolute 1e-12 is never reached
+    from supopt import tomo
+    A, b, _ = _tiny_tomo()
+    rng = np.random.default_rng(0)
+    x = tomo.shepp_logan(16) + 0.1 * rng.standard_normal(A.n_cols)
+    alpha = 0.5
+    z_unit = prox_ls_exact(A, b, alpha, x, nonneg=True)
+    s = 100.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        z = prox_ls_exact(A, s * b, alpha, s * x, nonneg=True)
+    c = s * x / alpha + A.applyT_nocount(s * b)
+    floor = x.size * np.finfo(np.float64).eps * np.max(np.abs(c)) * np.max(z)
+    assert np.min(z) >= 0.0
+    assert 1e-12 < dual_gap(A, s * b, alpha, s * x, z) <= floor
+    assert np.max(np.abs(z / s - z_unit)) <= 1e-8 * np.max(z_unit)

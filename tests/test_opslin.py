@@ -39,6 +39,14 @@ def test_matvec_count_and_nocount():
     assert A.matvec_count == 0
 
 
+def test_adjoint_products_byte_equal_to_transposed_csr():
+    A, _ = random_operator(30, 50, seed=16, density=0.3)
+    y = np.random.default_rng(17).standard_normal(30)
+    expected = (A.tocsr().T @ y).tobytes()
+    assert A.rmatvec(y).tobytes() == expected
+    assert A.applyT_nocount(y).tobytes() == expected
+
+
 def test_dimension_mismatch():
     A, _ = random_operator(5, 8)
     with pytest.raises(DimensionMismatchError):
@@ -106,6 +114,14 @@ def test_shifted_gram_solve_uncounted_path():
     z2 = shifted_gram_solve(A, 1.0, 0.7, rhs, counted=False)
     assert A.matvec_count == count
     assert np.array_equal(z1, z2)
+
+
+def test_shifted_gram_solve_rejects_nan_rhs():
+    A, _ = random_operator(4, 10, seed=18)
+    rhs = np.ones(10)
+    rhs[3] = np.nan
+    with pytest.raises(ValueError):
+        shifted_gram_solve(A, 1.0, 0.7, rhs)
 
 
 def test_smw_solve_matches_dense():
