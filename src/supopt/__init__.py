@@ -8,18 +8,14 @@ from .fbs import (AFBSConfig, AFBSRunResult, ProxCertificate, Splitting,
                   afbs_run, cert_constrained, cert_unconstrained, dual_gap,
                   grad_h_u, lipschitz_f, objective, pd_basic_init,
                   pd_basic_step, pd_noinv_init, pd_noinv_step, prox_ls_exact)
-from .harness import (ConfigError, ExperimentConfig, ProblemInstance,
-                      build_problem, check_termination, emit_csv, emit_svg,
-                      load_csv, main, run_algorithm, run_experiment)
 from .metrics import MetricsRecord, NumericalDivergenceError
 from .opslin import (DimensionMismatchError, SparseOperator,
-                     SpectralNormWarning, dense_prox_ls_oracle,
-                     load_matrix_market, save_matrix_market,
-                     shifted_gram_solve, smw_solve, spectral_norm_sq)
-from .regtv import (GridShape, SmoothedTVParams, dense_grad_matrix,
-                    grad_adjoint, grad_apply, lipschitz_bound,
-                    perturbation_norm_bound, prox_tv, prox_tv_with_info,
-                    tv_smooth, tv_smooth_grad, tv_value)
+                     SpectralNormWarning, load_matrix_market,
+                     save_matrix_market, shifted_gram_solve, smw_solve,
+                     spectral_norm_sq)
+from .regtv import (GridShape, SmoothedTVParams, grad_adjoint, grad_apply,
+                    lipschitz_bound, perturbation_norm_bound, prox_tv,
+                    prox_tv_with_info, tv_smooth, tv_smooth_grad, tv_value)
 from .superior import (SupConfig, SupRunResult, VARIANTS, s_grad, s_prox,
                        s_prox_plus, superiorize_run)
 from .tomo import (Geometry, NoiseModel, add_noise, build_parallel_system,
@@ -27,3 +23,17 @@ from .tomo import (Geometry, NoiseModel, add_noise, build_parallel_system,
                    shepp_logan)
 
 __version__ = "0.1.0"
+
+# The CLI module loads on first use, so that `python -m supopt.harness`
+# does not find it already imported.
+_HARNESS_NAMES = ("ConfigError", "ExperimentConfig", "ProblemInstance",
+                  "build_problem", "check_termination", "emit_csv",
+                  "emit_svg", "load_csv", "main", "run_algorithm",
+                  "run_experiment")
+
+
+def __getattr__(name):
+    if name in _HARNESS_NAMES:
+        from . import harness
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

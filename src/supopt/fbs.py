@@ -7,7 +7,11 @@ objective h = 0.5*||Ax-b||^2 + lam*R_tau(x) [+ indicator(x >= 0)]:
   (+ constraint); the prox of g is done exactly (a solve of the
   reduced m x m system, or projected Nesterov steps under the
   constraint) or inexactly by primal-dual iterations with computable
-  acceptance certificates.
+  acceptance certificates. Under the constraint the certificate tests
+  the extrapolated candidate when it is feasible, and otherwise the
+  Fenchel duality gap of the prox subproblem at the step's feasible
+  primal-dual pair, which bounds the prox error because the subproblem
+  is strongly convex.
 - ReversedTV: f = least squares, g = lam*R_tau (+ constraint); the prox
   of g is the TV prox.
 
@@ -70,6 +74,8 @@ class AFBSConfig:
     def __post_init__(self):
         if self.inner not in INNER_SOLVERS:
             raise ValueError(f"unknown inner solver {self.inner!r}")
+        if self.max_inner < 1:
+            raise ValueError("max_inner must be at least 1")
         if self.t0 <= 1:
             raise ValueError("t0 must exceed 1")
         if not 0 < self.a_relax < 2:
@@ -269,30 +275,53 @@ def cert_unconstrained(A, alpha, eps_k, z_prev, tau_prev, state):
                            accepted=accepted)
 
 
-def cert_constrained(A, b, alpha, eps_k, x, z_prev, tau_prev, state,
+def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state,
                      fallback_budget=None):
     """Acceptance test for the constrained inexact prox.
 
-    Builds the candidate pair (z, z_p) with normal-cone element w; when
-    the extrapolated z stays feasible the gap test
-    0.5*||A(z - z_p)||^2 + <w, z> <= eps_k^2/(2*alpha) applies, otherwise
-    an error-norm estimate at the feasible iterate is compared against
-    `fallback_budget` (defaults to eps_k). The accepted prox value is z on
-    the primary path and the feasible iterate on the fallback path.
-    `state` comes from `pd_noinv_step` at the same (b, alpha, x): the
-    certificate reuses its `atq` = A^T q and `c_alpha` = x/alpha + A^T b,
-    and computes A z_p and A^T A z_p once, so it costs 2 uncounted
-    products on the fallback path and 3 on the primary path.
+    `state` comes from `pd_noinv_step`: the certificate reuses its
+    `atq` = A^T q and `c_alpha` = c = x/alpha + A^T b, and computes A z1
+    and A^T A z1 once for the step's feasible iterate z1.
+
+    Primary path: the extrapolated z = z1 + (alpha/tau_prev)(z1 - z_prev)
+    + alpha A^T(q - A z1), with normal-cone element
+    w = A^T A z1 + z/alpha - c >= 0, is accepted when
+    0.5*||A(z - z1)||^2 + <w, z> <= eps_k^2/(2*alpha) (a type-2
+    approximation). It applies when z is feasible up to rounding: entries
+    above -n * eps * alpha * max(|A^T q|, |A^T A z1|) are clipped to 0,
+    which keeps w >= 0 and the test exact, so a last-bit change in an
+    entry where z1 = z_prev = 0 cannot switch the path.
+
+    Fallback path, when z leaves the orthant: the Fenchel gap of the
+    subproblem min 0.5||Az||^2 + G(z), G(z) = ||z||^2/(2 alpha) - <c, z>
+    + indicator(z >= 0), at the pair (z1, q),
+    gap = 0.5||A z1||^2 + ||z1||^2/(2 alpha) - <c, z1> + 0.5||q||^2
+    + (alpha/2)||(c - A^T q)_+||^2.
+    The subproblem is (1/alpha)-strongly convex, so
+    gap >= ||z1 - z*||^2/(2 alpha) and eps_achieved =
+    sqrt(2 alpha (gap + floor)) bounds the error of z1, with floor =
+    n * eps * (sum of the five terms' magnitudes) covering the rounding
+    of the sum. z1 is accepted when eps_achieved <= `fallback_budget`
+    (defaults to eps_k).
+
+    Uncounted products: 2 on the fallback path, 3 on the primary path.
     """
     if fallback_budget is None:
         fallback_budget = eps_k
-    z1 = state.z
-    atatz1 = A.applyT_nocount(A.apply_nocount(z1))
-    # A^T(q1 - A z1) and A^T(A z1 - b) - (x - z)/alpha, by linearity
-    z = z1 + (alpha / tau_prev) * (z1 - z_prev) \
-        + alpha * (state.atq - atatz1)
-    w = atatz1 + z / alpha - state.c_alpha
-    if np.min(z) >= 0:
+    z1, atq, c = state.z, state.atq, state.c_alpha
+    az1 = A.apply_nocount(z1)
+    atatz1 = A.applyT_nocount(az1)
+    # A^T(q1 - A z1) by linearity
+    z = z1 + (alpha / tau_prev) * (z1 - z_prev) + alpha * (atq - atatz1)
+    eps64 = np.finfo(np.float64).eps
+    tol = z.size * eps64 * alpha * max(float(np.max(np.abs(atq))),
+                                       float(np.max(np.abs(atatz1))))
+    primary = np.min(z) >= -tol
+    if primary:
+        z = np.maximum(z, 0.0)
+    # A^T(A z1 - b) - (x - z)/alpha, by linearity
+    w = atatz1 + z / alpha - c
+    if primary:
         d = A.apply_nocount(z - z1)
         lhs = 0.5 * float(d @ d) + float(w @ z)
         accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
@@ -300,21 +329,32 @@ def cert_constrained(A, b, alpha, eps_k, x, z_prev, tau_prev, state,
                                eps_achieved=math.sqrt(
                                    2.0 * alpha * max(lhs, 0.0)),
                                accepted=accepted)
-    # extrapolated point infeasible: bound the prox error at z1 instead
-    r = state.c_alpha - (atatz1 + z1 / alpha)
-    r_pos = np.maximum(r, 0.0)
-    r_neg = np.minimum(r, 0.0)
-    arg = float(r_pos @ r_pos) - (2.0 / alpha) * float(r_neg @ z1)
-    estimate = alpha * math.sqrt(max(arg, 0.0))
-    return ProxCertificate(z=z1, z_p=z1, w=w, gap_value=estimate,
-                           eps_achieved=estimate,
-                           accepted=estimate <= fallback_budget,
+    q1 = state.q
+    dual_slack = np.maximum(c - atq, 0.0)
+    terms = (0.5 * float(az1 @ az1), float(z1 @ z1) / (2.0 * alpha),
+             -float(c @ z1), 0.5 * float(q1 @ q1),
+             0.5 * alpha * float(dual_slack @ dual_slack))
+    gap = sum(terms)
+    floor = z1.size * eps64 * sum(abs(t) for t in terms)
+    eps_achieved = math.sqrt(2.0 * alpha * max(gap + floor, 0.0))
+    return ProxCertificate(z=z1, z_p=z1, w=w, gap_value=gap,
+                           eps_achieved=eps_achieved,
+                           accepted=eps_achieved <= fallback_budget,
                            fallback=True)
+
+
+def _warn_unaccepted(solver, max_inner):
+    warnings.warn(f"{solver}: no inexact prox accepted within max_inner = "
+                  f"{max_inner} steps; returning the last candidate",
+                  RuntimeWarning)
 
 
 def _run_pd_noinv_inexact(A, b, alpha, x, eps_k, nonneg, max_inner,
                           warm=None):
-    """Iterate the inversion-free primal-dual solver until a certificate."""
+    """Iterate the inversion-free primal-dual solver until a certificate.
+
+    Warns when `max_inner` steps end without an accepted certificate.
+    """
     z0 = q0 = None
     if warm is not None:
         z0, q0 = warm
@@ -326,32 +366,42 @@ def _run_pd_noinv_inexact(A, b, alpha, x, eps_k, nonneg, max_inner,
         state = pd_noinv_step(A, alpha, nonneg, state)
         steps += 1
         if nonneg:
-            cert = cert_constrained(A, b, alpha, eps_k, x, z_prev, tau_prev,
-                                    state)
+            cert = cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state)
         else:
             cert = cert_unconstrained(A, alpha, eps_k, z_prev, tau_prev,
                                       state)
         if cert.accepted:
             break
+    else:
+        _warn_unaccepted("PDNoInv", max_inner)
     cert.inner_iters = steps
     return cert, (state.z, state.q)
 
 
 def _run_pd_basic(A, b, alpha, x, tol, max_inner, warm=None):
-    """Iterate the basic primal-dual solver until the duality gap <= tol."""
+    """Iterate the basic primal-dual solver until the duality gap <= tol.
+
+    Warns, and marks the certificate unaccepted, when `max_inner` steps
+    do not get there.
+    """
     z0 = p0 = None
     if warm is not None:
         z0, p0 = warm
     state = pd_basic_init(A, b, alpha, x, z0=z0, p0=p0)
     inner = 0
+    accepted = False
     for _ in range(max_inner):
         state = pd_basic_step(A, alpha, state)
         inner += 1
-        if dual_gap(A, b, alpha, x, np.maximum(state.z, 0.0)) <= tol:
+        z = np.maximum(state.z, 0.0)
+        gap = dual_gap(A, b, alpha, x, z)
+        if gap <= tol:
+            accepted = True
             break
-    z = np.maximum(state.z, 0.0)
-    cert = ProxCertificate(z=z, z_p=z, gap_value=float(
-        dual_gap(A, b, alpha, x, z)), inner_iters=inner)
+    else:
+        _warn_unaccepted("PDBasic", max_inner)
+    cert = ProxCertificate(z=z, z_p=z, gap_value=float(gap),
+                           inner_iters=inner, accepted=accepted)
     return cert, (state.z, state.p)
 
 

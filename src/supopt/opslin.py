@@ -195,20 +195,6 @@ def smw_solve(A, alpha, tau_l, rhs, counted=True):
     return shifted_gram_solve(A, 1.0 + tau_l / alpha, tau_l, rhs, counted)
 
 
-def dense_prox_ls_oracle(A, b, alpha, x, max_n=4096):
-    """Exact unconstrained least-squares prox via a dense direct solve.
-
-    Returns argmin_z 0.5*||Az - b||^2 + ||z - x||^2 / (2*alpha), i.e.
-    (I + alpha A^T A)^{-1} (x + alpha A^T b). Test oracle only.
-    """
-    if A.n_cols > max_n:
-        raise ValueError(f"dense oracle limited to n <= {max_n}")
-    Ad = A.toarray()
-    lhs = np.eye(A.n_cols) + alpha * (Ad.T @ Ad)
-    rhs = np.asarray(x, dtype=np.float64) + alpha * (Ad.T @ np.asarray(b))
-    return np.linalg.solve(lhs, rhs)
-
-
 def save_matrix_market(path, A):
     """Write the operator in MatrixMarket coordinate text format."""
     scipy.io.mmwrite(str(path), A.tocsr())

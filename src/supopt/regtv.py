@@ -78,20 +78,6 @@ def grad_adjoint(shape, y):
     return out.ravel()
 
 
-def dense_grad_matrix(shape):
-    """Dense D via Kronecker products (test oracle; small grids only)."""
-    def diff(d):
-        P = np.zeros((d, d))
-        idx = np.arange(d - 1)
-        P[idx, idx] = -1.0
-        P[idx, idx + 1] = 1.0
-        return P
-
-    d1 = np.kron(diff(shape.rows), np.eye(shape.cols))
-    d2 = np.kron(np.eye(shape.rows), diff(shape.cols))
-    return np.vstack([d1, d2])
-
-
 def tv_value(shape, x):
     """Anisotropic TV: l1 norm of the stacked forward differences."""
     return float(np.abs(grad_apply(shape, x)).sum())

@@ -10,13 +10,14 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import dense_grad_matrix
 from supopt.basic import default_gamma, g_u
 from supopt.fbs import (AFBSConfig, Splitting, afbs_run, dual_gap, objective,
                         pd_basic_init, pd_basic_step, pd_noinv_init,
                         pd_noinv_step)
 from supopt.harness import ExperimentConfig, build_problem, run_algorithm
 from supopt.opslin import SparseOperator, shifted_gram_solve
-from supopt.regtv import (GridShape, SmoothedTVParams, dense_grad_matrix,
+from supopt.regtv import (GridShape, SmoothedTVParams,
                           perturbation_norm_bound, tv_smooth, tv_smooth_grad)
 from supopt.superior import SupConfig, s_prox_plus, superiorize_run
 from supopt.tomo import Geometry, build_parallel_system, shepp_logan

@@ -3,12 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import dense_prox_ls_oracle, nnls_prox_ls_oracle
 from supopt import fbs
 from supopt.fbs import (AFBSConfig, Splitting, afbs_run, cert_constrained,
                         cert_unconstrained, dual_gap, grad_h_u, lipschitz_f,
                         objective, pd_basic_init, pd_basic_step,
                         pd_noinv_init, pd_noinv_step, prox_ls_exact)
-from supopt.opslin import SparseOperator, dense_prox_ls_oracle
+from supopt.opslin import SparseOperator
 from supopt.regtv import GridShape, SmoothedTVParams
 
 
@@ -27,6 +28,8 @@ def test_splitting_validation():
         AFBSConfig(inner="NoSuch")
     with pytest.raises(ValueError):
         AFBSConfig(t0=1.0)
+    with pytest.raises(ValueError):
+        AFBSConfig(max_inner=0)
 
 
 def test_lipschitz_constants():
@@ -225,21 +228,68 @@ def test_cert_constrained_accepts_at_fixed_point():
         atq = A.applyT_nocount(q)
         c_alpha = x / alpha + A.applyT_nocount(b)
 
-    cert = cert_constrained(A, b, alpha, 1e-6, x, z_star, 0.5, FakeState())
+    cert = cert_constrained(A, alpha, 1e-6, z_star, 0.5, FakeState())
     assert cert.accepted
+
+
+def _state_at_constrained_prox(A, b, alpha, x):
+    # the optimal pair of the constrained prox subproblem: z* and q* = A z*
+    z_star = nnls_prox_ls_oracle(A, b, alpha, x)
+    q = A.apply_nocount(z_star)
+    return fbs.PDNoInvState(z=z_star, q=q, zbar=z_star, tau=0.5, sigma=0.5,
+                            c_alpha=x / alpha + A.applyT_nocount(b),
+                            atq=A.applyT_nocount(q))
+
+
+def test_cert_constrained_fallback_accepts_at_exact_prox():
+    A, b, x = make_instance(seed=16)
+    x = x - 1.0  # make the constraint active
+    alpha = 0.7
+    st = _state_at_constrained_prox(A, b, alpha, x)
+    # a previous iterate above z* where z* = 0 extrapolates out of the
+    # orthant, so the certificate takes its fallback path
+    z_prev = st.z + (st.z == 0)
+    assert np.any(st.z == 0)
+    cert = cert_constrained(A, alpha, 1e-6, z_prev, 0.5, st)
+    assert cert.fallback and cert.accepted
+    assert np.array_equal(cert.z, st.z)
+    assert cert.eps_achieved <= 1e-6
+
+
+def test_cert_constrained_path_stable_under_last_bit_change():
+    # at the exact constrained prox of a tomography instance the
+    # extrapolated candidate is z* itself, and its zero entries are
+    # alpha * (A^T q - A^T A z*) = 0; moving A^T q down by one unit in the
+    # last place makes them negative by rounding only
+    A, b, _ = _tiny_tomo(side=8)
+    rng = np.random.default_rng(1)
+    x = 0.5 * rng.standard_normal(A.n_cols)
+    alpha = 0.5
+    st = _state_at_constrained_prox(A, b, alpha, x)
+    assert np.count_nonzero(st.z == 0) >= 10
+    nudged = fbs.PDNoInvState(**{**st.__dict__,
+                                 "atq": np.nextafter(st.atq, -np.inf)})
+    for eps_k in (1e-4, 1e-6):
+        cert = cert_constrained(A, alpha, eps_k, st.z, 0.5, st)
+        cert_nudged = cert_constrained(A, alpha, eps_k, st.z, 0.5, nudged)
+        assert not cert.fallback and not cert_nudged.fallback
+        assert cert.accepted and cert_nudged.accepted
+        assert np.min(cert_nudged.z) >= 0.0
+        assert np.max(np.abs(cert_nudged.z - cert.z)) <= \
+            1e-12 * np.max(cert.z)
 
 
 def test_cert_constrained_fallback_bound_dominates_error():
     A, b, x = make_instance(seed=16)
     x = x - 1.0  # make the constraint active
     alpha = 0.7
-    z_star = prox_ls_exact(A, b, alpha, x, nonneg=True)
+    z_star = nnls_prox_ls_oracle(A, b, alpha, x)
     st = pd_noinv_init(A, b, alpha, x, nonneg=True)
     checked = 0
     for _ in range(2000):
         zp, tp = st.z, st.tau
         st = pd_noinv_step(A, alpha, True, st)
-        cert = cert_constrained(A, b, alpha, 0.0, x, zp, tp, st,
+        cert = cert_constrained(A, alpha, 0.0, zp, tp, st,
                                 fallback_budget=0.0)
         if cert.fallback:
             err = np.linalg.norm(st.z - z_star)
@@ -250,7 +300,7 @@ def test_cert_constrained_fallback_bound_dominates_error():
 
 def _cert_constrained_reference(A, b, alpha, eps_k, x, z_prev, tau_prev,
                                 state):
-    # the certificate's formulas as written out, four uncounted products
+    # the certificate's formulas as written out, with their own products
     z1, q1 = state.z, state.q
     Az1 = A.apply_nocount(z1)
     z = z1 + (alpha / tau_prev) * (z1 - z_prev) \
@@ -260,12 +310,16 @@ def _cert_constrained_reference(A, b, alpha, eps_k, x, z_prev, tau_prev,
         d = A.apply_nocount(z - z1)
         lhs = 0.5 * float(d @ d) + float(w @ z)
         return z, w, lhs, lhs <= eps_k ** 2 / (2.0 * alpha)
+    # Fenchel gap of min 0.5||Az||^2 + ||z||^2/(2 alpha) - <c, z> over
+    # z >= 0 at the pair (z1, q1), plus its rounding floor
     c = x / alpha + A.applyT_nocount(b)
-    r = c - (A.applyT_nocount(Az1) + z1 / alpha)
-    arg = float(np.maximum(r, 0.0) @ np.maximum(r, 0.0)) \
-        - (2.0 / alpha) * float(np.minimum(r, 0.0) @ z1)
-    estimate = alpha * np.sqrt(max(arg, 0.0))
-    return z1, w, estimate, estimate <= eps_k
+    slack = np.maximum(c - A.applyT_nocount(q1), 0.0)
+    terms = [0.5 * float(Az1 @ Az1), float(z1 @ z1) / (2.0 * alpha),
+             -float(c @ z1), 0.5 * float(q1 @ q1),
+             0.5 * alpha * float(slack @ slack)]
+    gap = sum(terms)
+    floor = z1.size * np.finfo(np.float64).eps * sum(map(abs, terms))
+    return z1, w, gap, np.sqrt(2.0 * alpha * (gap + floor)) <= eps_k
 
 
 def _constrained_certificates(shift, eps_k, steps=300):
@@ -289,7 +343,7 @@ def _constrained_certificates(shift, eps_k, steps=300):
         zp, tp = st.z, st.tau
         st = pd_noinv_step(A, alpha, True, st)
         del calls[:]
-        cert = cert_constrained(A, b, alpha, eps_k, x, zp, tp, st)
+        cert = cert_constrained(A, alpha, eps_k, zp, tp, st)
         products = len(calls)
         ref = _cert_constrained_reference(A, b, alpha, eps_k, x, zp, tp, st)
         out.append((cert, ref, products, st))
@@ -514,3 +568,22 @@ def test_prox_ls_exact_constrained_stops_at_rounding_floor():
     assert np.min(z) >= 0.0
     assert 1e-12 < dual_gap(A, s * b, alpha, s * x, z) <= floor
     assert np.max(np.abs(z / s - z_unit)) <= 1e-8 * np.max(z_unit)
+
+
+def test_inexact_inner_runs_warn_when_budget_runs_out():
+    A, b, x = make_instance(seed=16)
+    x = x - 1.0
+    alpha = 0.7
+    for nonneg in (False, True):
+        with pytest.warns(RuntimeWarning, match="max_inner = 1 steps"):
+            cert, _ = fbs._run_pd_noinv_inexact(A, b, alpha, x, 1e-9,
+                                                nonneg, 1)
+        assert not cert.accepted and cert.inner_iters == 1
+    with pytest.warns(RuntimeWarning, match="max_inner = 1 steps"):
+        cert, _ = fbs._run_pd_basic(A, b, alpha, x, 1e-14, 1)
+    assert not cert.accepted and cert.inner_iters == 1
+    assert cert.gap_value == dual_gap(A, b, alpha, x, cert.z) > 1e-14
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cert, _ = fbs._run_pd_basic(A, b, alpha, x, 1e-2, 100000)
+    assert cert.accepted and cert.gap_value <= 1e-2

@@ -220,17 +220,30 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 2
 
 
-def test_module_entry_point_runs_cli(tmp_path):
-    # `python -m supopt.harness` must run the CLI, not import and exit 0
+def _run_module(module, tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "supopt.harness", "run", "--config",
+    return subprocess.run(
+        [sys.executable, "-m", module, "run", "--config",
          str(tmp_path / "missing.cfg")],
         env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_cli(tmp_path):
+    # `python -m supopt.harness` must run the CLI, not import and exit 0,
+    # and the package import must not load the module before runpy does
+    proc = _run_module("supopt.harness", tmp_path)
     assert proc.returncode == 2
     assert "configuration error" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_package_entry_point_runs_cli(tmp_path):
+    proc = _run_module("supopt", tmp_path)
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_load_config_set_overrides_file(tmp_path):

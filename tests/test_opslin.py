@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import dense_prox_ls_oracle
 from supopt.opslin import (DimensionMismatchError, SparseOperator,
-                           dense_prox_ls_oracle, load_matrix_market,
-                           save_matrix_market, shifted_gram_solve, smw_solve,
-                           spectral_norm_sq)
+                           load_matrix_market, save_matrix_market,
+                           shifted_gram_solve, smw_solve, spectral_norm_sq)
 
 
 def random_operator(m, n, seed=0, density=1.0):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from supopt.regtv import (GridShape, SmoothedTVParams, dense_grad_matrix,
-                          grad_adjoint, grad_apply, lipschitz_bound,
+from oracles import dense_grad_matrix
+from supopt.regtv import (GridShape, SmoothedTVParams, grad_adjoint,
+                          grad_apply, lipschitz_bound,
                           perturbation_norm_bound, prox_tv, prox_tv_with_info,
                           tv_smooth, tv_smooth_grad, tv_value)
 
