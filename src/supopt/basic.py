@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opslin import spectral_norm_sq
-
 _BREAKDOWN = 1e-300
 
 
@@ -36,12 +34,12 @@ class CGState:
 
 def default_gamma(A):
     """Safe interior Landweber step 1.9 / ||A||_2^2."""
-    return 1.9 / spectral_norm_sq(A)
+    return 1.9 / A.norm_sq
 
 
 def default_mu(A):
     """Default least-squares regularization 1e-6 * ||A||_2^2."""
-    return 1e-6 * spectral_norm_sq(A)
+    return 1e-6 * A.norm_sq
 
 
 def residual(A, b, x, counted=True):

@@ -20,18 +20,20 @@ a_relax, and the momentum recursion on t_k, with the gradient-based
 adaptive restart of O'Donoghue and Candes (2015): whenever
 <y_k - x_{k+1}, x_{k+1} - x_k> > 0 the momentum is dropped (t = t0,
 y_{k+1} = x_{k+1}). Plain forward-backward is the accelerated=False
-special case (t_k = 1, y_k = x_k) and never restarts.
+special case (t_k = 1, y_k = x_k) and never restarts. `afbs_run`
+defines one outer step; `metrics.run_outer` records each iterate and
+stops the run on ||grad h||_inf <= term_tol, or on
+||min(x, grad h)||_inf <= term_tol under the constraint.
 """
 
 import math
-import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import make_record, require_finite
-from .opslin import shifted_gram_solve, smw_solve, spectral_norm_sq
+from .metrics import RunResult, run_outer
+from .opslin import shifted_gram_solve, smw_solve
 from .regtv import (_projected_nesterov, prox_tv_with_info, tv_smooth,
                     tv_smooth_grad)
 
@@ -100,15 +102,7 @@ def lipschitz_f(splitting, A, tvparams):
     """Lipschitz constant of the smooth part's gradient."""
     if splitting.kind == "NaturalLS":
         return tvparams.lam * 8.0 / tvparams.tau
-    return spectral_norm_sq(A)
-
-
-def _operator_norm(A):
-    norm = getattr(A, "_norm2", None)
-    if norm is None:
-        norm = math.sqrt(spectral_norm_sq(A))
-        A._norm2 = norm
-    return norm
+    return A.norm_sq
 
 
 def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None):
@@ -146,7 +140,7 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None):
         return dual_gap(A, b, alpha, x, z) <= tol
 
     z, _, converged = _projected_nesterov(
-        grad, np.maximum(x, 0.0), _operator_norm(A) ** 2 + 1.0 / alpha,
+        grad, np.maximum(x, 0.0), A.norm_sq + 1.0 / alpha,
         1.0 / alpha, True, _LS_MAX_STEPS, stop)
     if not converged:
         warnings.warn("constrained least-squares prox: duality gap above "
@@ -233,7 +227,7 @@ def pd_noinv_init(A, b, alpha, x, nonneg, z0=None, q0=None):
     q = (np.zeros(A.n_rows) if q0 is None
          else np.asarray(q0, dtype=np.float64).copy())
     c = x / alpha + A.applyT_nocount(b)
-    t0 = 1.0 / _operator_norm(A)
+    t0 = 1.0 / math.sqrt(A.norm_sq)
     return PDNoInvState(z=z, q=q, zbar=z.copy(), tau=t0, sigma=t0, c_alpha=c)
 
 
@@ -405,16 +399,6 @@ def _run_pd_basic(A, b, alpha, x, tol, max_inner, warm=None):
     return cert, (state.z, state.p)
 
 
-@dataclass
-class AFBSRunResult:
-    x: np.ndarray
-    records: list
-    converged: bool
-    iterations: int
-    fallback_count: int = 0
-    total_inner: int = 0
-
-
 def _grad_smooth(splitting, A, b, shape, tvparams, y):
     if splitting.kind == "NaturalLS":
         return tvparams.lam * tv_smooth_grad(shape, tvparams, y)
@@ -433,21 +417,14 @@ def grad_h_u(A, b, shape, tvparams, x):
         + tvparams.lam * tv_smooth_grad(shape, tvparams, x)
 
 
-def _terminated(A, b, shape, tvparams, x, nonneg, tol):
-    g = grad_h_u(A, b, shape, tvparams, x)
-    if nonneg:
-        return float(np.max(np.abs(np.minimum(x, g)))) <= tol
-    return float(np.max(np.abs(g))) <= tol
-
-
 def afbs_run(splitting, config, A, b, shape, tvparams, x0=None, x_ref=None,
              callback=None, iterate_callback=None, record_wall_time=False):
     """Run (accelerated) forward-backward splitting to first-order optimality.
 
-    Stops when the infinity norm of the objective gradient (or of
-    min(x, gradient) in the constrained case) drops below term_tol, or at
-    max_outer. Returns the final iterate, per-iteration metric records,
-    a convergence flag, the fallback-certificate count, and the total
+    `metrics.run_outer` drives the steps and stops on rule opt_u, the
+    infinity norm of the objective gradient <= term_tol, or opt_c, that of
+    min(x, gradient), in the constrained case, or at max_outer. Returns a
+    `metrics.RunResult` with the fallback-certificate count and the total
     inner-iteration count.
 
     The accelerated loop restarts its momentum (t = t0, y = x_new) after
@@ -470,25 +447,9 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x0=None, x_ref=None,
     atb = None
     warm = None
     fallback_count = 0
-    total_inner = 0
-    t_start = time.perf_counter()
 
-    records = []
-
-    def emit(k, inner_iters):
-        wt = time.perf_counter() - t_start if record_wall_time else 0.0
-        rec = make_record(k, A, b, x, shape, tvparams, x_ref=x_ref,
-                          inner_iters=inner_iters, wall_time=wt)
-        records.append(rec)
-        if callback is not None:
-            callback(rec)
-
-    emit(0, 0)
-    for k in range(1, config.max_outer + 1):
-        if _terminated(A, b, shape, tvparams, x, splitting.nonneg,
-                       config.term_tol):
-            return AFBSRunResult(x, records, True, k - 1, fallback_count,
-                                 total_inner)
+    def step(k, x):
+        nonlocal y, t, atb, warm, fallback_count
         v = y - alpha * _grad_smooth(splitting, A, b, shape, tvparams, y)
         eps_k = config.inexact_C * float(k) ** (-config.inexact_q)
         inner_iters = 0
@@ -498,10 +459,9 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x0=None, x_ref=None,
             z = prox_ls_exact(A, b, alpha, v, nonneg=splitting.nonneg,
                               atb=atb)
         elif config.inner == "TVProx":
-            z, nit, _, _ = prox_tv_with_info(shape, tvparams, v,
-                                             alpha * tvparams.lam,
-                                             nonneg=splitting.nonneg)
-            inner_iters = nit
+            z, inner_iters, _, _ = prox_tv_with_info(
+                shape, tvparams, v, alpha * tvparams.lam,
+                nonneg=splitting.nonneg)
         elif config.inner == "PDBasic":
             tol = max(eps_k ** 2 / (2.0 * alpha), 1e-12)
             cert, warm_new = _run_pd_basic(A, b, alpha, v, tol,
@@ -516,9 +476,7 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x0=None, x_ref=None,
             z, inner_iters = cert.z, cert.inner_iters
             if cert.fallback:
                 fallback_count += 1
-        total_inner += inner_iters
         x_new = np.asarray(z, dtype=np.float64)
-        require_finite(x_new, f"forward-backward run, k={k}")
         if iterate_callback is not None:
             iterate_callback(x_new)
         if config.accelerated and float((y - x_new) @ (x_new - x)) <= 0.0:
@@ -532,9 +490,12 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x0=None, x_ref=None,
             # from y opposed the momentum direction, so drop the momentum
             t = config.t0
             y = x_new
-        x = x_new
-        emit(k, inner_iters)
-    converged = _terminated(A, b, shape, tvparams, x, splitting.nonneg,
-                            config.term_tol)
-    return AFBSRunResult(x, records, converged, config.max_outer,
-                         fallback_count, total_inner)
+        return x_new, inner_iters
+
+    x, records, converged, iterations = run_outer(
+        step, x, A, b, shape, tvparams,
+        "opt_c" if splitting.nonneg else "opt_u", config.term_tol,
+        config.max_outer, "forward-backward run", x_ref=x_ref,
+        callback=callback, record_wall_time=record_wall_time)
+    return RunResult(x, records, converged, iterations, fallback_count,
+                     sum(r.inner_iters for r in records))

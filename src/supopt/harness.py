@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import basic, fbs, superior, tomo
+from . import fbs, superior, tomo
 from .metrics import FIELD_NAMES, MetricsRecord, NumericalDivergenceError
-from .opslin import save_matrix_market, spectral_norm_sq
+from .opslin import save_matrix_market
 from .regtv import GridShape, SmoothedTVParams, tv_smooth
 
 # per-variant defaults: (a, gamma0, kappa); gamma0 = None means the
@@ -91,27 +91,6 @@ def build_problem(config):
     tvparams = SmoothedTVParams(tau=config.tau, lam=config.resolved_lam())
     return ProblemInstance(A=A, b=b, shape=shape, tvparams=tvparams,
                            x_ref=x_ref)
-
-
-def check_termination(x, problem, mode, eps):
-    """Evaluate one of the four stopping rules at x.
-
-    sup_u: 0.5*||Ax-b||^2 <= eps. sup_c: additionally min_i x_i > -1e-8.
-    opt_u: ||grad h_u(x)||_inf <= eps. opt_c: ||min(x, grad h_u(x))||_inf
-    <= eps.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if mode == "sup_u":
-        return basic.g_u(problem.A, problem.b, x) <= eps
-    if mode == "sup_c":
-        return (basic.g_u(problem.A, problem.b, x) <= eps
-                and float(np.min(x)) > -1e-8)
-    g = fbs.grad_h_u(problem.A, problem.b, problem.shape, problem.tvparams, x)
-    if mode == "opt_u":
-        return float(np.max(np.abs(g))) <= eps
-    if mode == "opt_c":
-        return float(np.max(np.abs(np.minimum(x, g)))) <= eps
-    raise ConfigError(f"unknown termination mode {mode!r}")
 
 
 # -- CSV / SVG output --------------------------------------------------------
@@ -210,7 +189,7 @@ def emit_svg(records, path, log_y=True, refs=None):
 def _sup_config(name, problem, config, overrides):
     a, gamma0, kappa = TUNED_PARAMS[name]
     if gamma0 is None:
-        gamma0 = 1.9 * problem.tvparams.lam / spectral_norm_sq(problem.A)
+        gamma0 = 1.9 * problem.tvparams.lam / problem.A.norm_sq
     params = {"a": a, "gamma0": gamma0, "kappa": kappa,
               "eps": config.resolved_eps(), "max_outer": config.max_outer}
     params.update(overrides)
@@ -241,16 +220,15 @@ def run_algorithm(name, problem, config):
         res = superior.superiorize_run(
             sup_cfg, problem.A, problem.b, problem.shape, problem.tvparams,
             x_ref=problem.x_ref, record_wall_time=config.record_wall_time)
-        info = {"converged": res.converged, "iterations": res.iterations}
-        return res.x, res.records, info
-    accelerated, splitting, inner = _parse_fbs_spec(name)
-    params = {"accelerated": accelerated, "inner": inner,
-              "max_outer": config.max_outer}
-    params.update(overrides)
-    fbs_cfg = fbs.AFBSConfig(**params)
-    res = fbs.afbs_run(splitting, fbs_cfg, problem.A, problem.b,
-                       problem.shape, problem.tvparams, x_ref=problem.x_ref,
-                       record_wall_time=config.record_wall_time)
+    else:
+        accelerated, splitting, inner = _parse_fbs_spec(name)
+        params = {"accelerated": accelerated, "inner": inner,
+                  "max_outer": config.max_outer}
+        params.update(overrides)
+        res = fbs.afbs_run(splitting, fbs.AFBSConfig(**params), problem.A,
+                           problem.b, problem.shape, problem.tvparams,
+                           x_ref=problem.x_ref,
+                           record_wall_time=config.record_wall_time)
     info = {"converged": res.converged, "iterations": res.iterations,
             "fallback_count": res.fallback_count,
             "total_inner": res.total_inner}

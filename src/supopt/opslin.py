@@ -53,6 +53,7 @@ class SparseOperator:
         self._csr_t = csr.T  # CSC view sharing csr's arrays: no copy
         self.matvec_count = 0
         self._factor_cache = {}
+        self._norm_sq = None
 
     @property
     def n_rows(self):
@@ -90,6 +91,13 @@ class SparseOperator:
 
     def reset_matvec_count(self):
         self.matvec_count = 0
+
+    @property
+    def norm_sq(self):
+        """||A||_2^2 from `spectral_norm_sq(self)`, computed on first use."""
+        if self._norm_sq is None:
+            self._norm_sq = spectral_norm_sq(self)
+        return self._norm_sq
 
     # -- counted products ---------------------------------------------------
 
@@ -148,6 +156,11 @@ def spectral_norm_sq(A, tol=1e-8, max_iter=500, seed=0):
     return lam
 
 
+# a PDBasic step solves with a new step size and then its duality gap;
+# keeping every key grew by one m x m factor per step
+_FACTORS_KEPT = 2
+
+
 def _woodbury_factor(A, ratio):
     """Cholesky factor of M = I_m + ratio * A A^T (dense m x m)."""
     gram = (A.tocsr() @ A.tocsr().T).toarray()
@@ -161,8 +174,9 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, counted=True):
 
     Uses (cI + gA^TA)^{-1} = (1/c) (I - (g/c) A^T (I_m + (g/c) A A^T)^{-1} A)
     with a dense Cholesky factorization of the inner m x m matrix, cached
-    per (c_id, c_gram) on the operator. `counted=False` routes the two
-    operator products around the cost counter (for diagnostic solves).
+    per (c_id, c_gram) on the operator for the `_FACTORS_KEPT` most
+    recently used keys. `counted=False` routes the two operator products
+    around the cost counter (for diagnostic solves).
     """
     if c_id <= 0 or c_gram < 0:
         raise ValueError("need c_id > 0 and c_gram >= 0")
@@ -171,10 +185,13 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, counted=True):
         return rhs / c_id
     ratio = c_gram / c_id
     key = (_sigfig_key(c_id), _sigfig_key(c_gram))
-    factor = A._factor_cache.get(key)
+    cache = A._factor_cache
+    factor = cache.pop(key, None)
     if factor is None:
         factor = _woodbury_factor(A, ratio)
-        A._factor_cache[key] = factor
+    cache[key] = factor  # dicts keep insertion order: most recent last
+    if len(cache) > _FACTORS_KEPT:
+        del cache[next(iter(cache))]
     t = A.matvec(rhs) if counted else A.apply_nocount(rhs)
     # cho_factor checked the matrix once; check only the right-hand side
     s = scipy.linalg.cho_solve(factor, np.asarray_chkfinite(t),

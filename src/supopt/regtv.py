@@ -10,6 +10,7 @@ sum_i sqrt(tau^2 + (D1 x)_i^2) + sqrt(tau^2 + (D2 x)_i^2).
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,8 +187,9 @@ def prox_tv_with_info(shape, params, x, beta, nonneg=False, tol=1e-6,
 
     Returns (z, n_iterations, n_evaluations, warn_flag): the Nesterov
     steps, the gradient evaluations (1 at the start, then 2 per step)
-    and whether `max_iter` steps ran without meeting `tol`. The returned
-    point never increases the objective relative to a feasible input x.
+    and whether `max_iter` steps ran without meeting `tol`, which also
+    emits a RuntimeWarning. The returned point never increases the
+    objective relative to a feasible input x.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -212,6 +214,10 @@ def prox_tv_with_info(shape, params, x, beta, nonneg=False, tol=1e-6,
     z, nit, converged = _projected_nesterov(
         grad, x0, lipschitz_bound(params) + 1.0 / beta, 1.0 / beta, nonneg,
         max_iter, stop)
+    if not converged:
+        warnings.warn(f"TV prox: projected gradient above tol = {tol} after "
+                      f"max_iter = {max_iter} steps; returning the last "
+                      "iterate", RuntimeWarning)
     # never accept an objective increase relative to a feasible input
     if not nonneg or np.all(x >= 0):
         if value(z) >= value(x0):

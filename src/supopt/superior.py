@@ -5,17 +5,19 @@ perturbations (on the smoothed TV, optionally with a nonnegativity
 constraint) with one step of a perturbation-resilient basic operator.
 Eight named variants select the combination of reduction step
 (normalized-gradient passes or a single prox step) and basic operator
-(regularized CG, Landweber, projected Landweber).
+(regularized CG, Landweber, projected Landweber). `superiorize_run`
+defines one outer step; `metrics.run_outer` records each iterate and
+stops the run on g_u <= eps (with nonnegativity up to -1e-8 for the
+constrained variants).
 """
 
-import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import basic
-from .metrics import make_record, require_finite
+from .metrics import RunResult, run_outer
 from .regtv import _smooth_terms, grad_adjoint, prox_tv
 
 # variant -> (basic operator, reduction step, constrained termination)
@@ -30,7 +32,6 @@ VARIANTS = {
     "ProxSupProjLW": ("LW+", "prox", True),
 }
 
-_FEAS_TOL = -1e-8
 _ELL_MAX = 10 ** 6
 
 
@@ -57,23 +58,6 @@ class SupConfig:
             raise ValueError("a must be in (0, 1]")
         if self.gamma0 <= 0 or self.kappa < 1 or self.eps < 0:
             raise ValueError("need gamma0 > 0, kappa >= 1, eps >= 0")
-
-
-@dataclass
-class SupState:
-    y: np.ndarray
-    ell: int
-    beta: float
-    basic_state: object
-    k: int
-
-
-@dataclass
-class SupRunResult:
-    x: np.ndarray
-    records: list
-    converged: bool
-    iterations: int
 
 
 def s_grad(shape, tvparams, y, ell, a, gamma0, kappa):
@@ -124,22 +108,16 @@ def s_prox_plus(shape, tvparams, y, beta):
     return prox_tv(shape, tvparams, y, beta, nonneg=True)
 
 
-def _terminated(A, b, y, eps, constrained):
-    if basic.g_u(A, b, y) > eps:
-        return False
-    return (not constrained) or float(np.min(y)) > _FEAS_TOL
-
-
 def superiorize_run(config, A, b, shape, tvparams, mu=None, gamma=None,
                     x0=None, x_ref=None, callback=None, half_callback=None,
                     record_wall_time=False):
     """Run one superiorized variant until eps-compatibility or max_outer.
 
-    Each outer iteration applies the variant's reduction step(s) to get
-    y_{k+1/2}, optionally reported through `half_callback`, then one basic
-    operator step. Termination requires g_u(y) <= eps, plus
-    min_i y_i > -1e-8 for the constrained variants. Returns the final
-    iterate, the per-iteration metric records, and a convergence flag.
+    Outer step k applies the variant's reduction step(s) to get
+    y_{k-1/2}, optionally reported through `half_callback`, then one basic
+    operator step. `metrics.run_outer` drives the steps and stops on rule
+    sup_u, g_u(y) <= eps, or for the constrained variants sup_c, which
+    adds min_i y_i > -1e-8. Returns a `metrics.RunResult`.
     """
     kind, reduction, constrained = VARIANTS[config.variant]
     b = np.asarray(b, dtype=np.float64)
@@ -152,42 +130,28 @@ def superiorize_run(config, A, b, shape, tvparams, mu=None, gamma=None,
         if mu is None:
             mu = basic.default_mu(A)
         cg_state = basic.cg_init(A, b, y, mu)
-
-    t_start = time.perf_counter()
-
-    def emit(k):
-        wt = time.perf_counter() - t_start if record_wall_time else 0.0
-        rec = make_record(k, A, b, y, shape, tvparams, x_ref=x_ref,
-                          wall_time=wt)
-        records.append(rec)
-        if callback is not None:
-            callback(rec)
-
-    records = []
     ell = 0
-    emit(0)
-    for k in range(config.max_outer):
-        if _terminated(A, b, y, config.eps, constrained):
-            return SupRunResult(y, records, True, k)
+
+    def step(k, y):
+        nonlocal cg_state, ell
         if reduction == "grad":
             y, ell = s_grad(shape, tvparams, y, ell, config.a, config.gamma0,
                             config.kappa)
         else:
-            beta = config.gamma0 * config.a ** k
-            step = s_prox_plus if reduction == "prox+" else s_prox
-            y = step(shape, tvparams, y, beta)
+            beta = config.gamma0 * config.a ** (k - 1)
+            prox_step = s_prox_plus if reduction == "prox+" else s_prox
+            y = prox_step(shape, tvparams, y, beta)
         if half_callback is not None:
             half_callback(y)
         if kind == "CG":
-            cg_state = basic.CGState(x=y, p=cg_state.p, h=cg_state.h, mu=mu)
-            cg_state = basic.cg_step(A, b, cg_state)
-            y = cg_state.x
-        elif kind == "LW":
-            y = basic.lw_step(A, b, params, y)
-        else:
-            y = basic.lw_proj_step(A, b, params, y)
-        require_finite(y, f"superiorized run {config.variant}, k={k}")
-        emit(k + 1)
-    return SupRunResult(y, records, _terminated(A, b, y, config.eps,
-                                                constrained),
-                        config.max_outer)
+            cg_state = basic.cg_step(A, b, basic.CGState(
+                x=y, p=cg_state.p, h=cg_state.h, mu=mu))
+            return cg_state.x, 0
+        if kind == "LW":
+            return basic.lw_step(A, b, params, y), 0
+        return basic.lw_proj_step(A, b, params, y), 0
+
+    return RunResult(*run_outer(
+        step, y, A, b, shape, tvparams, "sup_c" if constrained else "sup_u",
+        config.eps, config.max_outer, f"superiorized run {config.variant}",
+        x_ref=x_ref, callback=callback, record_wall_time=record_wall_time))

@@ -151,7 +151,7 @@ def test_pd_basic_converges_to_constrained_prox():
 
 def test_pd_noinv_zero_operator_fixed_point():
     A = SparseOperator(np.zeros((3, 5)))
-    A._norm2 = 1.0  # zero operator has no spectral norm; fix the step
+    A._norm_sq = 1.0  # zero operator has no spectral norm; fix the step
     x = np.arange(5.0)
     alpha = 0.5
     st = pd_noinv_init(A, np.zeros(3), alpha, x, nonneg=False)
@@ -322,11 +322,8 @@ def _cert_constrained_reference(A, b, alpha, eps_k, x, z_prev, tau_prev,
     return z1, w, gap, np.sqrt(2.0 * alpha * (gap + floor)) <= eps_k
 
 
-def _constrained_certificates(shift, eps_k, steps=300):
-    # (certificate, reference, uncounted products, state) per PDNoInv step
-    A, b, x = make_instance(seed=20)
-    x = x + shift
-    alpha = 0.7
+def _count_uncounted_products(A):
+    # wraps A's diagnostic products; the returned list grows by one a call
     calls = []
 
     def counting(product):
@@ -337,6 +334,15 @@ def _constrained_certificates(shift, eps_k, steps=300):
 
     A.apply_nocount = counting(A.apply_nocount)
     A.applyT_nocount = counting(A.applyT_nocount)
+    return calls
+
+
+def _constrained_certificates(shift, eps_k, steps=300):
+    # (certificate, reference, uncounted products, state) per PDNoInv step
+    A, b, x = make_instance(seed=20)
+    x = x + shift
+    alpha = 0.7
+    calls = _count_uncounted_products(A)
     st = pd_noinv_init(A, b, alpha, x, nonneg=True)
     out = []
     for _ in range(steps):
@@ -515,6 +521,18 @@ def test_exact_fbs_matvec_count_closed_form(accelerated):
     res = afbs_run(Splitting("NaturalLS"), cfg, A, b, shape, tvp)
     assert [r.cumulative_matvecs for r in res.records] == \
         [0] + [1 + 2 * k for k in range(1, 13)]
+
+
+def test_exact_afbs_spends_two_uncounted_products_per_outer():
+    # one A x - b serves both the record and the gradient stopping rule,
+    # which adds A^T r; the exact prox's products are all charged
+    A, b, shape = _tiny_tomo()
+    tvp = SmoothedTVParams(tau=0.01, lam=0.01)
+    calls = _count_uncounted_products(A)
+    cfg = AFBSConfig(inner="ExactSMW", max_outer=12, term_tol=0.0)
+    res = afbs_run(Splitting("NaturalLS"), cfg, A, b, shape, tvp)
+    assert res.iterations == 12
+    assert len(calls) == 2 * len(res.records)
 
 
 def test_prox_ls_exact_reuses_given_atb():

@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from supopt import metrics
 from supopt.basic import g_u
+from supopt.fbs import grad_h_u
 from supopt.harness import (ConfigError, ExperimentConfig, _parse_fbs_spec,
-                            build_problem, check_termination, emit_csv,
-                            load_config, load_csv, main, parse_config_text,
-                            run_algorithm, run_experiment)
-from supopt.metrics import FIELD_NAMES, MetricsRecord
+                            build_problem, emit_csv, load_config, load_csv,
+                            main, parse_config_text, run_algorithm,
+                            run_experiment)
+from supopt.metrics import FIELD_NAMES, MetricsRecord, make_record
 
 
 def small_config(**kw):
@@ -113,19 +115,59 @@ def test_parse_fbs_spec():
         _parse_fbs_spec("FBS")
 
 
-def test_check_termination_modes():
-    cfg = small_config()
-    problem = build_problem(cfg)
+def test_make_record_stopping_rules():
+    problem = build_problem(small_config())
     x = problem.x_ref
-    assert check_termination(x, problem, "sup_u", 1e-12)
-    assert check_termination(x, problem, "sup_c", 1e-12)
-    assert not check_termination(np.zeros_like(x), problem, "sup_u", 1e-12)
-    assert not check_termination(x - 1.0, problem, "sup_c", 1e6)
+
+    def stopped(x, rule, tol):
+        return make_record(0, problem.A, problem.b, x, problem.shape,
+                           problem.tvparams, rule, tol)[1]
+
+    assert stopped(x, "sup_u", 1e-12)
+    assert stopped(x, "sup_c", 1e-12)
+    assert not stopped(np.zeros_like(x), "sup_u", 1e-12)
+    assert not stopped(x - 1.0, "sup_c", 1e6)
     big = 1e9
-    assert check_termination(x, problem, "opt_u", big)
-    assert check_termination(x, problem, "opt_c", big)
-    with pytest.raises(ConfigError):
-        check_termination(x, problem, "nope", 0.1)
+    assert stopped(x, "opt_u", big)
+    assert stopped(x, "opt_c", big)
+    with pytest.raises(ValueError, match="unknown stopping rule"):
+        stopped(x, "nope", 0.1)
+
+
+def _rule_holds(name, tol, problem, x):
+    # each family's stopping rule, evaluated on its own
+    if name.startswith("AFBS"):
+        g = grad_h_u(problem.A, problem.b, problem.shape, problem.tvparams, x)
+        if name.endswith("nonneg"):
+            g = np.minimum(x, g)
+        return float(np.max(np.abs(g))) <= tol
+    feasible = name == "GradSupCG" or float(np.min(x)) > -1e-8
+    return g_u(problem.A, problem.b, x) <= tol and feasible
+
+
+@pytest.mark.parametrize("name,param,tol", [
+    ("AFBS:NaturalLS", "term_tol", 1e-3),
+    ("AFBS:NaturalLS:nonneg", "term_tol", 1e-3),
+    ("GradSupCG", "eps", 7e-3),
+    ("ProxSupProjLW", "eps", 5e-2)])
+def test_run_outer_stops_at_first_iterate_meeting_its_rule(monkeypatch,
+                                                           name, param, tol):
+    problem = build_problem(small_config())
+    seen = []
+
+    def spy(k, A, b, x, *args, **kwargs):
+        record, stopped = make_record(k, A, b, x, *args, **kwargs)
+        seen.append((x.copy(), stopped))
+        return record, stopped
+
+    monkeypatch.setattr(metrics, "make_record", spy)
+    config = small_config(max_outer=200, overrides={name: {param: tol}})
+    _, records, info = run_algorithm(name, problem, config)
+    decisions = [stopped for _, stopped in seen]
+    assert decisions == [_rule_holds(name, tol, problem, x) for x, _ in seen]
+    assert decisions == [False] * (len(seen) - 1) + [True]
+    assert info["converged"]
+    assert info["iterations"] == len(records) - 1 == len(seen) - 1 > 10
 
 
 def test_run_experiment_outputs_and_determinism(tmp_path):

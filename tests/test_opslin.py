@@ -106,6 +106,31 @@ def test_shifted_gram_solve_caches_factor():
     assert len(A._factor_cache) == 2
 
 
+def test_smw_solve_keeps_two_most_recent_factors():
+    # PDBasic changes tau_l every inner step: one factor each must not pile up
+    A, M = random_operator(4, 10, seed=19)
+    rhs = np.random.default_rng(20).standard_normal(10)
+    for step in range(50):
+        tau_l = 0.9 ** step
+        z = smw_solve(A, 0.7, tau_l, rhs)
+        assert len(A._factor_cache) <= 2
+        assert np.array_equal(z, smw_solve(SparseOperator(M), 0.7, tau_l,
+                                           rhs))
+    # the least recently used key goes first
+    for c_gram in (0.1, 0.2, 0.1, 0.3):
+        shifted_gram_solve(A, 1.0, c_gram, rhs)
+    assert set(A._factor_cache) == {(1.0, 0.1), (1.0, 0.3)}
+
+
+def test_norm_sq_is_computed_once_per_operator():
+    A, M = random_operator(5, 9, seed=21)
+    assert A.norm_sq == spectral_norm_sq(SparseOperator(M))
+    calls = []
+    A.apply_nocount = lambda x: calls.append(1)
+    assert A.norm_sq == spectral_norm_sq(SparseOperator(M))
+    assert not calls
+
+
 def test_shifted_gram_solve_uncounted_path():
     A, _ = random_operator(4, 10, seed=10)
     rhs = np.ones(10)

@@ -182,6 +182,10 @@ def test_prox_info_warns_when_budget_runs_out():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(SHAPE.n)
     for nonneg in (False, True):
-        _, nit, nfev, warn = prox_tv_with_info(SHAPE, TVP, x, 10.0,
-                                               nonneg=nonneg, max_iter=1)
+        with pytest.warns(RuntimeWarning, match="max_iter = 1 steps"):
+            _, nit, nfev, warn = prox_tv_with_info(SHAPE, TVP, x, 10.0,
+                                                   nonneg=nonneg, max_iter=1)
         assert warn and nit == 1 and nfev >= nit
+        # prox_tv drops the flag, so the warning is all its caller sees
+        with pytest.warns(RuntimeWarning, match="max_iter = 1 steps"):
+            prox_tv(SHAPE, TVP, x, 10.0, nonneg=nonneg, max_iter=1)
