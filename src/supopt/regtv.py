@@ -7,6 +7,13 @@ The gradient stacks forward differences along rows and columns with a
 zero final row/column (the one-dimensional difference stencil has no +1
 in its last row). The smoothed TV is
 sum_i sqrt(tau^2 + (D1 x)_i^2) + sqrt(tau^2 + (D2 x)_i^2).
+
+D and D^T run on the flat row-major image as contiguous one-dimensional
+kernels: row differences (D1) at stride `cols`, column differences (D2)
+at stride 1 with every `cols`-th entry set to zero. Both take an output
+buffer, and so does `_smooth_terms`, so a caller that keeps its buffers
+(such as a `superior.s_grad` pass) allocates no image-sized array per
+evaluation.
 """
 
 import math
@@ -42,41 +49,57 @@ class SmoothedTVParams:
             raise ValueError("lambda must be nonnegative")
 
 
-def _as_image(shape, x):
+def _vector(x, length):
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (shape.n,):
-        raise ValueError(f"expected length {shape.n}, got {x.shape}")
-    return x.reshape(shape.rows, shape.cols)
+    if x.shape != (length,):
+        raise ValueError(f"expected length {length}, got {x.shape}")
+    return x
 
 
-def grad_apply(shape, x):
-    """Stacked forward differences (D1 x; D2 x), each of length n."""
-    img = _as_image(shape, x)
-    out = np.empty(2 * shape.n)
-    d1 = out[:shape.n].reshape(shape.rows, shape.cols)
-    d2 = out[shape.n:].reshape(shape.rows, shape.cols)
-    np.subtract(img[1:, :], img[:-1, :], out=d1[:-1, :])
-    d1[-1, :] = 0.0
-    np.subtract(img[:, 1:], img[:, :-1], out=d2[:, :-1])
-    d2[:, -1] = 0.0
+def grad_apply(shape, x, out=None):
+    """Stacked forward differences (D1 x; D2 x), each of length n.
+
+    `out`, if given, is a contiguous float64 array of length 2n that
+    receives the result.
+    """
+    n, c = shape.n, shape.cols
+    x = _vector(x, n)
+    if out is None:
+        out = np.empty(2 * n)
+    d1, d2 = out[:n], out[n:]
+    np.subtract(x[c:], x[:-c], out=d1[:n - c])
+    d1[n - c:] = 0.0
+    # row ends are first differenced across rows (an overflow there still
+    # warns), then zeroed
+    np.subtract(x[1:], x[:-1], out=d2[:-1])
+    d2[c - 1::c] = 0.0
     return out
 
 
-def grad_adjoint(shape, y):
-    """Exact D^T y (negative divergence)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (2 * shape.n,):
-        raise ValueError(f"expected length {2 * shape.n}, got {y.shape}")
-    d1 = y[:shape.n].reshape(shape.rows, shape.cols)
-    d2 = y[shape.n:].reshape(shape.rows, shape.cols)
-    out = np.empty((shape.rows, shape.cols))
-    # 0 - d (not -d) keeps the sign of zero entries
-    np.subtract(0.0, d1[:-1, :], out=out[:-1, :])
-    out[-1, :] = 0.0
-    out[1:, :] += d1[:-1, :]
-    out[:, :-1] -= d2[:, :-1]
-    out[:, 1:] += d2[:, :-1]
-    return out.ravel()
+def grad_adjoint(shape, y, out=None):
+    """Exact D^T y (negative divergence), into `out` (length n) if given.
+
+    The column terms run at stride 1 over the flat image; the entries
+    each of them must not touch (the last, then the first column) are
+    saved before it and restored after it, so every entry gets the same
+    operations, in the same order, as the two-dimensional stencil.
+    """
+    n, c = shape.n, shape.cols
+    y = _vector(y, 2 * n)
+    y1, y2 = y[:n], y[n:]
+    if out is None:
+        out = np.empty(n)
+    # 0 - y (not -y) keeps the sign of zero entries
+    np.subtract(0.0, y1[:n - c], out=out[:n - c])
+    out[n - c:] = 0.0
+    out[c:] += y1[:n - c]
+    last = out[c - 1::c].copy()
+    out[:-1] -= y2[:-1]
+    out[c - 1::c] = last
+    first = out[c::c].copy()
+    out[1:] += y2[:-1]
+    out[c::c] = first
+    return out
 
 
 def tv_value(shape, x):
@@ -84,13 +107,14 @@ def tv_value(shape, x):
     return float(np.abs(grad_apply(shape, x)).sum())
 
 
-def _smooth_terms(shape, params, x):
+def _smooth_terms(shape, params, x, d=None, root=None):
     """d = D x and root = sqrt(tau^2 + d^2), the terms of R_tau at x.
 
-    R_tau(x) = root.sum() and grad R_tau(x) = D^T (d / root).
+    R_tau(x) = root.sum() and grad R_tau(x) = D^T (d / root). `d` and
+    `root`, if given, are length-2n buffers that receive the terms.
     """
-    d = grad_apply(shape, x)
-    root = np.square(d)
+    d = grad_apply(shape, x, out=d)
+    root = np.square(d, out=root)
     root += params.tau ** 2
     return d, np.sqrt(root, out=root)
 

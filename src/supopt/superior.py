@@ -9,6 +9,11 @@ Eight named variants select the combination of reduction step
 defines one outer step; `metrics.run_outer` records each iterate and
 stops the run on g_u <= eps (with nonnegativity up to -1e-8 for the
 constrained variants).
+
+Known fault: ProxCSupLW and ProxCSupCG end every outer step with an
+unprojected basic step (LW or CG), so their iterates stay slightly
+negative and the constrained rule does not stop them; they run to
+max_outer and report converged = False.
 """
 
 import warnings
@@ -71,25 +76,37 @@ def s_grad(shape, tvparams, y, ell, a, gamma0, kappa):
     A pass costs one D^T and, per trial, one D and one square root: the
     accepted trial's differences d and roots sqrt(tau^2 + d^2) give the
     next pass both its gradient D^T (d / root) and its value root.sum().
+    The call copies y once and allocates its buffers once; an accepted
+    trial swaps them, so a pass allocates no image-sized array.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = np.array(y, dtype=np.float64)
     d, root = _smooth_terms(shape, tvparams, y)
+    d_try, root_try = np.empty_like(d), np.empty_like(root)
+    v, y_try = np.empty_like(y), np.empty_like(y)
     r_cur = float(root.sum())
     for _ in range(kappa):
-        g = grad_adjoint(shape, d / root)
-        nrm = float(np.linalg.norm(g))
-        v = -g / nrm if nrm > 0 else np.zeros_like(y)
+        # d_try is free until the first trial, so it holds d / root
+        grad_adjoint(shape, np.divide(d, root, out=d_try), out=v)
+        nrm = float(np.linalg.norm(v))
+        if nrm > 0:
+            np.divide(v, -nrm, out=v)  # equals -g / nrm bit for bit
+        else:
+            v.fill(0.0)
         while True:
             if ell > _ELL_MAX:
                 warnings.warn("step-size exponent exhausted; committing "
                               "current point", RuntimeWarning)
                 return y, ell
-            y_try = y + (gamma0 * a ** ell) * v
+            np.multiply(gamma0 * a ** ell, v, out=y_try)
+            np.add(y, y_try, out=y_try)
             ell += 1
-            d_try, root_try = _smooth_terms(shape, tvparams, y_try)
+            _smooth_terms(shape, tvparams, y_try, d=d_try, root=root_try)
             r_try = float(root_try.sum())
             if r_try <= r_cur:
-                y, d, root, r_cur = y_try, d_try, root_try, r_try
+                y, y_try = y_try, y
+                d, d_try = d_try, d
+                root, root_try = root_try, root
+                r_cur = r_try
                 break
     return y, ell
 

@@ -42,3 +42,38 @@ def dense_grad_matrix(shape):
     d1 = np.kron(diff(shape.rows), np.eye(shape.cols))
     d2 = np.kron(np.eye(shape.rows), diff(shape.cols))
     return np.vstack([d1, d2])
+
+
+def grad_apply_2d(shape, x):
+    """D x by two-dimensional slices of the image (reference kernel)."""
+    img = np.asarray(x, dtype=np.float64).reshape(shape.rows, shape.cols)
+    out = np.empty(2 * shape.n)
+    d1 = out[:shape.n].reshape(shape.rows, shape.cols)
+    d2 = out[shape.n:].reshape(shape.rows, shape.cols)
+    np.subtract(img[1:, :], img[:-1, :], out=d1[:-1, :])
+    d1[-1, :] = 0.0
+    np.subtract(img[:, 1:], img[:, :-1], out=d2[:, :-1])
+    d2[:, -1] = 0.0
+    return out
+
+
+def grad_adjoint_2d(shape, y):
+    """D^T y by two-dimensional slices of the image (reference kernel)."""
+    y = np.asarray(y, dtype=np.float64)
+    d1 = y[:shape.n].reshape(shape.rows, shape.cols)
+    d2 = y[shape.n:].reshape(shape.rows, shape.cols)
+    out = np.empty((shape.rows, shape.cols))
+    np.subtract(0.0, d1[:-1, :], out=out[:-1, :])
+    out[-1, :] = 0.0
+    out[1:, :] += d1[:-1, :]
+    out[:, :-1] -= d2[:, :-1]
+    out[:, 1:] += d2[:, :-1]
+    return out.ravel()
+
+
+def smooth_terms_2d(shape, params, x):
+    """d = D x and root = sqrt(tau^2 + d^2) from the reference kernel."""
+    d = grad_apply_2d(shape, x)
+    root = np.square(d)
+    root += params.tau ** 2
+    return d, np.sqrt(root, out=root)

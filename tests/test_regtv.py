@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import dense_grad_matrix
-from supopt.regtv import (GridShape, SmoothedTVParams, grad_adjoint,
-                          grad_apply, lipschitz_bound,
+from oracles import (dense_grad_matrix, grad_adjoint_2d, grad_apply_2d,
+                     smooth_terms_2d)
+from supopt.regtv import (GridShape, SmoothedTVParams, _smooth_terms,
+                          grad_adjoint, grad_apply, lipschitz_bound,
                           perturbation_norm_bound, prox_tv, prox_tv_with_info,
                           tv_smooth, tv_smooth_grad, tv_value)
 
@@ -47,6 +48,54 @@ def test_grad_exactly_matches_dense_matrix_on_integers():
     d2 = d[shape.n:].reshape(shape.rows, shape.cols)
     for edge in (d1[-1, :], d2[:, -1]):
         assert np.all(edge == 0.0) and not np.any(np.signbit(edge))
+
+
+def _signed_zeros(rng, size):
+    v = rng.standard_normal(size)
+    v[rng.random(size) < 0.25] = 0.0
+    v[rng.random(size) < 0.25] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("rows, cols",
+                         [(2, 2), (2, 9), (9, 2), (7, 11), (11, 7), (16, 16)])
+def test_flat_kernels_bitwise_equal_2d_reference(rows, cols):
+    shape = GridShape(rows, cols)
+    n = shape.n
+    rng = np.random.default_rng(31 * rows + cols)
+    x = _signed_zeros(rng, n)
+    y = _signed_zeros(rng, 2 * n)
+    # D^T ignores the last row of y1 and the last column of y2
+    ignored = np.resize([np.nan, np.inf, -np.inf, -0.0], max(rows, cols))
+    y[n - cols:n] = ignored[:cols]
+    y[n:].reshape(rows, cols)[:, -1] = ignored[::-1][:rows]
+    d_ref = grad_apply_2d(shape, x).tobytes()
+    adj_ref = grad_adjoint_2d(shape, y).tobytes()
+    terms_ref = [t.tobytes() for t in smooth_terms_2d(shape, TVP, x)]
+    # finite entries everywhere D^T reads raise no floating-point flag
+    with np.errstate(all="raise"):
+        assert grad_apply(shape, x).tobytes() == d_ref
+        assert grad_adjoint(shape, y).tobytes() == adj_ref
+        assert [t.tobytes() for t in _smooth_terms(shape, TVP, x)] \
+            == terms_ref
+        # output buffers are overwritten in full and returned
+        out = np.full(2 * n, np.nan)
+        assert grad_apply(shape, x, out=out) is out
+        assert out.tobytes() == d_ref
+        out = np.full(n, np.nan)
+        assert grad_adjoint(shape, y, out=out) is out
+        assert out.tobytes() == adj_ref
+        d, root = np.full(2 * n, np.nan), np.full(2 * n, np.nan)
+        terms = _smooth_terms(shape, TVP, x, d=d, root=root)
+        assert terms[0] is d and terms[1] is root
+        assert [d.tobytes(), root.tobytes()] == terms_ref
+
+
+def test_kernels_reject_wrong_length():
+    with pytest.raises(ValueError, match="expected length 42"):
+        grad_apply(SHAPE, np.zeros(SHAPE.n + 1))
+    with pytest.raises(ValueError, match="expected length 84"):
+        grad_adjoint(SHAPE, np.zeros(SHAPE.n))
 
 
 def test_grad_adjoint_inner_product_identity():

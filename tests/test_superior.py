@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import grad_adjoint_2d, smooth_terms_2d
 from supopt import superior
 from supopt.basic import default_gamma, g_u
 from supopt.opslin import SparseOperator
 from supopt.regtv import (GridShape, SmoothedTVParams,
-                          perturbation_norm_bound, tv_smooth, tv_smooth_grad)
+                          perturbation_norm_bound, tv_smooth)
 from supopt.superior import (SupConfig, VARIANTS, s_grad, s_prox,
                              s_prox_plus, superiorize_run)
 
@@ -61,18 +62,24 @@ def test_s_grad_instrumented_trial_count():
 
 
 def _s_grad_reference(shape, tvparams, y, ell, a, gamma0, kappa):
-    """s_grad recomputing the gradient, R_tau(y) and R_tau(y_try) anew."""
+    """s_grad recomputing the gradient, R_tau(y) and R_tau(y_try) anew.
+
+    Built on the two-dimensional reference kernels in `oracles`, so it
+    shares no difference kernel with the code under test.
+    """
     for _ in range(kappa):
-        g = tv_smooth_grad(shape, tvparams, y)
+        d, root = smooth_terms_2d(shape, tvparams, y)
+        g = grad_adjoint_2d(shape, d / root)
         nrm = float(np.linalg.norm(g))
         v = -g / nrm if nrm > 0 else np.zeros_like(y)
-        r_cur = tv_smooth(shape, tvparams, y)
+        r_cur = float(root.sum())
         while True:
             if ell > superior._ELL_MAX:
                 return y, ell
             y_try = y + (gamma0 * a ** ell) * v
             ell += 1
-            if tv_smooth(shape, tvparams, y_try) <= r_cur:
+            if float(smooth_terms_2d(shape, tvparams, y_try)[1].sum()) \
+                    <= r_cur:
                 y = y_try
                 break
     return y, ell
@@ -103,6 +110,28 @@ def test_s_grad_exhausted_exponent_returns_current_point(monkeypatch):
     with pytest.warns(RuntimeWarning, match="exhausted"):
         y, ell = s_grad(shape, TVP, y0, 5, 0.5, 5.0, kappa=6)
     assert np.array_equal(y, y0) and ell == 5
+
+
+def test_s_grad_buffers_never_alias_caller_arrays(monkeypatch):
+    shape = GridShape(16, 16)
+    y0 = 0.01 * np.random.default_rng(13).standard_normal(shape.n)
+    y0_bytes = y0.tobytes()
+    y1, ell1 = s_grad(shape, TVP, y0, 0, 0.8, 0.3, kappa=5)
+    assert y0.tobytes() == y0_bytes
+    assert not np.shares_memory(y1, y0)
+    y1_bytes = y1.tobytes()
+    y2, ell2 = s_grad(shape, TVP, y1, ell1, 0.8, 0.3, kappa=5)
+    assert y1.tobytes() == y1_bytes
+    assert not np.shares_memory(y2, y1)
+    # two chained calls are the same ten passes as one call
+    y_once, ell_once = s_grad(shape, TVP, y0, 0, 0.8, 0.3, kappa=10)
+    assert y2.tobytes() == y_once.tobytes() and ell2 == ell_once
+    # the exhausted-exponent return is a copy too
+    monkeypatch.setattr(superior, "_ELL_MAX", ell2 - 1)
+    with pytest.warns(RuntimeWarning, match="exhausted"):
+        y3, ell3 = s_grad(shape, TVP, y2, ell2, 0.8, 0.3, kappa=5)
+    assert ell3 == ell2 and y3.tobytes() == y2.tobytes()
+    assert not np.shares_memory(y3, y2)
 
 
 def test_s_prox_small_beta_bounded_perturbation():
