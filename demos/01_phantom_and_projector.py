@@ -3,9 +3,13 @@
 Walks through the data pipeline: rasterize the phantom on an N x N grid,
 trace rays through the pixel grid to assemble the sparse system matrix,
 project, and optionally contaminate the measurements with Gaussian noise.
-Writes phantom.pgm and sinogram.bin next to this script.
+Writes phantom.pgm and sinogram.bin into the directory named by the first
+argument, or into the current directory:
+
+    python3 demos/01_phantom_and_projector.py [OUT_DIR]
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,8 @@ from supopt.tomo import (Geometry, NoiseModel, add_noise,
                          build_parallel_system, noise_sigma, save_flat_binary,
                          save_pgm, shepp_logan)
 
-out = Path(__file__).resolve().parent
+out = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
+out.mkdir(parents=True, exist_ok=True)
 
 side = 64
 geom = Geometry(side, n_angles=12, n_rays=48)

@@ -6,12 +6,12 @@ objective h = 0.5*||Ax-b||^2 + lam*R_tau(x) [+ indicator(x >= 0)]:
 - NaturalLS: f = lam*R_tau (smooth part), g = least squares
   (+ constraint); the prox of g is done exactly (a solve of the
   reduced m x m system, or projected Nesterov steps under the
-  constraint) or inexactly by primal-dual iterations with computable
-  acceptance certificates. Under the constraint the certificate tests
-  the extrapolated candidate when it is feasible, and otherwise the
-  Fenchel duality gap of the prox subproblem at the step's feasible
-  primal-dual pair, which bounds the prox error because the subproblem
-  is strongly convex.
+  constraint) or inexactly by primal-dual steps (PDNoInv; PDBasic under
+  the constraint only) in one loop that stops on a computable acceptance
+  certificate. Under the constraint PDNoInv's certificate tests the
+  extrapolated candidate when it is feasible, and otherwise the Fenchel
+  duality gap at the step's feasible primal-dual pair, which bounds the
+  prox error because the subproblem is strongly convex.
 - ReversedTV: f = least squares, g = lam*R_tau (+ constraint); the prox
   of g is the TV prox.
 
@@ -29,6 +29,7 @@ stops the run on ||grad h||_inf <= term_tol, or on
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -89,7 +90,6 @@ class ProxCertificate:
     """Computable acceptance evidence for an inexact prox evaluation."""
 
     z: np.ndarray
-    z_p: np.ndarray = None
     w: np.ndarray = None
     gap_value: float = 0.0
     eps_achieved: float = 0.0
@@ -111,16 +111,17 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None):
     Unconstrained: solves (I + alpha A^T A) z = x + alpha A^T b through
     the reduced m x m system (two counted products), plus one counted
     product for A^T b unless the caller passes it as `atb`. Constrained:
-    runs projected Nesterov steps (`regtv._projected_nesterov`, two
-    counted products each) on the (1/alpha)-strongly convex subproblem
-    until the uncounted duality gap, checked at the start and every 10
-    steps, is <= max(1e-12, n * eps * max|c| * max(z)), with
-    c = x/alpha + A^T b and eps the float64 machine epsilon; warns if
-    `_LS_MAX_STEPS` steps do not get there. The second term bounds the
-    rounding floor of `dual_gap`: each of the n entries of c - Bz is
-    computed to about eps * |c_i| where Bz ~ c, and the gap sums them
-    weighted by z. On the paper's instance the term is about 2e-9 and the
-    gap levels off at 4e-11 to 6e-11, out of reach of an absolute 1e-12.
+    forms c = x/alpha + A^T b once (one uncounted product) and runs
+    projected Nesterov steps (`regtv._projected_nesterov`, two counted
+    products each) on the (1/alpha)-strongly convex subproblem until
+    `dual_gap` at c (4 uncounted products), checked at the start and
+    every 10 steps, is <= max(1e-12, n * eps * max|c| * max(z)), eps the
+    float64 machine epsilon; warns if `_LS_MAX_STEPS` steps do not get
+    there. The second term bounds the rounding floor of `dual_gap`: each
+    of the n entries of c - Bz is computed to about eps * |c_i| where
+    Bz ~ c, and the gap sums them weighted by z. On the paper's instance
+    the term is about 2e-9 and the gap levels off at 4e-11 to 6e-11, out
+    of reach of an absolute 1e-12.
     """
     x = np.asarray(x, dtype=np.float64)
     if not nonneg:
@@ -137,7 +138,7 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None):
         if k % 10:
             return False
         tol = max(1e-12, c_scale * float(np.max(z)))
-        return dual_gap(A, b, alpha, x, z) <= tol
+        return dual_gap(A, alpha, c, z) <= tol
 
     z, _, converged = _projected_nesterov(
         grad, np.maximum(x, 0.0), A.norm_sq + 1.0 / alpha,
@@ -149,18 +150,18 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None):
     return z
 
 
-def dual_gap(A, b, alpha, x, z):
+def dual_gap(A, alpha, c, z):
     """Duality gap of the constrained least-squares prox subproblem at z.
 
-    With B = A^T A + I/alpha and c = x/alpha + A^T b, returns
-    0.5 * ||(c - Bz)_+||^2 in the B-inverse norm minus <(c - Bz)_-, z>.
-    Nonnegative for feasible z, and zero exactly at the constrained prox.
-    All products are diagnostic (uncounted).
+    The subproblem, the prox at x, is min 0.5 z^T B z - <c, z> over
+    z >= 0 with B = A^T A + I/alpha and c = x/alpha + A^T b; callers pass
+    the c they hold. Returns 0.5 * ||(c - Bz)_+||^2 in the B-inverse norm
+    minus <(c - Bz)_-, z>: nonnegative for feasible z, and zero exactly at
+    the constrained prox. Its 4 products are diagnostic (uncounted).
     """
     z = np.asarray(z, dtype=np.float64)
     if np.min(z) < 0:
         raise ValueError("dual_gap requires a feasible point z >= 0")
-    c = x / alpha + A.applyT_nocount(b)
     r = c - (A.applyT_nocount(A.apply_nocount(z)) + z / alpha)
     r_pos = np.maximum(r, 0.0)
     r_neg = np.minimum(r, 0.0)
@@ -195,9 +196,8 @@ class PDNoInvState:
 def pd_basic_init(A, b, alpha, x, z0=None, p0=None):
     """Initial state with tau0 = sigma0 = 1 (tau0*sigma0 <= 1)."""
     x = np.asarray(x, dtype=np.float64)
-    z = x.copy() if z0 is None else np.asarray(z0, dtype=np.float64).copy()
-    p = np.zeros_like(z) if p0 is None else np.asarray(p0,
-                                                       dtype=np.float64).copy()
+    z = x.copy() if z0 is None else np.array(z0, dtype=np.float64)
+    p = np.zeros_like(z) if p0 is None else np.array(p0, dtype=np.float64)
     c = x / alpha + A.applyT_nocount(b)
     return PDBasicState(z=z, p=p, zbar=z.copy(), tau=1.0, sigma=1.0, c_alpha=c)
 
@@ -221,11 +221,10 @@ def pd_basic_step(A, alpha, state):
 def pd_noinv_init(A, b, alpha, x, nonneg, z0=None, q0=None):
     """Initial state with tau0 = sigma0 = 1/||A||_2 (tau0*sigma0 <= 1/||A||^2)."""
     x = np.asarray(x, dtype=np.float64)
-    z = x.copy() if z0 is None else np.asarray(z0, dtype=np.float64).copy()
+    z = x.copy() if z0 is None else np.array(z0, dtype=np.float64)
     if nonneg:
         z = np.maximum(z, 0.0)
-    q = (np.zeros(A.n_rows) if q0 is None
-         else np.asarray(q0, dtype=np.float64).copy())
+    q = np.zeros(A.n_rows) if q0 is None else np.array(q0, dtype=np.float64)
     c = x / alpha + A.applyT_nocount(b)
     t0 = 1.0 / math.sqrt(A.norm_sq)
     return PDNoInvState(z=z, q=q, zbar=z.copy(), tau=t0, sigma=t0, c_alpha=c)
@@ -264,7 +263,7 @@ def cert_unconstrained(A, alpha, eps_k, z_prev, tau_prev, state):
     resid = A.apply_nocount(z) - state.q
     lhs = 0.5 * float(resid @ resid)
     accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
-    return ProxCertificate(z=z, z_p=state.z, gap_value=lhs,
+    return ProxCertificate(z=z, gap_value=lhs,
                            eps_achieved=math.sqrt(2.0 * alpha * lhs),
                            accepted=accepted)
 
@@ -319,7 +318,7 @@ def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state,
         d = A.apply_nocount(z - z1)
         lhs = 0.5 * float(d @ d) + float(w @ z)
         accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
-        return ProxCertificate(z=z, z_p=z1, w=w, gap_value=lhs,
+        return ProxCertificate(z=z, w=w, gap_value=lhs,
                                eps_achieved=math.sqrt(
                                    2.0 * alpha * max(lhs, 0.0)),
                                accepted=accepted)
@@ -331,72 +330,79 @@ def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state,
     gap = sum(terms)
     floor = z1.size * eps64 * sum(abs(t) for t in terms)
     eps_achieved = math.sqrt(2.0 * alpha * max(gap + floor, 0.0))
-    return ProxCertificate(z=z1, z_p=z1, w=w, gap_value=gap,
+    return ProxCertificate(z=z1, w=w, gap_value=gap,
                            eps_achieved=eps_achieved,
                            accepted=eps_achieved <= fallback_budget,
                            fallback=True)
 
 
-def _warn_unaccepted(solver, max_inner):
-    warnings.warn(f"{solver}: no inexact prox accepted within max_inner = "
-                  f"{max_inner} steps; returning the last candidate",
-                  RuntimeWarning)
+def _cert_pd_basic(A, alpha, eps_k, z_prev, tau_prev, state):
+    """PDBasic's test: `dual_gap` at (z_l)_+ <= max(eps_k^2/(2a), 1e-12).
+
+    Here a = alpha; the gap bounds ||z - z*||^2 / (2a). 4 uncounted products.
+    """
+    z = np.maximum(state.z, 0.0)
+    gap = dual_gap(A, alpha, state.c_alpha, z)
+    return ProxCertificate(z=z, gap_value=gap,
+                           eps_achieved=math.sqrt(2.0 * alpha * max(gap, 0.0)),
+                           accepted=gap <= max(eps_k ** 2 / (2.0 * alpha),
+                                               1e-12))
+
+
+def _certified_inner_loop(solver, state, step, certify, max_inner):
+    """Step a primal-dual state until `certify` accepts, or warn once.
+
+    `step(state)` returns the next state; `certify(z_prev, tau_prev,
+    state)` returns its `ProxCertificate`. After `max_inner` unaccepted
+    steps the last candidate is returned with a `RuntimeWarning`. Returns
+    the certificate, its `inner_iters` set, and the last state. The
+    runners bind `step` and `certify` per call, not at import, so that
+    wrappers installed on this module's functions see every call.
+    """
+    for steps in range(1, max_inner + 1):
+        z_prev, tau_prev = state.z, state.tau
+        state = step(state)
+        cert = certify(z_prev, tau_prev, state)
+        if cert.accepted:
+            break
+    else:
+        warnings.warn(f"{solver}: no inexact prox accepted within max_inner "
+                      f"= {max_inner} steps; returning the last candidate",
+                      RuntimeWarning)
+    cert.inner_iters = steps
+    return cert, state
 
 
 def _run_pd_noinv_inexact(A, b, alpha, x, eps_k, nonneg, max_inner,
                           warm=None):
-    """Iterate the inversion-free primal-dual solver until a certificate.
-
-    Warns when `max_inner` steps end without an accepted certificate.
-    """
-    z0 = q0 = None
-    if warm is not None:
-        z0, q0 = warm
-    state = pd_noinv_init(A, b, alpha, x, nonneg, z0=z0, q0=q0)
-    cert = None
-    steps = 0
-    for _ in range(max_inner):
-        z_prev, tau_prev = state.z, state.tau
-        state = pd_noinv_step(A, alpha, nonneg, state)
-        steps += 1
-        if nonneg:
-            cert = cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state)
-        else:
-            cert = cert_unconstrained(A, alpha, eps_k, z_prev, tau_prev,
-                                      state)
-        if cert.accepted:
-            break
-    else:
-        _warn_unaccepted("PDNoInv", max_inner)
-    cert.inner_iters = steps
+    """PDNoInv's certified prox from `warm` = (z, q); returns cert, (z, q)."""
+    state = pd_noinv_init(A, b, alpha, x, nonneg, *(warm or ()))
+    certify = cert_constrained if nonneg else cert_unconstrained
+    cert, state = _certified_inner_loop(
+        "PDNoInv", state, partial(pd_noinv_step, A, alpha, nonneg),
+        partial(certify, A, alpha, eps_k), max_inner)
     return cert, (state.z, state.q)
 
 
-def _run_pd_basic(A, b, alpha, x, tol, max_inner, warm=None):
-    """Iterate the basic primal-dual solver until the duality gap <= tol.
+def _run_pd_basic(A, b, alpha, x, eps_k, nonneg, max_inner, warm=None):
+    """PDBasic's certified prox, as `_run_pd_noinv_inexact` with (z, p).
 
-    Warns, and marks the certificate unaccepted, when `max_inner` steps
-    do not get there.
+    Its clipped dual makes it constrained whatever `nonneg` says, so
+    `_check_inner` rejects it without the constraint.
     """
-    z0 = p0 = None
-    if warm is not None:
-        z0, p0 = warm
-    state = pd_basic_init(A, b, alpha, x, z0=z0, p0=p0)
-    inner = 0
-    accepted = False
-    for _ in range(max_inner):
-        state = pd_basic_step(A, alpha, state)
-        inner += 1
-        z = np.maximum(state.z, 0.0)
-        gap = dual_gap(A, b, alpha, x, z)
-        if gap <= tol:
-            accepted = True
-            break
-    else:
-        _warn_unaccepted("PDBasic", max_inner)
-    cert = ProxCertificate(z=z, z_p=z, gap_value=float(gap),
-                           inner_iters=inner, accepted=accepted)
+    state = pd_basic_init(A, b, alpha, x, *(warm or ()))
+    cert, state = _certified_inner_loop(
+        "PDBasic", state, partial(pd_basic_step, A, alpha),
+        partial(_cert_pd_basic, A, alpha, eps_k), max_inner)
     return cert, (state.z, state.p)
+
+
+def _check_inner(splitting, inner):
+    """Raise ValueError unless `inner` solves the prox `splitting` needs."""
+    if (splitting.kind == "ReversedTV") != (inner == "TVProx"):
+        raise ValueError(f"{splitting.kind} cannot take the {inner} solver")
+    if inner == "PDBasic" and not splitting.nonneg:
+        raise ValueError("PDBasic solves only the constrained prox (:nonneg)")
 
 
 def _grad_smooth(splitting, A, b, shape, tvparams, y):
@@ -435,11 +441,7 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x0=None, x_ref=None,
     b = np.asarray(b, dtype=np.float64)
     L = lipschitz_f(splitting, A, tvparams)
     alpha = 1.0 / L if config.alpha is None else config.alpha
-    if splitting.kind == "ReversedTV" and config.inner != "TVProx":
-        raise ValueError("the reversed splitting needs the TV prox inner "
-                         "solver")
-    if splitting.kind == "NaturalLS" and config.inner == "TVProx":
-        raise ValueError("TVProx applies only to the reversed splitting")
+    _check_inner(splitting, config.inner)
 
     x = np.zeros(A.n_cols) if x0 is None else np.asarray(x0, dtype=np.float64)
     y = x.copy()
@@ -462,20 +464,14 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x0=None, x_ref=None,
             z, inner_iters, _, _ = prox_tv_with_info(
                 shape, tvparams, v, alpha * tvparams.lam,
                 nonneg=splitting.nonneg)
-        elif config.inner == "PDBasic":
-            tol = max(eps_k ** 2 / (2.0 * alpha), 1e-12)
-            cert, warm_new = _run_pd_basic(A, b, alpha, v, tol,
-                                           config.max_inner, warm=warm)
-            warm = warm_new if config.warm_start else None
-            z, inner_iters = cert.z, cert.inner_iters
         else:
-            cert, warm_new = _run_pd_noinv_inexact(
-                A, b, alpha, v, eps_k, splitting.nonneg, config.max_inner,
-                warm=warm)
+            run_pd = (_run_pd_basic if config.inner == "PDBasic"
+                      else _run_pd_noinv_inexact)
+            cert, warm_new = run_pd(A, b, alpha, v, eps_k, splitting.nonneg,
+                                    config.max_inner, warm=warm)
             warm = warm_new if config.warm_start else None
             z, inner_iters = cert.z, cert.inner_iters
-            if cert.fallback:
-                fallback_count += 1
+            fallback_count += cert.fallback
         x_new = np.asarray(z, dtype=np.float64)
         if iterate_callback is not None:
             iterate_callback(x_new)

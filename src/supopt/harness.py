@@ -11,6 +11,7 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -198,37 +199,48 @@ def _sup_config(name, problem, config, overrides):
 
 def _parse_fbs_spec(name):
     """Parse '[A]FBS:<NaturalLS|ReversedTV>[:<inner>][:nonneg]'."""
-    parts = name.split(":")
-    head = parts[0]
-    if head not in ("FBS", "AFBS") or len(parts) < 2:
+    head, *parts = name.split(":")
+    nonneg = parts[-1:] == ["nonneg"]
+    parts = parts[:len(parts) - nonneg]
+    if head not in ("FBS", "AFBS") or not 1 <= len(parts) <= 2:
         raise ConfigError(f"unknown algorithm {name!r}")
-    kind = parts[1]
-    rest = parts[2:]
-    nonneg = "nonneg" in rest
-    inner = next((p for p in rest if p != "nonneg"), None)
-    if inner is None:
-        inner = "TVProx" if kind == "ReversedTV" else "ExactSMW"
+    kind = parts[0]
+    default = "TVProx" if kind == "ReversedTV" else "ExactSMW"
+    inner = parts[1] if len(parts) == 2 else default
     return head == "AFBS", fbs.Splitting(kind=kind, nonneg=nonneg), inner
 
 
-def run_algorithm(name, problem, config):
-    """Run one named algorithm on the problem; returns (x, records, info)."""
-    overrides = dict(config.overrides.get(name, {}))
-    problem.A.reset_matvec_count()
+def _override_fields(name):
+    """{name: field} of algorithm `name`'s config class, less those fixed."""
     if name in superior.VARIANTS:
-        sup_cfg = _sup_config(name, problem, config, overrides)
-        res = superior.superiorize_run(
-            sup_cfg, problem.A, problem.b, problem.shape, problem.tvparams,
-            x_ref=problem.x_ref, record_wall_time=config.record_wall_time)
+        cls, fixed = superior.SupConfig, ("variant",)
     else:
-        accelerated, splitting, inner = _parse_fbs_spec(name)
-        params = {"accelerated": accelerated, "inner": inner,
-                  "max_outer": config.max_outer}
-        params.update(overrides)
-        res = fbs.afbs_run(splitting, fbs.AFBSConfig(**params), problem.A,
-                           problem.b, problem.shape, problem.tvparams,
-                           x_ref=problem.x_ref,
-                           record_wall_time=config.record_wall_time)
+        _parse_fbs_spec(name)  # ConfigError for an unknown name
+        cls, fixed = fbs.AFBSConfig, ("inner", "accelerated")
+    return {f.name: f for f in dataclasses.fields(cls) if f.name not in fixed}
+
+
+def run_algorithm(name, problem, config):
+    """Run one named algorithm on the problem; returns (x, records, info).
+
+    A config that the algorithm rejects raises ConfigError before the run.
+    """
+    overrides = config.overrides.get(name, {})
+    try:
+        if name in superior.VARIANTS:
+            run = partial(superior.superiorize_run,
+                          _sup_config(name, problem, config, overrides))
+        else:
+            accelerated, splitting, inner = _parse_fbs_spec(name)
+            fbs._check_inner(splitting, inner)
+            run = partial(fbs.afbs_run, splitting, fbs.AFBSConfig(**{
+                "accelerated": accelerated, "inner": inner,
+                "max_outer": config.max_outer, **overrides}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    problem.A.reset_matvec_count()
+    res = run(problem.A, problem.b, problem.shape, problem.tvparams,
+              x_ref=problem.x_ref, record_wall_time=config.record_wall_time)
     info = {"converged": res.converged, "iterations": res.iterations,
             "fallback_count": res.fallback_count,
             "total_inner": res.total_inner}
@@ -279,15 +291,17 @@ _BOOL = {"true": True, "1": True, "yes": True,
 
 def _coerce(field_obj, raw):
     t = field_obj.type
-    if t is bool or t == "bool":
+    if t is bool:
         if raw.lower() not in _BOOL:
             raise ConfigError(f"bad boolean {raw!r} for {field_obj.name}")
         return _BOOL[raw.lower()]
-    if t is int or t == "int":
+    if t is int:
         return int(raw)
-    if t is float or t == "float":
-        return None if raw.lower() == "none" else float(raw)
-    if t is list or t == "list":
+    if t is float:
+        # "none" picks the default resolved at run time, where there is one
+        none = raw.lower() == "none" and field_obj.default is None
+        return None if none else float(raw)
+    if t is list:
         return [s.strip() for s in raw.split(",") if s.strip()]
     return raw
 
@@ -295,7 +309,9 @@ def _coerce(field_obj, raw):
 def parse_config_text(text, config=None):
     """Parse flat key=value configuration text into an ExperimentConfig."""
     config = config or ExperimentConfig()
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    # overrides are set through override.<algorithm>.<param> keys only
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)
+              if f.name != "overrides"}
     for lineno, raw_line in enumerate(text.split("\n"), 1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -303,27 +319,25 @@ def parse_config_text(text, config=None):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, raw = (s.strip() for s in line.split("=", 1))
+        algo, name, known = None, key, fields
         if key.startswith("override."):
+            algo, _, name = key[len("override."):].rpartition(".")
             try:
-                _, algo, param = key.split(".")
-            except ValueError:
-                raise ConfigError(f"line {lineno}: override keys look like "
-                                  "override.<algorithm>.<param>") from None
-            try:
-                value = float(raw)
-            except ValueError:
-                value = _BOOL.get(raw.lower(), raw)
-            if isinstance(value, float) and value == int(value) \
-                    and param in ("kappa", "max_outer", "max_inner"):
-                value = int(value)
-            config.overrides.setdefault(algo, {})[param] = value
-            continue
-        if key not in fields:
+                known = _override_fields(algo)
+            except ValueError as exc:  # ConfigError too
+                raise ConfigError(f"line {lineno}: {key!r} is not "
+                                  "override.<algorithm>.<param> with a known "
+                                  f"algorithm: {exc}") from None
+        if name not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            setattr(config, key, _coerce(fields[key], raw))
+            value = _coerce(known[name], raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
+        if algo is None:
+            setattr(config, name, value)
+        else:
+            config.overrides.setdefault(algo, {})[name] = value
     return config
 
 

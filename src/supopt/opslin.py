@@ -23,11 +23,6 @@ class SpectralNormWarning(UserWarning):
     """Power iteration did not reach the requested tolerance."""
 
 
-def _sigfig_key(value, digits=12):
-    # cache key stable under round-off noise in repeated parameter values
-    return float(np.format_float_scientific(value, precision=digits - 1))
-
-
 class SparseOperator:
     """CSR matrix with counted forward/adjoint products.
 
@@ -129,20 +124,25 @@ class SparseOperator:
 
 
 def spectral_norm_sq(A, tol=1e-8, max_iter=500, seed=0):
-    """Estimate ||A||_2^2 by power iteration on A^T A.
-
-    The seed fixes the start vector, so repeated calls are reproducible.
-    Emits `SpectralNormWarning` and returns the best estimate if the
-    relative change between the last two iterates exceeds `tol`.
-    """
+    """Estimate ||A||_2^2 by `_power_iteration` on A^T A."""
     if A.nnz == 0:
         raise ValueError("spectral_norm_sq requires a nonzero operator")
+    return _power_iteration(lambda v: A.applyT_nocount(A.apply_nocount(v)),
+                           A.n_cols, tol, max_iter, seed)
+
+
+def _power_iteration(normal, n, tol, max_iter, seed):
+    """Top eigenvalue of the PSD map `normal` (e.g. v -> A^T A v) on R^n.
+
+    Seeded start; stops when the Rayleigh quotient changes by <= tol
+    relative to max(it, 1), else warns after `max_iter` steps.
+    """
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.n_cols)
+    v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(max_iter):
-        w = A.applyT_nocount(A.apply_nocount(v))
+        w = normal(v)
         lam_new = float(v @ w)
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
@@ -174,9 +174,10 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, counted=True):
 
     Uses (cI + gA^TA)^{-1} = (1/c) (I - (g/c) A^T (I_m + (g/c) A A^T)^{-1} A)
     with a dense Cholesky factorization of the inner m x m matrix, cached
-    per (c_id, c_gram) on the operator for the `_FACTORS_KEPT` most
-    recently used keys. `counted=False` routes the two operator products
-    around the cost counter (for diagnostic solves).
+    on the operator by the exact ratio g/c, the only number it depends on,
+    for the `_FACTORS_KEPT` most recently used ratios. `counted=False`
+    routes the two operator products around the cost counter (for
+    diagnostic solves).
     """
     if c_id <= 0 or c_gram < 0:
         raise ValueError("need c_id > 0 and c_gram >= 0")
@@ -184,12 +185,11 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, counted=True):
     if c_gram == 0 or A.nnz == 0:
         return rhs / c_id
     ratio = c_gram / c_id
-    key = (_sigfig_key(c_id), _sigfig_key(c_gram))
     cache = A._factor_cache
-    factor = cache.pop(key, None)
+    factor = cache.pop(ratio, None)
     if factor is None:
         factor = _woodbury_factor(A, ratio)
-    cache[key] = factor  # dicts keep insertion order: most recent last
+    cache[ratio] = factor  # dicts keep insertion order: most recent last
     if len(cache) > _FACTORS_KEPT:
         del cache[next(iter(cache))]
     t = A.matvec(rhs) if counted else A.apply_nocount(rhs)
@@ -204,8 +204,7 @@ def smw_solve(A, alpha, tau_l, rhs, counted=True):
     """Solve (I + tau_l * B_alpha) z = rhs with B_alpha = A^T A + (1/alpha) I.
 
     The system is rewritten as (1 + tau_l/alpha) I + tau_l A^T A and solved
-    through the dense m x m reduced system (Cholesky, cached per
-    (alpha, tau_l) to 12 significant digits).
+    through the dense m x m reduced system (`shifted_gram_solve`).
     """
     if alpha <= 0 or tau_l <= 0:
         raise ValueError("alpha and tau_l must be positive")

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .opslin import _power_iteration
+
 
 @dataclass(frozen=True)
 class GridShape:
@@ -134,28 +136,15 @@ def lipschitz_bound(params, shape=None, tight=False):
     """Upper bound on the Lipschitz constant of the smoothed-TV gradient.
 
     Default is 8 / tau (Gerschgorin bound on ||D||_2^2 <= 8); with
-    `tight=True` the leading eigenvalue of D^T D is estimated by power
-    iteration instead.
+    `tight=True` the leading eigenvalue of D^T D is estimated by
+    `opslin._power_iteration` (seed 7, tolerance 1e-10, 200 steps) instead.
     """
     if not tight:
         return 8.0 / params.tau
     if shape is None:
         raise ValueError("tight bound needs the grid shape")
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(shape.n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(200):
-        w = grad_adjoint(shape, grad_apply(shape, v))
-        lam_new = float(v @ w)
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            break
-        v = w / nrm
-        if abs(lam_new - lam) <= 1e-10 * max(lam_new, 1.0):
-            lam = lam_new
-            break
-        lam = lam_new
+    lam = _power_iteration(lambda v: grad_adjoint(shape, grad_apply(shape, v)),
+                           shape.n, 1e-10, 200, 7)
     return lam / params.tau
 
 

@@ -155,18 +155,20 @@ def test_acceptance_04_duality_gap_properties(capfd):
     A, M, b, alpha, x, _ = _inactive_prox_instance(rng)
     z_star = shifted_gram_solve(A, 1.0, alpha, x + alpha * (M.T @ b),
                                 counted=False)
-    gap_star = dual_gap(A, b, alpha, x, z_star)
+    gap_star = dual_gap(A, alpha, x / alpha + A.applyT_nocount(b), z_star)
     # an instance with active constraints, solved by enumeration
     M2 = rng.standard_normal((4, 10))
     A2 = SparseOperator(M2)
     b2 = rng.standard_normal(4)
     x2 = rng.standard_normal(10) - 0.5
     z2 = _brute_force_nonneg_prox(M2, b2, alpha, x2)
-    gap_active = dual_gap(A2, b2, alpha, x2, z2)
+    gap_active = dual_gap(A2, alpha, x2 / alpha + A2.applyT_nocount(b2),
+                          z2)
     min_gap = np.inf
     for _ in range(100):
         z = np.abs(rng.standard_normal(10)) * rng.uniform(0.1, 3.0)
-        min_gap = min(min_gap, dual_gap(A, b, alpha, x, z))
+        min_gap = min(min_gap, dual_gap(
+            A, alpha, x / alpha + A.applyT_nocount(b), z))
     ok = gap_star <= 1e-10 and gap_active <= 1e-10 and min_gap >= 0.0
     _report(capfd, 4, ok,
             f"duality gap at exact prox {gap_star:.1e}/{gap_active:.1e} "

@@ -1,4 +1,8 @@
-"""Smoke test: every narrative demo runs to completion."""
+"""Smoke test: every narrative demo runs to completion.
+
+Each demo runs in a fresh temporary directory, so whatever it writes
+stays out of the checkout.
+"""
 
 import os
 import subprocess
@@ -16,10 +20,13 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_exits_zero(demo):
+def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    if demo.stem.startswith("01_"):
+        assert {p.name for p in tmp_path.iterdir()} == {"phantom.pgm",
+                                                        "sinogram.bin"}

@@ -83,13 +83,15 @@ def test_dual_gap_zero_at_exact_prox_and_nonneg_elsewhere():
     A, b, x = make_instance(seed=4)
     alpha = 0.7
     z_star = prox_ls_exact(A, b, alpha, x, nonneg=True)
-    assert dual_gap(A, b, alpha, x, z_star) <= 1e-10
+    assert dual_gap(A, alpha, x / alpha + A.applyT_nocount(b),
+                    z_star) <= 1e-10
     rng = np.random.default_rng(5)
     for _ in range(25):
         z = np.abs(rng.standard_normal(10))
-        assert dual_gap(A, b, alpha, x, z) >= 0.0
+        assert dual_gap(A, alpha, x / alpha + A.applyT_nocount(b),
+                        z) >= 0.0
     with pytest.raises(ValueError):
-        dual_gap(A, b, alpha, x, -np.ones(10))
+        dual_gap(A, alpha, x / alpha + A.applyT_nocount(b), -np.ones(10))
 
 
 def test_dual_gap_equals_primal_minus_dual_objective():
@@ -105,7 +107,7 @@ def test_dual_gap_equals_primal_minus_dual_objective():
     p = np.minimum(c - B @ z, 0.0)
     phi = 0.5 * z @ B @ z - c @ z
     psi = -0.5 * (p - c) @ Binv @ (p - c)
-    assert dual_gap(A, b, alpha, x, z) == pytest.approx(phi - psi, rel=1e-10)
+    assert dual_gap(A, alpha, c, z) == pytest.approx(phi - psi, rel=1e-10)
 
 
 def test_pd_step_size_invariant_and_theta():
@@ -139,12 +141,14 @@ def test_pd_basic_converges_to_constrained_prox():
     st = pd_basic_init(A, b, alpha, x)
     for _ in range(1000):
         st = pd_basic_step(A, alpha, st)
-    gap_1k = dual_gap(A, b, alpha, x, np.maximum(st.z, 0.0))
+    gap_1k = dual_gap(A, alpha, x / alpha + A.applyT_nocount(b),
+                      np.maximum(st.z, 0.0))
     assert np.max(np.abs(np.maximum(st.z, 0.0) - z_star)) <= 1e-4
     for _ in range(3000):
         st = pd_basic_step(A, alpha, st)
     # the raw iterate converges at rate O(1/l): the gap keeps shrinking
-    gap_4k = dual_gap(A, b, alpha, x, np.maximum(st.z, 0.0))
+    gap_4k = dual_gap(A, alpha, x / alpha + A.applyT_nocount(b),
+                      np.maximum(st.z, 0.0))
     assert gap_4k < gap_1k
     assert np.max(np.abs(np.maximum(st.z, 0.0) - z_star)) <= 4e-5
 
@@ -474,6 +478,30 @@ def test_inner_solver_splitting_consistency():
     with pytest.raises(ValueError):
         afbs_run(Splitting("NaturalLS"),
                  AFBSConfig(inner="TVProx"), A, b, shape, tvp)
+    # its dual is clipped to <= 0: PDBasic solves only the constrained prox
+    with pytest.raises(ValueError, match="PDBasic"):
+        afbs_run(Splitting("NaturalLS"),
+                 AFBSConfig(inner="PDBasic"), A, b, shape, tvp)
+
+
+def test_afbs_pd_basic_nonneg_end_to_end():
+    A, b, shape = _tiny_tomo(side=12)
+    tvp = SmoothedTVParams(tau=0.01, lam=0.01)
+    split = Splitting("NaturalLS", nonneg=True)
+    cfg = AFBSConfig(inner="PDBasic", max_outer=10, term_tol=0.0)
+    iterates = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = afbs_run(split, cfg, A, b, shape, tvp,
+                       iterate_callback=iterates.append)
+    assert res.iterations == 10 and len(iterates) == 10
+    assert all(np.min(x) >= 0.0 for x in iterates)
+    # two charged products per inner step; no fallback certificates
+    assert res.total_inner > 0 and A.matvec_count == 2 * res.total_inner
+    assert res.fallback_count == 0
+    values = [objective(split, A, b, shape, tvp, x)
+              for x in [np.zeros(shape.n), iterates[0], res.x]]
+    assert values[2] < values[1] < values[0]
 
 
 def test_moreau_envelope_gradient_identity():
@@ -553,7 +581,7 @@ def test_prox_ls_exact_constrained_reaches_gap(seed, alpha):
         warnings.simplefilter("error", RuntimeWarning)
         z = prox_ls_exact(A, b, alpha, x, nonneg=True)
     assert np.min(z) >= 0.0
-    assert dual_gap(A, b, alpha, x, z) <= 1e-12
+    assert dual_gap(A, alpha, x / alpha + A.applyT_nocount(b), z) <= 1e-12
     # two counted products per projected-gradient step
     assert A.matvec_count % 2 == 0 and A.matvec_count > 0
 
@@ -584,7 +612,7 @@ def test_prox_ls_exact_constrained_stops_at_rounding_floor():
     c = s * x / alpha + A.applyT_nocount(s * b)
     floor = x.size * np.finfo(np.float64).eps * np.max(np.abs(c)) * np.max(z)
     assert np.min(z) >= 0.0
-    assert 1e-12 < dual_gap(A, s * b, alpha, s * x, z) <= floor
+    assert 1e-12 < dual_gap(A, alpha, c, z) <= floor
     assert np.max(np.abs(z / s - z_unit)) <= 1e-8 * np.max(z_unit)
 
 
@@ -598,10 +626,11 @@ def test_inexact_inner_runs_warn_when_budget_runs_out():
                                                 nonneg, 1)
         assert not cert.accepted and cert.inner_iters == 1
     with pytest.warns(RuntimeWarning, match="max_inner = 1 steps"):
-        cert, _ = fbs._run_pd_basic(A, b, alpha, x, 1e-14, 1)
+        cert, _ = fbs._run_pd_basic(A, b, alpha, x, 1e-9, True, 1)
     assert not cert.accepted and cert.inner_iters == 1
-    assert cert.gap_value == dual_gap(A, b, alpha, x, cert.z) > 1e-14
+    assert cert.gap_value == dual_gap(
+        A, alpha, x / alpha + A.applyT_nocount(b), cert.z) > 1e-14
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        cert, _ = fbs._run_pd_basic(A, b, alpha, x, 1e-2, 100000)
+        cert, _ = fbs._run_pd_basic(A, b, alpha, x, 0.1, True, 100000)
     assert cert.accepted and cert.gap_value <= 1e-2

@@ -99,6 +99,24 @@ def test_parse_config_text_errors():
         parse_config_text("noisy = maybe")
     with pytest.raises(ConfigError):
         parse_config_text("override.bad = 1")
+    # override values are typed by the algorithm's config class
+    for text in ("override.AFBS:NaturalLS.bogus = 1",
+                 "override.GradSupCG.kappa = 2.5",
+                 "override.GradSupCG.gamma0 = none",
+                 "override.GradSupCG.max_inner = 5",
+                 "override.AFBS:NaturalLS.inner = PDNoInv",
+                 "override.NoSuchAlgorithm.kappa = 1",
+                 "override.AFBS:Diagonal.alpha = 1",
+                 "overrides = 1"):
+        with pytest.raises(ConfigError):
+            parse_config_text(text)
+
+
+def test_parse_config_text_override_none_picks_run_time_default():
+    cfg = parse_config_text("override.AFBS:NaturalLS.alpha = none\n"
+                            "override.AFBS:NaturalLS.warm_start = no")
+    assert cfg.overrides["AFBS:NaturalLS"] == {"alpha": None,
+                                               "warm_start": False}
 
 
 def test_parse_fbs_spec():
@@ -113,6 +131,11 @@ def test_parse_fbs_spec():
         _parse_fbs_spec("GFBS:NaturalLS")
     with pytest.raises(ConfigError):
         _parse_fbs_spec("FBS")
+    # at most one inner solver, and nonneg only last
+    for name in ("AFBS:NaturalLS:PDNoInv:bogus",
+                 "AFBS:NaturalLS:nonneg:PDNoInv"):
+        with pytest.raises(ConfigError):
+            _parse_fbs_spec(name)
 
 
 def test_make_record_stopping_rules():
@@ -260,6 +283,24 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 2
     cfg_path.write_text("bogus_key = 1\n")
     assert main(["run", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("assignment", [
+    "override.AFBS:NaturalLS.bogus=1",
+    "override.AFBS:NaturalLS.max_inner=0",
+    "override.GradSupCG.kappa=0",
+    "override.GradSupCG.kappa=2.5",
+    "algorithms=AFBS:ReversedTV:ExactSMW",
+    "algorithms=FBS:NaturalLS:PDBasic",
+])
+def test_cli_invalid_algorithm_config_exits_2(assignment, tmp_path, capsys):
+    sets = ["image_side=8", "n_angles=2", "n_rays=8", "max_outer=1",
+            "algorithms=GradSupCG, AFBS:NaturalLS", assignment]
+    argv = ["run", "--out", str(tmp_path)]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert "configuration error:" in capsys.readouterr().err
 
 
 def _run_module(module, tmp_path):

@@ -119,7 +119,7 @@ def test_smw_solve_keeps_two_most_recent_factors():
     # the least recently used key goes first
     for c_gram in (0.1, 0.2, 0.1, 0.3):
         shifted_gram_solve(A, 1.0, c_gram, rhs)
-    assert set(A._factor_cache) == {(1.0, 0.1), (1.0, 0.3)}
+    assert set(A._factor_cache) == {0.1, 0.3}
 
 
 def test_norm_sq_is_computed_once_per_operator():
