@@ -29,7 +29,7 @@ for accelerated in (False, True):
     g = grad_h_u(A, b, shape, tvp, res.x)
     label = "accelerated" if accelerated else "plain      "
     print(f"  {label}: {res.iterations:>5} outer iterations, "
-          f"h = {objective(sp, A, b, shape, tvp, res.x):.6e}, "
+          f"h = {objective(A, b, shape, tvp, res.x):.6e}, "
           f"||grad h||_inf = {np.max(np.abs(g)):.2e}")
 
 print()
@@ -42,4 +42,4 @@ for q in (1.2, 2.0):
     last = res.records[-1]
     print(f"  q = {q}: {res.iterations:>5} outer, {res.total_inner:>7} "
           f"inner, {last.cumulative_matvecs:>8} matvecs, "
-          f"h = {objective(sp, A, b, shape, tvp, res.x):.6e}")
+          f"h = {objective(A, b, shape, tvp, res.x):.6e}")

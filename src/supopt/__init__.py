@@ -24,16 +24,4 @@ from .tomo import (Geometry, NoiseModel, add_noise, build_parallel_system,
 
 __version__ = "0.1.0"
 
-# The CLI module loads on first use, so that `python -m supopt.harness`
-# does not find it already imported.
-_HARNESS_NAMES = ("ConfigError", "ExperimentConfig", "ProblemInstance",
-                  "build_problem", "emit_csv",
-                  "emit_svg", "load_csv", "main", "run_algorithm",
-                  "run_experiment")
-
-
-def __getattr__(name):
-    if name in _HARNESS_NAMES:
-        from . import harness
-        return getattr(harness, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# no `harness` import: `python -m supopt.harness` must find it unloaded

@@ -42,8 +42,8 @@ def default_mu(A):
     return 1e-6 * A.norm_sq
 
 
-def residual(A, b, x, counted=True):
-    return (A.matvec(x) if counted else A.apply_nocount(x)) - b
+def residual(A, b, x):
+    return A.matvec(x) - b
 
 
 def g_u(A, b, x):

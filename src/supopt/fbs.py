@@ -140,14 +140,10 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None):
         tol = max(1e-12, c_scale * float(np.max(z)))
         return dual_gap(A, alpha, c, z) <= tol
 
-    z, _, converged = _projected_nesterov(
-        grad, np.maximum(x, 0.0), A.norm_sq + 1.0 / alpha,
-        1.0 / alpha, True, _LS_MAX_STEPS, stop)
-    if not converged:
-        warnings.warn("constrained least-squares prox: duality gap above "
-                      "its rounding floor after the step budget; returning "
-                      "the last iterate", RuntimeWarning)
-    return z
+    return _projected_nesterov(
+        "constrained least-squares prox: duality gap above its rounding "
+        "floor", grad, np.maximum(x, 0.0), A.norm_sq + 1.0 / alpha,
+        1.0 / alpha, True, _LS_MAX_STEPS, stop)[0]
 
 
 def dual_gap(A, alpha, c, z):
@@ -411,7 +407,7 @@ def _grad_smooth(splitting, A, b, shape, tvparams, y):
     return A.rmatvec(A.matvec(y) - b)
 
 
-def objective(splitting, A, b, shape, tvparams, x):
+def objective(A, b, shape, tvparams, x):
     """Full objective 0.5*||Ax-b||^2 + lam*R_tau(x) (uncounted products)."""
     r = A.apply_nocount(x) - b
     return 0.5 * float(r @ r) + tvparams.lam * tv_smooth(shape, tvparams, x)
@@ -424,7 +420,7 @@ def grad_h_u(A, b, shape, tvparams, x):
 
 
 def afbs_run(splitting, config, A, b, shape, tvparams, x0=None, x_ref=None,
-             callback=None, iterate_callback=None, record_wall_time=False):
+             iterate_callback=None, record_wall_time=False):
     """Run (accelerated) forward-backward splitting to first-order optimality.
 
     `metrics.run_outer` drives the steps and stops on rule opt_u, the
@@ -492,6 +488,6 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x0=None, x_ref=None,
         step, x, A, b, shape, tvparams,
         "opt_c" if splitting.nonneg else "opt_u", config.term_tol,
         config.max_outer, "forward-backward run", x_ref=x_ref,
-        callback=callback, record_wall_time=record_wall_time)
+        record_wall_time=record_wall_time)
     return RunResult(x, records, converged, iterations, fallback_count,
                      sum(r.inner_iters for r in records))

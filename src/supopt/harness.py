@@ -220,24 +220,28 @@ def _override_fields(name):
     return {f.name: f for f in dataclasses.fields(cls) if f.name not in fixed}
 
 
+def _configured_run(name, problem, config):
+    """Algorithm `name`'s runner with its config bound, or ConfigError."""
+    overrides = config.overrides.get(name, {})
+    try:
+        if name in superior.VARIANTS:
+            return partial(superior.superiorize_run,
+                           _sup_config(name, problem, config, overrides))
+        accelerated, splitting, inner = _parse_fbs_spec(name)
+        fbs._check_inner(splitting, inner)
+        return partial(fbs.afbs_run, splitting, fbs.AFBSConfig(**{
+            "accelerated": accelerated, "inner": inner,
+            "max_outer": config.max_outer, **overrides}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def run_algorithm(name, problem, config):
     """Run one named algorithm on the problem; returns (x, records, info).
 
     A config that the algorithm rejects raises ConfigError before the run.
     """
-    overrides = config.overrides.get(name, {})
-    try:
-        if name in superior.VARIANTS:
-            run = partial(superior.superiorize_run,
-                          _sup_config(name, problem, config, overrides))
-        else:
-            accelerated, splitting, inner = _parse_fbs_spec(name)
-            fbs._check_inner(splitting, inner)
-            run = partial(fbs.afbs_run, splitting, fbs.AFBSConfig(**{
-                "accelerated": accelerated, "inner": inner,
-                "max_outer": config.max_outer, **overrides}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    run = _configured_run(name, problem, config)
     problem.A.reset_matvec_count()
     res = run(problem.A, problem.b, problem.shape, problem.tvparams,
               x_ref=problem.x_ref, record_wall_time=config.record_wall_time)
@@ -250,11 +254,14 @@ def run_algorithm(name, problem, config):
 def run_experiment(config):
     """Run every configured algorithm; write per-algorithm and summary CSVs.
 
-    Returns {algorithm name: (x_final, records, info)}.
+    Every config is checked before anything is written. Returns
+    {algorithm name: (x_final, records, info)}.
     """
+    problem = build_problem(config)
+    for name in config.algorithms:
+        _configured_run(name, problem, config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    problem = build_problem(config)
     n = problem.shape.n
     m = problem.A.n_rows
     r_ref = problem.A.apply_nocount(problem.x_ref) - problem.b

@@ -63,18 +63,6 @@ class SparseOperator:
         return self._csr.shape
 
     @property
-    def row_offsets(self):
-        return self._csr.indptr
-
-    @property
-    def col_indices(self):
-        return self._csr.indices
-
-    @property
-    def values(self):
-        return self._csr.data
-
-    @property
     def nnz(self):
         return self._csr.nnz
 
@@ -124,25 +112,20 @@ class SparseOperator:
 
 
 def spectral_norm_sq(A, tol=1e-8, max_iter=500, seed=0):
-    """Estimate ||A||_2^2 by `_power_iteration` on A^T A."""
-    if A.nnz == 0:
-        raise ValueError("spectral_norm_sq requires a nonzero operator")
-    return _power_iteration(lambda v: A.applyT_nocount(A.apply_nocount(v)),
-                           A.n_cols, tol, max_iter, seed)
-
-
-def _power_iteration(normal, n, tol, max_iter, seed):
-    """Top eigenvalue of the PSD map `normal` (e.g. v -> A^T A v) on R^n.
+    """Estimate ||A||_2^2 by power iteration on A^T A (uncounted products).
 
     Seeded start; stops when the Rayleigh quotient changes by <= tol
-    relative to max(it, 1), else warns after `max_iter` steps.
+    relative to max(it, 1), else warns (`SpectralNormWarning`) after
+    `max_iter` steps and returns the last estimate.
     """
+    if A.nnz == 0:
+        raise ValueError("spectral_norm_sq requires a nonzero operator")
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
+    v = rng.standard_normal(A.n_cols)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(max_iter):
-        w = normal(v)
+        w = A.applyT_nocount(A.apply_nocount(v))
         lam_new = float(v @ w)
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
@@ -163,10 +146,10 @@ _FACTORS_KEPT = 2
 
 def _woodbury_factor(A, ratio):
     """Cholesky factor of M = I_m + ratio * A A^T (dense m x m)."""
-    gram = (A.tocsr() @ A.tocsr().T).toarray()
-    M = ratio * gram
+    M = (A.tocsr() @ A.tocsr().T).toarray()
+    M *= ratio
     M[np.diag_indices_from(M)] += 1.0
-    return scipy.linalg.cho_factor(M, lower=True)
+    return scipy.linalg.cho_factor(M, lower=True, overwrite_a=True)
 
 
 def shifted_gram_solve(A, c_id, c_gram, rhs, counted=True):
@@ -200,7 +183,7 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, counted=True):
     return (rhs - ratio * ATs) / c_id
 
 
-def smw_solve(A, alpha, tau_l, rhs, counted=True):
+def smw_solve(A, alpha, tau_l, rhs):
     """Solve (I + tau_l * B_alpha) z = rhs with B_alpha = A^T A + (1/alpha) I.
 
     The system is rewritten as (1 + tau_l/alpha) I + tau_l A^T A and solved
@@ -208,7 +191,7 @@ def smw_solve(A, alpha, tau_l, rhs, counted=True):
     """
     if alpha <= 0 or tau_l <= 0:
         raise ValueError("alpha and tau_l must be positive")
-    return shifted_gram_solve(A, 1.0 + tau_l / alpha, tau_l, rhs, counted)
+    return shifted_gram_solve(A, 1.0 + tau_l / alpha, tau_l, rhs)
 
 
 def save_matrix_market(path, A):

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opslin import _power_iteration
-
 
 @dataclass(frozen=True)
 class GridShape:
@@ -132,20 +130,13 @@ def tv_smooth_grad(shape, params, x):
     return grad_adjoint(shape, d / root)
 
 
-def lipschitz_bound(params, shape=None, tight=False):
-    """Upper bound on the Lipschitz constant of the smoothed-TV gradient.
+def lipschitz_bound(params):
+    """Upper bound 8 / tau on the Lipschitz constant of grad R_tau.
 
-    Default is 8 / tau (Gerschgorin bound on ||D||_2^2 <= 8); with
-    `tight=True` the leading eigenvalue of D^T D is estimated by
-    `opslin._power_iteration` (seed 7, tolerance 1e-10, 200 steps) instead.
+    ||D||_2^2 <= 8 (Gerschgorin on D^T D), and no term's curvature
+    exceeds 1 / tau.
     """
-    if not tight:
-        return 8.0 / params.tau
-    if shape is None:
-        raise ValueError("tight bound needs the grid shape")
-    lam = _power_iteration(lambda v: grad_adjoint(shape, grad_apply(shape, v)),
-                           shape.n, 1e-10, 200, 7)
-    return lam / params.tau
+    return 8.0 / params.tau
 
 
 def perturbation_norm_bound(shape):
@@ -159,7 +150,7 @@ def perturbation_norm_bound(shape):
     return math.sqrt(2.0) * (m1 + m2)
 
 
-def _projected_nesterov(grad, z, lip, mu, nonneg, max_iter, stop):
+def _projected_nesterov(name, grad, z, lip, mu, nonneg, max_iter, stop):
     """Constant-momentum projected Nesterov on a mu-strongly convex objective.
 
     Minimizes an objective with `lip`-Lipschitz gradient `grad`, over
@@ -170,7 +161,8 @@ def _projected_nesterov(grad, z, lip, mu, nonneg, max_iter, stop):
     1 - sqrt(mu/lip) per step. `stop(k, z)` is asked about the start
     (k = 0) and about the iterate after each step k. Returns
     (z, steps, converged); converged is False exactly when `max_iter`
-    steps ran without `stop` accepting.
+    steps ran without `stop` accepting, which a RuntimeWarning headed by
+    `name` (the solver and its unmet test) reports.
     """
     if stop(0, z):
         return z, 0, True
@@ -185,6 +177,8 @@ def _projected_nesterov(grad, z, lip, mu, nonneg, max_iter, stop):
             return z_new, k, True
         y = z_new + momentum * (z_new - z)
         z = z_new
+    warnings.warn(f"{name} after max_iter = {max_iter} steps; returning the "
+                  "last iterate", RuntimeWarning)
     return z, max_iter, False
 
 
@@ -200,8 +194,8 @@ def prox_tv_with_info(shape, params, x, beta, nonneg=False, tol=1e-6,
 
     Returns (z, n_iterations, n_evaluations, warn_flag): the Nesterov
     steps, the gradient evaluations (1 at the start, then 2 per step)
-    and whether `max_iter` steps ran without meeting `tol`, which also
-    emits a RuntimeWarning. The returned point never increases the
+    and whether `max_iter` steps ran without meeting `tol`, for which the
+    kernel also warns. The returned point never increases the
     objective relative to a feasible input x.
     """
     if beta <= 0:
@@ -225,12 +219,9 @@ def prox_tv_with_info(shape, params, x, beta, nonneg=False, tol=1e-6,
             + 0.5 / beta * float(diff @ diff)
 
     z, nit, converged = _projected_nesterov(
-        grad, x0, lipschitz_bound(params) + 1.0 / beta, 1.0 / beta, nonneg,
-        max_iter, stop)
-    if not converged:
-        warnings.warn(f"TV prox: projected gradient above tol = {tol} after "
-                      f"max_iter = {max_iter} steps; returning the last "
-                      "iterate", RuntimeWarning)
+        f"TV prox: projected gradient above tol = {tol}", grad, x0,
+        lipschitz_bound(params) + 1.0 / beta, 1.0 / beta, nonneg, max_iter,
+        stop)
     # never accept an objective increase relative to a feasible input
     if not nonneg or np.all(x >= 0):
         if value(z) >= value(x0):

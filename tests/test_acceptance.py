@@ -250,7 +250,7 @@ def test_acceptance_08_inexactness_schedule_sensitivity(capfd):
         fcfg = AFBSConfig(inner="PDNoInv", inexact_q=q, max_outer=40,
                           max_inner=20000, term_tol=0.0)
         res = afbs_run(sp, fcfg, A, b, shape, tvp)
-        objs[q] = objective(sp, A, b, shape, tvp, res.x)
+        objs[q] = objective(A, b, shape, tvp, res.x)
     # a short constrained run exercises the fallback certificate path,
     # which fires whenever the extrapolated candidate leaves the orthant
     spc = Splitting(kind="NaturalLS", nonneg=True)

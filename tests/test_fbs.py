@@ -419,8 +419,7 @@ def test_plain_fbs_monotone_descent():
     objs = []
     res = afbs_run(Splitting("NaturalLS"), cfg, A, b, shape, tvp,
                    iterate_callback=lambda x: objs.append(
-                       objective(Splitting("NaturalLS"), A, b, shape, tvp,
-                                 x)))
+                       objective(A, b, shape, tvp, x)))
     assert all(b2 <= a2 + 1e-10 for a2, b2 in zip(objs, objs[1:]))
 
 
@@ -432,8 +431,7 @@ def test_accelerated_beats_plain_in_objective():
         cfg = AFBSConfig(accelerated=acc, inner="ExactSMW", max_outer=60,
                          term_tol=0.0)
         res = afbs_run(Splitting("NaturalLS"), cfg, A, b, shape, tvp)
-        runs[acc] = objective(Splitting("NaturalLS"), A, b, shape, tvp,
-                              res.x)
+        runs[acc] = objective(A, b, shape, tvp, res.x)
     assert runs[True] < runs[False]
 
 
@@ -445,13 +443,13 @@ def test_acceleration_rate_log_slope():
     ref = afbs_run(split, AFBSConfig(accelerated=True, inner="ExactSMW",
                                      max_outer=3000, term_tol=0.0),
                    A, b, shape, tvp)
-    h_star = objective(split, A, b, shape, tvp, ref.x)
+    h_star = objective(A, b, shape, tvp, ref.x)
     objs = []
     afbs_run(split, AFBSConfig(accelerated=True, inner="ExactSMW",
                                max_outer=100, term_tol=0.0),
              A, b, shape, tvp,
              iterate_callback=lambda x: objs.append(
-                 objective(split, A, b, shape, tvp, x)))
+                 objective(A, b, shape, tvp, x)))
     ks = np.arange(10, 101)
     gaps = np.array(objs[9:100]) - h_star
     slope = np.polyfit(np.log(ks), np.log(np.maximum(gaps, 1e-300)), 1)[0]
@@ -464,9 +462,8 @@ def test_reversed_splitting_runs_and_descends():
     cfg = AFBSConfig(accelerated=True, inner="TVProx", max_outer=30,
                      term_tol=0.0)
     res = afbs_run(Splitting("ReversedTV"), cfg, A, b, shape, tvp)
-    split = Splitting("ReversedTV")
-    assert objective(split, A, b, shape, tvp, res.x) < \
-        objective(split, A, b, shape, tvp, np.zeros(shape.n))
+    assert objective(A, b, shape, tvp, res.x) < \
+        objective(A, b, shape, tvp, np.zeros(shape.n))
 
 
 def test_inner_solver_splitting_consistency():
@@ -499,7 +496,7 @@ def test_afbs_pd_basic_nonneg_end_to_end():
     # two charged products per inner step; no fallback certificates
     assert res.total_inner > 0 and A.matvec_count == 2 * res.total_inner
     assert res.fallback_count == 0
-    values = [objective(split, A, b, shape, tvp, x)
+    values = [objective(A, b, shape, tvp, x)
               for x in [np.zeros(shape.n), iterates[0], res.x]]
     assert values[2] < values[1] < values[0]
 

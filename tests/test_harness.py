@@ -215,6 +215,29 @@ def test_run_experiment_outputs_and_determinism(tmp_path):
         assert records[-1].residual_scaled == pytest.approx(want, rel=1e-10)
 
 
+def test_record_wall_time_changes_only_its_column(tmp_path):
+    algorithms = ["ProxSupLW", "AFBS:NaturalLS"]
+    wall = FIELD_NAMES.index("wall_time")
+    columns = {}
+    for on in (False, True):
+        out = tmp_path / str(on)
+        run_experiment(small_config(output_dir=str(out), max_outer=10,
+                                    algorithms=algorithms,
+                                    record_wall_time=on))
+        for stem in ("ProxSupLW", "AFBS_NaturalLS"):
+            rows = [line.split(",") for line in
+                    (out / f"{stem}.csv").read_text().splitlines()]
+            times = [float(row[wall]) for row in rows[1:]]
+            assert min(times) >= 0.0
+            assert times == sorted(times)
+            assert any(times) == on
+            columns[on, stem] = [row[:wall] + row[wall + 1:] for row in rows]
+    for stem in ("ProxSupLW", "AFBS_NaturalLS"):
+        assert columns[True, stem] == columns[False, stem]
+    assert (tmp_path / "True" / "summary.csv").read_bytes() == \
+        (tmp_path / "False" / "summary.csv").read_bytes()
+
+
 def test_run_algorithm_zero_outer_budget():
     cfg = small_config(max_outer=0)
     problem = build_problem(cfg)
@@ -301,6 +324,8 @@ def test_cli_invalid_algorithm_config_exits_2(assignment, tmp_path, capsys):
         argv += ["--set", item]
     assert main(argv) == 2
     assert "configuration error:" in capsys.readouterr().err
+    # every config is checked before the first run writes its CSV
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def _run_module(module, tmp_path):
