@@ -11,7 +11,8 @@ objective h = 0.5*||Ax-b||^2 + lam*R_tau(x) [+ indicator(x >= 0)]:
   certificate. Under the constraint PDNoInv's certificate tests the
   extrapolated candidate when it is feasible, and otherwise the Fenchel
   duality gap at the step's feasible primal-dual pair, which bounds the
-  prox error because the subproblem is strongly convex.
+  prox error because the subproblem is strongly convex; the constrained
+  exact prox and PDBasic stop on the same closed-form gap (`dual_gap`).
 - ReversedTV: f = least squares, g = lam*R_tau (+ constraint); the prox
   of g is the TV prox.
 
@@ -114,14 +115,10 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None):
     forms c = x/alpha + A^T b once (one uncounted product) and runs
     projected Nesterov steps (`regtv._projected_nesterov`, two counted
     products each) on the (1/alpha)-strongly convex subproblem until
-    `dual_gap` at c (4 uncounted products), checked at the start and
-    every 10 steps, is <= max(1e-12, n * eps * max|c| * max(z)), eps the
-    float64 machine epsilon; warns if `_LS_MAX_STEPS` steps do not get
-    there. The second term bounds the rounding floor of `dual_gap`: each
-    of the n entries of c - Bz is computed to about eps * |c_i| where
-    Bz ~ c, and the gap sums them weighted by z. On the paper's instance
-    the term is about 2e-9 and the gap levels off at 4e-11 to 6e-11, out
-    of reach of an absolute 1e-12.
+    `dual_gap` at c, checked at the start and every 10 steps, is
+    <= 2 alpha ||delta||^2, delta_i = n * eps * |c_i| (eps the float64
+    machine epsilon): the gap that rounding of c - Bz alone can show.
+    Warns if `_LS_MAX_STEPS` steps do not get there.
     """
     x = np.asarray(x, dtype=np.float64)
     if not nonneg:
@@ -129,16 +126,14 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None):
             atb = A.rmatvec(b)
         return shifted_gram_solve(A, 1.0, alpha, x + alpha * atb)
     c = x / alpha + A.applyT_nocount(b)
-    c_scale = c.size * np.finfo(np.float64).eps * float(np.max(np.abs(c)))
+    floor = 2.0 * alpha * (c.size * np.finfo(np.float64).eps) ** 2 \
+        * float(c @ c)
 
     def grad(z):
         return A.rmatvec(A.matvec(z)) + z / alpha - c
 
     def stop(k, z):
-        if k % 10:
-            return False
-        tol = max(1e-12, c_scale * float(np.max(z)))
-        return dual_gap(A, alpha, c, z) <= tol
+        return k % 10 == 0 and dual_gap(A, alpha, c, z) <= floor
 
     return _projected_nesterov(
         "constrained least-squares prox: duality gap above its rounding "
@@ -146,23 +141,34 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None):
         1.0 / alpha, True, _LS_MAX_STEPS, stop)[0]
 
 
+def _fenchel_gap(alpha, r, z):
+    """Fenchel gap of the constrained LS prox less 0.5||Az - q||^2.
+
+    For a dual point q, feasible z and r = c - A^T q - z/alpha, sums
+    (alpha/2) r_i^2 where alpha r_i + z_i >= 0 and -r_i z_i -
+    z_i^2/(2 alpha) elsewhere, as two nonnegative parts so that nothing
+    cancels: 0.5 alpha ||max(r, -z/alpha)||^2 - <z, min(r + z/alpha, 0)>.
+    """
+    u = z / alpha
+    top = np.maximum(r, -u)
+    return 0.5 * alpha * float(top @ top) - float(z @ np.minimum(r + u, 0.0))
+
+
 def dual_gap(A, alpha, c, z):
     """Duality gap of the constrained least-squares prox subproblem at z.
 
     The subproblem, the prox at x, is min 0.5 z^T B z - <c, z> over
     z >= 0 with B = A^T A + I/alpha and c = x/alpha + A^T b; callers pass
-    the c they hold. Returns 0.5 * ||(c - Bz)_+||^2 in the B-inverse norm
-    minus <(c - Bz)_-, z>: nonnegative for feasible z, and zero exactly at
-    the constrained prox. Its 4 products are diagnostic (uncounted).
+    the c they hold. Returns P(z) - D(A z), the Fenchel gap at q = A z
+    (`_fenchel_gap`), with dual D(q) = -0.5||q||^2 - (alpha/2)||(c -
+    A^T q)_+||^2: at least ||z - z*||^2/(2 alpha) for feasible z by strong
+    convexity, and zero at the constrained prox. 2 uncounted products.
     """
     z = np.asarray(z, dtype=np.float64)
     if np.min(z) < 0:
         raise ValueError("dual_gap requires a feasible point z >= 0")
     r = c - (A.applyT_nocount(A.apply_nocount(z)) + z / alpha)
-    r_pos = np.maximum(r, 0.0)
-    r_neg = np.minimum(r, 0.0)
-    sol = shifted_gram_solve(A, 1.0 / alpha, 1.0, r_pos, counted=False)
-    return 0.5 * float(r_pos @ sol) - float(r_neg @ z)
+    return _fenchel_gap(alpha, r, z)
 
 
 # -- primal-dual inner iterations ------------------------------------------
@@ -281,17 +287,11 @@ def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state,
     which keeps w >= 0 and the test exact, so a last-bit change in an
     entry where z1 = z_prev = 0 cannot switch the path.
 
-    Fallback path, when z leaves the orthant: the Fenchel gap of the
-    subproblem min 0.5||Az||^2 + G(z), G(z) = ||z||^2/(2 alpha) - <c, z>
-    + indicator(z >= 0), at the pair (z1, q),
-    gap = 0.5||A z1||^2 + ||z1||^2/(2 alpha) - <c, z1> + 0.5||q||^2
-    + (alpha/2)||(c - A^T q)_+||^2.
-    The subproblem is (1/alpha)-strongly convex, so
-    gap >= ||z1 - z*||^2/(2 alpha) and eps_achieved =
-    sqrt(2 alpha (gap + floor)) bounds the error of z1, with floor =
-    n * eps * (sum of the five terms' magnitudes) covering the rounding
-    of the sum. z1 is accepted when eps_achieved <= `fallback_budget`
-    (defaults to eps_k).
+    Fallback path, when z leaves the orthant: z1 is accepted when
+    eps_achieved = sqrt(2 alpha gap) <= `fallback_budget` (defaults to
+    eps_k), with gap = 0.5||A z1 - q||^2 + `_fenchel_gap`(alpha,
+    c - A^T q - z1/alpha, z1) the Fenchel gap at the pair (z1, q), which
+    bounds ||z1 - z*||^2/(2 alpha) as `dual_gap`'s does.
 
     Uncounted products: 2 on the fallback path, 3 on the primary path.
     """
@@ -305,12 +305,10 @@ def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state,
     eps64 = np.finfo(np.float64).eps
     tol = z.size * eps64 * alpha * max(float(np.max(np.abs(atq))),
                                        float(np.max(np.abs(atatz1))))
-    primary = np.min(z) >= -tol
-    if primary:
+    if np.min(z) >= -tol:
         z = np.maximum(z, 0.0)
-    # A^T(A z1 - b) - (x - z)/alpha, by linearity
-    w = atatz1 + z / alpha - c
-    if primary:
+        # A^T(A z1 - b) - (x - z)/alpha, by linearity
+        w = atatz1 + z / alpha - c
         d = A.apply_nocount(z - z1)
         lhs = 0.5 * float(d @ d) + float(w @ z)
         accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
@@ -318,16 +316,11 @@ def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state,
                                eps_achieved=math.sqrt(
                                    2.0 * alpha * max(lhs, 0.0)),
                                accepted=accepted)
-    q1 = state.q
-    dual_slack = np.maximum(c - atq, 0.0)
-    terms = (0.5 * float(az1 @ az1), float(z1 @ z1) / (2.0 * alpha),
-             -float(c @ z1), 0.5 * float(q1 @ q1),
-             0.5 * alpha * float(dual_slack @ dual_slack))
-    gap = sum(terms)
-    floor = z1.size * eps64 * sum(abs(t) for t in terms)
-    eps_achieved = math.sqrt(2.0 * alpha * max(gap + floor, 0.0))
-    return ProxCertificate(z=z1, w=w, gap_value=gap,
-                           eps_achieved=eps_achieved,
+    resid = az1 - state.q
+    gap = 0.5 * float(resid @ resid) \
+        + _fenchel_gap(alpha, c - atq - z1 / alpha, z1)
+    eps_achieved = math.sqrt(2.0 * alpha * gap)
+    return ProxCertificate(z=z1, gap_value=gap, eps_achieved=eps_achieved,
                            accepted=eps_achieved <= fallback_budget,
                            fallback=True)
 
@@ -335,12 +328,12 @@ def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state,
 def _cert_pd_basic(A, alpha, eps_k, z_prev, tau_prev, state):
     """PDBasic's test: `dual_gap` at (z_l)_+ <= max(eps_k^2/(2a), 1e-12).
 
-    Here a = alpha; the gap bounds ||z - z*||^2 / (2a). 4 uncounted products.
+    Here a = alpha; the gap bounds ||z - z*||^2/(2a); 2 uncounted products.
     """
     z = np.maximum(state.z, 0.0)
     gap = dual_gap(A, alpha, state.c_alpha, z)
     return ProxCertificate(z=z, gap_value=gap,
-                           eps_achieved=math.sqrt(2.0 * alpha * max(gap, 0.0)),
+                           eps_achieved=math.sqrt(2.0 * alpha * gap),
                            accepted=gap <= max(eps_k ** 2 / (2.0 * alpha),
                                                1e-12))
 

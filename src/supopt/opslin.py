@@ -47,7 +47,7 @@ class SparseOperator:
         self._csr = csr
         self._csr_t = csr.T  # CSC view sharing csr's arrays: no copy
         self.matvec_count = 0
-        self._factor_cache = {}
+        self._factor_cache = None  # (ratio, factor): shifted_gram_solve
         self._norm_sq = None
 
     @property
@@ -139,14 +139,19 @@ def spectral_norm_sq(A, tol=1e-8, max_iter=500, seed=0):
     return lam
 
 
-# a PDBasic step solves with a new step size and then its duality gap;
-# keeping every key grew by one m x m factor per step
-_FACTORS_KEPT = 2
-
-
 def _woodbury_factor(A, ratio):
-    """Cholesky factor of M = I_m + ratio * A A^T (dense m x m)."""
-    M = (A.tocsr() @ A.tocsr().T).toarray()
+    """Cholesky factor of M = I_m + ratio * A A^T (dense m x m).
+
+    A A^T is filled in row blocks into Fortran order, which `cho_factor`
+    overwrites in place: no sparse product of the whole Gram matrix.
+    """
+    csr, m = A.tocsr(), A.n_rows
+    csr_t = A._csr_t.tocsr()  # a CSC right operand is converted per product
+    M = np.empty((m, m), order="F")
+    rows = 256
+    for i in range(0, m, rows):
+        # row block i of the symmetric A A^T is column block i of M
+        M.T[i:i + rows] = (csr[i:i + rows] @ csr_t).toarray()
     M *= ratio
     M[np.diag_indices_from(M)] += 1.0
     return scipy.linalg.cho_factor(M, lower=True, overwrite_a=True)
@@ -156,9 +161,10 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, counted=True):
     """Solve (c_id * I + c_gram * A^T A) z = rhs via the m x m reduced system.
 
     Uses (cI + gA^TA)^{-1} = (1/c) (I - (g/c) A^T (I_m + (g/c) A A^T)^{-1} A)
-    with a dense Cholesky factorization of the inner m x m matrix, cached
-    on the operator by the exact ratio g/c, the only number it depends on,
-    for the `_FACTORS_KEPT` most recently used ratios. `counted=False`
+    with a dense Cholesky factorization of the inner m x m matrix. The
+    operator caches one factor, keyed by the exact ratio g/c, the only
+    number it depends on: a repeated ratio (unconstrained ExactSMW) reuses
+    it, and a new one (each PDBasic step) replaces it. `counted=False`
     routes the two operator products around the cost counter (for
     diagnostic solves).
     """
@@ -168,13 +174,10 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, counted=True):
     if c_gram == 0 or A.nnz == 0:
         return rhs / c_id
     ratio = c_gram / c_id
-    cache = A._factor_cache
-    factor = cache.pop(ratio, None)
-    if factor is None:
-        factor = _woodbury_factor(A, ratio)
-    cache[ratio] = factor  # dicts keep insertion order: most recent last
-    if len(cache) > _FACTORS_KEPT:
-        del cache[next(iter(cache))]
+    if A._factor_cache is None or A._factor_cache[0] != ratio:
+        A._factor_cache = None  # free the old factor before building anew
+        A._factor_cache = (ratio, _woodbury_factor(A, ratio))
+    factor = A._factor_cache[1]
     t = A.matvec(rhs) if counted else A.apply_nocount(rhs)
     # cho_factor checked the matrix once; check only the right-hand side
     s = scipy.linalg.cho_solve(factor, np.asarray_chkfinite(t),

@@ -95,19 +95,50 @@ def test_dual_gap_zero_at_exact_prox_and_nonneg_elsewhere():
 
 
 def test_dual_gap_equals_primal_minus_dual_objective():
+    # Fenchel gap P(z) - D(Az) of min P(z) = 0.5 z^T B z - <c, z> over
+    # z >= 0, with D(q) = -0.5||q||^2 - (alpha/2)||(c - A^T q)_+||^2
     A, b, x = make_instance(seed=6)
     alpha = 0.9
     M = A.toarray()
     B = M.T @ M + np.eye(10) / alpha
     c = x / alpha + M.T @ b
-    Binv = np.linalg.inv(B)
     rng = np.random.default_rng(7)
-    z = np.abs(rng.standard_normal(10))
-    # primal phi(z) - dual psi(p) at p = (c - Bz)_-
-    p = np.minimum(c - B @ z, 0.0)
-    phi = 0.5 * z @ B @ z - c @ z
-    psi = -0.5 * (p - c) @ Binv @ (p - c)
-    assert dual_gap(A, alpha, c, z) == pytest.approx(phi - psi, rel=1e-10)
+    for scale in (0.1, 1.0, 10.0):
+        z = np.abs(rng.standard_normal(10)) * scale
+        z[:3] = 0.0
+        q = M @ z
+        primal = 0.5 * z @ B @ z - c @ z
+        dual = -0.5 * q @ q \
+            - 0.5 * alpha * np.sum(np.maximum(c - M.T @ q, 0.0) ** 2)
+        assert dual_gap(A, alpha, c, z) == pytest.approx(primal - dual,
+                                                         rel=1e-10)
+
+
+@pytest.mark.parametrize("shift", [1.0, 0.0, -1.0])
+def test_dual_gap_bounds_distance_to_constrained_prox(shift):
+    # strong convexity: gap >= ||z - z*||^2 / (2 alpha) at feasible z, with
+    # shift = 1 leaving the constraints inactive and -1 making them active
+    rng = np.random.default_rng(30)
+    for seed in range(5):
+        A, b, x = make_instance(seed=40 + seed)
+        x = x + shift
+        alpha = float(rng.uniform(0.3, 2.0))
+        z_star = nnls_prox_ls_oracle(A, b, alpha, x)
+        c = x / alpha + A.applyT_nocount(b)
+        for _ in range(20):
+            z = np.maximum(z_star + rng.standard_normal(10)
+                           * rng.uniform(1e-4, 1.0), 0.0)
+            dist = float(np.sum((z - z_star) ** 2)) / (2.0 * alpha)
+            assert dual_gap(A, alpha, c, z) >= dist * (1.0 - 1e-9)
+
+
+def test_dual_gap_takes_two_uncounted_products_and_no_factor():
+    A, b, x = make_instance(seed=21)
+    c = x / 0.7 + A.applyT_nocount(b)
+    calls = _count_uncounted_products(A)
+    assert dual_gap(A, 0.7, c, np.abs(x)) > 0.0
+    assert len(calls) == 2
+    assert A.matvec_count == 0 and A._factor_cache is None
 
 
 def test_pd_step_size_invariant_and_theta():
@@ -309,13 +340,13 @@ def _cert_constrained_reference(A, b, alpha, eps_k, x, z_prev, tau_prev,
     Az1 = A.apply_nocount(z1)
     z = z1 + (alpha / tau_prev) * (z1 - z_prev) \
         + alpha * A.applyT_nocount(q1 - Az1)
-    w = A.applyT_nocount(Az1 - b) - (x - z) / alpha
     if np.min(z) >= 0:
+        w = A.applyT_nocount(Az1 - b) - (x - z) / alpha
         d = A.apply_nocount(z - z1)
         lhs = 0.5 * float(d @ d) + float(w @ z)
-        return z, w, lhs, lhs <= eps_k ** 2 / (2.0 * alpha)
+        return z, w, lhs, lhs <= eps_k ** 2 / (2.0 * alpha), 0.0
     # Fenchel gap of min 0.5||Az||^2 + ||z||^2/(2 alpha) - <c, z> over
-    # z >= 0 at the pair (z1, q1), plus its rounding floor
+    # z >= 0 at the pair (z1, q1) as five terms, plus their rounding floor
     c = x / alpha + A.applyT_nocount(b)
     slack = np.maximum(c - A.applyT_nocount(q1), 0.0)
     terms = [0.5 * float(Az1 @ Az1), float(z1 @ z1) / (2.0 * alpha),
@@ -323,7 +354,7 @@ def _cert_constrained_reference(A, b, alpha, eps_k, x, z_prev, tau_prev,
              0.5 * alpha * float(slack @ slack)]
     gap = sum(terms)
     floor = z1.size * np.finfo(np.float64).eps * sum(map(abs, terms))
-    return z1, w, gap, np.sqrt(2.0 * alpha * (gap + floor)) <= eps_k
+    return z1, None, gap, np.sqrt(2.0 * alpha * (gap + floor)) <= eps_k, floor
 
 
 def _count_uncounted_products(A):
@@ -367,19 +398,22 @@ def test_cert_constrained_matches_four_product_reference(shift, fallback,
     # eps_k puts the acceptance switch inside the run on the path tested
     alpha = 0.7
     decisions = set()
-    for cert, (z, w, gap, accepted), _, st in \
+    for cert, (z, w, gap, accepted, floor), _, st in \
             _constrained_certificates(shift, eps_k):
         if cert.fallback != fallback:
             continue
         decisions.add(accepted)
         assert cert.accepted == accepted
-        # 1e-12 relative to the magnitude of the terms summed into w and z
-        mag = np.max(np.abs(st.c_alpha)) + np.max(np.abs(st.atq))
-        assert np.max(np.abs(cert.w - w)) <= 1e-12 * mag
         if fallback:
-            # same operations in the same order as the reference
-            assert np.array_equal(cert.z, z) and cert.gap_value == gap
+            # the same gap at the same pair, summed without cancellation:
+            # within the reference's own rounding floor
+            assert np.array_equal(cert.z, z)
+            assert cert.gap_value >= 0.0
+            assert abs(cert.gap_value - gap) <= floor
         else:
+            # 1e-12 relative to the magnitude of the terms summed into w, z
+            mag = np.max(np.abs(st.c_alpha)) + np.max(np.abs(st.atq))
+            assert np.max(np.abs(cert.w - w)) <= 1e-12 * mag
             assert np.max(np.abs(cert.z - z)) <= \
                 1e-12 * max(np.max(np.abs(z)), alpha * mag)
             assert abs(cert.gap_value - gap) <= \
@@ -594,23 +628,36 @@ def test_prox_ls_exact_constrained_warns_on_budget(monkeypatch):
 
 def test_prox_ls_exact_constrained_stops_at_rounding_floor():
     # scaling x and b by s scales the prox by s and the gap's rounding
-    # floor by s^2: at s = 100 the gap of this instance levels off between
-    # 2e-11 and 3e-10, and an absolute 1e-12 is never reached
+    # floor 2 alpha ||delta||^2, delta_i = n * eps * |c_i|, by s^2
     from supopt import tomo
     A, b, _ = _tiny_tomo()
     rng = np.random.default_rng(0)
     x = tomo.shepp_logan(16) + 0.1 * rng.standard_normal(A.n_cols)
     alpha = 0.5
+
+    def floor(c):
+        return 2.0 * alpha * (c.size * np.finfo(np.float64).eps) ** 2 \
+            * float(c @ c)
+
     z_unit = prox_ls_exact(A, b, alpha, x, nonneg=True)
+    c_unit = x / alpha + A.applyT_nocount(b)
+    assert dual_gap(A, alpha, c_unit, z_unit) <= floor(c_unit)
     s = 100.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         z = prox_ls_exact(A, s * b, alpha, s * x, nonneg=True)
     c = s * x / alpha + A.applyT_nocount(s * b)
-    floor = x.size * np.finfo(np.float64).eps * np.max(np.abs(c)) * np.max(z)
+    assert floor(c) == pytest.approx(s * s * floor(c_unit), rel=1e-12)
     assert np.min(z) >= 0.0
-    assert 1e-12 < dual_gap(A, alpha, c, z) <= floor
+    assert dual_gap(A, alpha, c, z) <= floor(c)
     assert np.max(np.abs(z / s - z_unit)) <= 1e-8 * np.max(z_unit)
+
+
+def test_prox_ls_exact_constrained_builds_no_factor():
+    A, b, _ = _tiny_tomo()
+    x = np.random.default_rng(2).standard_normal(A.n_cols)
+    z = prox_ls_exact(A, b, 0.5, x, nonneg=True)
+    assert np.min(z) >= 0.0 and A._factor_cache is None
 
 
 def test_inexact_inner_runs_warn_when_budget_runs_out():

@@ -98,28 +98,31 @@ def test_shifted_gram_solve_identity_limit():
 def test_shifted_gram_solve_caches_factor():
     A, _ = random_operator(4, 10, seed=9)
     rhs = np.ones(10)
+    assert A._factor_cache is None
     shifted_gram_solve(A, 1.0, 0.7, rhs)
-    assert len(A._factor_cache) == 1
-    shifted_gram_solve(A, 1.0, 0.7, 2 * rhs)
-    assert len(A._factor_cache) == 1
+    ratio, factor = A._factor_cache
+    assert ratio == 0.7
+    # a repeated ratio reuses the factor
+    shifted_gram_solve(A, 2.0, 1.4, 2 * rhs)
+    assert A._factor_cache[1] is factor
+    # a new ratio replaces it
     shifted_gram_solve(A, 1.0, 0.8, rhs)
-    assert len(A._factor_cache) == 2
+    assert A._factor_cache[0] == 0.8 and A._factor_cache[1] is not factor
 
 
-def test_smw_solve_keeps_two_most_recent_factors():
+def test_smw_solve_keeps_one_factor():
     # PDBasic changes tau_l every inner step: one factor each must not pile up
     A, M = random_operator(4, 10, seed=19)
     rhs = np.random.default_rng(20).standard_normal(10)
     for step in range(50):
         tau_l = 0.9 ** step
         z = smw_solve(A, 0.7, tau_l, rhs)
-        assert len(A._factor_cache) <= 2
+        assert A._factor_cache[0] == tau_l / (1.0 + tau_l / 0.7)
         assert np.array_equal(z, smw_solve(SparseOperator(M), 0.7, tau_l,
                                            rhs))
-    # the least recently used key goes first
     for c_gram in (0.1, 0.2, 0.1, 0.3):
         shifted_gram_solve(A, 1.0, c_gram, rhs)
-    assert set(A._factor_cache) == {0.1, 0.3}
+        assert A._factor_cache[0] == c_gram
 
 
 def test_norm_sq_is_computed_once_per_operator():
