@@ -13,6 +13,7 @@ import numpy as np
 import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.blas import dtrsv
 
 
 class DimensionMismatchError(ValueError):
@@ -140,33 +141,39 @@ def spectral_norm_sq(A, tol=1e-8, max_iter=500, seed=0):
 
 
 def _woodbury_factor(A, ratio):
-    """Cholesky factor of M = I_m + ratio * A A^T (dense m x m).
+    """Lower Cholesky factor L of M = I_m + ratio * A A^T (dense m x m).
 
-    A A^T is filled in row blocks into Fortran order, which `cho_factor`
-    overwrites in place: no sparse product of the whole Gram matrix.
+    `cho_factor(lower=True)` reads only the lower triangle of M, so only
+    that is filled, in column blocks of the symmetric A A^T, into a zeroed
+    Fortran-order array that is factored in place: no product of the whole
+    Gram matrix and no copy of A^T. The zero upper triangle keeps the
+    finiteness check to real entries. L stays Fortran-contiguous, so the
+    triangular solves in `shifted_gram_solve` use it without a copy.
     """
     csr, m = A.tocsr(), A.n_rows
-    csr_t = A._csr_t.tocsr()  # a CSC right operand is converted per product
-    M = np.empty((m, m), order="F")
+    M = np.zeros((m, m), order="F")
     rows = 256
     for i in range(0, m, rows):
-        # row block i of the symmetric A A^T is column block i of M
-        M.T[i:i + rows] = (csr[i:i + rows] @ csr_t).toarray()
+        # rows i: of column block i of A A^T; each entry sums over k in
+        # ascending order, as in a product of the whole matrix
+        M[i:, i:i + rows] = (csr[i:] @ csr[i:i + rows].T.tocsr()).toarray()
     M *= ratio
     M[np.diag_indices_from(M)] += 1.0
-    return scipy.linalg.cho_factor(M, lower=True, overwrite_a=True)
+    return scipy.linalg.cho_factor(M, lower=True, overwrite_a=True)[0]
 
 
 def shifted_gram_solve(A, c_id, c_gram, rhs, counted=True):
     """Solve (c_id * I + c_gram * A^T A) z = rhs via the m x m reduced system.
 
     Uses (cI + gA^TA)^{-1} = (1/c) (I - (g/c) A^T (I_m + (g/c) A A^T)^{-1} A)
-    with a dense Cholesky factorization of the inner m x m matrix. The
-    operator caches one factor, keyed by the exact ratio g/c, the only
-    number it depends on: a repeated ratio (unconstrained ExactSMW) reuses
-    it, and a new one (each PDBasic step) replaces it. `counted=False`
-    routes the two operator products around the cost counter (for
-    diagnostic solves).
+    with a dense Cholesky factor L of the inner m x m matrix, solved as
+    L y = t, then L^T s = y by two level-2 triangular solves (`dtrsv`):
+    `cho_solve` takes a single right-hand side through the level-3 `dtrsm`,
+    about twice as slow per triangle. The operator caches one factor, keyed
+    by the exact ratio g/c, the only number it depends on: a repeated ratio
+    (unconstrained ExactSMW) reuses it, and a new one (each PDBasic step)
+    replaces it. `counted=False` routes the two operator products around
+    the cost counter (for diagnostic solves).
     """
     if c_id <= 0 or c_gram < 0:
         raise ValueError("need c_id > 0 and c_gram >= 0")
@@ -177,11 +184,11 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, counted=True):
     if A._factor_cache is None or A._factor_cache[0] != ratio:
         A._factor_cache = None  # free the old factor before building anew
         A._factor_cache = (ratio, _woodbury_factor(A, ratio))
-    factor = A._factor_cache[1]
+    L = A._factor_cache[1]
     t = A.matvec(rhs) if counted else A.apply_nocount(rhs)
     # cho_factor checked the matrix once; check only the right-hand side
-    s = scipy.linalg.cho_solve(factor, np.asarray_chkfinite(t),
-                               check_finite=False)
+    y = dtrsv(L, np.asarray_chkfinite(t), lower=1)
+    s = dtrsv(L, y, lower=1, trans=1, overwrite_x=1)
     ATs = A.rmatvec(s) if counted else A.applyT_nocount(s)
     return (rhs - ratio * ATs) / c_id
 

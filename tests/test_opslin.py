@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from oracles import dense_prox_ls_oracle
 from supopt.opslin import (DimensionMismatchError, SparseOperator,
@@ -150,6 +152,43 @@ def test_shifted_gram_solve_rejects_nan_rhs():
     rhs[3] = np.nan
     with pytest.raises(ValueError):
         shifted_gram_solve(A, 1.0, 0.7, rhs)
+
+
+def test_shifted_gram_solve_across_gram_row_blocks():
+    # m = 600 fills A A^T from three blocks of 256 rows of A, one partial
+    rng = np.random.default_rng(22)
+    M = sp.random(600, 900, density=0.02, random_state=rng,
+                  format="csr").toarray()
+    A = SparseOperator(M)
+    rhs = rng.standard_normal(900)
+    for c_id, c_gram in [(1.0, 0.37), (2.5, 4.0)]:
+        z = shifted_gram_solve(A, c_id, c_gram, rhs)
+        lhs = c_id * np.eye(900) + c_gram * (M.T @ M)
+        assert np.allclose(z, np.linalg.solve(lhs, rhs), atol=1e-10)
+        ratio, L = A._factor_cache
+        dense = scipy.linalg.cholesky(np.eye(600) + ratio * (M @ M.T),
+                                      lower=True)
+        assert np.allclose(np.tril(L), dense, rtol=0, atol=1e-12)
+        # the block fill sums each entry as the whole sparse product does
+        csr = A.tocsr()
+        gram = ratio * (csr @ csr.T.tocsr()).toarray() + np.eye(600)
+        ref = scipy.linalg.cho_factor(np.asfortranarray(gram), lower=True)[0]
+        assert np.array_equal(np.tril(L), np.tril(ref))
+
+
+def test_cached_factor_is_fortran_contiguous():
+    # dtrsv copies a C-ordered matrix on every call
+    A, _ = random_operator(300, 500, seed=23, density=0.05)
+    shifted_gram_solve(A, 1.0, 0.7, np.ones(500))
+    assert A._factor_cache[1].flags.f_contiguous
+
+
+def test_shifted_gram_solve_rejects_nan_operator():
+    M = np.random.default_rng(24).standard_normal((4, 10))
+    M[2, 5] = np.nan
+    A = SparseOperator(M)
+    with pytest.raises(ValueError):
+        shifted_gram_solve(A, 1.0, 0.7, np.ones(10))
 
 
 def test_smw_solve_matches_dense():
