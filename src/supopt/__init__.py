@@ -1,9 +1,8 @@
 """Superiorization and accelerated inexact forward-backward splitting
 for TV-regularized tomographic reconstruction."""
 
-from .basic import (BasicRunResult, CGState, LWParams, cg_init, cg_step,
-                    default_gamma, default_mu, g_u, g_u_mu, lw_proj_step,
-                    lw_step, run_basic)
+from .basic import (CGState, LWParams, cg_init, cg_step, default_gamma,
+                    default_mu, g_u, g_u_mu, lw_proj_step, lw_step, make_step)
 from .fbs import (AFBSConfig, ProxCertificate, Splitting, afbs_run,
                   cert_constrained, cert_unconstrained, dual_gap, grad_h_u,
                   lipschitz_f, objective, pd_basic_init, pd_basic_step,

@@ -3,7 +3,9 @@
 Landweber, projected Landweber, and a regularized conjugate-gradient
 step that recomputes the gradient from the current iterate each call
 (rather than the classical recursive residual update), which is what
-makes it resilient to bounded perturbations of its input.
+makes it resilient to bounded perturbations of its input. `make_step`
+maps a kind ("LW", "LW+", "CG") to its step; `metrics.run_outer` drives
+the steps.
 """
 
 from dataclasses import dataclass
@@ -108,38 +110,29 @@ def cg_step(A, b, state):
     return CGState(x=x + gamma * p_new, p=p_new, h=h_new, mu=mu)
 
 
-@dataclass
-class BasicRunResult:
-    x: np.ndarray
-    iterations: int
-    converged: bool
+def make_step(kind, A, b, x0, mu=None, gamma=None):
+    """One step of basic operator `kind` ("LW", "LW+" or "CG") as x -> x.
 
-
-def run_basic(kind, A, b, eps, mu=None, max_iter=10000, gamma=None, x0=None):
-    """Iterate a basic operator until its proximity target is met.
-
-    kind is one of "LW", "LW+", "CG". LW/LW+ stop when g_u(x) <= eps;
-    CG stops when g_u^mu(x) <= eps. Returns the best iterate with a
-    non-converged flag when max_iter is exhausted.
+    LW and LW+ step with `gamma`, by default `default_gamma(A)`. CG
+    starts its direction pair with `cg_init` at x0 and `mu`, by default
+    `default_mu(A)`, and carries the pair from call to call, so each call
+    continues from whatever point it is handed. The step functions are
+    looked up when a step runs, so wrappers installed on this module see
+    every call.
     """
-    if kind not in ("LW", "LW+", "CG"):
+    if kind in ("LW", "LW+"):
+        params = LWParams(default_gamma(A) if gamma is None else gamma)
+        if kind == "LW":
+            return lambda x: lw_step(A, b, params, x)
+        return lambda x: lw_proj_step(A, b, params, x)
+    if kind != "CG":
         raise ValueError(f"unknown basic algorithm {kind!r}")
-    b = np.asarray(b, dtype=np.float64)
-    x = np.zeros(A.n_cols) if x0 is None else np.asarray(x0, dtype=np.float64)
-    if kind == "CG":
-        if mu is None:
-            mu = default_mu(A)
-        state = cg_init(A, b, x, mu)
-        for k in range(max_iter):
-            if g_u_mu(A, b, state.x, mu) <= eps:
-                return BasicRunResult(state.x, k, True)
-            state = cg_step(A, b, state)
-        return BasicRunResult(state.x, max_iter,
-                              g_u_mu(A, b, state.x, mu) <= eps)
-    params = LWParams(default_gamma(A) if gamma is None else gamma)
-    step = lw_step if kind == "LW" else lw_proj_step
-    for k in range(max_iter):
-        if g_u(A, b, x) <= eps:
-            return BasicRunResult(x, k, True)
-        x = step(A, b, params, x)
-    return BasicRunResult(x, max_iter, g_u(A, b, x) <= eps)
+    mu = default_mu(A) if mu is None else mu
+    state = cg_init(A, b, x0, mu)
+
+    def cg(x):
+        nonlocal state
+        state = cg_step(A, b, CGState(x=x, p=state.p, h=state.h, mu=mu))
+        return state.x
+
+    return cg

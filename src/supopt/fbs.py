@@ -40,7 +40,6 @@ from .regtv import (_projected_nesterov, prox_tv_with_info, tv_smooth,
                     tv_smooth_grad)
 
 INNER_SOLVERS = ("ExactSMW", "PDBasic", "PDNoInv", "TVProx")
-_LS_MAX_STEPS = 200000
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,8 @@ class AFBSConfig:
     """Outer-loop and inner-solver parameters.
 
     alpha defaults to 1/L_f; the inexact inner tolerance schedule is
-    eps_k = inexact_C * k**(-inexact_q).
+    eps_k = inexact_C * k**(-inexact_q). max_inner caps each prox's inner
+    steps, whichever the inner solver; a prox that reaches it warns.
     """
 
     alpha: float = None
@@ -106,7 +106,8 @@ def lipschitz_f(splitting, A, tvparams):
     return A.norm_sq
 
 
-def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None):
+def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None,
+                  max_iter=AFBSConfig.max_inner):
     """Exact prox of 0.5*||Az - b||^2 [+ indicator(z >= 0)] at x.
 
     Unconstrained: solves (I + alpha A^T A) z = x + alpha A^T b through
@@ -118,7 +119,7 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None):
     `dual_gap` at c, checked at the start and every 10 steps, is
     <= 2 alpha ||delta||^2, delta_i = n * eps * |c_i| (eps the float64
     machine epsilon): the gap that rounding of c - Bz alone can show.
-    Warns if `_LS_MAX_STEPS` steps do not get there.
+    Warns if `max_iter` steps do not get there.
     """
     x = np.asarray(x, dtype=np.float64)
     if not nonneg:
@@ -138,7 +139,7 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None):
     return _projected_nesterov(
         "constrained least-squares prox: duality gap above its rounding "
         "floor", grad, np.maximum(x, 0.0), A.norm_sq + 1.0 / alpha,
-        1.0 / alpha, True, _LS_MAX_STEPS, stop)[0]
+        1.0 / alpha, True, max_iter, stop)[0]
 
 
 def _fenchel_gap(alpha, r, z):
@@ -270,8 +271,7 @@ def cert_unconstrained(A, alpha, eps_k, z_prev, tau_prev, state):
                            accepted=accepted)
 
 
-def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state,
-                     fallback_budget=None):
+def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state):
     """Acceptance test for the constrained inexact prox.
 
     `state` comes from `pd_noinv_step`: the certificate reuses its
@@ -288,15 +288,13 @@ def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state,
     entry where z1 = z_prev = 0 cannot switch the path.
 
     Fallback path, when z leaves the orthant: z1 is accepted when
-    eps_achieved = sqrt(2 alpha gap) <= `fallback_budget` (defaults to
-    eps_k), with gap = 0.5||A z1 - q||^2 + `_fenchel_gap`(alpha,
-    c - A^T q - z1/alpha, z1) the Fenchel gap at the pair (z1, q), which
-    bounds ||z1 - z*||^2/(2 alpha) as `dual_gap`'s does.
+    eps_achieved = sqrt(2 alpha gap) <= eps_k, with gap =
+    0.5||A z1 - q||^2 + `_fenchel_gap`(alpha, c - A^T q - z1/alpha, z1)
+    the Fenchel gap at the pair (z1, q), which bounds
+    ||z1 - z*||^2/(2 alpha) as `dual_gap`'s does.
 
     Uncounted products: 2 on the fallback path, 3 on the primary path.
     """
-    if fallback_budget is None:
-        fallback_budget = eps_k
     z1, atq, c = state.z, state.atq, state.c_alpha
     az1 = A.apply_nocount(z1)
     atatz1 = A.applyT_nocount(az1)
@@ -321,7 +319,7 @@ def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state,
         + _fenchel_gap(alpha, c - atq - z1 / alpha, z1)
     eps_achieved = math.sqrt(2.0 * alpha * gap)
     return ProxCertificate(z=z1, gap_value=gap, eps_achieved=eps_achieved,
-                           accepted=eps_achieved <= fallback_budget,
+                           accepted=eps_achieved <= eps_k,
                            fallback=True)
 
 
@@ -448,11 +446,11 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x0=None, x_ref=None,
             if atb is None and not splitting.nonneg:
                 atb = A.rmatvec(b)  # constant over the run: charged once
             z = prox_ls_exact(A, b, alpha, v, nonneg=splitting.nonneg,
-                              atb=atb)
+                              atb=atb, max_iter=config.max_inner)
         elif config.inner == "TVProx":
             z, inner_iters, _, _ = prox_tv_with_info(
                 shape, tvparams, v, alpha * tvparams.lam,
-                nonneg=splitting.nonneg)
+                nonneg=splitting.nonneg, max_iter=config.max_inner)
         else:
             run_pd = (_run_pd_basic if config.inner == "PDBasic"
                       else _run_pd_noinv_inexact)

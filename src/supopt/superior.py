@@ -5,10 +5,11 @@ perturbations (on the smoothed TV, optionally with a nonnegativity
 constraint) with one step of a perturbation-resilient basic operator.
 Eight named variants select the combination of reduction step
 (normalized-gradient passes or a single prox step) and basic operator
-(regularized CG, Landweber, projected Landweber). `superiorize_run`
-defines one outer step; `metrics.run_outer` records each iterate and
-stops the run on g_u <= eps (with nonnegativity up to -1e-8 for the
-constrained variants).
+(regularized CG, Landweber, projected Landweber), whose step
+`basic.make_step` builds. `superiorize_run` defines one outer step;
+`metrics.run_outer` records each iterate and stops the run on
+g_u <= eps (with nonnegativity up to -1e-8 for the constrained
+variants).
 
 Known fault: ProxCSupLW and ProxCSupCG end every outer step with an
 unprojected basic step (LW or CG), so their iterates stay slightly
@@ -139,18 +140,11 @@ def superiorize_run(config, A, b, shape, tvparams, mu=None, gamma=None,
     kind, reduction, constrained = VARIANTS[config.variant]
     b = np.asarray(b, dtype=np.float64)
     y = np.zeros(A.n_cols) if x0 is None else np.asarray(x0, dtype=np.float64)
-    if kind in ("LW", "LW+"):
-        params = basic.LWParams(basic.default_gamma(A) if gamma is None
-                                else gamma)
-    cg_state = None
-    if kind == "CG":
-        if mu is None:
-            mu = basic.default_mu(A)
-        cg_state = basic.cg_init(A, b, y, mu)
+    basic_step = basic.make_step(kind, A, b, y, mu=mu, gamma=gamma)
     ell = 0
 
     def step(k, y):
-        nonlocal cg_state, ell
+        nonlocal ell
         if reduction == "grad":
             y, ell = s_grad(shape, tvparams, y, ell, config.a, config.gamma0,
                             config.kappa)
@@ -160,13 +154,7 @@ def superiorize_run(config, A, b, shape, tvparams, mu=None, gamma=None,
             y = prox_step(shape, tvparams, y, beta)
         if half_callback is not None:
             half_callback(y)
-        if kind == "CG":
-            cg_state = basic.cg_step(A, b, basic.CGState(
-                x=y, p=cg_state.p, h=cg_state.h, mu=mu))
-            return cg_state.x, 0
-        if kind == "LW":
-            return basic.lw_step(A, b, params, y), 0
-        return basic.lw_proj_step(A, b, params, y), 0
+        return basic_step(y), 0
 
     return RunResult(*run_outer(
         step, y, A, b, shape, tvparams, "sup_c" if constrained else "sup_u",

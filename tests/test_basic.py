@@ -3,7 +3,7 @@ import pytest
 
 from supopt.basic import (CGState, LWParams, cg_init, cg_step, default_gamma,
                           default_mu, g_u, g_u_mu, lw_proj_step, lw_step,
-                          run_basic)
+                          make_step)
 from supopt.opslin import SparseOperator
 
 
@@ -133,6 +133,45 @@ def test_cg_finite_termination_on_small_systems():
         assert np.linalg.norm(res) < 1e-8
 
 
+def _run_until(step, x, done, max_iter):
+    """Apply `step` from x until done(x); (x, steps), or (x, None) if
+    max_iter steps do not get there."""
+    k = 0
+    while not done(x):
+        if k == max_iter:
+            return x, None
+        x, k = step(x), k + 1
+    return x, k
+
+
+def test_make_step_cg_threads_the_direction_pair_bit_for_bit():
+    A, b = make_system(6, 12, seed=13)
+    rng = np.random.default_rng(14)
+    for mu in (None, 0.05):
+        x0 = np.zeros(12)
+        step = make_step("CG", A, b, x0, mu=mu)
+        state = cg_init(A, b, x0, default_mu(A) if mu is None else mu)
+        x = x0
+        for k in range(8):
+            # odd steps start from a perturbed point, as in a superiorized
+            # run; the first step from 0 restarts on p0 = -g0
+            y = x + 1e-3 * rng.standard_normal(12) if k % 2 else x
+            x = step(y)
+            state = cg_step(A, b, CGState(x=y, p=state.p, h=state.h,
+                                          mu=state.mu))
+            assert np.array_equal(x, state.x)
+
+
+@pytest.mark.parametrize("kind,op", [("LW", lw_step), ("LW+", lw_proj_step)])
+def test_make_step_landweber_uses_default_gamma(kind, op):
+    A, b = make_system(4, 8, seed=15)
+    x = np.random.default_rng(16).standard_normal(8)
+    params = LWParams(default_gamma(A))
+    assert np.array_equal(make_step(kind, A, b, x)(x), op(A, b, params, x))
+    assert np.array_equal(make_step(kind, A, b, x, gamma=0.01)(x),
+                          op(A, b, LWParams(0.01), x))
+
+
 def test_mu_sweep_approaches_min_norm_solution():
     rng = np.random.default_rng(8)
     M = rng.standard_normal((4, 9))
@@ -141,29 +180,26 @@ def test_mu_sweep_approaches_min_norm_solution():
     x_ls = M.T @ np.linalg.solve(M @ M.T, b)
     errs = []
     for mu in (1e-2, 1e-4, 1e-6):
-        res = run_basic("CG", A, b, eps=0.0, mu=mu, max_iter=2000)
-        errs.append(np.linalg.norm(res.x - x_ls))
+        step = make_step("CG", A, b, np.zeros(9), mu=mu)
+        x = np.zeros(9)
+        for _ in range(2000):
+            x = step(x)
+        errs.append(np.linalg.norm(x - x_ls))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-4
 
 
-def test_run_basic_zero_iterations_when_already_compatible():
-    A, b = make_system(4, 8, seed=9)
-    eps = g_u(A, b, np.zeros(8)) + 1.0
-    res = run_basic("LW", A, b, eps=eps)
-    assert res.iterations == 0 and res.converged
-    assert np.array_equal(res.x, np.zeros(8))
-
-
-def test_run_basic_cg_converges_fast_on_consistent_system():
+def test_make_step_cg_converges_fast_on_consistent_system():
     rng = np.random.default_rng(10)
     M = rng.standard_normal((5, 12))
     x_true = rng.standard_normal(12)
     A = SparseOperator(M)
     b = M @ x_true
-    res = run_basic("CG", A, b, eps=1e-10, mu=1e-12, max_iter=12)
-    assert res.converged
-    assert g_u_mu(A, b, res.x, 1e-12) <= 1e-8
+    x, steps = _run_until(make_step("CG", A, b, np.zeros(12), mu=1e-12),
+                          np.zeros(12),
+                          lambda x: g_u_mu(A, b, x, 1e-12) <= 1e-10, 12)
+    assert steps is not None
+    assert g_u_mu(A, b, x, 1e-12) <= 1e-8
 
 
 def test_lw_much_slower_than_cg_on_ill_conditioned_system():
@@ -177,16 +213,19 @@ def test_lw_much_slower_than_cg_on_ill_conditioned_system():
     A = SparseOperator(M)
     b = M @ rng.standard_normal(8)
     eps = 1e-6
-    cg = run_basic("CG", A, b, eps=eps, mu=1e-14, max_iter=100000)
-    lw = run_basic("LW", A, b, eps=eps, max_iter=100000)
-    assert cg.converged and lw.converged
-    assert lw.iterations >= 10 * cg.iterations
+    x0 = np.zeros(8)
+    _, cg = _run_until(make_step("CG", A, b, x0, mu=1e-14), x0,
+                       lambda x: g_u_mu(A, b, x, 1e-14) <= eps, 100000)
+    _, lw = _run_until(make_step("LW", A, b, x0), x0,
+                       lambda x: g_u(A, b, x) <= eps, 100000)
+    assert cg is not None and lw is not None
+    assert lw >= 10 * cg
 
 
-def test_run_basic_unknown_kind():
+def test_make_step_unknown_kind():
     A, b = make_system(3, 5)
-    with pytest.raises(ValueError):
-        run_basic("XX", A, b, eps=0.1)
+    with pytest.raises(ValueError, match="unknown basic algorithm"):
+        make_step("XX", A, b, np.zeros(5))
 
 
 def test_default_mu_scales_with_operator():

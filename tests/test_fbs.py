@@ -324,8 +324,7 @@ def test_cert_constrained_fallback_bound_dominates_error():
     for _ in range(2000):
         zp, tp = st.z, st.tau
         st = pd_noinv_step(A, alpha, True, st)
-        cert = cert_constrained(A, alpha, 0.0, zp, tp, st,
-                                fallback_budget=0.0)
+        cert = cert_constrained(A, alpha, 0.0, zp, tp, st)
         if cert.fallback:
             err = np.linalg.norm(st.z - z_star)
             assert err <= cert.eps_achieved + 1e-9
@@ -617,11 +616,10 @@ def test_prox_ls_exact_constrained_reaches_gap(seed, alpha):
     assert A.matvec_count % 2 == 0 and A.matvec_count > 0
 
 
-def test_prox_ls_exact_constrained_warns_on_budget(monkeypatch):
+def test_prox_ls_exact_constrained_warns_on_budget():
     A, b, x = make_instance(seed=3)
-    monkeypatch.setattr(fbs, "_LS_MAX_STEPS", 5)
     with pytest.warns(RuntimeWarning, match="duality gap"):
-        z = prox_ls_exact(A, b, 0.6, x, nonneg=True)
+        z = prox_ls_exact(A, b, 0.6, x, nonneg=True, max_iter=5)
     assert np.min(z) >= 0.0
     assert A.matvec_count == 10
 
@@ -658,6 +656,32 @@ def test_prox_ls_exact_constrained_builds_no_factor():
     x = np.random.default_rng(2).standard_normal(A.n_cols)
     z = prox_ls_exact(A, b, 0.5, x, nonneg=True)
     assert np.min(z) >= 0.0 and A._factor_cache is None
+
+
+def test_exact_constrained_afbs_stops_each_prox_at_max_inner():
+    # 3 projected steps of 2 charged products each per outer; the gap
+    # test runs every 10 steps, so none accepts and each prox warns
+    A, b, shape = _tiny_tomo()
+    tvp = SmoothedTVParams(tau=0.01, lam=0.01)
+    cfg = AFBSConfig(inner="ExactSMW", max_outer=4, max_inner=3,
+                     term_tol=0.0)
+    with pytest.warns(RuntimeWarning, match="duality gap") as caught:
+        res = afbs_run(Splitting("NaturalLS", nonneg=True), cfg, A, b,
+                       shape, tvp)
+    assert len([w for w in caught if "duality gap" in str(w.message)]) == 4
+    assert [r.cumulative_matvecs for r in res.records] == \
+        [6 * k for k in range(5)]
+
+
+def test_tv_prox_afbs_stops_each_prox_at_max_inner():
+    A, b, shape = _tiny_tomo()
+    tvp = SmoothedTVParams(tau=0.01, lam=0.01)
+    cfg = AFBSConfig(inner="TVProx", max_outer=4, max_inner=1, term_tol=0.0)
+    with pytest.warns(RuntimeWarning, match="TV prox"):
+        res = afbs_run(Splitting("ReversedTV"), cfg, A, b, shape, tvp)
+    assert res.iterations == 4
+    assert all(r.inner_iters <= 1 for r in res.records)
+    assert res.total_inner >= 1
 
 
 def test_inexact_inner_runs_warn_when_budget_runs_out():
