@@ -116,9 +116,10 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None,
     forms c = x/alpha + A^T b once (one uncounted product) and runs
     projected Nesterov steps (`regtv._projected_nesterov`, two counted
     products each) on the (1/alpha)-strongly convex subproblem until
-    `dual_gap` at c, checked at the start and every 10 steps, is
-    <= 2 alpha ||delta||^2, delta_i = n * eps * |c_i| (eps the float64
-    machine epsilon): the gap that rounding of c - Bz alone can show.
+    `dual_gap` at c, checked at the start, every 10 steps and after the
+    last step, is <= 2 alpha ||delta||^2, delta_i = n * eps * |c_i| (eps
+    the float64 machine epsilon): the gap that rounding of c - Bz alone
+    can show.
     Warns if `max_iter` steps do not get there.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -134,7 +135,8 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None,
         return A.rmatvec(A.matvec(z)) + z / alpha - c
 
     def stop(k, z):
-        return k % 10 == 0 and dual_gap(A, alpha, c, z) <= floor
+        return (k % 10 == 0 or k == max_iter) \
+            and dual_gap(A, alpha, c, z) <= floor
 
     return _projected_nesterov(
         "constrained least-squares prox: duality gap above its rounding "

@@ -1,11 +1,12 @@
 """Test-data generation: phantom, parallel-beam system matrix, noise.
 
-The projector is a Siddon-style ray tracer over a unit pixel grid. Rows
-are ordered angle-major: row index = angle_index * n_rays + ray_index.
-All-zero rows (rays missing the image) are kept so m = n_angles * n_rays.
+The projector is a Siddon ray tracer (Siddon, Med. Phys. 12(2), 1985)
+over a unit pixel grid, run on all rays of one angle at once. Rows are
+ordered angle-major: row index = angle_index * n_rays + ray_index, so
+m = n_angles * n_rays. Within a row, columns ascend.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,48 +97,45 @@ def shepp_logan(image_side, variant="modified"):
     return img.ravel()
 
 
-def _trace_ray(N, theta_rad, offset):
-    """Intersection lengths of one ray with the unit cells of an N x N grid.
+def _trace_angle(N, offsets, theta):
+    """Trace all rays of one angle through the unit cells of an N x N grid.
 
-    The grid covers [-N/2, N/2]^2. The ray passes through
-    offset * (-sin t, cos t) with direction (cos t, sin t). Returns
-    (flat_indices, lengths) with row-major image indexing (row 0 at top).
+    The grid covers [-N/2, N/2]^2. Ray j passes through
+    offsets[j] * (-sin t, cos t) with direction (cos t, sin t), so it
+    meets the grid line x = g at (g - px_j) / cos t, and likewise for y;
+    an axis a ray runs parallel to (|cos t| or |sin t| below 1e-14) adds
+    no crossings. Each ray's N + 1 crossing times per axis, clipped to
+    the span [t_lo, t_hi] in which it is inside the image, are sorted as
+    one row of an (n_rays, 2 N + 2) array. Consecutive times bound the
+    segments, whose midpoints give their pixels. Clipping repeats t_lo
+    and t_hi, and an x crossing that meets a y crossing repeats a time;
+    those segments, like the ones rounding leaves between two nearly
+    equal crossings, go with the filter that keeps lengths above 1e-12.
+
+    Returns (cols, lengths, counts): the kept segments' flat row-major
+    pixel indices (image row 0 at the top) and lengths, ray by ray in
+    the order the ray runs, and the number kept per ray.
     """
     half = N / 2.0
-    dx, dy = np.cos(theta_rad), np.sin(theta_rad)
-    px, py = -offset * np.sin(theta_rad), offset * np.cos(theta_rad)
-
-    # clip the ray against the image square
-    t_lo, t_hi = -np.inf, np.inf
-    for p, d in ((px, dx), (py, dy)):
-        if abs(d) < 1e-14:
-            if abs(p) >= half:
-                return np.empty(0, dtype=np.int64), np.empty(0)
-        else:
-            t0, t1 = (-half - p) / d, (half - p) / d
-            t_lo = max(t_lo, min(t0, t1))
-            t_hi = min(t_hi, max(t0, t1))
-    if t_hi <= t_lo:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-
-    ts = [np.array([t_lo, t_hi])]
     grid = np.arange(-half, half + 1.0)
-    if abs(dx) >= 1e-14:
-        tx = (grid - px) / dx
-        ts.append(tx[(tx > t_lo) & (tx < t_hi)])
-    if abs(dy) >= 1e-14:
-        ty = (grid - py) / dy
-        ts.append(ty[(ty > t_lo) & (ty < t_hi)])
-    t = np.unique(np.concatenate(ts))
-    lengths = np.diff(t)
-    tm = 0.5 * (t[:-1] + t[1:])
-    cx = px + tm * dx
-    cy = py + tm * dy
-    ix = np.clip(np.floor(cx + half).astype(np.int64), 0, N - 1)
-    iy = np.clip(np.floor(cy + half).astype(np.int64), 0, N - 1)
+    dx, dy = np.cos(theta), np.sin(theta)
+    px, py = -offsets * np.sin(theta), offsets * np.cos(theta)
+    crossings = [(grid - p[:, None]) / d
+                 for p, d in ((px, dx), (py, dy)) if abs(d) >= 1e-14]
+    # the first and last grid lines of each axis bound the image
+    t_lo = np.max([ts.min(axis=1) for ts in crossings], axis=0)
+    t_hi = np.min([ts.max(axis=1) for ts in crossings], axis=0)
+    t = np.clip(np.concatenate(crossings, axis=1), t_lo[:, None],
+                t_hi[:, None])
+    t.sort(axis=1)
+    lengths = np.diff(t, axis=1)
+    tm = 0.5 * (t[:, :-1] + t[:, 1:])
+    ix = np.clip(np.floor(px[:, None] + tm * dx + half).astype(np.int64),
+                 0, N - 1)
+    iy = np.clip(np.floor(py[:, None] + tm * dy + half).astype(np.int64),
+                 0, N - 1)
     keep = lengths > 1e-12
-    rows = (N - 1) - iy[keep]  # image row 0 corresponds to largest y
-    return rows * N + ix[keep], lengths[keep]
+    return (((N - 1) - iy) * N + ix)[keep], lengths[keep], keep.sum(axis=1)
 
 
 def build_parallel_system(geom):
@@ -145,23 +143,27 @@ def build_parallel_system(geom):
 
     Rays are equispaced and centered, spanning a detector width of
     image_side - 1 pixel units; entries are exact ray/pixel intersection
-    lengths.
+    lengths. The rays of one angle are traced together (`_trace_angle`).
+    Row r = angle_index * n_rays + ray_index holds the cells its ray
+    crosses for a length above 1e-12, with columns in ascending order.
+    Every ray passes within (N - 1) / 2 of the centre, inside the
+    image's inscribed circle, so no row is empty.
     """
     N = geom.image_side
     offsets = np.linspace(-(N - 1) / 2.0, (N - 1) / 2.0, geom.n_rays)
-    data, indices, indptr = [], [], [0]
+    data, indices, counts = [], [], []
     for angle in geom.angles:
-        theta = np.deg2rad(angle)
-        for off in offsets:
-            cols, lengths = _trace_ray(N, theta, off)
-            order = np.argsort(cols)
-            indices.append(cols[order])
-            data.append(lengths[order])
-            indptr.append(indptr[-1] + len(cols))
-    csr = sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
-        shape=(geom.n_measurements, geom.n_pixels))
-    return SparseOperator(csr)
+        cols, lengths, kept = _trace_angle(N, offsets, np.deg2rad(angle))
+        indices.append(cols)
+        data.append(lengths)
+        counts.append(kept)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    # concatenate one list at a time, freeing it, to keep the peak low
+    data = np.concatenate(data)
+    indices = np.concatenate(indices)
+    # SparseOperator sorts each row's columns (they come in ray order)
+    return SparseOperator(sp.csr_matrix(
+        (data, indices, indptr), shape=(geom.n_measurements, geom.n_pixels)))
 
 
 def noise_sigma(b, model):

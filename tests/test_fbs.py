@@ -624,6 +624,24 @@ def test_prox_ls_exact_constrained_warns_on_budget():
     assert A.matvec_count == 10
 
 
+def test_prox_ls_exact_constrained_tests_the_iterate_it_returns(
+        monkeypatch):
+    # a budget that is no multiple of the 10-step test interval: the gap
+    # is still taken at the last iterate before the prox warns
+    A, b, x = make_instance(seed=3)
+    tested = []
+
+    def spy(A, alpha, c, z):
+        tested.append(z.copy())
+        return dual_gap(A, alpha, c, z)
+
+    monkeypatch.setattr(fbs, "dual_gap", spy)
+    with pytest.warns(RuntimeWarning, match="duality gap"):
+        z = prox_ls_exact(A, b, 0.6, x, nonneg=True, max_iter=3)
+    assert len(tested) == 2
+    assert np.array_equal(tested[-1], z)
+
+
 def test_prox_ls_exact_constrained_stops_at_rounding_floor():
     # scaling x and b by s scales the prox by s and the gap's rounding
     # floor 2 alpha ||delta||^2, delta_i = n * eps * |c_i|, by s^2
@@ -660,7 +678,7 @@ def test_prox_ls_exact_constrained_builds_no_factor():
 
 def test_exact_constrained_afbs_stops_each_prox_at_max_inner():
     # 3 projected steps of 2 charged products each per outer; the gap
-    # test runs every 10 steps, so none accepts and each prox warns
+    # after step 3 is still above its floor, so each prox warns
     A, b, shape = _tiny_tomo()
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
     cfg = AFBSConfig(inner="ExactSMW", max_outer=4, max_inner=3,

@@ -1,10 +1,73 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from supopt.tomo import (Geometry, NoiseModel, add_noise,
                          build_parallel_system, load_flat_binary,
                          noise_sigma, save_flat_binary, save_pgm,
                          shepp_logan)
+
+
+def _trace_ray(N, theta_rad, offset):
+    """Intersection lengths of one ray with the unit cells of an N x N grid.
+
+    The grid covers [-N/2, N/2]^2. The ray passes through
+    offset * (-sin t, cos t) with direction (cos t, sin t). Returns
+    (flat_indices, lengths) with row-major image indexing (row 0 at top).
+    """
+    half = N / 2.0
+    dx, dy = np.cos(theta_rad), np.sin(theta_rad)
+    px, py = -offset * np.sin(theta_rad), offset * np.cos(theta_rad)
+
+    # clip the ray against the image square
+    t_lo, t_hi = -np.inf, np.inf
+    for p, d in ((px, dx), (py, dy)):
+        if abs(d) < 1e-14:
+            if abs(p) >= half:
+                return np.empty(0, dtype=np.int64), np.empty(0)
+        else:
+            t0, t1 = (-half - p) / d, (half - p) / d
+            t_lo = max(t_lo, min(t0, t1))
+            t_hi = min(t_hi, max(t0, t1))
+    if t_hi <= t_lo:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+
+    ts = [np.array([t_lo, t_hi])]
+    grid = np.arange(-half, half + 1.0)
+    if abs(dx) >= 1e-14:
+        tx = (grid - px) / dx
+        ts.append(tx[(tx > t_lo) & (tx < t_hi)])
+    if abs(dy) >= 1e-14:
+        ty = (grid - py) / dy
+        ts.append(ty[(ty > t_lo) & (ty < t_hi)])
+    t = np.unique(np.concatenate(ts))
+    lengths = np.diff(t)
+    tm = 0.5 * (t[:-1] + t[1:])
+    cx = px + tm * dx
+    cy = py + tm * dy
+    ix = np.clip(np.floor(cx + half).astype(np.int64), 0, N - 1)
+    iy = np.clip(np.floor(cy + half).astype(np.int64), 0, N - 1)
+    keep = lengths > 1e-12
+    rows = (N - 1) - iy[keep]  # image row 0 corresponds to largest y
+    return rows * N + ix[keep], lengths[keep]
+
+
+def _build_reference(geom):
+    """The projector traced one ray at a time, each row sorted by column."""
+    N = geom.image_side
+    offsets = np.linspace(-(N - 1) / 2.0, (N - 1) / 2.0, geom.n_rays)
+    data, indices, indptr = [], [], [0]
+    for angle in geom.angles:
+        theta = np.deg2rad(angle)
+        for off in offsets:
+            cols, lengths = _trace_ray(N, theta, off)
+            order = np.argsort(cols)
+            indices.append(cols[order])
+            data.append(lengths[order])
+            indptr.append(indptr[-1] + len(cols))
+    return sp.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
+        shape=(geom.n_measurements, geom.n_pixels))
 
 
 def test_geometry_default_angles():
@@ -45,6 +108,32 @@ def test_phantom_head_support_left_right_symmetric():
     img = shepp_logan(32, variant="original").reshape(32, 32)
     head = img > 0
     assert np.array_equal(head, head[:, ::-1])
+
+
+_PAPER_ANGLES = Geometry(128, 20, 120).angles
+
+
+@pytest.mark.parametrize("geom", [
+    Geometry(128, 20, 120),
+    # rotations bench/workloads.angle_offsets draws for seed 1, batches 3, 5
+    Geometry(128, 20, 120, angles=_PAPER_ANGLES + 5.014208388589193),
+    Geometry(128, 20, 120, angles=_PAPER_ANGLES - 0.9714749668464915),
+    # axis-aligned rays, some of them along grid lines
+    Geometry(8, 2, 15, angles=np.array([0.0, 90.0])),
+    # the middle ray runs through grid corners, where x and y crossings
+    # coincide up to rounding, for even and odd N
+    Geometry(8, 2, 15, angles=np.array([45.0, 135.0])),
+    Geometry(9, 2, 17, angles=np.array([45.0, 135.0])),
+    Geometry(9, 3, 9, angles=np.array([0.0, 30.0, 90.0])),
+    Geometry(16, 4, 1),
+], ids=["paper", "paper+5.01", "paper-0.97", "0-90", "45-135-even",
+        "45-135-odd", "odd-N", "one-ray"])
+def test_projector_bitwise_equal_to_per_ray_reference(geom):
+    ref = _build_reference(geom)
+    csr = build_parallel_system(geom).tocsr()
+    assert csr.indptr.tobytes() == ref.indptr.tobytes()
+    assert csr.indices.tobytes() == ref.indices.tobytes()
+    assert csr.data.tobytes() == ref.data.tobytes()
 
 
 def test_projector_row_sums_are_chord_lengths():
