@@ -10,8 +10,10 @@ config that spells all 22 algorithms: the 8 superiorized variants and
 FBS and AFBS on each of the 7 splitting and inner-solver spellings.
 `--set` options are passed to both runs after the fixed config, e.g.
 `--set image_side=12 --set max_outer=3`. Prints "identical" or
-"differs" for every CSV either side wrote and exits 1 on any
-difference or failed run, 0 otherwise.
+"differs" for every CSV either side wrote, and for a CSV that both sides
+wrote and that differs, the header names of the differing columns and
+the number of differing rows. Exits 1 on any difference or failed run,
+0 otherwise.
 """
 
 import argparse
@@ -19,6 +21,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 SUPERIORIZED = ("GradSupCG", "GradSupLW", "GradSupProjLW", "ProxSupCG",
@@ -49,6 +52,37 @@ def run_checkout(checkout, out, assignments):
     return proc.returncode
 
 
+def csv_difference(parent, change):
+    """Columns and rows in which two CSV files differ.
+
+    Returns (names, rows): the parent's header names of the columns whose
+    cells differ on some line, the header line included, and the number
+    of data rows that differ. A missing line or cell counts as differing.
+    """
+    a = parent.read_text().splitlines()
+    b = change.read_text().splitlines()
+    header = a[0].split(",") if a else []
+    columns, rows = set(), 0
+    for i, (line_a, line_b) in enumerate(zip_longest(a, b, fillvalue="")):
+        if line_a != line_b:
+            rows += i > 0
+            columns.update(j for j, (x, y) in enumerate(zip_longest(
+                line_a.split(","), line_b.split(","))) if x != y)
+    names = [header[j] if j < len(header) else f"column {j + 1}"
+             for j in sorted(columns)]
+    return names, rows
+
+
+def describe(parent, change):
+    """'identical', or 'differs' with what csv_difference finds."""
+    if not (parent.is_file() and change.is_file()):
+        return "differs (written by one side only)"
+    if parent.read_bytes() == change.read_bytes():
+        return "identical"
+    names, rows = csv_difference(parent, change)
+    return f"differs in {', '.join(names) or 'no cell'}; {rows} rows differ"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Compare supopt's metric CSVs between two checkouts.")
@@ -67,11 +101,9 @@ def main(argv=None):
                         for p in out.glob("*.csv")})
         differs = 0
         for name in names:
-            paths = [out / name for out in outs]
-            same = all(p.is_file() for p in paths) \
-                and paths[0].read_bytes() == paths[1].read_bytes()
-            differs += not same
-            print(f"{name}: {'identical' if same else 'differs'}")
+            verdict = describe(*(out / name for out in outs))
+            differs += verdict != "identical"
+            print(f"{name}: {verdict}")
     print(f"{len(names)} CSVs, {differs} differ"
           + (", a run failed" if failed else ""))
     return 1 if failed or differs or not names else 0

@@ -68,24 +68,23 @@ def lw_proj_step(A, b, params, x):
     return np.maximum(lw_step(A, b, params, x), 0.0)
 
 
-def cg_init(A, b, x0, mu):
-    """Initial CG state: p0 = A^T(b - Ax0) + mu*x0, h0 = A^T A p0 + mu*p0.
+def cg_init(x0, mu):
+    """Initial CG state at x0: the empty direction pair p = h = 0.
 
-    Initialization products are not charged to the cost counter; the cost
-    model bills per step, and this is setup.
+    The first `cg_step` finds p @ h = 0 below its breakdown threshold and
+    steps along the steepest descent -g, at the charged cost of every
+    other step; the set-up itself runs no product.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    p0 = A.applyT_nocount(b - A.apply_nocount(x0)) + mu * x0
-    h0 = A.applyT_nocount(A.apply_nocount(p0)) + mu * p0
-    return CGState(x=x0, p=p0, h=h0, mu=mu)
+    return CGState(x=x0, p=np.zeros_like(x0), h=np.zeros_like(x0), mu=mu)
 
 
 def cg_step(A, b, state):
     """One perturbation-resilient CG update on the mu-regularized problem.
 
-    g = A^T(Ax - b) + mu*x is recomputed from x each call. On a vanishing
-    denominator the direction pair is reinitialized from the current x
-    (restart) instead of failing, which keeps long perturbed runs alive.
+    g = A^T(Ax - b) + mu*x is recomputed from x each call. An empty or
+    degenerate direction pair (p @ h below the breakdown threshold, as
+    after `cg_init`) steps along -g; four charged products per step.
     """
     x, p, h, mu = state.x, state.p, state.h, state.mu
     g = A.rmatvec(residual(A, b, x)) + mu * x
@@ -98,9 +97,9 @@ def cg_step(A, b, state):
     h_new = A.rmatvec(A.matvec(p_new)) + mu * p_new
     den2 = float(p_new @ h_new)
     if abs(den2) < _BREAKDOWN:
-        # restart with the steepest-descent direction; this also covers
-        # the exact cancellation -g + beta*p = 0 that occurs on the very
-        # first call from x0 = 0 where p0 = -g0
+        # restart with the steepest-descent direction when -g + beta*p
+        # cancels to a vanishing direction, which keeps long perturbed
+        # runs alive instead of failing
         p_new = -g
         h_new = A.applyT_nocount(A.apply_nocount(p_new)) + mu * p_new
         den2 = float(p_new @ h_new)
@@ -114,11 +113,12 @@ def make_step(kind, A, b, x0, mu=None, gamma=None):
     """One step of basic operator `kind` ("LW", "LW+" or "CG") as x -> x.
 
     LW and LW+ step with `gamma`, by default `default_gamma(A)`. CG
-    starts its direction pair with `cg_init` at x0 and `mu`, by default
-    `default_mu(A)`, and carries the pair from call to call, so each call
-    continues from whatever point it is handed. The step functions are
-    looked up when a step runs, so wrappers installed on this module see
-    every call.
+    starts from `cg_init`'s empty direction pair at x0 with `mu`, by
+    default `default_mu(A)`, so its first call steps along steepest
+    descent. It carries the pair from call to call, so each call
+    continues from whatever point it is handed, and every call is charged
+    four products. The step functions are looked up when a step runs, so
+    wrappers installed on this module see every call.
     """
     if kind in ("LW", "LW+"):
         params = LWParams(default_gamma(A) if gamma is None else gamma)
@@ -128,7 +128,7 @@ def make_step(kind, A, b, x0, mu=None, gamma=None):
     if kind != "CG":
         raise ValueError(f"unknown basic algorithm {kind!r}")
     mu = default_mu(A) if mu is None else mu
-    state = cg_init(A, b, x0, mu)
+    state = cg_init(x0, mu)
 
     def cg(x):
         nonlocal state

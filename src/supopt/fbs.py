@@ -91,7 +91,6 @@ class ProxCertificate:
     """Computable acceptance evidence for an inexact prox evaluation."""
 
     z: np.ndarray
-    w: np.ndarray = None
     gap_value: float = 0.0
     eps_achieved: float = 0.0
     inner_iters: int = 0
@@ -110,23 +109,23 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None,
                   max_iter=AFBSConfig.max_inner):
     """Exact prox of 0.5*||Az - b||^2 [+ indicator(z >= 0)] at x.
 
+    Returns (z, steps), the prox and the inner steps that computed it.
     Unconstrained: solves (I + alpha A^T A) z = x + alpha A^T b through
-    the reduced m x m system (two counted products), plus one counted
-    product for A^T b unless the caller passes it as `atb`. Constrained:
-    forms c = x/alpha + A^T b once (one uncounted product) and runs
-    projected Nesterov steps (`regtv._projected_nesterov`, two counted
-    products each) on the (1/alpha)-strongly convex subproblem until
-    `dual_gap` at c, checked at the start, every 10 steps and after the
-    last step, is <= 2 alpha ||delta||^2, delta_i = n * eps * |c_i| (eps
-    the float64 machine epsilon): the gap that rounding of c - Bz alone
-    can show.
-    Warns if `max_iter` steps do not get there.
+    the reduced m x m system (two counted products, steps = 0), plus one
+    counted product for A^T b unless the caller passes it as `atb`.
+    Constrained: forms c = x/alpha + A^T b once (one uncounted product)
+    and runs projected Nesterov steps (`regtv._projected_nesterov`, two
+    counted products each) on the (1/alpha)-strongly convex subproblem
+    until `dual_gap` at c, checked at the start, every 10 steps and after
+    the last step, is <= 2 alpha ||delta||^2, delta_i = n * eps * |c_i|
+    (eps the float64 machine epsilon): the gap that rounding of c - Bz
+    alone can show. Warns if `max_iter` steps do not get there.
     """
     x = np.asarray(x, dtype=np.float64)
     if not nonneg:
         if atb is None:
             atb = A.rmatvec(b)
-        return shifted_gram_solve(A, 1.0, alpha, x + alpha * atb)
+        return shifted_gram_solve(A, 1.0, alpha, x + alpha * atb), 0
     c = x / alpha + A.applyT_nocount(b)
     floor = 2.0 * alpha * (c.size * np.finfo(np.float64).eps) ** 2 \
         * float(c @ c)
@@ -141,7 +140,7 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None,
     return _projected_nesterov(
         "constrained least-squares prox: duality gap above its rounding "
         "floor", grad, np.maximum(x, 0.0), A.norm_sq + 1.0 / alpha,
-        1.0 / alpha, True, max_iter, stop)[0]
+        1.0 / alpha, True, max_iter, stop)[:2]
 
 
 def _fenchel_gap(alpha, r, z):
@@ -312,7 +311,7 @@ def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state):
         d = A.apply_nocount(z - z1)
         lhs = 0.5 * float(d @ d) + float(w @ z)
         accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
-        return ProxCertificate(z=z, w=w, gap_value=lhs,
+        return ProxCertificate(z=z, gap_value=lhs,
                                eps_achieved=math.sqrt(
                                    2.0 * alpha * max(lhs, 0.0)),
                                accepted=accepted)
@@ -412,15 +411,16 @@ def grad_h_u(A, b, shape, tvparams, x):
         + tvparams.lam * tv_smooth_grad(shape, tvparams, x)
 
 
-def afbs_run(splitting, config, A, b, shape, tvparams, x0=None, x_ref=None,
+def afbs_run(splitting, config, A, b, shape, tvparams, x_ref=None,
              iterate_callback=None, record_wall_time=False):
     """Run (accelerated) forward-backward splitting to first-order optimality.
 
-    `metrics.run_outer` drives the steps and stops on rule opt_u, the
-    infinity norm of the objective gradient <= term_tol, or opt_c, that of
-    min(x, gradient), in the constrained case, or at max_outer. Returns a
-    `metrics.RunResult` with the fallback-certificate count and the total
-    inner-iteration count.
+    Starts at x = 0. `metrics.run_outer` drives the steps and stops on
+    rule opt_u, the infinity norm of the objective gradient <= term_tol,
+    or opt_c, that of min(x, gradient), in the constrained case, or at
+    max_outer. Returns a `metrics.RunResult` with the fallback-certificate
+    count and the total inner-iteration count: every prox's steps, which
+    are zero only for the direct solve of the unconstrained ExactSMW.
 
     The accelerated loop restarts its momentum (t = t0, y = x_new) after
     any step with <y - x_new, x_new - x> > 0, for every inner solver and
@@ -432,7 +432,7 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x0=None, x_ref=None,
     alpha = 1.0 / L if config.alpha is None else config.alpha
     _check_inner(splitting, config.inner)
 
-    x = np.zeros(A.n_cols) if x0 is None else np.asarray(x0, dtype=np.float64)
+    x = np.zeros(A.n_cols)
     y = x.copy()
     t = config.t0
     atb = None
@@ -443,12 +443,12 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x0=None, x_ref=None,
         nonlocal y, t, atb, warm, fallback_count
         v = y - alpha * _grad_smooth(splitting, A, b, shape, tvparams, y)
         eps_k = config.inexact_C * float(k) ** (-config.inexact_q)
-        inner_iters = 0
         if config.inner == "ExactSMW":
             if atb is None and not splitting.nonneg:
                 atb = A.rmatvec(b)  # constant over the run: charged once
-            z = prox_ls_exact(A, b, alpha, v, nonneg=splitting.nonneg,
-                              atb=atb, max_iter=config.max_inner)
+            z, inner_iters = prox_ls_exact(
+                A, b, alpha, v, nonneg=splitting.nonneg, atb=atb,
+                max_iter=config.max_inner)
         elif config.inner == "TVProx":
             z, inner_iters, _, _ = prox_tv_with_info(
                 shape, tvparams, v, alpha * tvparams.lam,

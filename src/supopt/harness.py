@@ -64,7 +64,6 @@ class ExperimentConfig:
     max_outer: int = 2000
     output_dir: str = "out"
     svg: bool = False
-    log_y: bool = True
     record_wall_time: bool = False
 
     def resolved_lam(self):
@@ -128,10 +127,11 @@ def load_csv(path):
     return records
 
 
-def emit_svg(records, path, log_y=True, refs=None):
+def emit_svg(records, path, refs=None):
     """Self-contained SVG line plot of the three scaled metric curves.
 
-    refs maps a metric name to a horizontal dashed reference value.
+    The y axis is log10 of each value, floored at 1e-16. refs maps a
+    metric name to a horizontal dashed reference value.
     """
     width, height, mg = 640, 480, 50
     series = {"residual_scaled": "#1f6fb4", "tv_scaled": "#c23b22",
@@ -140,7 +140,7 @@ def emit_svg(records, path, log_y=True, refs=None):
     floor = 1e-16
 
     def ty(v):
-        return math.log10(max(v, floor)) if log_y else v
+        return math.log10(max(v, floor))
 
     ks = [r.k for r in records] or [0]
     vals = []
@@ -277,8 +277,7 @@ def run_experiment(config):
         stem = name.replace(":", "_")
         emit_csv(records, out / f"{stem}.csv")
         if config.svg:
-            emit_svg(records, out / f"{stem}.svg", log_y=config.log_y,
-                     refs=refs)
+            emit_svg(records, out / f"{stem}.svg", refs=refs)
         last = records[-1]
         summary.append(",".join([
             name, str(info["iterations"]), str(info["converged"]),

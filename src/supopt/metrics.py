@@ -104,14 +104,14 @@ def make_record(k, A, b, x, shape, tvparams, rule, tol, x_ref=None,
 
 
 def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer, where,
-              x_ref=None, callback=None, record_wall_time=False):
+              x_ref=None, record_wall_time=False):
     """Drive `step` from x0 until `rule` holds at tol or max_outer steps.
 
     `step(k, x)` returns (x_k, inner_iters) for k = 1, 2, ...; the caller
     keeps its own algorithm state in the closure. Before each step
-    run_outer records the current iterate through `make_record`, passes
-    the record to `callback` and stops if the rule holds there; after each
-    step it aborts with NumericalDivergenceError on a non-finite iterate.
+    run_outer records the current iterate through `make_record` and stops
+    if the rule holds there; after each step it aborts with
+    NumericalDivergenceError on a non-finite iterate.
     With `record_wall_time`, record k's wall_time is read when x_k is
     ready, before its own diagnostics, so it covers steps 1..k and the
     records and stop tests of x_0..x_{k-1}. Returns (x, records,
@@ -126,8 +126,6 @@ def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer, where,
                                       x_ref=x_ref, inner_iters=inner_iters,
                                       wall_time=wall_time)
         records.append(record)
-        if callback is not None:
-            callback(record)
         if stopped or k == max_outer:
             return x, records, stopped, k
         k += 1

@@ -112,27 +112,27 @@ class SparseOperator:
         return self._csr_t @ np.asarray(y, dtype=np.float64)
 
 
-def spectral_norm_sq(A, tol=1e-8, max_iter=500, seed=0):
+def spectral_norm_sq(A):
     """Estimate ||A||_2^2 by power iteration on A^T A (uncounted products).
 
-    Seeded start; stops when the Rayleigh quotient changes by <= tol
-    relative to max(it, 1), else warns (`SpectralNormWarning`) after
-    `max_iter` steps and returns the last estimate.
+    Starts from a standard normal vector drawn with seed 0; stops when the
+    Rayleigh quotient changes by <= 1e-8 relative to max(it, 1), else
+    warns (`SpectralNormWarning`) after 500 steps and returns the last
+    estimate.
     """
     if A.nnz == 0:
         raise ValueError("spectral_norm_sq requires a nonzero operator")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.n_cols)
+    v = np.random.default_rng(0).standard_normal(A.n_cols)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(500):
         w = A.applyT_nocount(A.apply_nocount(v))
         lam_new = float(v @ w)
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
             return 0.0
         v = w / nrm
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1.0):
+        if abs(lam_new - lam) <= 1e-8 * max(abs(lam_new), 1.0):
             return lam_new
         lam = lam_new
     warnings.warn("power iteration did not converge; returning best estimate",

@@ -126,21 +126,22 @@ def s_prox_plus(shape, tvparams, y, beta):
     return prox_tv(shape, tvparams, y, beta, nonneg=True)
 
 
-def superiorize_run(config, A, b, shape, tvparams, mu=None, gamma=None,
-                    x0=None, x_ref=None, callback=None, half_callback=None,
-                    record_wall_time=False):
+def superiorize_run(config, A, b, shape, tvparams, gamma=None, x0=None,
+                    x_ref=None, half_callback=None, record_wall_time=False):
     """Run one superiorized variant until eps-compatibility or max_outer.
 
-    Outer step k applies the variant's reduction step(s) to get
-    y_{k-1/2}, optionally reported through `half_callback`, then one basic
-    operator step. `metrics.run_outer` drives the steps and stops on rule
-    sup_u, g_u(y) <= eps, or for the constrained variants sup_c, which
-    adds min_i y_i > -1e-8. Returns a `metrics.RunResult`.
+    Starts at x0 (zero by default). Outer step k applies the variant's
+    reduction step(s) to get y_{k-1/2}, optionally reported through
+    `half_callback`, then one basic operator step: Landweber with step
+    `gamma` (default `basic.default_gamma`), or CG with `basic.default_mu`.
+    `metrics.run_outer` drives the steps and stops on rule sup_u,
+    g_u(y) <= eps, or for the constrained variants sup_c, which adds
+    min_i y_i > -1e-8. Returns a `metrics.RunResult`.
     """
     kind, reduction, constrained = VARIANTS[config.variant]
     b = np.asarray(b, dtype=np.float64)
     y = np.zeros(A.n_cols) if x0 is None else np.asarray(x0, dtype=np.float64)
-    basic_step = basic.make_step(kind, A, b, y, mu=mu, gamma=gamma)
+    basic_step = basic.make_step(kind, A, b, y, gamma=gamma)
     ell = 0
 
     def step(k, y):
@@ -159,4 +160,4 @@ def superiorize_run(config, A, b, shape, tvparams, mu=None, gamma=None,
     return RunResult(*run_outer(
         step, y, A, b, shape, tvparams, "sup_c" if constrained else "sup_u",
         config.eps, config.max_outer, f"superiorized run {config.variant}",
-        x_ref=x_ref, callback=callback, record_wall_time=record_wall_time))
+        x_ref=x_ref, record_wall_time=record_wall_time))

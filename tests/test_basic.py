@@ -65,7 +65,7 @@ def test_cg_step_zero_gradient_is_fixed_point():
     A = SparseOperator(np.array([[1.0]]))
     b = np.array([1.0])
     mu = 0.01
-    state = cg_init(A, b, np.zeros(1), mu)
+    state = cg_init(np.zeros(1), mu)
     state = cg_step(A, b, state)
     assert state.x[0] == pytest.approx(1.0 / (1.0 + mu), rel=1e-12)
     # at the minimizer the next step does not move
@@ -101,21 +101,42 @@ def test_cg_matches_textbook_cg_without_perturbations():
     Mat = M.T @ M + mu * np.eye(12)
     rhs = M.T @ b
     oracle = _textbook_cg(Mat, rhs, np.zeros(12), 10)
-    state = cg_init(A, b, np.zeros(12), mu)
+    state = cg_init(np.zeros(12), mu)
     for k in range(1, 11):
         state = cg_step(A, b, state)
         assert np.max(np.abs(state.x - oracle[k])) < 1e-10
 
 
 def test_cg_restarts_on_breakdown():
+    # the empty pair p = h = 0, which cg_init returns and a degenerate
+    # pair amounts to, steps along steepest descent p = -g
     A, b = make_system(3, 5, seed=7)
     mu = 0.01
-    x = np.zeros(5)
-    # force a degenerate direction pair
-    state = CGState(x=x, p=np.zeros(5), h=np.zeros(5), mu=mu)
+    x = np.random.default_rng(8).standard_normal(5)
+    state = cg_init(x, mu)
+    assert not state.p.any() and not state.h.any()
     out = cg_step(A, b, state)
-    fresh = cg_init(A, b, x, mu)
-    assert np.array_equal(out.p, fresh.p)
+    g = A.applyT_nocount(A.apply_nocount(x) - b) + mu * x
+    assert np.array_equal(out.p, -g)
+    assert g_u_mu(A, b, out.x, mu) < g_u_mu(A, b, x, mu)
+
+
+def test_cg_runs_exactly_the_products_it_is_charged():
+    from supopt import tomo
+    A = tomo.build_parallel_system(tomo.Geometry(16, 4, 16))
+    b = A.apply_nocount(tomo.shepp_logan(16))
+    mu = default_mu(A)  # its power iteration runs before the wrapping
+    runs = []
+    for name in ("matvec", "rmatvec", "apply_nocount", "applyT_nocount"):
+        def product(v, run=getattr(A, name)):
+            runs.append(1)
+            return run(v)
+        setattr(A, name, product)
+    x = np.zeros(A.n_cols)
+    step = make_step("CG", A, b, x, mu=mu)
+    for k in range(1, 11):
+        x = step(x)
+        assert len(runs) == A.matvec_count == 4 * k
 
 
 def test_cg_finite_termination_on_small_systems():
@@ -126,7 +147,7 @@ def test_cg_finite_termination_on_small_systems():
         A = SparseOperator(M)
         b = rng.standard_normal(n)
         mu = 0.1
-        state = cg_init(A, b, np.zeros(n), mu)
+        state = cg_init(np.zeros(n), mu)
         for _ in range(n):
             state = cg_step(A, b, state)
         res = M.T @ (M @ state.x - b) + mu * state.x
@@ -150,11 +171,11 @@ def test_make_step_cg_threads_the_direction_pair_bit_for_bit():
     for mu in (None, 0.05):
         x0 = np.zeros(12)
         step = make_step("CG", A, b, x0, mu=mu)
-        state = cg_init(A, b, x0, default_mu(A) if mu is None else mu)
+        state = cg_init(x0, default_mu(A) if mu is None else mu)
         x = x0
         for k in range(8):
             # odd steps start from a perturbed point, as in a superiorized
-            # run; the first step from 0 restarts on p0 = -g0
+            # run; the first step takes -g0 from the empty pair
             y = x + 1e-3 * rng.standard_normal(12) if k % 2 else x
             x = step(y)
             state = cg_step(A, b, CGState(x=y, p=state.p, h=state.h,

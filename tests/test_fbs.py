@@ -45,7 +45,7 @@ def test_lipschitz_constants():
 def test_prox_ls_exact_zero_operator_is_identity():
     A = SparseOperator(np.zeros((3, 5)))
     x = np.arange(5.0)
-    z = prox_ls_exact(A, np.zeros(3), 0.7, x)
+    z, _ = prox_ls_exact(A, np.zeros(3), 0.7, x)
     assert np.allclose(z, x)
 
 
@@ -55,14 +55,14 @@ def test_prox_ls_exact_stationary_point():
     A = SparseOperator(M)
     x = rng.standard_normal(10)
     b = M @ x  # A^T(Ax - b) = 0
-    z = prox_ls_exact(A, b, 0.5, x)
+    z, _ = prox_ls_exact(A, b, 0.5, x)
     assert np.allclose(z, x, atol=1e-10)
 
 
 def test_prox_ls_exact_residual():
     A, b, x = make_instance(seed=2)
     alpha = 0.8
-    z = prox_ls_exact(A, b, alpha, x)
+    z, _ = prox_ls_exact(A, b, alpha, x)
     c = x / alpha + A.applyT_nocount(b)
     Bz = A.applyT_nocount(A.apply_nocount(z)) + z / alpha
     assert np.linalg.norm(Bz - c) <= 1e-9
@@ -71,7 +71,7 @@ def test_prox_ls_exact_residual():
 def test_prox_ls_exact_constrained_kkt():
     A, b, x = make_instance(seed=3)
     alpha = 0.6
-    z = prox_ls_exact(A, b, alpha, x, nonneg=True)
+    z, _ = prox_ls_exact(A, b, alpha, x, nonneg=True)
     g = A.applyT_nocount(A.apply_nocount(z) - b) + (z - x) / alpha
     assert np.min(z) >= 0.0
     # complementarity: gradient nonnegative where z = 0, ~zero elsewhere
@@ -82,7 +82,7 @@ def test_prox_ls_exact_constrained_kkt():
 def test_dual_gap_zero_at_exact_prox_and_nonneg_elsewhere():
     A, b, x = make_instance(seed=4)
     alpha = 0.7
-    z_star = prox_ls_exact(A, b, alpha, x, nonneg=True)
+    z_star, _ = prox_ls_exact(A, b, alpha, x, nonneg=True)
     assert dual_gap(A, alpha, x / alpha + A.applyT_nocount(b),
                     z_star) <= 1e-10
     rng = np.random.default_rng(5)
@@ -168,7 +168,7 @@ def test_pd_dual_clipping():
 def test_pd_basic_converges_to_constrained_prox():
     A, b, x = make_instance(seed=10)
     alpha = 0.7
-    z_star = prox_ls_exact(A, b, alpha, x, nonneg=True)
+    z_star, _ = prox_ls_exact(A, b, alpha, x, nonneg=True)
     st = pd_basic_init(A, b, alpha, x)
     for _ in range(1000):
         st = pd_basic_step(A, alpha, st)
@@ -255,7 +255,7 @@ def test_cert_unconstrained_eps_subdifferential():
 def test_cert_constrained_accepts_at_fixed_point():
     A, b, x = make_instance(seed=15)
     alpha = 0.7
-    z_star = prox_ls_exact(A, b, alpha, x, nonneg=True)
+    z_star, _ = prox_ls_exact(A, b, alpha, x, nonneg=True)
 
     class FakeState:
         z = z_star
@@ -397,7 +397,7 @@ def test_cert_constrained_matches_four_product_reference(shift, fallback,
     # eps_k puts the acceptance switch inside the run on the path tested
     alpha = 0.7
     decisions = set()
-    for cert, (z, w, gap, accepted, floor), _, st in \
+    for cert, (z, _, gap, accepted, floor), _, st in \
             _constrained_certificates(shift, eps_k):
         if cert.fallback != fallback:
             continue
@@ -410,9 +410,8 @@ def test_cert_constrained_matches_four_product_reference(shift, fallback,
             assert cert.gap_value >= 0.0
             assert abs(cert.gap_value - gap) <= floor
         else:
-            # 1e-12 relative to the magnitude of the terms summed into w, z
+            # 1e-12 relative to the magnitude of the terms summed into z
             mag = np.max(np.abs(st.c_alpha)) + np.max(np.abs(st.atq))
-            assert np.max(np.abs(cert.w - w)) <= 1e-12 * mag
             assert np.max(np.abs(cert.z - z)) <= \
                 1e-12 * max(np.max(np.abs(z)), alpha * mag)
             assert abs(cert.gap_value - gap) <= \
@@ -544,11 +543,11 @@ def test_moreau_envelope_gradient_identity():
         return 0.5 * float(r @ r)
 
     def envelope(v):
-        z = prox_ls_exact(A, b, alpha, v)
+        z, _ = prox_ls_exact(A, b, alpha, v)
         d = z - v
         return g(z) + float(d @ d) / (2 * alpha)
 
-    z = prox_ls_exact(A, b, alpha, x)
+    z, _ = prox_ls_exact(A, b, alpha, x)
     grad = (x - z) / alpha
     h = 1e-5
     rng = np.random.default_rng(18)
@@ -595,10 +594,10 @@ def test_exact_afbs_spends_two_uncounted_products_per_outer():
 
 def test_prox_ls_exact_reuses_given_atb():
     A, b, x = make_instance(seed=19)
-    z = prox_ls_exact(A, b, 0.8, x)
-    assert A.matvec_count == 3
+    z, steps = prox_ls_exact(A, b, 0.8, x)
+    assert steps == 0 and A.matvec_count == 3
     A.reset_matvec_count()
-    z_hoisted = prox_ls_exact(A, b, 0.8, x, atb=A.applyT_nocount(b))
+    z_hoisted, _ = prox_ls_exact(A, b, 0.8, x, atb=A.applyT_nocount(b))
     assert A.matvec_count == 2
     assert np.array_equal(z_hoisted, z)
 
@@ -609,19 +608,19 @@ def test_prox_ls_exact_constrained_reaches_gap(seed, alpha):
     A, b, x = make_instance(seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        z = prox_ls_exact(A, b, alpha, x, nonneg=True)
+        z, steps = prox_ls_exact(A, b, alpha, x, nonneg=True)
     assert np.min(z) >= 0.0
     assert dual_gap(A, alpha, x / alpha + A.applyT_nocount(b), z) <= 1e-12
     # two counted products per projected-gradient step
-    assert A.matvec_count % 2 == 0 and A.matvec_count > 0
+    assert steps > 0 and A.matvec_count == 2 * steps
 
 
 def test_prox_ls_exact_constrained_warns_on_budget():
     A, b, x = make_instance(seed=3)
     with pytest.warns(RuntimeWarning, match="duality gap"):
-        z = prox_ls_exact(A, b, 0.6, x, nonneg=True, max_iter=5)
+        z, steps = prox_ls_exact(A, b, 0.6, x, nonneg=True, max_iter=5)
     assert np.min(z) >= 0.0
-    assert A.matvec_count == 10
+    assert steps == 5 and A.matvec_count == 10
 
 
 def test_prox_ls_exact_constrained_tests_the_iterate_it_returns(
@@ -637,7 +636,7 @@ def test_prox_ls_exact_constrained_tests_the_iterate_it_returns(
 
     monkeypatch.setattr(fbs, "dual_gap", spy)
     with pytest.warns(RuntimeWarning, match="duality gap"):
-        z = prox_ls_exact(A, b, 0.6, x, nonneg=True, max_iter=3)
+        z, _ = prox_ls_exact(A, b, 0.6, x, nonneg=True, max_iter=3)
     assert len(tested) == 2
     assert np.array_equal(tested[-1], z)
 
@@ -655,13 +654,13 @@ def test_prox_ls_exact_constrained_stops_at_rounding_floor():
         return 2.0 * alpha * (c.size * np.finfo(np.float64).eps) ** 2 \
             * float(c @ c)
 
-    z_unit = prox_ls_exact(A, b, alpha, x, nonneg=True)
+    z_unit, _ = prox_ls_exact(A, b, alpha, x, nonneg=True)
     c_unit = x / alpha + A.applyT_nocount(b)
     assert dual_gap(A, alpha, c_unit, z_unit) <= floor(c_unit)
     s = 100.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        z = prox_ls_exact(A, s * b, alpha, s * x, nonneg=True)
+        z, _ = prox_ls_exact(A, s * b, alpha, s * x, nonneg=True)
     c = s * x / alpha + A.applyT_nocount(s * b)
     assert floor(c) == pytest.approx(s * s * floor(c_unit), rel=1e-12)
     assert np.min(z) >= 0.0
@@ -672,7 +671,7 @@ def test_prox_ls_exact_constrained_stops_at_rounding_floor():
 def test_prox_ls_exact_constrained_builds_no_factor():
     A, b, _ = _tiny_tomo()
     x = np.random.default_rng(2).standard_normal(A.n_cols)
-    z = prox_ls_exact(A, b, 0.5, x, nonneg=True)
+    z, _ = prox_ls_exact(A, b, 0.5, x, nonneg=True)
     assert np.min(z) >= 0.0 and A._factor_cache is None
 
 
@@ -687,6 +686,7 @@ def test_exact_constrained_afbs_stops_each_prox_at_max_inner():
         res = afbs_run(Splitting("NaturalLS", nonneg=True), cfg, A, b,
                        shape, tvp)
     assert len([w for w in caught if "duality gap" in str(w.message)]) == 4
+    assert [r.inner_iters for r in res.records] == [0, 3, 3, 3, 3]
     assert [r.cumulative_matvecs for r in res.records] == \
         [6 * k for k in range(5)]
 

@@ -193,6 +193,18 @@ def test_run_outer_stops_at_first_iterate_meeting_its_rule(monkeypatch,
     assert info["iterations"] == len(records) - 1 == len(seen) - 1 > 10
 
 
+def test_exact_constrained_afbs_records_its_inner_steps():
+    # each projected Nesterov step of ExactSMW:nonneg's prox is charged two
+    # products, the closed form acceptance 10 checks for PDNoInv
+    config = small_config(max_outer=20)
+    _, records, info = run_algorithm("AFBS:NaturalLS:nonneg",
+                                     build_problem(config), config)
+    inner = [r.inner_iters for r in records]
+    assert info["total_inner"] == sum(inner) > 0
+    assert [r.cumulative_matvecs for r in records] == \
+        np.cumsum([2 * i for i in inner]).tolist()
+
+
 def test_run_experiment_outputs_and_determinism(tmp_path):
     cfg = small_config(output_dir=str(tmp_path / "a"), svg=True,
                        algorithms=["ProxSupLW", "FBS:ReversedTV"])
@@ -328,14 +340,29 @@ def test_cli_invalid_algorithm_config_exits_2(assignment, tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def _run_module(module, tmp_path):
+def _python(*args):
+    """A fresh interpreter with this checkout's `src` on the import path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    return subprocess.run(
-        [sys.executable, "-m", module, "run", "--config",
-         str(tmp_path / "missing.cfg")],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _run_module(module, tmp_path):
+    return _python("-m", module, "run", "--config",
+                   str(tmp_path / "missing.cfg"))
+
+
+def test_package_import_loads_every_submodule_but_harness():
+    # bench/spans.py wraps functions in the submodules that `import
+    # supopt` loads; `python -m supopt.harness` needs harness unloaded
+    proc = _python("-c", "import sys, supopt; print(*sorted(m for m in "
+                   "sys.modules if m.startswith('supopt.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        f"supopt.{name}" for name in ("basic", "fbs", "metrics", "opslin",
+                                      "regtv", "superior", "tomo")]
 
 
 def test_module_entry_point_runs_cli(tmp_path):

@@ -202,12 +202,11 @@ def test_constrained_variant_terminates_feasibly():
 
 def test_callbacks_fire_each_outer_iteration():
     A, b = make_instance(seed=8)
-    seen, halves = [], []
+    halves = []
     cfg = SupConfig(variant="ProxSupLW", eps=0.0, max_outer=5)
-    superiorize_run(cfg, A, b, SHAPE, TVP,
-                    callback=lambda r: seen.append(r.k),
-                    half_callback=lambda y: halves.append(y.copy()))
-    assert seen == [0, 1, 2, 3, 4, 5]
+    res = superiorize_run(cfg, A, b, SHAPE, TVP,
+                          half_callback=lambda y: halves.append(y.copy()))
+    assert [r.k for r in res.records] == [0, 1, 2, 3, 4, 5]
     assert len(halves) == 5
 
 
