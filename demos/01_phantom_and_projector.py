@@ -3,7 +3,7 @@
 Walks through the data pipeline: rasterize the phantom on an N x N grid,
 trace rays through the pixel grid to assemble the sparse system matrix,
 project, and optionally contaminate the measurements with Gaussian noise.
-Writes phantom.pgm and sinogram.bin into the directory named by the first
+Writes phantom.pgm and sinogram.npy into the directory named by the first
 argument, or into the current directory:
 
     python3 demos/01_phantom_and_projector.py [OUT_DIR]
@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from supopt.tomo import (Geometry, NoiseModel, add_noise,
-                         build_parallel_system, noise_sigma, save_flat_binary,
-                         save_pgm, shepp_logan)
+                         build_parallel_system, noise_sigma, save_pgm,
+                         shepp_logan)
 
 out = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
 out.mkdir(parents=True, exist_ok=True)
@@ -45,5 +45,5 @@ print(f"noise sigma at 2% relative level: {noise_sigma(b, model):.4f}")
 print(f"||b_noisy - b|| = {np.linalg.norm(b_noisy - b):.4f}")
 
 save_pgm(out / "phantom.pgm", x, (side, side))
-save_flat_binary(out / "sinogram.bin", b_noisy, (geom.n_angles, geom.n_rays))
-print(f"wrote {out / 'phantom.pgm'} and {out / 'sinogram.bin'}")
+np.save(out / "sinogram.npy", b_noisy.reshape(geom.n_angles, geom.n_rays))
+print(f"wrote {out / 'phantom.pgm'} and {out / 'sinogram.npy'}")

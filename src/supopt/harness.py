@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fbs, superior, tomo
-from .metrics import FIELD_NAMES, MetricsRecord, NumericalDivergenceError
-from .opslin import save_matrix_market
+from .metrics import FIELD_NAMES, NumericalDivergenceError
 from .regtv import GridShape, SmoothedTVParams, tv_smooth
 
 # per-variant defaults: (a, gamma0, kappa); gamma0 = None means the
@@ -110,21 +109,6 @@ def emit_csv(records, path):
     for rec in records:
         lines.append(",".join(_fmt(n, getattr(rec, n)) for n in FIELD_NAMES))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_csv(path):
-    """Read back a CSV written by emit_csv."""
-    lines = Path(path).read_text().strip().split("\n")
-    names = lines[0].split(",")
-    if tuple(names) != FIELD_NAMES:
-        raise ConfigError(f"unexpected CSV header in {path}")
-    records = []
-    for line in lines[1:]:
-        vals = line.split(",")
-        kwargs = {n: (int(v) if n in _INT_FIELDS else float(v))
-                  for n, v in zip(names, vals)}
-        records.append(MetricsRecord(**kwargs))
-    return records
 
 
 def emit_svg(records, path, refs=None):
@@ -261,7 +245,10 @@ def run_experiment(config):
     for name in config.algorithms:
         _configured_run(name, problem, config)
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     n = problem.shape.n
     m = problem.A.n_rows
     r_ref = problem.A.apply_nocount(problem.x_ref) - problem.b
@@ -363,21 +350,6 @@ def load_config(path, assignments=()):
 # -- CLI ---------------------------------------------------------------------
 
 
-def _cmd_generate(args):
-    config = load_config(args.config, args.set or [])
-    out = Path(args.out or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    problem = build_problem(config)
-    side = config.image_side
-    tomo.save_flat_binary(out / "phantom.bin", problem.x_ref, (side, side))
-    tomo.save_pgm(out / "phantom.pgm", problem.x_ref, (side, side))
-    save_matrix_market(out / "system", problem.A)
-    tomo.save_flat_binary(out / "sinogram.bin", problem.b,
-                          (config.n_angles, config.n_rays))
-    print(f"wrote phantom, system matrix and sinogram to {out}")
-    return 0
-
-
 def _cmd_run(args):
     config = load_config(args.config, args.set or [])
     if args.out:
@@ -391,48 +363,6 @@ def _cmd_run(args):
     return 0
 
 
-def _cmd_sweep(args):
-    config = load_config(args.config, args.set or [])
-    base_out = Path(args.out or config.output_dir)
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
-    summary = ["value,algorithm,iterations,final_residual_scaled,"
-               "final_err_scaled"]
-    for value in values:
-        sub = load_config(args.config, list(args.set or []))
-        parse_config_text(f"{args.key} = {value}", sub)
-        sub.output_dir = str(base_out / f"{args.key.split('.')[-1]}_{value}")
-        results = run_experiment(sub)
-        for name, (_, records, info) in results.items():
-            last = records[-1]
-            summary.append(",".join([
-                value, name, str(info["iterations"]),
-                _fmt("residual_scaled", last.residual_scaled),
-                _fmt("err_scaled", last.err_scaled)]))
-    base_out.mkdir(parents=True, exist_ok=True)
-    (base_out / "sweep.csv").write_text("\n".join(summary) + "\n")
-    print(f"wrote {base_out / 'sweep.csv'}")
-    return 0
-
-
-def _cmd_compare(args):
-    rows = ["file,k_final,residual_scaled,tv_scaled,err_scaled,"
-            "cumulative_matvecs"]
-    for path in args.csv:
-        records = load_csv(path)
-        last = records[-1]
-        rows.append(",".join([
-            Path(path).name, str(last.k),
-            _fmt("residual_scaled", last.residual_scaled),
-            _fmt("tv_scaled", last.tv_scaled),
-            _fmt("err_scaled", last.err_scaled),
-            str(last.cumulative_matvecs)]))
-    table = "\n".join(rows) + "\n"
-    if args.out:
-        Path(args.out).write_text(table)
-    print(table, end="")
-    return 0
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="supopt",
@@ -440,35 +370,12 @@ def _build_parser():
                     "benchmark harness for TV-regularized tomographic "
                     "reconstruction.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key (repeatable)")
-        p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("generate",
-                       help="write phantom, system matrix and sinogram")
-    common(p)
-    p.set_defaults(func=_cmd_generate)
-
     p = sub.add_parser("run", help="run the configured algorithms")
-    common(p)
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                   help="override a config key (repeatable)")
+    p.add_argument("--out", help="output directory")
     p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("sweep", help="grid over one config key")
-    common(p)
-    p.add_argument("--key", required=True,
-                   help="config key to sweep, e.g. "
-                        "override.AFBS:NaturalLS:PDNoInv.inexact_q")
-    p.add_argument("--values", required=True,
-                   help="comma-separated values")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("compare", help="summarize metric CSVs")
-    p.add_argument("csv", nargs="+", help="metric CSV files")
-    p.add_argument("--out", help="write the table here as well")
-    p.set_defaults(func=_cmd_compare)
     return parser
 
 
@@ -477,7 +384,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalDivergenceError as exc:

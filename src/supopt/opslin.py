@@ -10,7 +10,6 @@ used for cost accounting; all products are deterministic.
 import warnings
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.blas import dtrsv
@@ -202,13 +201,3 @@ def smw_solve(A, alpha, tau_l, rhs):
     if alpha <= 0 or tau_l <= 0:
         raise ValueError("alpha and tau_l must be positive")
     return shifted_gram_solve(A, 1.0 + tau_l / alpha, tau_l, rhs)
-
-
-def save_matrix_market(path, A):
-    """Write the operator in MatrixMarket coordinate text format."""
-    scipy.io.mmwrite(str(path), A.tocsr())
-
-
-def load_matrix_market(path):
-    """Read a MatrixMarket file into a SparseOperator."""
-    return SparseOperator(scipy.io.mmread(str(path)))

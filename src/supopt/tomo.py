@@ -189,25 +189,6 @@ def add_noise(b, model):
     return b + sigma * rng.standard_normal(len(b))
 
 
-def save_flat_binary(path, vec, shape):
-    """Write a one-line text header 'rows cols' then little-endian float64."""
-    vec = np.asarray(vec, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(f"{shape[0]} {shape[1]}\n".encode("ascii"))
-        fh.write(vec.tobytes())
-
-
-def load_flat_binary(path):
-    """Read a vector written by save_flat_binary; returns (vec, shape)."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        rows, cols = int(header[0]), int(header[1])
-        vec = np.frombuffer(fh.read(), dtype="<f8").copy()
-    if len(vec) != rows * cols:
-        raise ValueError("payload size does not match header")
-    return vec, (rows, cols)
-
-
 def save_pgm(path, vec, shape):
     """8-bit PGM preview, min/max scaled."""
     img = np.asarray(vec, dtype=np.float64).reshape(shape)

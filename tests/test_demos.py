@@ -29,4 +29,4 @@ def test_demo_exits_zero(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     if demo.stem.startswith("01_"):
         assert {p.name for p in tmp_path.iterdir()} == {"phantom.pgm",
-                                                        "sinogram.bin"}
+                                                        "sinogram.npy"}

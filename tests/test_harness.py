@@ -10,9 +10,8 @@ from supopt import metrics
 from supopt.basic import g_u
 from supopt.fbs import grad_h_u
 from supopt.harness import (ConfigError, ExperimentConfig, _parse_fbs_spec,
-                            build_problem, emit_csv, load_config, load_csv,
-                            main, parse_config_text, run_algorithm,
-                            run_experiment)
+                            build_problem, emit_csv, load_config, main,
+                            parse_config_text, run_algorithm, run_experiment)
 from supopt.metrics import FIELD_NAMES, MetricsRecord, make_record
 
 
@@ -39,14 +38,16 @@ def test_csv_roundtrip_twelve_digits(tmp_path):
     recs = make_records(5)
     path = tmp_path / "m.csv"
     emit_csv(recs, path)
-    back = load_csv(path)
-    assert len(back) == 5
-    for a, b in zip(recs, back):
-        for name in FIELD_NAMES:
-            va, vb = getattr(a, name), getattr(b, name)
+    header, *rows = path.read_text().splitlines()
+    assert header.split(",") == list(FIELD_NAMES)
+    assert len(rows) == 5
+    for a, row in zip(recs, rows):
+        for name, cell in zip(FIELD_NAMES, row.split(","), strict=True):
+            va = getattr(a, name)
             if name in ("k", "inner_iters", "cumulative_matvecs"):
-                assert va == vb
+                assert int(cell) == va
             else:
+                vb = float(cell)
                 assert vb == pytest.approx(va, rel=1e-11, abs=0.0) or va == vb
 
 
@@ -56,13 +57,6 @@ def test_csv_line_counts(tmp_path):
     assert path.read_text() == ",".join(FIELD_NAMES) + "\n"
     emit_csv(make_records(3), path)
     assert len(path.read_text().strip().split("\n")) == 4
-
-
-def test_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ConfigError):
-        load_csv(path)
 
 
 def test_config_defaults_resolve_by_noise():
@@ -275,7 +269,7 @@ def test_matvec_counts_logged_per_step():
     assert [r.cumulative_matvecs for r in records] == [0, 4, 8, 12, 16]
 
 
-def test_cli_run_and_compare(tmp_path, capsys):
+def test_cli_run(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(
         "image_side = 16\nn_angles = 4\nn_rays = 16\nmax_outer = 2\n"
@@ -284,31 +278,7 @@ def test_cli_run_and_compare(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     csv = out / "ProxSupLW.csv"
     assert csv.exists() and (out / "summary.csv").exists()
-    assert main(["compare", str(csv)]) == 0
-    captured = capsys.readouterr().out
-    assert "ProxSupLW.csv" in captured
-
-
-def test_cli_generate(tmp_path):
-    out = tmp_path / "gen"
-    rc = main(["generate", "--set", "image_side=16", "--set", "n_angles=4",
-               "--set", "n_rays=16", "--out", str(out)])
-    assert rc == 0
-    for name in ("phantom.bin", "phantom.pgm", "sinogram.bin"):
-        assert (out / name).exists()
-
-
-def test_cli_sweep(tmp_path):
-    cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(
-        "image_side = 16\nn_angles = 4\nn_rays = 16\nmax_outer = 2\n"
-        "algorithms = ProxSupLW\n")
-    out = tmp_path / "sw"
-    rc = main(["sweep", "--config", str(cfg_path), "--out", str(out),
-               "--key", "max_outer", "--values", "1,2"])
-    assert rc == 0
-    lines = (out / "sweep.csv").read_text().strip().split("\n")
-    assert len(lines) == 3  # header + one row per value
+    assert "ProxSupLW: iterations=2 " in capsys.readouterr().out
 
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):
@@ -318,6 +288,13 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 2
     cfg_path.write_text("bogus_key = 1\n")
     assert main(["run", "--config", str(cfg_path)]) == 2
+    # an output directory that cannot be made: a file, or a path under one
+    sets = ["--set", "image_side=8", "--set", "n_angles=2", "--set",
+            "n_rays=8", "--set", "max_outer=1"]
+    capsys.readouterr()
+    for out in (cfg_path, cfg_path / "out"):
+        assert main(["run", *sets, "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("assignment", [
@@ -358,9 +335,12 @@ def test_package_import_loads_every_submodule_but_harness():
     # bench/spans.py wraps functions in the submodules that `import
     # supopt` loads; `python -m supopt.harness` needs harness unloaded
     proc = _python("-c", "import sys, supopt; print(*sorted(m for m in "
-                   "sys.modules if m.startswith('supopt.')))")
+                   "sys.modules if m.startswith('supopt.')), "
+                   "'scipy.io' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [
+    *loaded, io_loaded = proc.stdout.split()
+    assert io_loaded == "False"
+    assert loaded == [
         f"supopt.{name}" for name in ("basic", "fbs", "metrics", "opslin",
                                       "regtv", "superior", "tomo")]
 

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 
 from oracles import dense_prox_ls_oracle
 from supopt.opslin import (DimensionMismatchError, SparseOperator,
-                           load_matrix_market, save_matrix_market,
                            shifted_gram_solve, smw_solve, spectral_norm_sq)
 
 
@@ -211,11 +210,3 @@ def test_dense_prox_oracle_optimality():
     # stationarity of 0.5||Az-b||^2 + ||z-x||^2/(2 alpha)
     grad = M.T @ (M @ z - b) + (z - x) / alpha
     assert np.max(np.abs(grad)) < 1e-10
-
-
-def test_matrix_market_roundtrip(tmp_path):
-    A, M = random_operator(6, 7, seed=15, density=0.5)
-    path = tmp_path / "op"
-    save_matrix_market(path, A)
-    B = load_matrix_market(str(path) + ".mtx")
-    assert np.allclose(B.toarray(), M)

@@ -3,8 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from supopt.tomo import (Geometry, NoiseModel, add_noise,
-                         build_parallel_system, load_flat_binary,
-                         noise_sigma, save_flat_binary, save_pgm,
+                         build_parallel_system, noise_sigma, save_pgm,
                          shepp_logan)
 
 
@@ -198,15 +197,6 @@ def test_add_noise_zero_level_is_copy():
     out = add_noise(b, NoiseModel(relative_level=0.0))
     assert np.array_equal(out, b)
     assert out is not b
-
-
-def test_flat_binary_roundtrip(tmp_path):
-    vec = np.linspace(-1, 1, 12)
-    path = tmp_path / "img.bin"
-    save_flat_binary(path, vec, (3, 4))
-    back, shape = load_flat_binary(path)
-    assert shape == (3, 4)
-    assert np.array_equal(back, vec)
 
 
 def test_pgm_header_and_payload(tmp_path):
