@@ -133,14 +133,17 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None,
     def grad(z):
         return A.rmatvec(A.matvec(z)) + z / alpha - c
 
-    def stop(k, z):
+    def stop(k, z, y):
         return (k % 10 == 0 or k == max_iter) \
             and dual_gap(A, alpha, c, z) <= floor
 
+    z = np.maximum(x, 0.0)
+    if dual_gap(A, alpha, c, z) <= floor:
+        return z, 0
     return _projected_nesterov(
         "constrained least-squares prox: duality gap above its rounding "
-        "floor", grad, np.maximum(x, 0.0), A.norm_sq + 1.0 / alpha,
-        1.0 / alpha, True, max_iter, stop)[:2]
+        "floor", grad, z, A.norm_sq + 1.0 / alpha, 1.0 / alpha, True,
+        max_iter, stop)[:2]
 
 
 def _fenchel_gap(alpha, r, z):

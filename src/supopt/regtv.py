@@ -1,7 +1,12 @@
 """Discrete gradient, anisotropic TV, its smoothing, and the TV prox.
 
 The prox runs `_projected_nesterov`, the kernel that also solves the
-constrained least-squares prox in `fbs`.
+constrained least-squares prox in `fbs`. Each step takes one TV
+gradient, at the extrapolated point y, and the prox stops on the
+(projected) gradient mapping at y that the step already holds:
+L * ||y - z_new||_inf <= tol. So n_evaluations == n_iterations, and the
+returned z_new lies within (beta - 1/L) * sqrt(n) * tol of the exact
+prox (in the 2-norm).
 
 The gradient stacks forward differences along rows and columns with a
 zero final row/column (the one-dimensional difference stencil has no +1
@@ -154,18 +159,17 @@ def _projected_nesterov(name, grad, z, lip, mu, nonneg, max_iter, stop):
     """Constant-momentum projected Nesterov on a mu-strongly convex objective.
 
     Minimizes an objective with `lip`-Lipschitz gradient `grad`, over
-    z >= 0 when `nonneg` (the start z must then be feasible). A step is
+    z >= 0 when `nonneg` (the start z must then be feasible). Step k takes
+    one gradient, at the extrapolated point y (the start at k = 1):
     z_new = y - grad(y)/lip, clipped at 0 when `nonneg`, then
     y = z_new + m (z_new - z) with m = (sqrt(lip) - sqrt(mu)) /
     (sqrt(lip) + sqrt(mu)); the objective gap contracts by
-    1 - sqrt(mu/lip) per step. `stop(k, z)` is asked about the start
-    (k = 0) and about the iterate after each step k. Returns
-    (z, steps, converged); converged is False exactly when `max_iter`
-    steps ran without `stop` accepting, which a RuntimeWarning headed by
-    `name` (the solver and its unmet test) reports.
+    1 - sqrt(mu/lip) per step. After each step k, `stop(k, z_new, y)` is
+    asked about what the step holds. Returns (z, steps, converged);
+    converged is False exactly when `max_iter` steps ran without `stop`
+    accepting, which a RuntimeWarning headed by `name` (the solver and
+    its unmet test) reports.
     """
-    if stop(0, z):
-        return z, 0, True
     root_l, root_mu = math.sqrt(lip), math.sqrt(mu)
     momentum = (root_l - root_mu) / (root_l + root_mu)
     y = z
@@ -173,7 +177,7 @@ def _projected_nesterov(name, grad, z, lip, mu, nonneg, max_iter, stop):
         z_new = y - grad(y) / lip
         if nonneg:
             np.maximum(z_new, 0.0, out=z_new)
-        if stop(k, z_new):
+        if stop(k, z_new, y):
             return z_new, k, True
         y = z_new + momentum * (z_new - z)
         z = z_new
@@ -188,45 +192,56 @@ def prox_tv_with_info(shape, params, x, beta, nonneg=False, tol=1e-6,
 
     Approximately minimizes R_tau(z) [+ indicator(z >= 0)] +
     ||z - x||^2 / (2*beta), (1/beta)-strongly convex with an
-    (8/tau + 1/beta)-Lipschitz gradient, by `_projected_nesterov` from
-    max(x, 0) or x, until the projected-gradient infinity norm at the
-    iterate, min(z, grad) under the constraint, is <= `tol`.
+    L = (8/tau + 1/beta)-Lipschitz gradient, by `_projected_nesterov`
+    from max(x, 0) or x. A step from y returns its z_new as soon as
+    L * ||y - z_new||_inf <= `tol`: the gradient at y, or under the
+    constraint the projected gradient mapping at y. The projected
+    gradient step is a (1 - 1/(beta L))-contraction with fixed point z*,
+    so that bounds ||z_new - z*||_2 by (beta - 1/L) * sqrt(n) * tol.
 
     Returns (z, n_iterations, n_evaluations, warn_flag): the Nesterov
-    steps, the gradient evaluations (1 at the start, then 2 per step)
-    and whether `max_iter` steps ran without meeting `tol`, for which the
-    kernel also warns. The returned point never increases the
-    objective relative to a feasible input x.
+    steps (at least 1), the TV gradient evaluations (one per step, so
+    n_evaluations == n_iterations) and whether `max_iter` steps ran
+    without meeting `tol`, for which the kernel also warns. The returned
+    point never increases the objective relative to a feasible input x;
+    that check reuses R_tau(x0) from the first step's gradient.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     x = np.asarray(x, dtype=np.float64)
     x0 = np.maximum(x, 0.0) if nonneg else x
+    lip = lipschitz_bound(params) + 1.0 / beta
+    d, root = np.empty(2 * shape.n), np.empty(2 * shape.n)
+    g, shift = np.empty(shape.n), np.empty(shape.n)
+    tv_start = None  # R_tau(x0): the first gradient is taken at y = x0
 
     def grad(z):
-        d, root = _smooth_terms(shape, params, z)
-        return grad_adjoint(shape, d / root) + (z - x) / beta
+        nonlocal tv_start
+        _smooth_terms(shape, params, z, d=d, root=root)
+        if tv_start is None:
+            tv_start = root.sum()
+        grad_adjoint(shape, np.divide(d, root, out=d), out=g)
+        np.divide(np.subtract(z, x, out=shift), beta, out=shift)
+        return np.add(g, shift, out=g)
 
-    def stop(k, z):
-        g = grad(z)
-        if nonneg:
-            g = np.minimum(z, g)
-        return float(np.max(np.abs(g))) <= tol
+    def stop(k, z, y):
+        return lip * float(np.max(np.abs(y - z))) <= tol
 
-    def value(z):
+    def value(z, tv):
         diff = z - x
-        return _smooth_terms(shape, params, z)[1].sum() \
-            + 0.5 / beta * float(diff @ diff)
+        return tv + 0.5 / beta * float(diff @ diff)
 
     z, nit, converged = _projected_nesterov(
-        f"TV prox: projected gradient above tol = {tol}", grad, x0,
-        lipschitz_bound(params) + 1.0 / beta, 1.0 / beta, nonneg, max_iter,
-        stop)
+        f"TV prox: projected gradient above tol = {tol}", grad, x0, lip,
+        1.0 / beta, nonneg, max_iter, stop)
     # never accept an objective increase relative to a feasible input
     if not nonneg or np.all(x >= 0):
-        if value(z) >= value(x0):
+        tv_end = _smooth_terms(shape, params, z, d=d, root=root)[1].sum()
+        if value(z, tv_end) >= value(x0, tv_start):
             z = x0.copy()
-    return z, nit, 1 + 2 * nit, not converged
+    return z, nit, nit, not converged
 
 
 def prox_tv(shape, params, x, beta, nonneg=False, tol=1e-6, max_iter=500):

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import (dense_grad_matrix, grad_adjoint_2d, grad_apply_2d,
                      smooth_terms_2d)
+from supopt import regtv
 from supopt.regtv import (GridShape, SmoothedTVParams, _smooth_terms,
                           grad_adjoint, grad_apply, lipschitz_bound,
                           perturbation_norm_bound, prox_tv, prox_tv_with_info,
@@ -222,6 +223,8 @@ def test_prox_info_reports_iterations():
     assert not warn
     with pytest.raises(ValueError):
         prox_tv(SHAPE, TVP, x, 0.0)
+    with pytest.raises(ValueError):
+        prox_tv(SHAPE, TVP, x, 0.05, max_iter=0)
 
 
 def test_prox_info_warns_when_budget_runs_out():
@@ -236,3 +239,39 @@ def test_prox_info_warns_when_budget_runs_out():
         # prox_tv drops the flag, so the warning is all its caller sees
         with pytest.warns(RuntimeWarning, match="max_iter = 1 steps"):
             prox_tv(SHAPE, TVP, x, 10.0, nonneg=nonneg, max_iter=1)
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_prox_takes_one_tv_gradient_per_step(monkeypatch, nonneg):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return grad_adjoint(*args, **kwargs)
+
+    monkeypatch.setattr(regtv, "grad_adjoint", counted)
+    x = np.random.default_rng(9).standard_normal(SHAPE.n)
+    _, nit, nfev, warn = prox_tv_with_info(SHAPE, TVP, x, 0.05,
+                                           nonneg=nonneg)
+    assert not warn and nit >= 2
+    assert len(calls) == nit and nfev == nit
+
+
+@pytest.mark.parametrize("side", [3, 8])
+@pytest.mark.parametrize("beta", [1e-5, 0.1])
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_prox_within_its_distance_certificate(side, beta, nonneg):
+    # the projected gradient step y -> z_new is a (1 - 1/(beta L))-
+    # contraction with fixed point z*, so the stop
+    # L * ||y - z_new||_inf <= tol puts z_new within
+    # (beta - 1/L) * sqrt(n) * tol of z* (y itself only within
+    # beta * sqrt(n) * tol); 1e-12 leaves room for rounding
+    shape, tol = GridShape(side, side), 1e-4
+    x = np.random.default_rng(side).standard_normal(shape.n)
+    z = prox_tv(shape, TVP, x, beta, nonneg=nonneg, tol=tol)
+    oracle = _prox_oracle(shape, TVP, x, beta, nonneg)
+    lip = lipschitz_bound(TVP) + 1.0 / beta
+    assert np.linalg.norm(z - oracle) \
+        <= (beta - 1.0 / lip) * np.sqrt(shape.n) * tol + 1e-12
+    if nonneg:
+        assert np.min(z) >= 0.0
