@@ -34,7 +34,7 @@ for accelerated in (False, True):
 
 print()
 print("inexact prox via the inversion-free primal-dual inner solver")
-print("(error budget eps_k = C / k^q):")
+print("(error budget eps_k = 1 / k^q):")
 for q in (1.2, 2.0):
     cfg = AFBSConfig(inner="PDNoInv", inexact_q=q, max_outer=200,
                      term_tol=0.001)

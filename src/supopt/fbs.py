@@ -16,11 +16,13 @@ objective h = 0.5*||Ax-b||^2 + lam*R_tau(x) [+ indicator(x >= 0)]:
 - ReversedTV: f = least squares, g = lam*R_tau (+ constraint); the prox
   of g is the TV prox.
 
-The accelerated outer loop uses constant step alpha, constant relaxation
-a_relax, and the momentum recursion on t_k, with the gradient-based
+The accelerated outer loop is the FISTA recursion of Beck and Teboulle
+(2009), with constant step alpha, no relaxation and t_1 = T0: y_{k+1} =
+x_{k+1} + ((t_k - 1)/t_{k+1})(x_{k+1} - x_k). It has the gradient-based
 adaptive restart of O'Donoghue and Candes (2015): whenever
-<y_k - x_{k+1}, x_{k+1} - x_k> > 0 the momentum is dropped (t = t0,
-y_{k+1} = x_{k+1}). Plain forward-backward is the accelerated=False
+<y_k - x_{k+1}, x_{k+1} - x_k> > 0 the momentum is dropped (t = T0,
+y_{k+1} = x_{k+1}). An inexact prox at step k is accepted within
+eps_k = k^(-inexact_q). Plain forward-backward is the accelerated=False
 special case (t_k = 1, y_k = x_k) and never restarts. `afbs_run`
 defines one outer step; `metrics.run_outer` records each iterate and
 stops the run on ||grad h||_inf <= term_tol, or on
@@ -35,11 +37,12 @@ from functools import partial
 import numpy as np
 
 from .metrics import RunResult, run_outer
-from .opslin import shifted_gram_solve, smw_solve
+from .opslin import shifted_gram_solve
 from .regtv import (_projected_nesterov, prox_tv_with_info, tv_smooth,
                     tv_smooth_grad)
 
 INNER_SOLVERS = ("ExactSMW", "PDBasic", "PDNoInv", "TVProx")
+T0 = 1.01  # the momentum parameter t at the start and after a restart
 
 
 @dataclass(frozen=True)
@@ -59,16 +62,13 @@ class AFBSConfig:
     """Outer-loop and inner-solver parameters.
 
     alpha defaults to 1/L_f; the inexact inner tolerance schedule is
-    eps_k = inexact_C * k**(-inexact_q). max_inner caps each prox's inner
-    steps, whichever the inner solver; a prox that reaches it warns.
+    eps_k = k**(-inexact_q). max_inner caps each prox's inner steps,
+    whichever the inner solver; a prox that reaches it warns.
     """
 
     alpha: float = None
-    a_relax: float = 1.0
-    t0: float = 1.01
     accelerated: bool = True
     inexact_q: float = 2.0
-    inexact_C: float = 1.0
     inner: str = "ExactSMW"
     max_outer: int = 2000
     max_inner: int = 100000
@@ -78,12 +78,8 @@ class AFBSConfig:
     def __post_init__(self):
         if self.inner not in INNER_SOLVERS:
             raise ValueError(f"unknown inner solver {self.inner!r}")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be at least 1")
-        if self.t0 <= 1:
-            raise ValueError("t0 must exceed 1")
-        if not 0 < self.a_relax < 2:
-            raise ValueError("a_relax must be in (0, 2)")
+        if self.max_inner < 1 or self.max_outer < 0:
+            raise ValueError("need max_inner >= 1 and max_outer >= 0")
 
 
 @dataclass
@@ -213,12 +209,13 @@ def pd_basic_step(A, alpha, state):
     """One primal-dual step on the constrained prox subproblem.
 
     Dual update clips to the nonpositive cone; the primal update solves
-    (I + tau B) z = rhs through the reduced system (a fresh factorization
+    (I + tau B) z = rhs, B = A^T A + I/alpha, as ((1 + tau/alpha) I +
+    tau A^T A) z = rhs through the reduced system (a fresh factorization
     per step size, so this variant suits small row counts).
     """
     p_new = np.minimum(state.p + state.sigma * state.zbar, 0.0)
     rhs = state.z - state.tau * (p_new - state.c_alpha)
-    z_new = smw_solve(A, alpha, state.tau, rhs)
+    z_new = shifted_gram_solve(A, 1.0 + state.tau / alpha, state.tau, rhs)
     theta = 1.0 / math.sqrt(1.0 + 2.0 * state.tau / alpha)
     zbar = z_new + theta * (z_new - state.z)
     return PDBasicState(z=z_new, p=p_new, zbar=zbar, tau=theta * state.tau,
@@ -425,7 +422,7 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x_ref=None,
     count and the total inner-iteration count: every prox's steps, which
     are zero only for the direct solve of the unconstrained ExactSMW.
 
-    The accelerated loop restarts its momentum (t = t0, y = x_new) after
+    The accelerated loop restarts its momentum (t = T0, y = x_new) after
     any step with <y - x_new, x_new - x> > 0, for every inner solver and
     both splittings; it cannot fire at k = 1. With accelerated=False the
     loop is plain forward-backward and has no restart.
@@ -437,7 +434,7 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x_ref=None,
 
     x = np.zeros(A.n_cols)
     y = x.copy()
-    t = config.t0
+    t = T0
     atb = None
     warm = None
     fallback_count = 0
@@ -445,7 +442,7 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x_ref=None,
     def step(k, x):
         nonlocal y, t, atb, warm, fallback_count
         v = y - alpha * _grad_smooth(splitting, A, b, shape, tvparams, y)
-        eps_k = config.inexact_C * float(k) ** (-config.inexact_q)
+        eps_k = float(k) ** (-config.inexact_q)
         if config.inner == "ExactSMW":
             if atb is None and not splitting.nonneg:
                 atb = A.rmatvec(b)  # constant over the run: charged once
@@ -468,15 +465,13 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x_ref=None,
         if iterate_callback is not None:
             iterate_callback(x_new)
         if config.accelerated and float((y - x_new) @ (x_new - x)) <= 0.0:
-            # constant alpha and a_relax make the t-ratio equal to one
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = x_new + ((t - 1.0) / t_new) * (x_new - x) \
-                + (1.0 - config.a_relax) * (t / t_new) * (y - x_new)
+            y = x_new + ((t - 1.0) / t_new) * (x_new - x)
             t = t_new
         else:
             # plain FBS, or the gradient-based adaptive restart: the step
             # from y opposed the momentum direction, so drop the momentum
-            t = config.t0
+            t = T0
             y = x_new
         return x_new, inner_iters
 

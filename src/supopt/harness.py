@@ -241,7 +241,10 @@ def run_experiment(config):
     Every config is checked before anything is written. Returns
     {algorithm name: (x_final, records, info)}.
     """
-    problem = build_problem(config)
+    try:
+        problem = build_problem(config)
+    except ValueError as exc:
+        raise ConfigError(f"problem: {exc}") from exc
     for name in config.algorithms:
         _configured_run(name, problem, config)
     out = Path(config.output_dir)
@@ -249,12 +252,12 @@ def run_experiment(config):
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from exc
-    n = problem.shape.n
-    m = problem.A.n_rows
-    r_ref = problem.A.apply_nocount(problem.x_ref) - problem.b
-    refs = {"residual_scaled": float(r_ref @ r_ref) / (2.0 * m),
-            "tv_scaled": tv_smooth(problem.shape, problem.tvparams,
-                                   problem.x_ref) / n}
+    if config.svg:
+        n, m = problem.shape.n, problem.A.n_rows
+        r_ref = problem.A.apply_nocount(problem.x_ref) - problem.b
+        refs = {"residual_scaled": float(r_ref @ r_ref) / (2.0 * m),
+                "tv_scaled": tv_smooth(problem.shape, problem.tvparams,
+                                       problem.x_ref) / n}
     results = {}
     summary = ["algorithm,iterations,converged,final_residual_scaled,"
                "final_tv_scaled,final_err_scaled,cumulative_matvecs"]

@@ -191,13 +191,3 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, counted=True):
     ATs = A.rmatvec(s) if counted else A.applyT_nocount(s)
     return (rhs - ratio * ATs) / c_id
 
-
-def smw_solve(A, alpha, tau_l, rhs):
-    """Solve (I + tau_l * B_alpha) z = rhs with B_alpha = A^T A + (1/alpha) I.
-
-    The system is rewritten as (1 + tau_l/alpha) I + tau_l A^T A and solved
-    through the dense m x m reduced system (`shifted_gram_solve`).
-    """
-    if alpha <= 0 or tau_l <= 0:
-        raise ValueError("alpha and tau_l must be positive")
-    return shifted_gram_solve(A, 1.0 + tau_l / alpha, tau_l, rhs)

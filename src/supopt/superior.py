@@ -62,8 +62,10 @@ class SupConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not 0 < self.a <= 1:
             raise ValueError("a must be in (0, 1]")
-        if self.gamma0 <= 0 or self.kappa < 1 or self.eps < 0:
-            raise ValueError("need gamma0 > 0, kappa >= 1, eps >= 0")
+        if self.gamma0 <= 0 or self.kappa < 1 or self.eps < 0 \
+                or self.max_outer < 0:
+            raise ValueError("need gamma0 > 0, kappa >= 1, eps >= 0, "
+                             "max_outer >= 0")
 
 
 def s_grad(shape, tvparams, y, ell, a, gamma0, kappa):

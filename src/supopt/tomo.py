@@ -40,6 +40,9 @@ class Geometry:
     angles: np.ndarray = None  # degrees, strictly increasing in [0, 180)
 
     def __post_init__(self):
+        if self.image_side < 2 or self.n_angles < 1 or self.n_rays < 1:
+            raise ValueError("need image_side >= 2, n_angles >= 1, "
+                             "n_rays >= 1")
         if self.angles is None:
             object.__setattr__(
                 self, "angles",

@@ -27,9 +27,9 @@ def test_splitting_validation():
     with pytest.raises(ValueError):
         AFBSConfig(inner="NoSuch")
     with pytest.raises(ValueError):
-        AFBSConfig(t0=1.0)
-    with pytest.raises(ValueError):
         AFBSConfig(max_inner=0)
+    with pytest.raises(ValueError):
+        AFBSConfig(max_outer=-1)
 
 
 def test_lipschitz_constants():

@@ -304,6 +304,14 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     "override.GradSupCG.kappa=2.5",
     "algorithms=AFBS:ReversedTV:ExactSMW",
     "algorithms=FBS:NaturalLS:PDBasic",
+    "override.AFBS:NaturalLS.a_relax=1",
+    "override.AFBS:NaturalLS.t0=1.01",
+    "override.AFBS:NaturalLS.inexact_C=1",
+    "max_outer=-1",
+    "n_angles=0",
+    "n_rays=0",
+    "image_side=1",
+    "tau=0",
 ])
 def test_cli_invalid_algorithm_config_exits_2(assignment, tmp_path, capsys):
     sets = ["image_side=8", "n_angles=2", "n_rays=8", "max_outer=1",

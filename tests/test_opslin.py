@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 from oracles import dense_prox_ls_oracle
 from supopt.opslin import (DimensionMismatchError, SparseOperator,
-                           shifted_gram_solve, smw_solve, spectral_norm_sq)
+                           shifted_gram_solve, spectral_norm_sq)
 
 
 def random_operator(m, n, seed=0, density=1.0):
@@ -117,10 +117,11 @@ def test_smw_solve_keeps_one_factor():
     rhs = np.random.default_rng(20).standard_normal(10)
     for step in range(50):
         tau_l = 0.9 ** step
-        z = smw_solve(A, 0.7, tau_l, rhs)
+        c_id = 1.0 + tau_l / 0.7
+        z = shifted_gram_solve(A, c_id, tau_l, rhs)
         assert A._factor_cache[0] == tau_l / (1.0 + tau_l / 0.7)
-        assert np.array_equal(z, smw_solve(SparseOperator(M), 0.7, tau_l,
-                                           rhs))
+        assert np.array_equal(z, shifted_gram_solve(SparseOperator(M), c_id,
+                                                    tau_l, rhs))
     for c_gram in (0.1, 0.2, 0.1, 0.3):
         shifted_gram_solve(A, 1.0, c_gram, rhs)
         assert A._factor_cache[0] == c_gram
@@ -197,7 +198,8 @@ def test_smw_solve_matches_dense():
     alpha, tau = 0.8, 0.3
     B = M.T @ M + np.eye(12) / alpha
     expected = np.linalg.solve(np.eye(12) + tau * B, rhs)
-    assert np.allclose(smw_solve(A, alpha, tau, rhs), expected, atol=1e-10)
+    z = shifted_gram_solve(A, 1.0 + tau / alpha, tau, rhs)
+    assert np.allclose(z, expected, atol=1e-10)
 
 
 def test_dense_prox_oracle_optimality():

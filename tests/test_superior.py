@@ -29,6 +29,8 @@ def test_config_validation():
         SupConfig(variant="GradSupCG", a=1.5)
     with pytest.raises(ValueError):
         SupConfig(variant="GradSupCG", gamma0=0.0)
+    with pytest.raises(ValueError):
+        SupConfig(variant="GradSupCG", max_outer=-1)
 
 
 def test_s_grad_constant_image_advances_ell_by_kappa():
