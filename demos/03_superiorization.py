@@ -1,10 +1,10 @@
 """Superiorized reconstruction on a small tomography instance.
 
-Runs three superiorized variants to the same residual target and
-compares how much total variation each spends to get there, and how far
-below zero its last iterate reaches. The superiorized runs steer the
-iterates toward lower TV with vanishing perturbations while keeping the
-original convergence.
+Runs three superiorized variants, each with its own default parameters,
+to the same residual target and compares how much total variation each
+spends to get there, and how far below zero its last iterate reaches.
+The superiorized runs steer the iterates toward lower TV with vanishing
+perturbations while keeping the original convergence.
 """
 
 from supopt.regtv import GridShape, SmoothedTVParams
@@ -36,8 +36,9 @@ for variant in ("GradSupCG", "GradSupLW", "ProxCSupLW"):
           f"{last.err_scaled:>10.4f} {res.x.min():>10.2e}{flag}")
 
 print()
-print("the gradient-based variants hit the residual target quickly; the")
-print("constrained prox variant reaches the lowest TV and reconstruction")
-print("error, but it ends every step with an unprojected Landweber step, so")
-print("its iterates stay slightly negative (min x) and the constrained rule,")
-print("g_u <= eps with min x > -1e-8, never stops it: it runs its budget out")
+print("the gradient-based variants hit the residual target quickly, and")
+print("GradSupLW ends at the lowest TV; the constrained prox variant reaches")
+print("the lowest residual and reconstruction error, but it ends every step")
+print("with an unprojected Landweber step, so its iterates stay slightly")
+print("negative (min x) and the constrained rule, g_u <= eps with")
+print("min x > -1e-8, never stops it: it runs its budget out")

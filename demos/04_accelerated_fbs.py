@@ -8,7 +8,7 @@ with the inexact inversion-free primal-dual inner solver.
 
 import numpy as np
 
-from supopt.fbs import AFBSConfig, Splitting, afbs_run, grad_h_u, objective
+from supopt.fbs import AFBSConfig, afbs_run, grad_h_u, objective
 from supopt.regtv import GridShape, SmoothedTVParams
 from supopt.tomo import Geometry, build_parallel_system, shepp_logan
 
@@ -19,13 +19,12 @@ x_true = shepp_logan(side)
 b = A.apply_nocount(x_true)
 shape = GridShape(side, side)
 tvp = SmoothedTVParams(tau=0.01, lam=0.01)
-sp = Splitting(kind="NaturalLS", nonneg=False)
 
 print("exact least-squares prox (reduced-system solve):")
 for accelerated in (False, True):
-    cfg = AFBSConfig(inner="ExactSMW", accelerated=accelerated,
-                     max_outer=2000, term_tol=0.001)
-    res = afbs_run(sp, cfg, A, b, shape, tvp)
+    cfg = AFBSConfig(kind="NaturalLS", inner="ExactSMW",
+                     accelerated=accelerated, max_outer=2000, term_tol=0.001)
+    res = afbs_run(cfg, A, b, shape, tvp)
     g = grad_h_u(A, b, shape, tvp, res.x)
     label = "accelerated" if accelerated else "plain      "
     print(f"  {label}: {res.iterations:>5} outer iterations, "
@@ -36,9 +35,9 @@ print()
 print("inexact prox via the inversion-free primal-dual inner solver")
 print("(error budget eps_k = 1 / k^q):")
 for q in (1.2, 2.0):
-    cfg = AFBSConfig(inner="PDNoInv", inexact_q=q, max_outer=200,
-                     term_tol=0.001)
-    res = afbs_run(sp, cfg, A, b, shape, tvp)
+    cfg = AFBSConfig(kind="NaturalLS", inner="PDNoInv", inexact_q=q,
+                     max_outer=200, term_tol=0.001)
+    res = afbs_run(cfg, A, b, shape, tvp)
     last = res.records[-1]
     print(f"  q = {q}: {res.iterations:>5} outer, {res.total_inner:>7} "
           f"inner, {last.cumulative_matvecs:>8} matvecs, "

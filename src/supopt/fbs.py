@@ -23,9 +23,10 @@ adaptive restart of O'Donoghue and Candes (2015): whenever
 <y_k - x_{k+1}, x_{k+1} - x_k> > 0 the momentum is dropped (t = T0,
 y_{k+1} = x_{k+1}). An inexact prox at step k is accepted within
 eps_k = k^(-inexact_q). Plain forward-backward is the accelerated=False
-special case (t_k = 1, y_k = x_k) and never restarts. `afbs_run`
-defines one outer step; `metrics.run_outer` records each iterate and
-stops the run on ||grad h||_inf <= term_tol, or on
+special case (t_k = 1, y_k = x_k) and never restarts. `AFBSConfig`
+describes a whole run; `afbs_run` defines one outer step;
+`metrics.run_outer` records each iterate and stops the run on
+||grad h||_inf <= term_tol, or on
 ||min(x, grad h)||_inf <= term_tol under the constraint.
 """
 
@@ -46,40 +47,49 @@ T0 = 1.01  # the momentum parameter t at the start and after a restart
 
 
 @dataclass(frozen=True)
-class Splitting:
-    """Which summand carries the gradient step and which the prox."""
+class AFBSConfig:
+    """The splitting, its inner solver and the outer-loop parameters.
 
-    kind: str  # "NaturalLS" or "ReversedTV"
+    kind names the summand that carries the prox: "NaturalLS" (the least
+    squares) or "ReversedTV" (the TV); nonneg adds the constraint to it.
+    inner defaults to ExactSMW for NaturalLS and to TVProx, its only
+    solver, for ReversedTV; PDBasic needs nonneg. alpha defaults to
+    1/L_f; the inexact inner tolerance schedule is eps_k =
+    k**(-inexact_q). max_inner caps each prox's inner steps, whichever
+    the inner solver; a prox that reaches it warns.
+    """
+
+    kind: str
     nonneg: bool = False
+    inner: str = None
+    alpha: float = None
+    accelerated: bool = True
+    inexact_q: float = 2.0
+    max_outer: int = 2000
+    max_inner: int = 100000
+    term_tol: float = 0.001
 
     def __post_init__(self):
         if self.kind not in ("NaturalLS", "ReversedTV"):
             raise ValueError(f"unknown splitting {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class AFBSConfig:
-    """Outer-loop and inner-solver parameters.
-
-    alpha defaults to 1/L_f; the inexact inner tolerance schedule is
-    eps_k = k**(-inexact_q). max_inner caps each prox's inner steps,
-    whichever the inner solver; a prox that reaches it warns.
-    """
-
-    alpha: float = None
-    accelerated: bool = True
-    inexact_q: float = 2.0
-    inner: str = "ExactSMW"
-    max_outer: int = 2000
-    max_inner: int = 100000
-    warm_start: bool = True
-    term_tol: float = 0.001
-
-    def __post_init__(self):
+        if self.inner is None:
+            object.__setattr__(self, "inner", "TVProx"
+                               if self.kind == "ReversedTV" else "ExactSMW")
         if self.inner not in INNER_SOLVERS:
             raise ValueError(f"unknown inner solver {self.inner!r}")
-        if self.max_inner < 1 or self.max_outer < 0:
-            raise ValueError("need max_inner >= 1 and max_outer >= 0")
+        if (self.kind == "ReversedTV") != (self.inner == "TVProx"):
+            raise ValueError(f"{self.kind} cannot take the {self.inner} "
+                             "solver")
+        if self.inner == "PDBasic" and not self.nonneg:
+            raise ValueError("PDBasic solves only the constrained prox "
+                             "(:nonneg)")
+        # written so that NaN fails every test
+        if not (self.alpha is None or self.alpha > 0):
+            raise ValueError("alpha must be positive")
+        if not (self.inexact_q > 0 and self.term_tol >= 0) \
+                or self.max_inner < 1 or self.max_outer < 0:
+            raise ValueError("need inexact_q > 0, term_tol >= 0, "
+                             "max_inner >= 1 and max_outer >= 0")
 
 
 @dataclass
@@ -94,9 +104,9 @@ class ProxCertificate:
     fallback: bool = False
 
 
-def lipschitz_f(splitting, A, tvparams):
-    """Lipschitz constant of the smooth part's gradient."""
-    if splitting.kind == "NaturalLS":
+def lipschitz_f(kind, A, tvparams):
+    """Lipschitz constant of the smooth part's gradient on splitting `kind`."""
+    if kind == "NaturalLS":
         return tvparams.lam * 8.0 / tvparams.tau
     return A.norm_sq
 
@@ -376,7 +386,7 @@ def _run_pd_basic(A, b, alpha, x, eps_k, nonneg, max_inner, warm=None):
     """PDBasic's certified prox, as `_run_pd_noinv_inexact` with (z, p).
 
     Its clipped dual makes it constrained whatever `nonneg` says, so
-    `_check_inner` rejects it without the constraint.
+    `AFBSConfig` rejects it without the constraint.
     """
     state = pd_basic_init(A, b, alpha, x, *(warm or ()))
     cert, state = _certified_inner_loop(
@@ -385,16 +395,8 @@ def _run_pd_basic(A, b, alpha, x, eps_k, nonneg, max_inner, warm=None):
     return cert, (state.z, state.p)
 
 
-def _check_inner(splitting, inner):
-    """Raise ValueError unless `inner` solves the prox `splitting` needs."""
-    if (splitting.kind == "ReversedTV") != (inner == "TVProx"):
-        raise ValueError(f"{splitting.kind} cannot take the {inner} solver")
-    if inner == "PDBasic" and not splitting.nonneg:
-        raise ValueError("PDBasic solves only the constrained prox (:nonneg)")
-
-
-def _grad_smooth(splitting, A, b, shape, tvparams, y):
-    if splitting.kind == "NaturalLS":
+def _grad_smooth(kind, A, b, shape, tvparams, y):
+    if kind == "NaturalLS":
         return tvparams.lam * tv_smooth_grad(shape, tvparams, y)
     return A.rmatvec(A.matvec(y) - b)
 
@@ -411,7 +413,7 @@ def grad_h_u(A, b, shape, tvparams, x):
         + tvparams.lam * tv_smooth_grad(shape, tvparams, x)
 
 
-def afbs_run(splitting, config, A, b, shape, tvparams, x_ref=None,
+def afbs_run(config, A, b, shape, tvparams, x_ref=None,
              iterate_callback=None, record_wall_time=False):
     """Run (accelerated) forward-backward splitting to first-order optimality.
 
@@ -421,6 +423,7 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x_ref=None,
     max_outer. Returns a `metrics.RunResult` with the fallback-certificate
     count and the total inner-iteration count: every prox's steps, which
     are zero only for the direct solve of the unconstrained ExactSMW.
+    Each primal-dual prox starts from the previous one's last pair.
 
     The accelerated loop restarts its momentum (t = T0, y = x_new) after
     any step with <y - x_new, x_new - x> > 0, for every inner solver and
@@ -428,9 +431,8 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x_ref=None,
     loop is plain forward-backward and has no restart.
     """
     b = np.asarray(b, dtype=np.float64)
-    L = lipschitz_f(splitting, A, tvparams)
+    L = lipschitz_f(config.kind, A, tvparams)
     alpha = 1.0 / L if config.alpha is None else config.alpha
-    _check_inner(splitting, config.inner)
 
     x = np.zeros(A.n_cols)
     y = x.copy()
@@ -441,24 +443,23 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x_ref=None,
 
     def step(k, x):
         nonlocal y, t, atb, warm, fallback_count
-        v = y - alpha * _grad_smooth(splitting, A, b, shape, tvparams, y)
+        v = y - alpha * _grad_smooth(config.kind, A, b, shape, tvparams, y)
         eps_k = float(k) ** (-config.inexact_q)
         if config.inner == "ExactSMW":
-            if atb is None and not splitting.nonneg:
+            if atb is None and not config.nonneg:
                 atb = A.rmatvec(b)  # constant over the run: charged once
             z, inner_iters = prox_ls_exact(
-                A, b, alpha, v, nonneg=splitting.nonneg, atb=atb,
+                A, b, alpha, v, nonneg=config.nonneg, atb=atb,
                 max_iter=config.max_inner)
         elif config.inner == "TVProx":
             z, inner_iters, _, _ = prox_tv_with_info(
                 shape, tvparams, v, alpha * tvparams.lam,
-                nonneg=splitting.nonneg, max_iter=config.max_inner)
+                nonneg=config.nonneg, max_iter=config.max_inner)
         else:
             run_pd = (_run_pd_basic if config.inner == "PDBasic"
                       else _run_pd_noinv_inexact)
-            cert, warm_new = run_pd(A, b, alpha, v, eps_k, splitting.nonneg,
-                                    config.max_inner, warm=warm)
-            warm = warm_new if config.warm_start else None
+            cert, warm = run_pd(A, b, alpha, v, eps_k, config.nonneg,
+                                config.max_inner, warm=warm)
             z, inner_iters = cert.z, cert.inner_iters
             fallback_count += cert.fallback
         x_new = np.asarray(z, dtype=np.float64)
@@ -477,7 +478,7 @@ def afbs_run(splitting, config, A, b, shape, tvparams, x_ref=None,
 
     x, records, converged, iterations = run_outer(
         step, x, A, b, shape, tvparams,
-        "opt_c" if splitting.nonneg else "opt_u", config.term_tol,
+        "opt_c" if config.nonneg else "opt_u", config.term_tol,
         config.max_outer, "forward-backward run", x_ref=x_ref,
         record_wall_time=record_wall_time)
     return RunResult(x, records, converged, iterations, fallback_count,

@@ -1,7 +1,9 @@
 """Experiment runner: configuration, metrics output, and the CLI.
 
 Configuration files are flat `key = value` text; `#` starts a comment.
-Per-algorithm parameter overrides use dotted keys,
+An algorithm name fixes fields of its config class (`SupConfig` or
+`AFBSConfig`), which holds the defaults and range checks; overrides
+set the other fields through dotted keys,
 e.g. `override.GradSupCG.gamma0 = 0.002`. CSV files are the
 authoritative output; SVG plots are optional and self-contained.
 """
@@ -19,20 +21,6 @@ import numpy as np
 from . import fbs, superior, tomo
 from .metrics import FIELD_NAMES, NumericalDivergenceError
 from .regtv import GridShape, SmoothedTVParams, tv_smooth
-
-# per-variant defaults: (a, gamma0, kappa); gamma0 = None means the
-# step-coupled value 1.9 * lambda / ||A||_2^2 resolved at run time
-TUNED_PARAMS = {
-    "GradSupCG": (1.0 - 1e-4, 0.001, 20),
-    "GradSupLW": (1.0 - 1e-4, 0.0025, 20),
-    "GradSupProjLW": (1.0 - 1e-4, 0.0025, 20),
-    "ProxSupCG": (1.0 - 1e-6, 0.001, 1),
-    "ProxSupLW": (1.0 - 1e-6, 0.001, 1),
-    "ProxCSupCG": (1.0 - 1e-6, None, 1),
-    "ProxCSupLW": (1.0 - 1e-6, None, 1),
-    "ProxSupProjLW": (1.0 - 1e-6, None, 1),
-}
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -83,9 +71,10 @@ def build_problem(config):
     A = tomo.build_parallel_system(geom)
     x_ref = tomo.shepp_logan(config.image_side)
     b = A.apply_nocount(x_ref)
+    # built, and so range-checked, whether or not the data are noisy
+    noise = tomo.NoiseModel(config.noise_level, config.noise_seed)
     if config.noisy:
-        b = tomo.add_noise(b, tomo.NoiseModel(config.noise_level,
-                                              config.noise_seed))
+        b = tomo.add_noise(b, noise)
     shape = GridShape(config.image_side, config.image_side)
     tvparams = SmoothedTVParams(tau=config.tau, lam=config.resolved_lam())
     return ProblemInstance(A=A, b=b, shape=shape, tvparams=tvparams,
@@ -171,27 +160,16 @@ def emit_svg(records, path, refs=None):
 # -- algorithm dispatch ------------------------------------------------------
 
 
-def _sup_config(name, problem, config, overrides):
-    a, gamma0, kappa = TUNED_PARAMS[name]
-    if gamma0 is None:
-        gamma0 = 1.9 * problem.tvparams.lam / problem.A.norm_sq
-    params = {"a": a, "gamma0": gamma0, "kappa": kappa,
-              "eps": config.resolved_eps(), "max_outer": config.max_outer}
-    params.update(overrides)
-    return superior.SupConfig(variant=name, **params)
-
-
 def _parse_fbs_spec(name):
-    """Parse '[A]FBS:<NaturalLS|ReversedTV>[:<inner>][:nonneg]'."""
+    """`AFBSConfig` fields fixed by '[A]FBS:<kind>[:<inner>][:nonneg]'."""
     head, *parts = name.split(":")
     nonneg = parts[-1:] == ["nonneg"]
     parts = parts[:len(parts) - nonneg]
     if head not in ("FBS", "AFBS") or not 1 <= len(parts) <= 2:
         raise ConfigError(f"unknown algorithm {name!r}")
-    kind = parts[0]
-    default = "TVProx" if kind == "ReversedTV" else "ExactSMW"
-    inner = parts[1] if len(parts) == 2 else default
-    return head == "AFBS", fbs.Splitting(kind=kind, nonneg=nonneg), inner
+    return {"kind": parts[0], "nonneg": nonneg,
+            "inner": parts[1] if len(parts) == 2 else None,
+            "accelerated": head == "AFBS"}
 
 
 def _override_fields(name):
@@ -199,23 +177,21 @@ def _override_fields(name):
     if name in superior.VARIANTS:
         cls, fixed = superior.SupConfig, ("variant",)
     else:
-        _parse_fbs_spec(name)  # ConfigError for an unknown name
-        cls, fixed = fbs.AFBSConfig, ("inner", "accelerated")
+        cls, fixed = fbs.AFBSConfig, _parse_fbs_spec(name)
+        cls(**fixed)  # ValueError for an unknown splitting or inner solver
     return {f.name: f for f in dataclasses.fields(cls) if f.name not in fixed}
 
 
-def _configured_run(name, problem, config):
+def _configured_run(name, config):
     """Algorithm `name`'s runner with its config bound, or ConfigError."""
-    overrides = config.overrides.get(name, {})
+    params = {"max_outer": config.max_outer,
+              **config.overrides.get(name, {})}
     try:
         if name in superior.VARIANTS:
-            return partial(superior.superiorize_run,
-                           _sup_config(name, problem, config, overrides))
-        accelerated, splitting, inner = _parse_fbs_spec(name)
-        fbs._check_inner(splitting, inner)
-        return partial(fbs.afbs_run, splitting, fbs.AFBSConfig(**{
-            "accelerated": accelerated, "inner": inner,
-            "max_outer": config.max_outer, **overrides}))
+            return partial(superior.superiorize_run, superior.SupConfig(
+                variant=name, **{"eps": config.resolved_eps(), **params}))
+        return partial(fbs.afbs_run,
+                       fbs.AFBSConfig(**_parse_fbs_spec(name), **params))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
@@ -225,7 +201,7 @@ def run_algorithm(name, problem, config):
 
     A config that the algorithm rejects raises ConfigError before the run.
     """
-    run = _configured_run(name, problem, config)
+    run = _configured_run(name, config)
     problem.A.reset_matvec_count()
     res = run(problem.A, problem.b, problem.shape, problem.tvparams,
               x_ref=problem.x_ref, record_wall_time=config.record_wall_time)
@@ -246,7 +222,7 @@ def run_experiment(config):
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from exc
     for name in config.algorithms:
-        _configured_run(name, problem, config)
+        _configured_run(name, config)
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

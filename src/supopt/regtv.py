@@ -50,7 +50,7 @@ class SmoothedTVParams:
     def __post_init__(self):
         if not 0 < self.tau <= 1:
             raise ValueError("tau must be in (0, 1]")
-        if self.lam < 0:
+        if not self.lam >= 0:  # NaN fails too
             raise ValueError("lambda must be nonnegative")
 
 

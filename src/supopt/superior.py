@@ -6,7 +6,9 @@ constraint) with one step of a perturbation-resilient basic operator.
 Eight named variants select the combination of reduction step
 (normalized-gradient passes or a single prox step) and basic operator
 (regularized CG, Landweber, projected Landweber), whose step
-`basic.make_step` builds. `superiorize_run` defines one outer step;
+`basic.make_step` builds; each variant's `VARIANTS` entry also holds
+the default `a` and `gamma0` that `SupConfig` takes when they are
+unset. `superiorize_run` defines one outer step;
 `metrics.run_outer` records each iterate and stops the run on
 g_u <= eps (with nonnegativity up to -1e-8 for the constrained
 variants).
@@ -26,16 +28,18 @@ from . import basic
 from .metrics import RunResult, run_outer
 from .regtv import _smooth_terms, grad_adjoint, prox_tv
 
-# variant -> (basic operator, reduction step, constrained termination)
+# variant -> (basic operator, reduction step, constrained termination,
+# default a, default gamma0); a default gamma0 of None is the
+# step-coupled 1.9 * lam / ||A||_2^2 that `superiorize_run` resolves
 VARIANTS = {
-    "GradSupCG": ("CG", "grad", False),
-    "GradSupLW": ("LW", "grad", False),
-    "ProxSupCG": ("CG", "prox", False),
-    "ProxSupLW": ("LW", "prox", False),
-    "ProxCSupCG": ("CG", "prox+", True),
-    "ProxCSupLW": ("LW", "prox+", True),
-    "GradSupProjLW": ("LW+", "grad", True),
-    "ProxSupProjLW": ("LW+", "prox", True),
+    "GradSupCG": ("CG", "grad", False, 1.0 - 1e-4, 0.001),
+    "GradSupLW": ("LW", "grad", False, 1.0 - 1e-4, 0.0025),
+    "ProxSupCG": ("CG", "prox", False, 1.0 - 1e-6, 0.001),
+    "ProxSupLW": ("LW", "prox", False, 1.0 - 1e-6, 0.001),
+    "ProxCSupCG": ("CG", "prox+", True, 1.0 - 1e-6, None),
+    "ProxCSupLW": ("LW", "prox+", True, 1.0 - 1e-6, None),
+    "GradSupProjLW": ("LW+", "grad", True, 1.0 - 1e-4, 0.0025),
+    "ProxSupProjLW": ("LW+", "prox", True, 1.0 - 1e-6, None),
 }
 
 _ELL_MAX = 10 ** 6
@@ -47,23 +51,30 @@ class SupConfig:
 
     kappa is the number of reduction passes per outer iteration (gradient
     variants only); the perturbation sizes gamma0 * a^l are summable
-    whenever a < 1.
+    whenever a < 1. An unset a or gamma0 takes the variant's default
+    from `VARIANTS`.
     """
 
     variant: str
     kappa: int = 20
-    a: float = 1.0 - 1e-6
-    gamma0: float = 0.001
+    a: float = None
+    gamma0: float = None
     eps: float = 0.001
     max_outer: int = 2000
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        *_, a, gamma0 = VARIANTS[self.variant]
+        if self.a is None:
+            object.__setattr__(self, "a", a)
+        if self.gamma0 is None:
+            object.__setattr__(self, "gamma0", gamma0)
+        # written so that NaN fails every test
         if not 0 < self.a <= 1:
             raise ValueError("a must be in (0, 1]")
-        if self.gamma0 <= 0 or self.kappa < 1 or self.eps < 0 \
-                or self.max_outer < 0:
+        if not (self.gamma0 is None or self.gamma0 > 0) or self.kappa < 1 \
+                or not self.eps >= 0 or self.max_outer < 0:
             raise ValueError("need gamma0 > 0, kappa >= 1, eps >= 0, "
                              "max_outer >= 0")
 
@@ -136,11 +147,15 @@ def superiorize_run(config, A, b, shape, tvparams, gamma=None, x0=None,
     reduction step(s) to get y_{k-1/2}, optionally reported through
     `half_callback`, then one basic operator step: Landweber with step
     `gamma` (default `basic.default_gamma`), or CG with `basic.default_mu`.
+    A gamma0 that the config leaves unset is 1.9 * lam / ||A||_2^2.
     `metrics.run_outer` drives the steps and stops on rule sup_u,
     g_u(y) <= eps, or for the constrained variants sup_c, which adds
     min_i y_i > -1e-8. Returns a `metrics.RunResult`.
     """
-    kind, reduction, constrained = VARIANTS[config.variant]
+    kind, reduction, constrained = VARIANTS[config.variant][:3]
+    gamma0 = config.gamma0
+    if gamma0 is None:
+        gamma0 = 1.9 * tvparams.lam / A.norm_sq
     b = np.asarray(b, dtype=np.float64)
     y = np.zeros(A.n_cols) if x0 is None else np.asarray(x0, dtype=np.float64)
     basic_step = basic.make_step(kind, A, b, y, gamma=gamma)
@@ -149,10 +164,10 @@ def superiorize_run(config, A, b, shape, tvparams, gamma=None, x0=None,
     def step(k, y):
         nonlocal ell
         if reduction == "grad":
-            y, ell = s_grad(shape, tvparams, y, ell, config.a, config.gamma0,
+            y, ell = s_grad(shape, tvparams, y, ell, config.a, gamma0,
                             config.kappa)
         else:
-            beta = config.gamma0 * config.a ** (k - 1)
+            beta = gamma0 * config.a ** (k - 1)
             prox_step = s_prox_plus if reduction == "prox+" else s_prox
             y = prox_step(shape, tvparams, y, beta)
         if half_callback is not None:

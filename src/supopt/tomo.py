@@ -70,6 +70,10 @@ class NoiseModel:
     relative_level: float = 0.02
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.relative_level >= 0:  # NaN fails too
+            raise ValueError("relative_level must be nonnegative")
+
 
 def shepp_logan(image_side, variant="modified"):
     """Rasterize the 10-ellipse Shepp-Logan phantom, row-major flat vector.

@@ -12,7 +12,7 @@ import pytest
 
 from oracles import dense_grad_matrix
 from supopt.basic import default_gamma, g_u
-from supopt.fbs import (AFBSConfig, Splitting, afbs_run, dual_gap, objective,
+from supopt.fbs import (AFBSConfig, afbs_run, dual_gap, objective,
                         pd_basic_init, pd_basic_step, pd_noinv_init,
                         pd_noinv_step)
 from supopt.harness import ExperimentConfig, build_problem, run_algorithm
@@ -190,10 +190,11 @@ def test_acceptance_05_constant_step_prox_superiorization_equals_fbs(capfd):
     superiorize_run(cfg, A, b, shape, tvp, gamma=gamma, x0=y0,
                     half_callback=lambda y: halves.append(y.copy()))
     iterates = []
-    fcfg = AFBSConfig(alpha=gamma, accelerated=False, inner="TVProx",
-                      max_outer=50, term_tol=0.0)
-    afbs_run(Splitting(kind="ReversedTV", nonneg=True), fcfg, A, b, shape,
-             tvp, iterate_callback=lambda x: iterates.append(x.copy()))
+    fcfg = AFBSConfig(kind="ReversedTV", nonneg=True, alpha=gamma,
+                      accelerated=False, inner="TVProx", max_outer=50,
+                      term_tol=0.0)
+    afbs_run(fcfg, A, b, shape, tvp,
+             iterate_callback=lambda x: iterates.append(x.copy()))
     assert len(halves) == len(iterates) == 50
     worst = max(float(np.linalg.norm(h - z) / np.linalg.norm(z))
                 for h, z in zip(halves, iterates))
@@ -221,14 +222,14 @@ def test_acceptance_06_prox_steps_are_bounded_perturbations(capfd):
 def test_acceptance_07_accelerated_fbs_outer_iteration_count(capfd):
     cfg = ExperimentConfig()  # 128^2, 20 angles, 120 rays, lam 0.01
     problem = build_problem(cfg)
-    fcfg = AFBSConfig(inner="ExactSMW", accelerated=True, max_outer=300,
-                      term_tol=0.001)
-    acc = afbs_run(Splitting(kind="NaturalLS", nonneg=False), fcfg,
-                   problem.A, problem.b, problem.shape, problem.tvparams)
-    pcfg = AFBSConfig(inner="ExactSMW", accelerated=False, max_outer=300,
-                      term_tol=0.001)
-    plain = afbs_run(Splitting(kind="NaturalLS", nonneg=False), pcfg,
-                     problem.A, problem.b, problem.shape, problem.tvparams)
+    fcfg = AFBSConfig(kind="NaturalLS", nonneg=False, inner="ExactSMW",
+                      accelerated=True, max_outer=300, term_tol=0.001)
+    acc = afbs_run(fcfg, problem.A, problem.b, problem.shape,
+                   problem.tvparams)
+    pcfg = AFBSConfig(kind="NaturalLS", nonneg=False, inner="ExactSMW",
+                      accelerated=False, max_outer=300, term_tol=0.001)
+    plain = afbs_run(pcfg, problem.A, problem.b, problem.shape,
+                     problem.tvparams)
     faster = (not plain.converged) or acc.iterations < plain.iterations
     ok = acc.converged and acc.iterations <= 150 and faster
     plain_txt = (str(plain.iterations) if plain.converged
@@ -244,19 +245,19 @@ def test_acceptance_08_inexactness_schedule_sensitivity(capfd):
     problem = build_problem(cfg)
     A, b = problem.A, problem.b
     shape, tvp = problem.shape, problem.tvparams
-    sp = Splitting(kind="NaturalLS", nonneg=False)
     objs = {}
     for q in (1.2, 2.0):
-        fcfg = AFBSConfig(inner="PDNoInv", inexact_q=q, max_outer=40,
-                          max_inner=20000, term_tol=0.0)
-        res = afbs_run(sp, fcfg, A, b, shape, tvp)
+        fcfg = AFBSConfig(kind="NaturalLS", nonneg=False, inner="PDNoInv",
+                          inexact_q=q, max_outer=40, max_inner=20000,
+                          term_tol=0.0)
+        res = afbs_run(fcfg, A, b, shape, tvp)
         objs[q] = objective(A, b, shape, tvp, res.x)
     # a short constrained run exercises the fallback certificate path,
     # which fires whenever the extrapolated candidate leaves the orthant
-    spc = Splitting(kind="NaturalLS", nonneg=True)
-    fcfg = AFBSConfig(inner="PDNoInv", inexact_q=2.0, max_outer=10,
-                      max_inner=5000, term_tol=0.0)
-    res = afbs_run(spc, fcfg, A, b, shape, tvp)
+    fcfg = AFBSConfig(kind="NaturalLS", nonneg=True, inner="PDNoInv",
+                      inexact_q=2.0, max_outer=10, max_inner=5000,
+                      term_tol=0.0)
+    res = afbs_run(fcfg, A, b, shape, tvp)
     ok = objs[2.0] < objs[1.2] and res.fallback_count >= 1
     _report(capfd, 8, ok,
             f"inexactness schedules at equal outer budget: h(q=2.0) = "
@@ -296,8 +297,8 @@ def test_acceptance_10_matvec_accounting_closed_form(capfd):
     ok = ok and [r.cumulative_matvecs for r in records] == \
         [4 * k for k in range(21)]
     problem.A.reset_matvec_count()
-    res = afbs_run(Splitting(kind="NaturalLS", nonneg=False),
-                   AFBSConfig(inner="PDNoInv", max_outer=20, term_tol=0.0),
+    res = afbs_run(AFBSConfig(kind="NaturalLS", nonneg=False, inner="PDNoInv",
+                              max_outer=20, term_tol=0.0),
                    problem.A, problem.b, problem.shape, problem.tvparams)
     want = np.cumsum([2 * rec.inner_iters for rec in res.records]).tolist()
     got = [rec.cumulative_matvecs for rec in res.records]

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import dense_prox_ls_oracle, nnls_prox_ls_oracle
 from supopt import fbs
-from supopt.fbs import (AFBSConfig, Splitting, afbs_run, cert_constrained,
+from supopt.fbs import (AFBSConfig, afbs_run, cert_constrained,
                         cert_unconstrained, dual_gap, grad_h_u, lipschitz_f,
                         objective, pd_basic_init, pd_basic_step,
                         pd_noinv_init, pd_noinv_step, prox_ls_exact)
@@ -23,22 +23,35 @@ def make_instance(seed=0, m=4, n=10):
 
 def test_splitting_validation():
     with pytest.raises(ValueError):
-        Splitting("NoSuch")
+        AFBSConfig("NoSuch")
     with pytest.raises(ValueError):
-        AFBSConfig(inner="NoSuch")
+        AFBSConfig("NaturalLS", inner="NoSuch")
     with pytest.raises(ValueError):
-        AFBSConfig(max_inner=0)
+        AFBSConfig("NaturalLS", max_inner=0)
     with pytest.raises(ValueError):
-        AFBSConfig(max_outer=-1)
+        AFBSConfig("NaturalLS", max_outer=-1)
+    # NaN fails every range check
+    for bad in ({"alpha": 0.0}, {"alpha": -1.0}, {"alpha": np.nan},
+                {"inexact_q": 0.0}, {"inexact_q": np.nan},
+                {"term_tol": -1.0}, {"term_tol": np.nan}):
+        with pytest.raises(ValueError):
+            AFBSConfig("NaturalLS", **bad)
+
+
+def test_splitting_config_defaults_its_inner_solver():
+    assert AFBSConfig("NaturalLS").inner == "ExactSMW"
+    assert AFBSConfig("NaturalLS", nonneg=True).inner == "ExactSMW"
+    assert AFBSConfig("ReversedTV").inner == "TVProx"
+    assert AFBSConfig("NaturalLS", inner="PDNoInv").inner == "PDNoInv"
 
 
 def test_lipschitz_constants():
     A, _, _ = make_instance()
     tvp = SmoothedTVParams(tau=0.01, lam=0.02)
-    assert lipschitz_f(Splitting("NaturalLS"), A, tvp) == \
+    assert lipschitz_f("NaturalLS", A, tvp) == \
         pytest.approx(0.02 * 800.0)
     from supopt.opslin import spectral_norm_sq
-    assert lipschitz_f(Splitting("ReversedTV"), A, tvp) == \
+    assert lipschitz_f("ReversedTV", A, tvp) == \
         pytest.approx(spectral_norm_sq(A))
 
 
@@ -446,10 +459,10 @@ def test_afbs_t_update_arithmetic():
 def test_plain_fbs_monotone_descent():
     A, b, shape = _tiny_tomo()
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
-    cfg = AFBSConfig(accelerated=False, inner="ExactSMW", max_outer=40,
-                     term_tol=0.0)
+    cfg = AFBSConfig("NaturalLS", accelerated=False, inner="ExactSMW",
+                     max_outer=40, term_tol=0.0)
     objs = []
-    res = afbs_run(Splitting("NaturalLS"), cfg, A, b, shape, tvp,
+    res = afbs_run(cfg, A, b, shape, tvp,
                    iterate_callback=lambda x: objs.append(
                        objective(A, b, shape, tvp, x)))
     assert all(b2 <= a2 + 1e-10 for a2, b2 in zip(objs, objs[1:]))
@@ -460,9 +473,9 @@ def test_accelerated_beats_plain_in_objective():
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
     runs = {}
     for acc in (False, True):
-        cfg = AFBSConfig(accelerated=acc, inner="ExactSMW", max_outer=60,
-                         term_tol=0.0)
-        res = afbs_run(Splitting("NaturalLS"), cfg, A, b, shape, tvp)
+        cfg = AFBSConfig("NaturalLS", accelerated=acc, inner="ExactSMW",
+                         max_outer=60, term_tol=0.0)
+        res = afbs_run(cfg, A, b, shape, tvp)
         runs[acc] = objective(A, b, shape, tvp, res.x)
     assert runs[True] < runs[False]
 
@@ -471,14 +484,13 @@ def test_acceleration_rate_log_slope():
     # h(x_k) - h* decays roughly like 1/k^2 with exact prox
     A, b, shape = _tiny_tomo(side=32)
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
-    split = Splitting("NaturalLS")
-    ref = afbs_run(split, AFBSConfig(accelerated=True, inner="ExactSMW",
-                                     max_outer=3000, term_tol=0.0),
+    ref = afbs_run(AFBSConfig("NaturalLS", accelerated=True, inner="ExactSMW",
+                              max_outer=3000, term_tol=0.0),
                    A, b, shape, tvp)
     h_star = objective(A, b, shape, tvp, ref.x)
     objs = []
-    afbs_run(split, AFBSConfig(accelerated=True, inner="ExactSMW",
-                               max_outer=100, term_tol=0.0),
+    afbs_run(AFBSConfig("NaturalLS", accelerated=True, inner="ExactSMW",
+                        max_outer=100, term_tol=0.0),
              A, b, shape, tvp,
              iterate_callback=lambda x: objs.append(
                  objective(A, b, shape, tvp, x)))
@@ -491,9 +503,9 @@ def test_acceleration_rate_log_slope():
 def test_reversed_splitting_runs_and_descends():
     A, b, shape = _tiny_tomo()
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
-    cfg = AFBSConfig(accelerated=True, inner="TVProx", max_outer=30,
-                     term_tol=0.0)
-    res = afbs_run(Splitting("ReversedTV"), cfg, A, b, shape, tvp)
+    cfg = AFBSConfig("ReversedTV", accelerated=True, inner="TVProx",
+                     max_outer=30, term_tol=0.0)
+    res = afbs_run(cfg, A, b, shape, tvp)
     assert objective(A, b, shape, tvp, res.x) < \
         objective(A, b, shape, tvp, np.zeros(shape.n))
 
@@ -502,26 +514,26 @@ def test_inner_solver_splitting_consistency():
     A, b, shape = _tiny_tomo()
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
     with pytest.raises(ValueError):
-        afbs_run(Splitting("ReversedTV"),
-                 AFBSConfig(inner="ExactSMW"), A, b, shape, tvp)
+        afbs_run(AFBSConfig("ReversedTV", inner="ExactSMW"),
+                 A, b, shape, tvp)
     with pytest.raises(ValueError):
-        afbs_run(Splitting("NaturalLS"),
-                 AFBSConfig(inner="TVProx"), A, b, shape, tvp)
+        afbs_run(AFBSConfig("NaturalLS", inner="TVProx"),
+                 A, b, shape, tvp)
     # its dual is clipped to <= 0: PDBasic solves only the constrained prox
     with pytest.raises(ValueError, match="PDBasic"):
-        afbs_run(Splitting("NaturalLS"),
-                 AFBSConfig(inner="PDBasic"), A, b, shape, tvp)
+        afbs_run(AFBSConfig("NaturalLS", inner="PDBasic"),
+                 A, b, shape, tvp)
 
 
 def test_afbs_pd_basic_nonneg_end_to_end():
     A, b, shape = _tiny_tomo(side=12)
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
-    split = Splitting("NaturalLS", nonneg=True)
-    cfg = AFBSConfig(inner="PDBasic", max_outer=10, term_tol=0.0)
+    cfg = AFBSConfig("NaturalLS", nonneg=True, inner="PDBasic",
+                     max_outer=10, term_tol=0.0)
     iterates = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = afbs_run(split, cfg, A, b, shape, tvp,
+        res = afbs_run(cfg, A, b, shape, tvp,
                        iterate_callback=iterates.append)
     assert res.iterations == 10 and len(iterates) == 10
     assert all(np.min(x) >= 0.0 for x in iterates)
@@ -561,9 +573,9 @@ def test_moreau_envelope_gradient_identity():
 def test_inexact_pd_inner_run_terminates():
     A, b, shape = _tiny_tomo()
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
-    cfg = AFBSConfig(accelerated=True, inner="PDNoInv", max_outer=10,
-                     term_tol=0.0, max_inner=5000)
-    res = afbs_run(Splitting("NaturalLS"), cfg, A, b, shape, tvp)
+    cfg = AFBSConfig("NaturalLS", accelerated=True, inner="PDNoInv",
+                     max_outer=10, term_tol=0.0, max_inner=5000)
+    res = afbs_run(cfg, A, b, shape, tvp)
     assert res.total_inner > 0
     assert all(np.isfinite(r.residual_scaled) for r in res.records)
 
@@ -573,9 +585,9 @@ def test_exact_fbs_matvec_count_closed_form(accelerated):
     # A^T b is charged once, then each exact prox charges its two products
     A, b, shape = _tiny_tomo()
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
-    cfg = AFBSConfig(accelerated=accelerated, inner="ExactSMW",
+    cfg = AFBSConfig("NaturalLS", accelerated=accelerated, inner="ExactSMW",
                      max_outer=12, term_tol=0.0)
-    res = afbs_run(Splitting("NaturalLS"), cfg, A, b, shape, tvp)
+    res = afbs_run(cfg, A, b, shape, tvp)
     assert [r.cumulative_matvecs for r in res.records] == \
         [0] + [1 + 2 * k for k in range(1, 13)]
 
@@ -586,8 +598,9 @@ def test_exact_afbs_spends_two_uncounted_products_per_outer():
     A, b, shape = _tiny_tomo()
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
     calls = _count_uncounted_products(A)
-    cfg = AFBSConfig(inner="ExactSMW", max_outer=12, term_tol=0.0)
-    res = afbs_run(Splitting("NaturalLS"), cfg, A, b, shape, tvp)
+    cfg = AFBSConfig("NaturalLS", inner="ExactSMW", max_outer=12,
+                     term_tol=0.0)
+    res = afbs_run(cfg, A, b, shape, tvp)
     assert res.iterations == 12
     assert len(calls) == 2 * len(res.records)
 
@@ -680,11 +693,10 @@ def test_exact_constrained_afbs_stops_each_prox_at_max_inner():
     # after step 3 is still above its floor, so each prox warns
     A, b, shape = _tiny_tomo()
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
-    cfg = AFBSConfig(inner="ExactSMW", max_outer=4, max_inner=3,
-                     term_tol=0.0)
+    cfg = AFBSConfig("NaturalLS", nonneg=True, inner="ExactSMW",
+                     max_outer=4, max_inner=3, term_tol=0.0)
     with pytest.warns(RuntimeWarning, match="duality gap") as caught:
-        res = afbs_run(Splitting("NaturalLS", nonneg=True), cfg, A, b,
-                       shape, tvp)
+        res = afbs_run(cfg, A, b, shape, tvp)
     assert len([w for w in caught if "duality gap" in str(w.message)]) == 4
     assert [r.inner_iters for r in res.records] == [0, 3, 3, 3, 3]
     assert [r.cumulative_matvecs for r in res.records] == \
@@ -694,9 +706,10 @@ def test_exact_constrained_afbs_stops_each_prox_at_max_inner():
 def test_tv_prox_afbs_stops_each_prox_at_max_inner():
     A, b, shape = _tiny_tomo()
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
-    cfg = AFBSConfig(inner="TVProx", max_outer=4, max_inner=1, term_tol=0.0)
+    cfg = AFBSConfig("ReversedTV", inner="TVProx", max_outer=4, max_inner=1,
+                     term_tol=0.0)
     with pytest.warns(RuntimeWarning, match="TV prox"):
-        res = afbs_run(Splitting("ReversedTV"), cfg, A, b, shape, tvp)
+        res = afbs_run(cfg, A, b, shape, tvp)
     assert res.iterations == 4
     assert all(r.inner_iters <= 1 for r in res.records)
     assert res.total_inner >= 1

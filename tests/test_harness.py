@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,11 +9,18 @@ import pytest
 
 from supopt import metrics
 from supopt.basic import g_u
-from supopt.fbs import grad_h_u
+from supopt.fbs import AFBSConfig, afbs_run, grad_h_u
 from supopt.harness import (ConfigError, ExperimentConfig, _parse_fbs_spec,
                             build_problem, emit_csv, load_config, main,
                             parse_config_text, run_algorithm, run_experiment)
 from supopt.metrics import FIELD_NAMES, MetricsRecord, make_record
+from supopt.superior import VARIANTS, SupConfig, superiorize_run
+
+_SPEC = importlib.util.spec_from_file_location(
+    "csv_identity",
+    Path(__file__).resolve().parents[1] / "scripts" / "csv_identity.py")
+csv_identity = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(csv_identity)
 
 
 def small_config(**kw):
@@ -96,7 +104,6 @@ def test_parse_config_text_errors():
     # override values are typed by the algorithm's config class
     for text in ("override.AFBS:NaturalLS.bogus = 1",
                  "override.GradSupCG.kappa = 2.5",
-                 "override.GradSupCG.gamma0 = none",
                  "override.GradSupCG.max_inner = 5",
                  "override.AFBS:NaturalLS.inner = PDNoInv",
                  "override.NoSuchAlgorithm.kappa = 1",
@@ -104,23 +111,28 @@ def test_parse_config_text_errors():
                  "overrides = 1"):
         with pytest.raises(ConfigError):
             parse_config_text(text)
+    # `none` selects the variant's own gamma0
+    assert parse_config_text("override.GradSupCG.gamma0 = none").overrides \
+        == {"GradSupCG": {"gamma0": None}}
 
 
 def test_parse_config_text_override_none_picks_run_time_default():
     cfg = parse_config_text("override.AFBS:NaturalLS.alpha = none\n"
-                            "override.AFBS:NaturalLS.warm_start = no")
+                            "override.AFBS:NaturalLS.max_inner = 7")
     assert cfg.overrides["AFBS:NaturalLS"] == {"alpha": None,
-                                               "warm_start": False}
+                                               "max_inner": 7}
 
 
 def test_parse_fbs_spec():
-    acc, sp, inner = _parse_fbs_spec("AFBS:NaturalLS")
-    assert acc and sp.kind == "NaturalLS" and not sp.nonneg
-    assert inner == "ExactSMW"
-    acc, sp, inner = _parse_fbs_spec("FBS:ReversedTV:nonneg")
-    assert not acc and sp.nonneg and inner == "TVProx"
-    acc, sp, inner = _parse_fbs_spec("AFBS:NaturalLS:PDNoInv:nonneg")
-    assert inner == "PDNoInv" and sp.nonneg
+    assert _parse_fbs_spec("AFBS:NaturalLS") == {
+        "kind": "NaturalLS", "nonneg": False, "inner": None,
+        "accelerated": True}
+    assert _parse_fbs_spec("FBS:ReversedTV:nonneg") == {
+        "kind": "ReversedTV", "nonneg": True, "inner": None,
+        "accelerated": False}
+    assert _parse_fbs_spec("AFBS:NaturalLS:PDNoInv:nonneg") == {
+        "kind": "NaturalLS", "nonneg": True, "inner": "PDNoInv",
+        "accelerated": True}
     with pytest.raises(ConfigError):
         _parse_fbs_spec("GFBS:NaturalLS")
     with pytest.raises(ConfigError):
@@ -130,6 +142,31 @@ def test_parse_fbs_spec():
                  "AFBS:NaturalLS:nonneg:PDNoInv"):
         with pytest.raises(ConfigError):
             _parse_fbs_spec(name)
+
+
+@pytest.mark.parametrize("name", csv_identity.ALGORITHMS)
+def test_library_defaults_equal_the_cli_runs(name):
+    # a config built from the name by hand, with every other field left
+    # at its library default, runs exactly what the CLI runs
+    config = small_config(max_outer=20)
+    problem = build_problem(config)
+    _, records, _ = run_algorithm(name, problem, config)
+    if name in VARIANTS:
+        run = superiorize_run
+        cfg = SupConfig(variant=name, eps=config.resolved_eps(),
+                        max_outer=config.max_outer)
+    else:
+        head, kind, *rest = name.split(":")
+        nonneg = rest[-1:] == ["nonneg"]
+        run = afbs_run
+        cfg = AFBSConfig(kind, nonneg=nonneg,
+                         inner=rest[0] if len(rest) > nonneg else None,
+                         accelerated=head == "AFBS",
+                         max_outer=config.max_outer)
+    problem.A.reset_matvec_count()
+    res = run(cfg, problem.A, problem.b, problem.shape, problem.tvparams,
+              x_ref=problem.x_ref)
+    assert res.records == records
 
 
 def test_make_record_stopping_rules():
@@ -312,6 +349,14 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     "n_rays=0",
     "image_side=1",
     "tau=0",
+    "lam=nan",
+    "noise_level=-1",
+    "eps=nan",
+    "override.AFBS:NaturalLS.alpha=0",
+    "override.AFBS:NaturalLS.term_tol=nan",
+    "override.AFBS:NaturalLS.inexact_q=nan",
+    "override.AFBS:NaturalLS.warm_start=0",
+    "override.GradSupCG.gamma0=nan",
 ])
 def test_cli_invalid_algorithm_config_exits_2(assignment, tmp_path, capsys):
     sets = ["image_side=8", "n_angles=2", "n_rays=8", "max_outer=1",

@@ -24,6 +24,9 @@ def test_params_validation():
         SmoothedTVParams(tau=0.0)
     with pytest.raises(ValueError):
         SmoothedTVParams(tau=0.01, lam=-1.0)
+    for bad in ({"tau": np.nan}, {"lam": np.nan}):
+        with pytest.raises(ValueError):
+            SmoothedTVParams(**bad)
 
 
 def test_grad_matches_dense_matrix():

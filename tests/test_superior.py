@@ -31,6 +31,28 @@ def test_config_validation():
         SupConfig(variant="GradSupCG", gamma0=0.0)
     with pytest.raises(ValueError):
         SupConfig(variant="GradSupCG", max_outer=-1)
+    # NaN fails every range check
+    for bad in ({"a": np.nan}, {"gamma0": np.nan}, {"eps": np.nan},
+                {"eps": -1.0}):
+        with pytest.raises(ValueError):
+            SupConfig(variant="GradSupCG", **bad)
+
+
+def test_config_takes_unset_a_and_gamma0_from_the_variant():
+    assert SupConfig("GradSupLW").a == 1.0 - 1e-4
+    assert SupConfig("GradSupLW").gamma0 == 0.0025
+    assert SupConfig("ProxSupCG").a == 1.0 - 1e-6
+    assert SupConfig("ProxSupCG", a=0.5, gamma0=0.1).gamma0 == 0.1
+    # a gamma0 of None is the step-coupled 1.9 lam / ||A||^2, bit for bit
+    assert SupConfig("ProxCSupLW").gamma0 is None
+    A, b = make_instance(seed=3)
+    tvp = SmoothedTVParams(tau=0.01, lam=0.01)
+    coupled = superiorize_run(SupConfig("ProxCSupLW", max_outer=3),
+                              A, b, SHAPE, tvp)
+    pinned = superiorize_run(
+        SupConfig("ProxCSupLW", gamma0=1.9 * tvp.lam / A.norm_sq,
+                  max_outer=3), A, b, SHAPE, tvp)
+    assert np.array_equal(coupled.x, pinned.x)
 
 
 def test_s_grad_constant_image_advances_ell_by_kappa():

@@ -180,6 +180,13 @@ def test_noise_sigma_formula():
         noise_sigma(np.zeros(4), model)
 
 
+def test_noise_model_rejects_a_negative_or_nan_level():
+    assert NoiseModel(relative_level=0.0).relative_level == 0.0
+    for level in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            NoiseModel(relative_level=level)
+
+
 def test_add_noise_reproducible_and_scaled():
     rng = np.random.default_rng(0)
     b = np.abs(rng.standard_normal(5000)) + 1.0
