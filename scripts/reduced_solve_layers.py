@@ -12,8 +12,8 @@ REPEATS runs of:
 - `potrf_s`: the `scipy.linalg.cho_factor` call inside it;
 - `gram_fill_s`: the rest of it (filling, scaling and shifting M);
 - `solve_ms`: one `shifted_gram_solve` call with the factor cached,
-  averaged over a batch of calls; it includes the two uncounted
-  operator products around the reduced solve;
+  averaged over a batch of calls; it includes the two operator
+  products around the reduced solve;
 - `spmv_pair_ms`: those two products alone, so that the reduced solve
   itself takes `solve_ms - spmv_pair_ms`.
 
@@ -66,11 +66,11 @@ def main(argv=None):
             factor.append(time.perf_counter() - start)
     finally:
         scipy.linalg.cho_factor = cho_factor
-    opslin.shifted_gram_solve(A, 1.0, ratio, rhs, counted=False)
+    opslin.shifted_gram_solve(A, 1.0, ratio, rhs)
     for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(SOLVES_PER_BATCH):
-            opslin.shifted_gram_solve(A, 1.0, ratio, rhs, counted=False)
+            opslin.shifted_gram_solve(A, 1.0, ratio, rhs)
         solve.append((time.perf_counter() - start) / SOLVES_PER_BATCH)
         start = time.perf_counter()
         for _ in range(SOLVES_PER_BATCH):

@@ -109,19 +109,19 @@ def cg_step(A, b, state):
     return CGState(x=x + gamma * p_new, p=p_new, h=h_new, mu=mu)
 
 
-def make_step(kind, A, b, x0, mu=None, gamma=None):
+def make_step(kind, A, b, x0, mu=None):
     """One step of basic operator `kind` ("LW", "LW+" or "CG") as x -> x.
 
-    LW and LW+ step with `gamma`, by default `default_gamma(A)`. CG
-    starts from `cg_init`'s empty direction pair at x0 with `mu`, by
-    default `default_mu(A)`, so its first call steps along steepest
-    descent. It carries the pair from call to call, so each call
-    continues from whatever point it is handed, and every call is charged
-    four products. The step functions are looked up when a step runs, so
-    wrappers installed on this module see every call.
+    LW and LW+ step with `default_gamma(A)`. CG starts from `cg_init`'s
+    empty direction pair at x0 with `mu`, by default `default_mu(A)`, so
+    its first call steps along steepest descent. It carries the pair from
+    call to call, so each call continues from whatever point it is
+    handed, and every call is charged four products. The step functions
+    are looked up when a step runs, so wrappers installed on this module
+    see every call.
     """
     if kind in ("LW", "LW+"):
-        params = LWParams(default_gamma(A) if gamma is None else gamma)
+        params = LWParams(default_gamma(A))
         if kind == "LW":
             return lambda x: lw_step(A, b, params, x)
         return lambda x: lw_proj_step(A, b, params, x)

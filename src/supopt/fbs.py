@@ -91,6 +91,11 @@ class AFBSConfig:
             raise ValueError("need inexact_q > 0, term_tol >= 0, "
                              "max_inner >= 1 and max_outer >= 0")
 
+    def check_lam(self, lam):
+        """ValueError unless lam > 0: 1/L_f and the TV prox step need it."""
+        if not lam > 0:
+            raise ValueError("a splitting run needs lam > 0")
+
 
 @dataclass
 class ProxCertificate:
@@ -417,10 +422,11 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
              iterate_callback=None, record_wall_time=False):
     """Run (accelerated) forward-backward splitting to first-order optimality.
 
-    Starts at x = 0. `metrics.run_outer` drives the steps and stops on
-    rule opt_u, the infinity norm of the objective gradient <= term_tol,
-    or opt_c, that of min(x, gradient), in the constrained case, or at
-    max_outer. Returns a `metrics.RunResult` with the fallback-certificate
+    Starts at x = 0; lam = 0 raises ValueError on entry.
+    `metrics.run_outer` drives the steps and stops on rule opt_u, the
+    infinity norm of the objective gradient <= term_tol, or opt_c, that
+    of min(x, gradient), in the constrained case, or at max_outer.
+    Returns a `metrics.RunResult` with the fallback-certificate
     count and the total inner-iteration count: every prox's steps, which
     are zero only for the direct solve of the unconstrained ExactSMW.
     Each primal-dual prox starts from the previous one's last pair.
@@ -430,6 +436,7 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
     both splittings; it cannot fire at k = 1. With accelerated=False the
     loop is plain forward-backward and has no restart.
     """
+    config.check_lam(tvparams.lam)
     b = np.asarray(b, dtype=np.float64)
     L = lipschitz_f(config.kind, A, tvparams)
     alpha = 1.0 / L if config.alpha is None else config.alpha
@@ -476,10 +483,12 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
             y = x_new
         return x_new, inner_iters
 
+    name = ":".join(["AFBS" if config.accelerated else "FBS", config.kind,
+                     config.inner] + ["nonneg"] * config.nonneg)
     x, records, converged, iterations = run_outer(
         step, x, A, b, shape, tvparams,
         "opt_c" if config.nonneg else "opt_u", config.term_tol,
-        config.max_outer, "forward-backward run", x_ref=x_ref,
+        config.max_outer, f"forward-backward run {name}", x_ref=x_ref,
         record_wall_time=record_wall_time)
     return RunResult(x, records, converged, iterations, fallback_count,
                      sum(r.inner_iters for r in records))

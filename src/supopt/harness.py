@@ -4,13 +4,12 @@ Configuration files are flat `key = value` text; `#` starts a comment.
 An algorithm name fixes fields of its config class (`SupConfig` or
 `AFBSConfig`), which holds the defaults and range checks; overrides
 set the other fields through dotted keys,
-e.g. `override.GradSupCG.gamma0 = 0.002`. CSV files are the
-authoritative output; SVG plots are optional and self-contained.
+e.g. `override.GradSupCG.gamma0 = 0.002`. A run writes one metric CSV
+per algorithm and `summary.csv`, its only output.
 """
 
 import argparse
 import dataclasses
-import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import fbs, superior, tomo
 from .metrics import FIELD_NAMES, NumericalDivergenceError
-from .regtv import GridShape, SmoothedTVParams, tv_smooth
+from .regtv import GridShape, SmoothedTVParams
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -50,7 +49,6 @@ class ExperimentConfig:
     overrides: dict = field(default_factory=dict)
     max_outer: int = 2000
     output_dir: str = "out"
-    svg: bool = False
     record_wall_time: bool = False
 
     def resolved_lam(self):
@@ -81,7 +79,7 @@ def build_problem(config):
                            x_ref=x_ref)
 
 
-# -- CSV / SVG output --------------------------------------------------------
+# -- CSV output --------------------------------------------------------------
 
 _INT_FIELDS = ("k", "inner_iters", "cumulative_matvecs")
 
@@ -98,63 +96,6 @@ def emit_csv(records, path):
     for rec in records:
         lines.append(",".join(_fmt(n, getattr(rec, n)) for n in FIELD_NAMES))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def emit_svg(records, path, refs=None):
-    """Self-contained SVG line plot of the three scaled metric curves.
-
-    The y axis is log10 of each value, floored at 1e-16. refs maps a
-    metric name to a horizontal dashed reference value.
-    """
-    width, height, mg = 640, 480, 50
-    series = {"residual_scaled": "#1f6fb4", "tv_scaled": "#c23b22",
-              "err_scaled": "#2a8a2a"}
-    refs = refs or {}
-    floor = 1e-16
-
-    def ty(v):
-        return math.log10(max(v, floor))
-
-    ks = [r.k for r in records] or [0]
-    vals = []
-    for name in series:
-        vals.extend(ty(getattr(r, name)) for r in records)
-    vals.extend(ty(v) for v in refs.values())
-    lo = min(vals) if vals else 0.0
-    hi = max(vals) if vals else 1.0
-    if hi <= lo:
-        hi = lo + 1.0
-    kmax = max(max(ks), 1)
-
-    def px(k):
-        return mg + (width - 2 * mg) * k / kmax
-
-    def py(v):
-        return height - mg - (height - 2 * mg) * (ty(v) - lo) / (hi - lo)
-
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}">',
-             f'<rect x="{mg}" y="{mg}" width="{width - 2 * mg}" '
-             f'height="{height - 2 * mg}" fill="none" stroke="black"/>']
-    for name, color in series.items():
-        pts = " ".join(f"{px(r.k):.2f},{py(getattr(r, name)):.2f}"
-                       for r in records)
-        parts.append(f'<polyline points="{pts}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
-        if name in refs:
-            y = py(refs[name])
-            parts.append(f'<line x1="{mg}" y1="{y:.2f}" x2="{width - mg}" '
-                         f'y2="{y:.2f}" stroke="{color}" '
-                         f'stroke-dasharray="6,4"/>')
-    legend_y = mg + 14
-    for name, color in series.items():
-        parts.append(f'<text x="{mg + 8}" y="{legend_y}" fill="{color}" '
-                     f'font-size="12" font-family="sans-serif">{name}</text>')
-        legend_y += 14
-    parts.append(f'<text x="{width // 2}" y="{height - 12}" font-size="12" '
-                 f'font-family="sans-serif">outer iteration k</text>')
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
 
 
 # -- algorithm dispatch ------------------------------------------------------
@@ -188,12 +129,15 @@ def _configured_run(name, config):
               **config.overrides.get(name, {})}
     try:
         if name in superior.VARIANTS:
-            return partial(superior.superiorize_run, superior.SupConfig(
-                variant=name, **{"eps": config.resolved_eps(), **params}))
-        return partial(fbs.afbs_run,
-                       fbs.AFBSConfig(**_parse_fbs_spec(name), **params))
+            run, algo = superior.superiorize_run, superior.SupConfig(
+                variant=name, **{"eps": config.resolved_eps(), **params})
+        else:
+            run, algo = fbs.afbs_run, fbs.AFBSConfig(**_parse_fbs_spec(name),
+                                                     **params)
+        algo.check_lam(config.resolved_lam())
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+    return partial(run, algo)
 
 
 def run_algorithm(name, problem, config):
@@ -228,12 +172,6 @@ def run_experiment(config):
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from exc
-    if config.svg:
-        n, m = problem.shape.n, problem.A.n_rows
-        r_ref = problem.A.apply_nocount(problem.x_ref) - problem.b
-        refs = {"residual_scaled": float(r_ref @ r_ref) / (2.0 * m),
-                "tv_scaled": tv_smooth(problem.shape, problem.tvparams,
-                                       problem.x_ref) / n}
     results = {}
     summary = ["algorithm,iterations,converged,final_residual_scaled,"
                "final_tv_scaled,final_err_scaled,cumulative_matvecs"]
@@ -242,8 +180,6 @@ def run_experiment(config):
         results[name] = (x, records, info)
         stem = name.replace(":", "_")
         emit_csv(records, out / f"{stem}.csv")
-        if config.svg:
-            emit_svg(records, out / f"{stem}.svg", refs=refs)
         last = records[-1]
         summary.append(",".join([
             name, str(info["iterations"]), str(info["converged"]),

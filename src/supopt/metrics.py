@@ -17,7 +17,7 @@ FEAS_TOL = -1e-8  # sup_c's floor on min_i x_i
 
 
 class NumericalDivergenceError(RuntimeError):
-    """An iterate became non-finite; the run was aborted."""
+    """An iterate or its metrics became non-finite; the run was aborted."""
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class MetricsRecord:
     def __post_init__(self):
         for f in fields(self):
             if not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"non-finite metric {f.name}")
+                raise NumericalDivergenceError(f"non-finite metric {f.name}")
 
 
 FIELD_NAMES = tuple(f.name for f in fields(MetricsRecord))
@@ -110,8 +110,8 @@ def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer, where,
     `step(k, x)` returns (x_k, inner_iters) for k = 1, 2, ...; the caller
     keeps its own algorithm state in the closure. Before each step
     run_outer records the current iterate through `make_record` and stops
-    if the rule holds there; after each step it aborts with
-    NumericalDivergenceError on a non-finite iterate.
+    if the rule holds there; it aborts with NumericalDivergenceError on a
+    non-finite iterate or metric.
     With `record_wall_time`, record k's wall_time is read when x_k is
     ready, before its own diagnostics, so it covers steps 1..k and the
     records and stop tests of x_0..x_{k-1}. Returns (x, records,
@@ -122,9 +122,13 @@ def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer, where,
     x, inner_iters, k = x0, 0, 0
     while True:
         wall_time = time.perf_counter() - t_start if record_wall_time else 0.0
-        record, stopped = make_record(k, A, b, x, shape, tvparams, rule, tol,
-                                      x_ref=x_ref, inner_iters=inner_iters,
-                                      wall_time=wall_time)
+        try:
+            record, stopped = make_record(
+                k, A, b, x, shape, tvparams, rule, tol, x_ref=x_ref,
+                inner_iters=inner_iters, wall_time=wall_time)
+        except NumericalDivergenceError as exc:
+            raise NumericalDivergenceError(f"{exc} in {where}, k={k}") \
+                from None
         records.append(record)
         if stopped or k == max_outer:
             return x, records, stopped, k

@@ -161,7 +161,7 @@ def _woodbury_factor(A, ratio):
     return scipy.linalg.cho_factor(M, lower=True, overwrite_a=True)[0]
 
 
-def shifted_gram_solve(A, c_id, c_gram, rhs, counted=True):
+def shifted_gram_solve(A, c_id, c_gram, rhs):
     """Solve (c_id * I + c_gram * A^T A) z = rhs via the m x m reduced system.
 
     Uses (cI + gA^TA)^{-1} = (1/c) (I - (g/c) A^T (I_m + (g/c) A A^T)^{-1} A)
@@ -171,8 +171,8 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, counted=True):
     about twice as slow per triangle. The operator caches one factor, keyed
     by the exact ratio g/c, the only number it depends on: a repeated ratio
     (unconstrained ExactSMW) reuses it, and a new one (each PDBasic step)
-    replaces it. `counted=False` routes the two operator products around
-    the cost counter (for diagnostic solves).
+    replaces it. Each solve runs two products, both charged to the cost
+    counter.
     """
     if c_id <= 0 or c_gram < 0:
         raise ValueError("need c_id > 0 and c_gram >= 0")
@@ -184,10 +184,9 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, counted=True):
         A._factor_cache = None  # free the old factor before building anew
         A._factor_cache = (ratio, _woodbury_factor(A, ratio))
     L = A._factor_cache[1]
-    t = A.matvec(rhs) if counted else A.apply_nocount(rhs)
+    t = A.matvec(rhs)
     # cho_factor checked the matrix once; check only the right-hand side
     y = dtrsv(L, np.asarray_chkfinite(t), lower=1)
     s = dtrsv(L, y, lower=1, trans=1, overwrite_x=1)
-    ATs = A.rmatvec(s) if counted else A.applyT_nocount(s)
-    return (rhs - ratio * ATs) / c_id
+    return (rhs - ratio * A.rmatvec(s)) / c_id
 

@@ -78,6 +78,12 @@ class SupConfig:
             raise ValueError("need gamma0 > 0, kappa >= 1, eps >= 0, "
                              "max_outer >= 0")
 
+    def check_lam(self, lam):
+        """ValueError if gamma0 is the step-coupled one and lam is not > 0."""
+        if self.gamma0 is None and not lam > 0:
+            raise ValueError("the step-coupled gamma0 1.9 * lam / "
+                             "||A||_2^2 needs lam > 0")
+
 
 def s_grad(shape, tvparams, y, ell, a, gamma0, kappa):
     """kappa normalized-negative-gradient reduction passes on R_tau.
@@ -139,26 +145,28 @@ def s_prox_plus(shape, tvparams, y, beta):
     return prox_tv(shape, tvparams, y, beta, nonneg=True)
 
 
-def superiorize_run(config, A, b, shape, tvparams, gamma=None, x0=None,
-                    x_ref=None, half_callback=None, record_wall_time=False):
+def superiorize_run(config, A, b, shape, tvparams, x0=None, x_ref=None,
+                    half_callback=None, record_wall_time=False):
     """Run one superiorized variant until eps-compatibility or max_outer.
 
     Starts at x0 (zero by default). Outer step k applies the variant's
     reduction step(s) to get y_{k-1/2}, optionally reported through
     `half_callback`, then one basic operator step: Landweber with step
-    `gamma` (default `basic.default_gamma`), or CG with `basic.default_mu`.
-    A gamma0 that the config leaves unset is 1.9 * lam / ||A||_2^2.
+    `basic.default_gamma`, or CG with `basic.default_mu`.
+    A gamma0 that the config leaves unset is 1.9 * lam / ||A||_2^2, and
+    then lam = 0 raises ValueError on entry.
     `metrics.run_outer` drives the steps and stops on rule sup_u,
     g_u(y) <= eps, or for the constrained variants sup_c, which adds
     min_i y_i > -1e-8. Returns a `metrics.RunResult`.
     """
+    config.check_lam(tvparams.lam)
     kind, reduction, constrained = VARIANTS[config.variant][:3]
     gamma0 = config.gamma0
     if gamma0 is None:
         gamma0 = 1.9 * tvparams.lam / A.norm_sq
     b = np.asarray(b, dtype=np.float64)
     y = np.zeros(A.n_cols) if x0 is None else np.asarray(x0, dtype=np.float64)
-    basic_step = basic.make_step(kind, A, b, y, gamma=gamma)
+    basic_step = basic.make_step(kind, A, b, y)
     ell = 0
 
     def step(k, y):

@@ -109,8 +109,7 @@ def test_acceptance_03_pd_limits_match_prox_oracles(capfd):
     worst_basic = worst_noinv = 0.0
     for _ in range(10):
         A, M, b, alpha, x, _ = _inactive_prox_instance(rng)
-        smw = shifted_gram_solve(A, 1.0, alpha, x + alpha * (M.T @ b),
-                                 counted=False)
+        smw = shifted_gram_solve(A, 1.0, alpha, x + alpha * (M.T @ b))
         dense = np.linalg.solve(np.eye(10) + alpha * M.T @ M,
                                 x + alpha * M.T @ b)
         assert np.max(np.abs(smw - dense)) <= 1e-9
@@ -153,8 +152,7 @@ def test_acceptance_03_pd_limits_match_prox_oracles(capfd):
 def test_acceptance_04_duality_gap_properties(capfd):
     rng = np.random.default_rng(4)
     A, M, b, alpha, x, _ = _inactive_prox_instance(rng)
-    z_star = shifted_gram_solve(A, 1.0, alpha, x + alpha * (M.T @ b),
-                                counted=False)
+    z_star = shifted_gram_solve(A, 1.0, alpha, x + alpha * (M.T @ b))
     gap_star = dual_gap(A, alpha, x / alpha + A.applyT_nocount(b), z_star)
     # an instance with active constraints, solved by enumeration
     M2 = rng.standard_normal((4, 10))
@@ -187,7 +185,7 @@ def test_acceptance_05_constant_step_prox_superiorization_equals_fbs(capfd):
     halves = []
     cfg = SupConfig(variant="ProxCSupLW", a=1.0, gamma0=gamma * tvp.lam,
                     kappa=1, eps=0.0, max_outer=50)
-    superiorize_run(cfg, A, b, shape, tvp, gamma=gamma, x0=y0,
+    superiorize_run(cfg, A, b, shape, tvp, x0=y0,
                     half_callback=lambda y: halves.append(y.copy()))
     iterates = []
     fcfg = AFBSConfig(kind="ReversedTV", nonneg=True, alpha=gamma,

@@ -628,6 +628,27 @@ def test_prox_ls_exact_constrained_reaches_gap(seed, alpha):
     assert steps > 0 and A.matvec_count == 2 * steps
 
 
+def test_prox_ls_exact_constrained_returns_a_start_at_its_gap_floor():
+    # b = 0 and x <= 0: the clipped start z = 0 is the prox, and the gap
+    # test before the first step returns it
+    A, _, x = make_instance(seed=5)
+    z, steps = prox_ls_exact(A, np.zeros(A.n_rows), 0.6, -np.abs(x),
+                             nonneg=True)
+    assert np.array_equal(z, np.zeros_like(x))
+    assert steps == 0 and A.matvec_count == 0
+
+
+def test_afbs_run_needs_lam():
+    # NaturalLS divides by L_f = 8 lam / tau, ReversedTV's prox steps by
+    # alpha * lam: both splittings reject lam = 0 before the first step
+    A, b, _ = make_instance(seed=6)
+    tvp = SmoothedTVParams(tau=0.01, lam=0.0)
+    for kind in ("NaturalLS", "ReversedTV"):
+        with pytest.raises(ValueError, match="lam > 0"):
+            afbs_run(AFBSConfig(kind, max_outer=1), A, b, GridShape(2, 5),
+                     tvp)
+
+
 def test_prox_ls_exact_constrained_warns_on_budget():
     A, b, x = make_instance(seed=3)
     with pytest.warns(RuntimeWarning, match="duality gap"):

@@ -85,8 +85,10 @@ def test_parse_config_text_values_and_overrides():
         algorithms = GradSupCG, FBS:ReversedTV
         override.GradSupCG.gamma0 = 0.002
         override.GradSupCG.kappa = 5
+        output_dir = foo
     """)
     assert cfg.image_side == 16 and cfg.noisy
+    assert cfg.output_dir == "foo"
     assert cfg.algorithms == ["GradSupCG", "FBS:ReversedTV"]
     assert cfg.overrides["GradSupCG"] == {"gamma0": 0.002, "kappa": 5}
     assert isinstance(cfg.overrides["GradSupCG"]["kappa"], int)
@@ -237,17 +239,16 @@ def test_exact_constrained_afbs_records_its_inner_steps():
 
 
 def test_run_experiment_outputs_and_determinism(tmp_path):
-    cfg = small_config(output_dir=str(tmp_path / "a"), svg=True,
+    cfg = small_config(output_dir=str(tmp_path / "a"),
                        algorithms=["ProxSupLW", "FBS:ReversedTV"])
     res1 = run_experiment(cfg)
-    cfg2 = small_config(output_dir=str(tmp_path / "b"), svg=True,
+    cfg2 = small_config(output_dir=str(tmp_path / "b"),
                         algorithms=["ProxSupLW", "FBS:ReversedTV"])
     run_experiment(cfg2)
     for stem in ("ProxSupLW", "FBS_ReversedTV"):
         a = (tmp_path / "a" / f"{stem}.csv").read_bytes()
         b = (tmp_path / "b" / f"{stem}.csv").read_bytes()
         assert a == b
-        assert (tmp_path / "a" / f"{stem}.svg").exists()
     assert (tmp_path / "a" / "summary.csv").read_bytes() == \
         (tmp_path / "b" / "summary.csv").read_bytes()
     # metric consistency: recompute the scaled residual from the final x
@@ -334,6 +335,15 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
         assert "configuration error" in capsys.readouterr().err
 
 
+def _tiny_run(out, *sets):
+    """`supopt run` argv on the 8^2, 2-angle, 8-ray instance."""
+    argv = ["run", "--out", str(out), "--set", "image_side=8", "--set",
+            "n_angles=2", "--set", "n_rays=8"]
+    for item in sets:
+        argv += ["--set", item]
+    return argv
+
+
 @pytest.mark.parametrize("assignment", [
     "override.AFBS:NaturalLS.bogus=1",
     "override.AFBS:NaturalLS.max_inner=0",
@@ -357,17 +367,37 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     "override.AFBS:NaturalLS.inexact_q=nan",
     "override.AFBS:NaturalLS.warm_start=0",
     "override.GradSupCG.gamma0=nan",
+    "svg=true",
+    "lam=0",
+    "lam=0 algorithms=AFBS:ReversedTV",
+    "lam=0 algorithms=ProxCSupLW",
 ])
 def test_cli_invalid_algorithm_config_exits_2(assignment, tmp_path, capsys):
-    sets = ["image_side=8", "n_angles=2", "n_rays=8", "max_outer=1",
-            "algorithms=GradSupCG, AFBS:NaturalLS", assignment]
-    argv = ["run", "--out", str(tmp_path)]
-    for item in sets:
-        argv += ["--set", item]
-    assert main(argv) == 2
+    out = tmp_path / "out"
+    assert main(_tiny_run(out, "max_outer=1",
+                          "algorithms=GradSupCG, AFBS:NaturalLS",
+                          *assignment.split())) == 2
     assert "configuration error:" in capsys.readouterr().err
-    # every config is checked before the first run writes its CSV
-    assert not list(tmp_path.glob("*.csv"))
+    # every config is checked before the output directory is made
+    assert not out.exists()
+
+
+def test_cli_lam_zero_runs_a_variant_with_a_fixed_gamma0(tmp_path):
+    assert main(_tiny_run(tmp_path, "max_outer=3", "algorithms=GradSupCG",
+                          "lam=0")) == 0
+    assert (tmp_path / "GradSupCG.csv").exists()
+
+
+def test_cli_diverging_run_exits_3(tmp_path, capsys):
+    # the iterate stays finite, but ||Ax - b||^2 overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(_tiny_run(tmp_path, "max_outer=50",
+                              "algorithms=FBS:ReversedTV",
+                              "override.FBS:ReversedTV.alpha=1e6"))
+    assert code == 3
+    assert "numerical failure: non-finite metric residual_scaled in " \
+        "forward-backward run FBS:ReversedTV:TVProx, k=" in \
+        capsys.readouterr().err
 
 
 def _python(*args):

@@ -136,16 +136,6 @@ def test_norm_sq_is_computed_once_per_operator():
     assert not calls
 
 
-def test_shifted_gram_solve_uncounted_path():
-    A, _ = random_operator(4, 10, seed=10)
-    rhs = np.ones(10)
-    z1 = shifted_gram_solve(A, 1.0, 0.7, rhs)
-    count = A.matvec_count
-    z2 = shifted_gram_solve(A, 1.0, 0.7, rhs, counted=False)
-    assert A.matvec_count == count
-    assert np.array_equal(z1, z2)
-
-
 def test_shifted_gram_solve_rejects_nan_rhs():
     A, _ = random_operator(4, 10, seed=18)
     rhs = np.ones(10)

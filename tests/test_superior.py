@@ -55,6 +55,18 @@ def test_config_takes_unset_a_and_gamma0_from_the_variant():
     assert np.array_equal(coupled.x, pinned.x)
 
 
+def test_run_needs_lam_only_for_a_step_coupled_gamma0():
+    A, b = make_instance(seed=4)
+    tvp = SmoothedTVParams(tau=0.01, lam=0.0)
+    for name, (*_, gamma0) in VARIANTS.items():
+        config = SupConfig(name, max_outer=1)
+        if gamma0 is None:
+            with pytest.raises(ValueError, match="lam > 0"):
+                superiorize_run(config, A, b, SHAPE, tvp)
+            config = SupConfig(name, gamma0=0.001, max_outer=1)
+        assert superiorize_run(config, A, b, SHAPE, tvp).iterations == 1
+
+
 def test_s_grad_constant_image_advances_ell_by_kappa():
     y = np.full(SHAPE.n, 1.5)
     y_new, ell_new = s_grad(SHAPE, TVP, y, ell=3, a=0.5, gamma0=0.01, kappa=5)
