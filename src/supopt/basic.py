@@ -28,10 +28,13 @@ class LWParams:
 
 @dataclass(frozen=True)
 class CGState:
+    """CG iterate x, direction pair (p, h) and, from `cg_step`, r = A x - b."""
+
     x: np.ndarray
     p: np.ndarray
     h: np.ndarray
     mu: float
+    r: np.ndarray = None
 
 
 def default_gamma(A):
@@ -85,46 +88,55 @@ def cg_step(A, b, state):
     g = A^T(Ax - b) + mu*x is recomputed from x each call. An empty or
     degenerate direction pair (p @ h below the breakdown threshold, as
     after `cg_init`) steps along -g; four charged products per step.
+    The new state's r is the residual at its x, by linearity from the
+    products the step already ran: A(x + gamma p) - b = (Ax - b) +
+    gamma A p, so it costs no product.
     """
     x, p, h, mu = state.x, state.p, state.h, state.mu
-    g = A.rmatvec(residual(A, b, x)) + mu * x
+    r = residual(A, b, x)
+    g = A.rmatvec(r) + mu * x
     den = float(p @ h)
     if abs(den) < _BREAKDOWN:
         p_new = -g
     else:
         beta = float(g @ h) / den
         p_new = -g + beta * p
-    h_new = A.rmatvec(A.matvec(p_new)) + mu * p_new
+    ap = A.matvec(p_new)
+    h_new = A.rmatvec(ap) + mu * p_new
     den2 = float(p_new @ h_new)
     if abs(den2) < _BREAKDOWN:
         # restart with the steepest-descent direction when -g + beta*p
         # cancels to a vanishing direction, which keeps long perturbed
         # runs alive instead of failing
         p_new = -g
-        h_new = A.applyT_nocount(A.apply_nocount(p_new)) + mu * p_new
+        ap = A.apply_nocount(p_new)
+        h_new = A.applyT_nocount(ap) + mu * p_new
         den2 = float(p_new @ h_new)
         if abs(den2) < _BREAKDOWN:
-            return CGState(x=x, p=p_new, h=h_new, mu=mu)  # stationary
+            return CGState(x=x, p=p_new, h=h_new, mu=mu, r=r)  # stationary
     gamma = -float(g @ p_new) / den2
-    return CGState(x=x + gamma * p_new, p=p_new, h=h_new, mu=mu)
+    return CGState(x=x + gamma * p_new, p=p_new, h=h_new, mu=mu,
+                   r=r + gamma * ap)
 
 
 def make_step(kind, A, b, x0, mu=None):
-    """One step of basic operator `kind` ("LW", "LW+" or "CG") as x -> x.
+    """One step of basic operator `kind` ("LW", "LW+" or "CG") as x -> (x, r).
 
-    LW and LW+ step with `default_gamma(A)`. CG starts from `cg_init`'s
-    empty direction pair at x0 with `mu`, by default `default_mu(A)`, so
-    its first call steps along steepest descent. It carries the pair from
-    call to call, so each call continues from whatever point it is
-    handed, and every call is charged four products. The step functions
-    are looked up when a step runs, so wrappers installed on this module
-    see every call.
+    r is the residual A x - b at the returned x where the step holds it
+    (CG, from `cg_step`), else None (LW and LW+, whose products are at the
+    point they start from). LW and LW+ step with `default_gamma(A)`. CG
+    starts from `cg_init`'s empty direction pair at x0 with `mu`, by
+    default `default_mu(A)`, so its first call steps along steepest
+    descent. It carries the pair from call to call, so each call
+    continues from whatever point it is handed, and every call is
+    charged four products. The step functions are looked up when a step
+    runs, so wrappers installed on this module see every call.
     """
     if kind in ("LW", "LW+"):
         params = LWParams(default_gamma(A))
         if kind == "LW":
-            return lambda x: lw_step(A, b, params, x)
-        return lambda x: lw_proj_step(A, b, params, x)
+            return lambda x: (lw_step(A, b, params, x), None)
+        return lambda x: (lw_proj_step(A, b, params, x), None)
     if kind != "CG":
         raise ValueError(f"unknown basic algorithm {kind!r}")
     mu = default_mu(A) if mu is None else mu
@@ -133,6 +145,6 @@ def make_step(kind, A, b, x0, mu=None):
     def cg(x):
         nonlocal state
         state = cg_step(A, b, CGState(x=x, p=state.p, h=state.h, mu=mu))
-        return state.x
+        return state.x, state.r
 
     return cg

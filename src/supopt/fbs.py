@@ -99,9 +99,13 @@ class AFBSConfig:
 
 @dataclass
 class ProxCertificate:
-    """Computable acceptance evidence for an inexact prox evaluation."""
+    """Computable acceptance evidence for an inexact prox evaluation.
+
+    az is A z where the certificate formed it, else None.
+    """
 
     z: np.ndarray
+    az: np.ndarray = None
     gap_value: float = 0.0
     eps_achieved: float = 0.0
     inner_iters: int = 0
@@ -117,13 +121,14 @@ def lipschitz_f(kind, A, tvparams):
 
 
 def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None,
-                  max_iter=AFBSConfig.max_inner):
+                  max_iter=AFBSConfig.max_inner, az=None):
     """Exact prox of 0.5*||Az - b||^2 [+ indicator(z >= 0)] at x.
 
     Returns (z, steps), the prox and the inner steps that computed it.
     Unconstrained: solves (I + alpha A^T A) z = x + alpha A^T b through
     the reduced m x m system (two counted products, steps = 0), plus one
-    counted product for A^T b unless the caller passes it as `atb`.
+    counted product for A^T b unless the caller passes it as `atb`; a
+    length-m `az` receives A z from the solve (`shifted_gram_solve`).
     Constrained: forms c = x/alpha + A^T b once (one uncounted product)
     and runs projected Nesterov steps (`regtv._projected_nesterov`, two
     counted products each) on the (1/alpha)-strongly convex subproblem
@@ -136,7 +141,7 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None,
     if not nonneg:
         if atb is None:
             atb = A.rmatvec(b)
-        return shifted_gram_solve(A, 1.0, alpha, x + alpha * atb), 0
+        return shifted_gram_solve(A, 1.0, alpha, x + alpha * atb, az=az), 0
     c = x / alpha + A.applyT_nocount(b)
     floor = 2.0 * alpha * (c.size * np.finfo(np.float64).eps) ** 2 \
         * float(c @ c)
@@ -276,13 +281,15 @@ def cert_unconstrained(A, alpha, eps_k, z_prev, tau_prev, state):
 
     Extrapolates z = z_new + (alpha/tau_prev)(z_new - z_prev) and accepts
     when 0.5*||Az - q||^2 <= eps_k^2 / (2*alpha). The extrapolated z is
-    the value to return as the prox, not the raw iterate.
+    the value to return as the prox, not the raw iterate; the certificate
+    keeps its A z.
     """
     z = state.z + (alpha / tau_prev) * (state.z - z_prev)
-    resid = A.apply_nocount(z) - state.q
+    az = A.apply_nocount(z)
+    resid = az - state.q
     lhs = 0.5 * float(resid @ resid)
     accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
-    return ProxCertificate(z=z, gap_value=lhs,
+    return ProxCertificate(z=z, az=az, gap_value=lhs,
                            eps_achieved=math.sqrt(2.0 * alpha * lhs),
                            accepted=accepted)
 
@@ -310,6 +317,8 @@ def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state):
     ||z1 - z*||^2/(2 alpha) as `dual_gap`'s does.
 
     Uncounted products: 2 on the fallback path, 3 on the primary path.
+    Either path keeps A z for the z it returns: A z1, or A z1 + A(z - z1)
+    on the primary path.
     """
     z1, atq, c = state.z, state.atq, state.c_alpha
     az1 = A.apply_nocount(z1)
@@ -326,7 +335,7 @@ def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state):
         d = A.apply_nocount(z - z1)
         lhs = 0.5 * float(d @ d) + float(w @ z)
         accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
-        return ProxCertificate(z=z, gap_value=lhs,
+        return ProxCertificate(z=z, az=az1 + d, gap_value=lhs,
                                eps_achieved=math.sqrt(
                                    2.0 * alpha * max(lhs, 0.0)),
                                accepted=accepted)
@@ -334,7 +343,8 @@ def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state):
     gap = 0.5 * float(resid @ resid) \
         + _fenchel_gap(alpha, c - atq - z1 / alpha, z1)
     eps_achieved = math.sqrt(2.0 * alpha * gap)
-    return ProxCertificate(z=z1, gap_value=gap, eps_achieved=eps_achieved,
+    return ProxCertificate(z=z1, az=az1, gap_value=gap,
+                           eps_achieved=eps_achieved,
                            accepted=eps_achieved <= eps_k,
                            fallback=True)
 
@@ -400,12 +410,6 @@ def _run_pd_basic(A, b, alpha, x, eps_k, nonneg, max_inner, warm=None):
     return cert, (state.z, state.p)
 
 
-def _grad_smooth(kind, A, b, shape, tvparams, y):
-    if kind == "NaturalLS":
-        return tvparams.lam * tv_smooth_grad(shape, tvparams, y)
-    return A.rmatvec(A.matvec(y) - b)
-
-
 def objective(A, b, shape, tvparams, x):
     """Full objective 0.5*||Ax-b||^2 + lam*R_tau(x) (uncounted products)."""
     r = A.apply_nocount(x) - b
@@ -435,11 +439,21 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
     any step with <y - x_new, x_new - x> > 0, for every inner solver and
     both splittings; it cannot fire at k = 1. With accelerated=False the
     loop is plain forward-backward and has no restart.
+
+    Each step hands the record what it holds at x_new. ReversedTV runs
+    its two charged products at x_new: r = A x_new - b and g = A^T r
+    serve the record, and the next gradient at y = x_new + m (x_new - x)
+    is g + m (g - g_x) by linearity, with g_x that of x; the record of x_0
+    takes the diagnostic products that give step 1 its gradient. The
+    unconstrained ExactSMW hands over r = A z - b from the solve and
+    A^T r = (v - z) / alpha, the optimality condition of the prox at v;
+    PDNoInv hands over its certificate's A z - b.
     """
     config.check_lam(tvparams.lam)
     b = np.asarray(b, dtype=np.float64)
     L = lipschitz_f(config.kind, A, tvparams)
     alpha = 1.0 / L if config.alpha is None else config.alpha
+    reversed_tv = config.kind == "ReversedTV"
 
     x = np.zeros(A.n_cols)
     y = x.copy()
@@ -447,17 +461,31 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
     atb = None
     warm = None
     fallback_count = 0
+    held = (None, None)
+    if reversed_tv:
+        r = A.apply_nocount(x) - b
+        held = (r, A.applyT_nocount(r))
+    # ReversedTV's gradients A^T(A x - b) at x and at y (None otherwise)
+    g_x = g_y = held[1]
 
     def step(k, x):
-        nonlocal y, t, atb, warm, fallback_count
-        v = y - alpha * _grad_smooth(config.kind, A, b, shape, tvparams, y)
+        nonlocal y, t, atb, warm, fallback_count, g_x, g_y
+        if reversed_tv:
+            v = y - alpha * g_y
+        else:
+            v = y - alpha * (tvparams.lam * tv_smooth_grad(shape, tvparams, y))
         eps_k = float(k) ** (-config.inexact_q)
+        r = atr = None
         if config.inner == "ExactSMW":
             if atb is None and not config.nonneg:
                 atb = A.rmatvec(b)  # constant over the run: charged once
+            az = None if config.nonneg else np.empty(A.n_rows)
             z, inner_iters = prox_ls_exact(
                 A, b, alpha, v, nonneg=config.nonneg, atb=atb,
-                max_iter=config.max_inner)
+                max_iter=config.max_inner, az=az)
+            if az is not None:
+                # the prox's optimality: A^T(A z - b) + (z - v)/alpha = 0
+                r, atr = az - b, (v - z) / alpha
         elif config.inner == "TVProx":
             z, inner_iters, _, _ = prox_tv_with_info(
                 shape, tvparams, v, alpha * tvparams.lam,
@@ -469,19 +497,29 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
                                 config.max_inner, warm=warm)
             z, inner_iters = cert.z, cert.inner_iters
             fallback_count += cert.fallback
+            if cert.az is not None:
+                r = cert.az - b
         x_new = np.asarray(z, dtype=np.float64)
         if iterate_callback is not None:
             iterate_callback(x_new)
+        if reversed_tv:
+            r = A.matvec(x_new) - b
+            atr = A.rmatvec(r)
         if config.accelerated and float((y - x_new) @ (x_new - x)) <= 0.0:
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+            m = (t - 1.0) / t_new
+            y = x_new + m * (x_new - x)
+            if reversed_tv:
+                g_y = atr + m * (atr - g_x)
             t = t_new
         else:
             # plain FBS, or the gradient-based adaptive restart: the step
             # from y opposed the momentum direction, so drop the momentum
             t = T0
             y = x_new
-        return x_new, inner_iters
+            g_y = atr
+        g_x = atr
+        return x_new, inner_iters, r, atr
 
     name = ":".join(["AFBS" if config.accelerated else "FBS", config.kind,
                      config.inner] + ["nonneg"] * config.nonneg)
@@ -489,6 +527,6 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
         step, x, A, b, shape, tvparams,
         "opt_c" if config.nonneg else "opt_u", config.term_tol,
         config.max_outer, f"forward-backward run {name}", x_ref=x_ref,
-        record_wall_time=record_wall_time)
+        record_wall_time=record_wall_time, held=held)
     return RunResult(x, records, converged, iterations, fallback_count,
                      sum(r.inner_iters for r in records))

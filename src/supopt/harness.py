@@ -158,8 +158,11 @@ def run_algorithm(name, problem, config):
 def run_experiment(config):
     """Run every configured algorithm; write per-algorithm and summary CSVs.
 
-    Every config is checked before anything is written. Returns
-    {algorithm name: (x_final, records, info)}.
+    Every config is checked before anything is written. A run that
+    diverges writes the records it made before the failure, and its
+    summary row says "diverged"; the other runs go on, and then the first
+    NumericalDivergenceError is raised again. Returns {algorithm name:
+    (x_final, records, info)}.
     """
     try:
         problem = build_problem(config)
@@ -173,11 +176,18 @@ def run_experiment(config):
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from exc
     results = {}
+    failure = None
     summary = ["algorithm,iterations,converged,final_residual_scaled,"
                "final_tv_scaled,final_err_scaled,cumulative_matvecs"]
     for name in config.algorithms:
-        x, records, info = run_algorithm(name, problem, config)
-        results[name] = (x, records, info)
+        try:
+            x, records, info = run_algorithm(name, problem, config)
+        except NumericalDivergenceError as exc:
+            failure = failure or exc
+            records = exc.records
+            info = {"iterations": records[-1].k, "converged": "diverged"}
+        else:
+            results[name] = (x, records, info)
         stem = name.replace(":", "_")
         emit_csv(records, out / f"{stem}.csv")
         last = records[-1]
@@ -188,6 +198,8 @@ def run_experiment(config):
             _fmt("err_scaled", last.err_scaled),
             str(last.cumulative_matvecs)]))
     (out / "summary.csv").write_text("\n".join(summary) + "\n")
+    if failure is not None:
+        raise failure
     return results
 
 

@@ -3,7 +3,10 @@
 Every iterative family (superiorization and forward-backward splitting)
 runs through `run_outer`. It records each iterate with `make_record`,
 which also decides the family's stopping rule from the same residual
-and difference terms, so each iterate is evaluated once.
+and difference terms, so each iterate is evaluated once. A step that
+already holds the residual r = A x_k - b at its new iterate, and A^T r
+where it has it, hands them over, and the record takes no product of
+its own for them.
 """
 
 import time
@@ -17,7 +20,15 @@ FEAS_TOL = -1e-8  # sup_c's floor on min_i x_i
 
 
 class NumericalDivergenceError(RuntimeError):
-    """An iterate or its metrics became non-finite; the run was aborted."""
+    """An iterate or its metrics became non-finite; the run was aborted.
+
+    `records` holds the run's records before the failure: those of x_0
+    to x_{k-1} when x_k or its metrics are non-finite.
+    """
+
+    def __init__(self, message, records=()):
+        super().__init__(message)
+        self.records = list(records)
 
 
 @dataclass(frozen=True)
@@ -63,8 +74,9 @@ class RunResult:
     total_inner: int = 0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def make_record(k, A, b, x, shape, tvparams, rule, tol, x_ref=None,
-                inner_iters=0, wall_time=0.0):
+                inner_iters=0, wall_time=0.0, r=None, atr=None):
     """Record the iterate x and decide the stopping rule `rule` at `tol`.
 
     The rules: sup_u is g_u(x) = 0.5*||Ax - b||^2 <= tol, and sup_c adds
@@ -72,18 +84,24 @@ def make_record(k, A, b, x, shape, tvparams, rule, tol, x_ref=None,
     is ||min(x, grad h_u(x))||_inf <= tol. r = Ax - b and the difference
     terms d, root of R_tau are computed once and serve the record and the
     rule; grad h_u(x) = A^T r + lam * D^T (d / root), as `fbs.grad_h_u`
-    computes it. All products are diagnostic and bypass the matvec
-    counter. Returns (record, stopped).
+    computes it. The caller may pass r and, for the opt rules, atr =
+    A^T r, as the step that made x formed them; whichever is not passed
+    is computed here by a diagnostic product, which bypasses the matvec
+    counter. Overflow in these sums is left to the finiteness check of
+    `MetricsRecord`, which raises NumericalDivergenceError. Returns
+    (record, stopped).
     """
-    r = A.apply_nocount(x) - b
+    if r is None:
+        r = A.apply_nocount(x) - b
     rr = float(r @ r)
     d, root = _smooth_terms(shape, tvparams, x)
     if rule in ("sup_u", "sup_c"):
         stopped = 0.5 * rr <= tol and (rule == "sup_u"
                                        or float(np.min(x)) > FEAS_TOL)
     elif rule in ("opt_u", "opt_c"):
-        g = A.applyT_nocount(r) \
-            + tvparams.lam * grad_adjoint(shape, d / root)
+        if atr is None:
+            atr = A.applyT_nocount(r)
+        g = atr + tvparams.lam * grad_adjoint(shape, d / root)
         if rule == "opt_c":
             g = np.minimum(x, g)
         stopped = float(np.max(np.abs(g))) <= tol
@@ -104,14 +122,17 @@ def make_record(k, A, b, x, shape, tvparams, rule, tol, x_ref=None,
 
 
 def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer, where,
-              x_ref=None, record_wall_time=False):
+              x_ref=None, record_wall_time=False, held=(None, None)):
     """Drive `step` from x0 until `rule` holds at tol or max_outer steps.
 
-    `step(k, x)` returns (x_k, inner_iters) for k = 1, 2, ...; the caller
-    keeps its own algorithm state in the closure. Before each step
-    run_outer records the current iterate through `make_record` and stops
-    if the rule holds there; it aborts with NumericalDivergenceError on a
-    non-finite iterate or metric.
+    `step(k, x)` returns (x_k, inner_iters, r, atr) for k = 1, 2, ...;
+    the caller keeps its own algorithm state in the closure. r = A x_k -
+    b and atr = A^T r are what the step already holds at x_k, or None
+    where it holds nothing; `held` is that pair for x0. Before each step
+    run_outer records the current iterate through `make_record`, which
+    computes only what is None, and stops if the rule holds there.
+    It aborts with NumericalDivergenceError, carrying the records so far,
+    on a non-finite iterate or metric.
     With `record_wall_time`, record k's wall_time is read when x_k is
     ready, before its own diagnostics, so it covers steps 1..k and the
     records and stop tests of x_0..x_{k-1}. Returns (x, records,
@@ -120,20 +141,21 @@ def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer, where,
     t_start = time.perf_counter()
     records = []
     x, inner_iters, k = x0, 0, 0
+    r, atr = held
     while True:
         wall_time = time.perf_counter() - t_start if record_wall_time else 0.0
         try:
             record, stopped = make_record(
                 k, A, b, x, shape, tvparams, rule, tol, x_ref=x_ref,
-                inner_iters=inner_iters, wall_time=wall_time)
+                inner_iters=inner_iters, wall_time=wall_time, r=r, atr=atr)
         except NumericalDivergenceError as exc:
-            raise NumericalDivergenceError(f"{exc} in {where}, k={k}") \
-                from None
+            raise NumericalDivergenceError(f"{exc} in {where}, k={k}",
+                                           records) from None
         records.append(record)
         if stopped or k == max_outer:
             return x, records, stopped, k
         k += 1
-        x, inner_iters = step(k, x)
+        x, inner_iters, r, atr = step(k, x)
         if not np.all(np.isfinite(x)):
             raise NumericalDivergenceError(
-                f"non-finite iterate in {where}, k={k}")
+                f"non-finite iterate in {where}, k={k}", records)

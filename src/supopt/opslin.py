@@ -161,7 +161,7 @@ def _woodbury_factor(A, ratio):
     return scipy.linalg.cho_factor(M, lower=True, overwrite_a=True)[0]
 
 
-def shifted_gram_solve(A, c_id, c_gram, rhs):
+def shifted_gram_solve(A, c_id, c_gram, rhs, az=None):
     """Solve (c_id * I + c_gram * A^T A) z = rhs via the m x m reduced system.
 
     Uses (cI + gA^TA)^{-1} = (1/c) (I - (g/c) A^T (I_m + (g/c) A A^T)^{-1} A)
@@ -172,13 +172,13 @@ def shifted_gram_solve(A, c_id, c_gram, rhs):
     by the exact ratio g/c, the only number it depends on: a repeated ratio
     (unconstrained ExactSMW) reuses it, and a new one (each PDBasic step)
     replaces it. Each solve runs two products, both charged to the cost
-    counter.
+    counter. The solve also holds A z: (I_m + (g/c) A A^T) s = A rhs makes
+    A z = (A rhs - (g/c) A A^T s) / c = s / c. `az`, if given, is a
+    length-m array that receives it, up to the rounding of the solve.
     """
     if c_id <= 0 or c_gram < 0:
         raise ValueError("need c_id > 0 and c_gram >= 0")
     rhs = np.asarray(rhs, dtype=np.float64)
-    if c_gram == 0 or A.nnz == 0:
-        return rhs / c_id
     ratio = c_gram / c_id
     if A._factor_cache is None or A._factor_cache[0] != ratio:
         A._factor_cache = None  # free the old factor before building anew
@@ -188,5 +188,6 @@ def shifted_gram_solve(A, c_id, c_gram, rhs):
     # cho_factor checked the matrix once; check only the right-hand side
     y = dtrsv(L, np.asarray_chkfinite(t), lower=1)
     s = dtrsv(L, y, lower=1, trans=1, overwrite_x=1)
+    if az is not None:
+        np.divide(s, c_id, out=az)
     return (rhs - ratio * A.rmatvec(s)) / c_id
-

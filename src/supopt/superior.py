@@ -157,7 +157,9 @@ def superiorize_run(config, A, b, shape, tvparams, x0=None, x_ref=None,
     then lam = 0 raises ValueError on entry.
     `metrics.run_outer` drives the steps and stops on rule sup_u,
     g_u(y) <= eps, or for the constrained variants sup_c, which adds
-    min_i y_i > -1e-8. Returns a `metrics.RunResult`.
+    min_i y_i > -1e-8; a CG step hands the record its residual, so only
+    Landweber records run a product of their own. Returns a
+    `metrics.RunResult`.
     """
     config.check_lam(tvparams.lam)
     kind, reduction, constrained = VARIANTS[config.variant][:3]
@@ -180,7 +182,8 @@ def superiorize_run(config, A, b, shape, tvparams, x0=None, x_ref=None,
             y = prox_step(shape, tvparams, y, beta)
         if half_callback is not None:
             half_callback(y)
-        return basic_step(y), 0
+        y, r = basic_step(y)
+        return y, 0, r, None
 
     return RunResult(*run_outer(
         step, y, A, b, shape, tvparams, "sup_c" if constrained else "sup_u",

@@ -1,4 +1,5 @@
-"""Dense reference solutions for the tests (small instances only)."""
+"""Dense reference solutions for the tests (small instances only), a
+relative error and a counter of an operator's diagnostic products."""
 
 import numpy as np
 from scipy.optimize import nnls
@@ -77,3 +78,23 @@ def smooth_terms_2d(shape, params, x):
     root = np.square(d)
     root += params.tau ** 2
     return d, np.sqrt(root, out=root)
+
+
+def count_uncounted_products(A):
+    """Wrap A's diagnostic products; the returned list grows by one a call."""
+    calls = []
+
+    def counting(product):
+        def wrapper(v):
+            calls.append(1)
+            return product(v)
+        return wrapper
+
+    A.apply_nocount = counting(A.apply_nocount)
+    A.applyT_nocount = counting(A.applyT_nocount)
+    return calls
+
+
+def relative_error(a, ref):
+    """||a - ref|| / ||ref|| in the 2-norm."""
+    return float(np.linalg.norm(a - ref) / np.linalg.norm(ref))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import relative_error
 from supopt.basic import (CGState, LWParams, cg_init, cg_step, default_gamma,
                           default_mu, g_u, g_u_mu, lw_proj_step, lw_step,
                           make_step)
@@ -81,6 +82,23 @@ def test_cg_step_stationary_point_stays_and_charges_four_products():
     assert A.matvec_count == 4
 
 
+def test_cg_step_hands_over_its_residual_after_a_restart():
+    # r = A x - b at the new x, from the products the step ran: through a
+    # regular step and through the restart, forced by p = g and any h
+    # with g @ h != 0, so that beta = 1 and -g + beta p cancels
+    A, b = make_system(6, 12, seed=18)
+    mu = 0.05
+    state = cg_init(np.random.default_rng(19).standard_normal(12), mu)
+    for _ in range(3):
+        state = cg_step(A, b, state)
+        assert relative_error(state.r, A.apply_nocount(state.x) - b) <= 1e-10
+    g = A.applyT_nocount(A.apply_nocount(state.x) - b) + mu * state.x
+    restarted = cg_step(A, b, CGState(x=state.x, p=g, h=state.h, mu=mu))
+    assert np.array_equal(restarted.p, -g)
+    assert relative_error(restarted.r,
+                          A.apply_nocount(restarted.x) - b) <= 1e-10
+
+
 def _textbook_cg(M, rhs, x0, steps):
     """Classical CG on the SPD system M x = rhs (test oracle)."""
     x = x0.copy()
@@ -143,7 +161,7 @@ def test_cg_runs_exactly_the_products_it_is_charged():
     x = np.zeros(A.n_cols)
     step = make_step("CG", A, b, x, mu=mu)
     for k in range(1, 11):
-        x = step(x)
+        x, _ = step(x)
         assert len(runs) == A.matvec_count == 4 * k
 
 
@@ -169,7 +187,7 @@ def _run_until(step, x, done, max_iter):
     while not done(x):
         if k == max_iter:
             return x, None
-        x, k = step(x), k + 1
+        x, k = step(x)[0], k + 1
     return x, k
 
 
@@ -185,7 +203,7 @@ def test_make_step_cg_threads_the_direction_pair_bit_for_bit():
             # odd steps start from a perturbed point, as in a superiorized
             # run; the first step takes -g0 from the empty pair
             y = x + 1e-3 * rng.standard_normal(12) if k % 2 else x
-            x = step(y)
+            x, _ = step(y)
             state = cg_step(A, b, CGState(x=y, p=state.p, h=state.h,
                                           mu=state.mu))
             assert np.array_equal(x, state.x)
@@ -196,7 +214,9 @@ def test_make_step_landweber_uses_default_gamma(kind, op):
     A, b = make_system(4, 8, seed=15)
     x = np.random.default_rng(16).standard_normal(8)
     params = LWParams(default_gamma(A))
-    assert np.array_equal(make_step(kind, A, b, x)(x), op(A, b, params, x))
+    x_new, r = make_step(kind, A, b, x)(x)
+    assert np.array_equal(x_new, op(A, b, params, x))
+    assert r is None  # Landweber holds no product at its new point
 
 
 def test_mu_sweep_approaches_min_norm_solution():
@@ -210,7 +230,7 @@ def test_mu_sweep_approaches_min_norm_solution():
         step = make_step("CG", A, b, np.zeros(9), mu=mu)
         x = np.zeros(9)
         for _ in range(2000):
-            x = step(x)
+            x, _ = step(x)
         errs.append(np.linalg.norm(x - x_ls))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-4

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import dense_prox_ls_oracle, nnls_prox_ls_oracle
+from oracles import (count_uncounted_products, dense_prox_ls_oracle,
+                     nnls_prox_ls_oracle, relative_error)
 from supopt import fbs
 from supopt.fbs import (AFBSConfig, afbs_run, cert_constrained,
                         cert_unconstrained, dual_gap, grad_h_u, lipschitz_f,
@@ -148,7 +149,7 @@ def test_dual_gap_bounds_distance_to_constrained_prox(shift):
 def test_dual_gap_takes_two_uncounted_products_and_no_factor():
     A, b, x = make_instance(seed=21)
     c = x / 0.7 + A.applyT_nocount(b)
-    calls = _count_uncounted_products(A)
+    calls = count_uncounted_products(A)
     assert dual_gap(A, 0.7, c, np.abs(x)) > 0.0
     assert len(calls) == 2
     assert A.matvec_count == 0 and A._factor_cache is None
@@ -369,27 +370,12 @@ def _cert_constrained_reference(A, b, alpha, eps_k, x, z_prev, tau_prev,
     return z1, None, gap, np.sqrt(2.0 * alpha * (gap + floor)) <= eps_k, floor
 
 
-def _count_uncounted_products(A):
-    # wraps A's diagnostic products; the returned list grows by one a call
-    calls = []
-
-    def counting(product):
-        def wrapper(v):
-            calls.append(1)
-            return product(v)
-        return wrapper
-
-    A.apply_nocount = counting(A.apply_nocount)
-    A.applyT_nocount = counting(A.applyT_nocount)
-    return calls
-
-
 def _constrained_certificates(shift, eps_k, steps=300):
     # (certificate, reference, uncounted products, state) per PDNoInv step
     A, b, x = make_instance(seed=20)
     x = x + shift
     alpha = 0.7
-    calls = _count_uncounted_products(A)
+    calls = count_uncounted_products(A)
     st = pd_noinv_init(A, b, alpha, x, nonneg=True)
     out = []
     for _ in range(steps):
@@ -438,6 +424,27 @@ def test_cert_constrained_uncounted_products(shift, fallback, products):
     certs = _constrained_certificates(shift, eps_k=0.0, steps=50)
     seen = [n for cert, _, n, _ in certs if cert.fallback == fallback]
     assert seen and set(seen) == {products}
+
+
+@pytest.mark.parametrize("shift,fallback,eps_k", [(3.0, False, 1.7e-3),
+                                                  (-1.0, True, 6e-3)])
+def test_cert_constrained_keeps_a_z_on_either_path(shift, fallback, eps_k):
+    A, _, _ = make_instance(seed=20)  # the operator of the certificates
+    certs = [cert for cert, *_ in _constrained_certificates(shift, eps_k)
+             if cert.fallback == fallback]
+    assert certs
+    for cert in certs:
+        assert relative_error(cert.az, A.apply_nocount(cert.z)) <= 1e-10
+
+
+def test_cert_unconstrained_keeps_a_z():
+    A, b, x = make_instance(seed=13)
+    st = pd_noinv_init(A, b, 0.7, x, nonneg=False)
+    for _ in range(20):
+        zp, tp = st.z, st.tau
+        st = pd_noinv_step(A, 0.7, False, st)
+        cert = cert_unconstrained(A, 0.7, 1e-3, zp, tp, st)
+        assert np.array_equal(cert.az, A.apply_nocount(cert.z))
 
 
 def _tiny_tomo(side=16, seed=0):
@@ -592,17 +599,17 @@ def test_exact_fbs_matvec_count_closed_form(accelerated):
         [0] + [1 + 2 * k for k in range(1, 13)]
 
 
-def test_exact_afbs_spends_two_uncounted_products_per_outer():
-    # one A x - b serves both the record and the gradient stopping rule,
-    # which adds A^T r; the exact prox's products are all charged
+def test_exact_afbs_spends_two_uncounted_products_in_the_whole_run():
+    # the k = 0 record computes A x - b and A^T r; every later record
+    # takes both from the exact prox, whose products are all charged
     A, b, shape = _tiny_tomo()
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
-    calls = _count_uncounted_products(A)
+    calls = count_uncounted_products(A)
     cfg = AFBSConfig("NaturalLS", inner="ExactSMW", max_outer=12,
                      term_tol=0.0)
     res = afbs_run(cfg, A, b, shape, tvp)
     assert res.iterations == 12
-    assert len(calls) == 2 * len(res.records)
+    assert len(calls) == 2
 
 
 def test_prox_ls_exact_reuses_given_atb():

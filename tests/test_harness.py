@@ -2,11 +2,13 @@ import importlib.util
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import count_uncounted_products, relative_error
 from supopt import metrics
 from supopt.basic import g_u
 from supopt.fbs import AFBSConfig, afbs_run, grad_h_u
@@ -226,6 +228,69 @@ def test_run_outer_stops_at_first_iterate_meeting_its_rule(monkeypatch,
     assert info["iterations"] == len(records) - 1 == len(seen) - 1 > 10
 
 
+@pytest.mark.parametrize("side", [16, 32])
+@pytest.mark.parametrize("name,first,with_atr", [
+    ("AFBS:NaturalLS", 1, True),                  # ExactSMW
+    ("AFBS:NaturalLS:PDNoInv", 1, False),         # cert_unconstrained
+    ("AFBS:NaturalLS:PDNoInv:nonneg", 1, False),  # cert_constrained
+    ("AFBS:ReversedTV", 0, True),
+    ("FBS:ReversedTV", 0, True),
+    ("AFBS:ReversedTV:nonneg", 0, True),
+    ("GradSupCG", 1, False),
+    ("ProxCSupCG", 1, False),
+])
+def test_steps_hand_over_what_fresh_products_give(monkeypatch, side, name,
+                                                  first, with_atr):
+    # records first, first + 1, ... get r = A x - b from the step, and
+    # A^T r where the step holds it
+    held = []
+
+    def spy(k, A, b, x, *args, r=None, atr=None, **kwargs):
+        if r is not None:
+            held.append((k, x.copy(), r, atr))
+        return make_record(k, A, b, x, *args, r=r, atr=atr, **kwargs)
+
+    monkeypatch.setattr(metrics, "make_record", spy)
+    config = small_config(image_side=side, n_rays=side, max_outer=30,
+                          algorithms=[name])
+    problem = build_problem(config)
+    _, records, info = run_algorithm(name, problem, config)
+    assert [k for k, *_ in held] == list(range(first, len(records)))
+    for _, x, r, atr in held:
+        fresh = problem.A.apply_nocount(x) - problem.b
+        assert relative_error(r, fresh) <= 1e-10
+        assert (atr is not None) == with_atr
+        if with_atr:
+            assert relative_error(atr,
+                                  problem.A.applyT_nocount(fresh)) <= 1e-10
+    if name == "AFBS:NaturalLS:PDNoInv:nonneg" and side == 16:
+        # both certificate paths ran
+        assert 0 < info["fallback_count"] < info["iterations"]
+
+
+@pytest.mark.parametrize("name,tol_key,diagnostic", [
+    # the k = 0 record's A x - b and A^T r; every later record takes both
+    # from the exact prox
+    ("AFBS:NaturalLS", "term_tol", 2),
+    # the k = 0 record's two, which also give step 1 its gradient; after
+    # that each step's two charged products serve its record and the
+    # next gradient, so the run executes its charged products plus these
+    ("AFBS:ReversedTV", "term_tol", 2),
+    ("GradSupCG", "eps", 1),    # the k = 0 record's A x - b
+    ("GradSupLW", "eps", 13),   # one A x - b per record
+])
+def test_records_take_products_only_where_no_step_holds_them(name, tol_key,
+                                                            diagnostic):
+    config = small_config(max_outer=12, algorithms=[name],
+                          overrides={name: {tol_key: 0.0}})
+    problem = build_problem(config)
+    problem.A.norm_sq  # the power iteration runs before the wrapping
+    calls = count_uncounted_products(problem.A)
+    _, records, _ = run_algorithm(name, problem, config)
+    assert len(records) == 13
+    assert len(calls) == diagnostic
+
+
 def test_exact_constrained_afbs_records_its_inner_steps():
     # each projected Nesterov step of ExactSMW:nonneg's prox is charged two
     # products, the closed form acceptance 10 checks for PDNoInv
@@ -389,15 +454,29 @@ def test_cli_lam_zero_runs_a_variant_with_a_fixed_gamma0(tmp_path):
 
 
 def test_cli_diverging_run_exits_3(tmp_path, capsys):
-    # the iterate stays finite, but ||Ax - b||^2 overflows
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the iterate stays finite, but ||Ax - b||^2 overflows; no numpy
+    # warning precedes the failure line, the records before the failure
+    # and a "diverged" summary row are written, and the next run goes on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(_tiny_run(tmp_path, "max_outer=50",
-                              "algorithms=FBS:ReversedTV",
+                              "algorithms=FBS:ReversedTV, GradSupCG",
                               "override.FBS:ReversedTV.alpha=1e6"))
     assert code == 3
-    assert "numerical failure: non-finite metric residual_scaled in " \
-        "forward-backward run FBS:ReversedTV:TVProx, k=" in \
-        capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: non-finite metric "
+                          "residual_scaled in forward-backward run "
+                          "FBS:ReversedTV:TVProx, k=")
+    assert err.count("\n") == 1
+    k = int(err.rsplit("k=", 1)[1])
+    rows = (tmp_path / "FBS_ReversedTV.csv").read_text().splitlines()
+    assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(k))
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    last = rows[-1].split(",")
+    assert summary[1].split(",") == ["FBS:ReversedTV", str(k - 1),
+                                     "diverged", *last[1:4], last[5]]
+    assert summary[2].startswith("GradSupCG,")
+    assert (tmp_path / "GradSupCG.csv").exists()
 
 
 def _python(*args):

@@ -96,6 +96,18 @@ def test_shifted_gram_solve_identity_limit():
     assert np.allclose(shifted_gram_solve(A, 2.0, 0.0, rhs), rhs / 2.0)
 
 
+@pytest.mark.parametrize("c_id,c_gram", [(1.0, 0.5), (2.5, 1.0), (2.0, 0.0)])
+def test_shifted_gram_solve_hands_over_a_z(c_id, c_gram):
+    # A z = s / c_id from the reduced solve, without a product of its own
+    A, M = random_operator(4, 10, seed=6)
+    rhs = np.random.default_rng(7).standard_normal(10)
+    az = np.empty(4)
+    z = shifted_gram_solve(A, c_id, c_gram, rhs, az=az)
+    assert np.array_equal(z, shifted_gram_solve(A, c_id, c_gram, rhs))
+    assert np.allclose(az, M @ z, rtol=1e-12, atol=1e-12)
+    assert A.matvec_count == 4
+
+
 def test_shifted_gram_solve_caches_factor():
     A, _ = random_operator(4, 10, seed=9)
     rhs = np.ones(10)
