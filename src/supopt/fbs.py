@@ -120,6 +120,11 @@ def lipschitz_f(kind, A, tvparams):
     return A.norm_sq
 
 
+def _c_alpha(A, b, alpha, x, atb):
+    """c = x/alpha + A^T b, with one uncounted product unless atb is given."""
+    return x / alpha + (A.applyT_nocount(b) if atb is None else atb)
+
+
 def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None,
                   max_iter=AFBSConfig.max_inner, az=None):
     """Exact prox of 0.5*||Az - b||^2 [+ indicator(z >= 0)] at x.
@@ -129,20 +134,21 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None,
     the reduced m x m system (two counted products, steps = 0), plus one
     counted product for A^T b unless the caller passes it as `atb`; a
     length-m `az` receives A z from the solve (`shifted_gram_solve`).
-    Constrained: forms c = x/alpha + A^T b once (one uncounted product)
-    and runs projected Nesterov steps (`regtv._projected_nesterov`, two
-    counted products each) on the (1/alpha)-strongly convex subproblem
-    until `dual_gap` at c, checked at the start, every 10 steps and after
-    the last step, is <= 2 alpha ||delta||^2, delta_i = n * eps * |c_i|
-    (eps the float64 machine epsilon): the gap that rounding of c - Bz
-    alone can show. Warns if `max_iter` steps do not get there.
+    Constrained: forms c = x/alpha + A^T b once (one uncounted product,
+    none if the caller passes `atb`) and runs projected Nesterov steps
+    (`regtv._projected_nesterov`, two counted products each) on the
+    (1/alpha)-strongly convex subproblem until `dual_gap` at c, checked
+    at the start, every 10 steps and after the last step, is <= 2 alpha
+    ||delta||^2, delta_i = n * eps * |c_i| (eps the float64 machine
+    epsilon): the gap that rounding of c - Bz alone can show. Warns if
+    `max_iter` steps do not get there.
     """
     x = np.asarray(x, dtype=np.float64)
     if not nonneg:
         if atb is None:
             atb = A.rmatvec(b)
         return shifted_gram_solve(A, 1.0, alpha, x + alpha * atb, az=az), 0
-    c = x / alpha + A.applyT_nocount(b)
+    c = _c_alpha(A, b, alpha, x, atb)
     floor = 2.0 * alpha * (c.size * np.finfo(np.float64).eps) ** 2 \
         * float(c @ c)
 
@@ -207,22 +213,38 @@ class PDBasicState:
 
 @dataclass
 class PDNoInvState:
+    """PDNoInv's pair (z, q), its step sizes, and the products it holds.
+
+    az = A z, atq = A^T q and ataz = A^T A z; azbar and atazbar are A and
+    A^T A at the extrapolated zbar = z + theta (z - z_prev), which only
+    the next step's dual update needs, so zbar itself is not kept. A step
+    computes az and ataz as its two charged products; the rest follow by
+    linearity. The certificates read az, atq and ataz from here.
+    """
+
     z: np.ndarray
     q: np.ndarray
-    zbar: np.ndarray
     tau: float
     sigma: float
     c_alpha: np.ndarray
-    atq: np.ndarray = None  # A^T q, kept by pd_noinv_step for the certificate
+    az: np.ndarray
+    atq: np.ndarray
+    ataz: np.ndarray
+    azbar: np.ndarray
+    atazbar: np.ndarray
 
 
-def pd_basic_init(A, b, alpha, x, z0=None, p0=None):
-    """Initial state with tau0 = sigma0 = 1 (tau0*sigma0 <= 1)."""
+def pd_basic_init(A, b, alpha, x, warm=None, atb=None):
+    """Initial state with tau0 = sigma0 = 1 (tau0*sigma0 <= 1).
+
+    Starts from (x, 0), or from the pair (z, p) of the state `warm`;
+    `atb` = A^T b saves the product that forms c.
+    """
     x = np.asarray(x, dtype=np.float64)
-    z = x.copy() if z0 is None else np.array(z0, dtype=np.float64)
-    p = np.zeros_like(z) if p0 is None else np.array(p0, dtype=np.float64)
-    c = x / alpha + A.applyT_nocount(b)
-    return PDBasicState(z=z, p=p, zbar=z.copy(), tau=1.0, sigma=1.0, c_alpha=c)
+    z = x.copy() if warm is None else warm.z
+    p = np.zeros_like(z) if warm is None else warm.p
+    return PDBasicState(z=z, p=p, zbar=z.copy(), tau=1.0, sigma=1.0,
+                        c_alpha=_c_alpha(A, b, alpha, x, atb))
 
 
 def pd_basic_step(A, alpha, state):
@@ -242,50 +264,71 @@ def pd_basic_step(A, alpha, state):
                         sigma=state.sigma / theta, c_alpha=state.c_alpha)
 
 
-def pd_noinv_init(A, b, alpha, x, nonneg, z0=None, q0=None):
-    """Initial state with tau0 = sigma0 = 1/||A||_2 (tau0*sigma0 <= 1/||A||^2)."""
+def pd_noinv_init(A, b, alpha, x, nonneg, warm=None, atb=None):
+    """Initial state with tau0 = sigma0 = 1/||A||_2 (tau0*sigma0 <= 1/||A||^2).
+
+    A cold start takes z = x (clipped to z >= 0 under `nonneg`) and q = 0,
+    so A^T q = 0, and forms A z and A^T A z as two uncounted set-up
+    products. A warm start carries z, q and their products over from the
+    state `warm`, the last of the previous prox, and runs no product.
+    `atb` = A^T b saves the uncounted product that forms c.
+    """
     x = np.asarray(x, dtype=np.float64)
-    z = x.copy() if z0 is None else np.array(z0, dtype=np.float64)
-    if nonneg:
-        z = np.maximum(z, 0.0)
-    q = np.zeros(A.n_rows) if q0 is None else np.array(q0, dtype=np.float64)
-    c = x / alpha + A.applyT_nocount(b)
+    if warm is None:
+        z = np.maximum(x, 0.0) if nonneg else x.copy()
+        q, atq = np.zeros(A.n_rows), np.zeros(A.n_cols)
+        az = A.apply_nocount(z)
+        ataz = A.applyT_nocount(az)
+    else:
+        z, q, az, atq, ataz = warm.z, warm.q, warm.az, warm.atq, warm.ataz
     t0 = 1.0 / math.sqrt(A.norm_sq)
-    return PDNoInvState(z=z, q=q, zbar=z.copy(), tau=t0, sigma=t0, c_alpha=c)
+    return PDNoInvState(z=z, q=q, tau=t0, sigma=t0,
+                        c_alpha=_c_alpha(A, b, alpha, x, atb), az=az,
+                        atq=atq, ataz=ataz, azbar=az, atazbar=ataz)
 
 
 def pd_noinv_step(A, alpha, nonneg, state):
     """One inversion-free primal-dual step: exactly one A and one A^T product.
 
-    The two charged products are the whole cost; the new state keeps
-    A^T q_new as `atq`, which the certificates reuse.
+    The two charged products are A z_new and A^T A z_new at the new
+    iterate. Everything else comes from the held products by linearity:
+    q_new = (q + sigma A zbar) / (1 + sigma) and A^T q_new = (A^T q +
+    sigma A^T A zbar) / (1 + sigma), a convex combination, so rounding
+    does not grow over the steps; then A zbar_new = A z_new + theta (A z_new
+    - A z), and A^T A zbar_new the same way.
     """
-    q_new = (state.q + state.sigma * A.matvec(state.zbar)) / (1.0 + state.sigma)
-    atq = A.rmatvec(q_new)
-    v = state.z - state.tau * (atq - state.c_alpha)
-    z_new = alpha / (alpha + state.tau) * v
+    s = state
+    q_new = (s.q + s.sigma * s.azbar) / (1.0 + s.sigma)
+    atq = (s.atq + s.sigma * s.atazbar) / (1.0 + s.sigma)
+    v = s.z - s.tau * (atq - s.c_alpha)
+    z_new = alpha / (alpha + s.tau) * v
     if nonneg:
         z_new = np.maximum(z_new, 0.0)
-    theta = 1.0 / math.sqrt(1.0 + 2.0 * state.tau / alpha)
-    zbar = z_new + theta * (z_new - state.z)
-    return PDNoInvState(z=z_new, q=q_new, zbar=zbar, tau=theta * state.tau,
-                        sigma=state.sigma / theta, c_alpha=state.c_alpha,
-                        atq=atq)
+    az = A.matvec(z_new)
+    ataz = A.rmatvec(az)
+    theta = 1.0 / math.sqrt(1.0 + 2.0 * s.tau / alpha)
+    return PDNoInvState(z=z_new, q=q_new, tau=theta * s.tau,
+                        sigma=s.sigma / theta, c_alpha=s.c_alpha, az=az,
+                        atq=atq, ataz=ataz, azbar=az + theta * (az - s.az),
+                        atazbar=ataz + theta * (ataz - s.ataz))
 
 
 # -- inexactness certificates ------------------------------------------------
 
 
-def cert_unconstrained(A, alpha, eps_k, z_prev, tau_prev, state):
+def cert_unconstrained(A, alpha, eps_k, prev, state):
     """Acceptance test for the unconstrained inexact prox.
 
-    Extrapolates z = z_new + (alpha/tau_prev)(z_new - z_prev) and accepts
-    when 0.5*||Az - q||^2 <= eps_k^2 / (2*alpha). The extrapolated z is
-    the value to return as the prox, not the raw iterate; the certificate
-    keeps its A z.
+    `prev` and `state` are the `PDNoInvState`s before and after a step.
+    Extrapolates z = z_new + (alpha/tau_prev)(z_new - z_prev), and A z
+    from the two states' A z by linearity, and accepts when
+    0.5*||Az - q||^2 <= eps_k^2 / (2*alpha). The extrapolated z is the
+    value to return as the prox, not the raw iterate; the certificate
+    keeps its A z. No product.
     """
-    z = state.z + (alpha / tau_prev) * (state.z - z_prev)
-    az = A.apply_nocount(z)
+    ratio = alpha / prev.tau
+    z = state.z + ratio * (state.z - prev.z)
+    az = state.az + ratio * (state.az - prev.az)
     resid = az - state.q
     lhs = 0.5 * float(resid @ resid)
     accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
@@ -294,12 +337,12 @@ def cert_unconstrained(A, alpha, eps_k, z_prev, tau_prev, state):
                            accepted=accepted)
 
 
-def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state):
+def cert_constrained(A, alpha, eps_k, prev, state):
     """Acceptance test for the constrained inexact prox.
 
-    `state` comes from `pd_noinv_step`: the certificate reuses its
-    `atq` = A^T q and `c_alpha` = c = x/alpha + A^T b, and computes A z1
-    and A^T A z1 once for the step's feasible iterate z1.
+    `prev` and `state` are the `PDNoInvState`s before and after a step;
+    the certificate reads the step's feasible iterate z1 = state.z, its
+    held A z1, A^T A z1 and A^T q, and c = x/alpha + A^T b (`c_alpha`).
 
     Primary path: the extrapolated z = z1 + (alpha/tau_prev)(z1 - z_prev)
     + alpha A^T(q - A z1), with normal-cone element
@@ -316,15 +359,14 @@ def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state):
     the Fenchel gap at the pair (z1, q), which bounds
     ||z1 - z*||^2/(2 alpha) as `dual_gap`'s does.
 
-    Uncounted products: 2 on the fallback path, 3 on the primary path.
-    Either path keeps A z for the z it returns: A z1, or A z1 + A(z - z1)
-    on the primary path.
+    Uncounted products: none on the fallback path, 1 (A(z - z1)) on the
+    primary path. Either path keeps A z for the z it returns: A z1, or
+    A z1 + A(z - z1) on the primary path.
     """
-    z1, atq, c = state.z, state.atq, state.c_alpha
-    az1 = A.apply_nocount(z1)
-    atatz1 = A.applyT_nocount(az1)
+    z1, az1, atatz1 = state.z, state.az, state.ataz
+    atq, c = state.atq, state.c_alpha
     # A^T(q1 - A z1) by linearity
-    z = z1 + (alpha / tau_prev) * (z1 - z_prev) + alpha * (atq - atatz1)
+    z = z1 + (alpha / prev.tau) * (z1 - prev.z) + alpha * (atq - atatz1)
     eps64 = np.finfo(np.float64).eps
     tol = z.size * eps64 * alpha * max(float(np.max(np.abs(atq))),
                                        float(np.max(np.abs(atatz1))))
@@ -349,10 +391,11 @@ def cert_constrained(A, alpha, eps_k, z_prev, tau_prev, state):
                            fallback=True)
 
 
-def _cert_pd_basic(A, alpha, eps_k, z_prev, tau_prev, state):
+def _cert_pd_basic(A, alpha, eps_k, prev, state):
     """PDBasic's test: `dual_gap` at (z_l)_+ <= max(eps_k^2/(2a), 1e-12).
 
     Here a = alpha; the gap bounds ||z - z*||^2/(2a); 2 uncounted products.
+    `prev` is unused: the test needs only the step's state.
     """
     z = np.maximum(state.z, 0.0)
     gap = dual_gap(A, alpha, state.c_alpha, z)
@@ -365,17 +408,17 @@ def _cert_pd_basic(A, alpha, eps_k, z_prev, tau_prev, state):
 def _certified_inner_loop(solver, state, step, certify, max_inner):
     """Step a primal-dual state until `certify` accepts, or warn once.
 
-    `step(state)` returns the next state; `certify(z_prev, tau_prev,
-    state)` returns its `ProxCertificate`. After `max_inner` unaccepted
-    steps the last candidate is returned with a `RuntimeWarning`. Returns
-    the certificate, its `inner_iters` set, and the last state. The
-    runners bind `step` and `certify` per call, not at import, so that
-    wrappers installed on this module's functions see every call.
+    `step(state)` returns the next state; `certify(prev, state)` returns
+    the `ProxCertificate` of the step from `prev` to `state`. After
+    `max_inner` unaccepted steps the last candidate is returned with a
+    `RuntimeWarning`. Returns the certificate, its `inner_iters` set, and
+    the last state. The runners bind `step` and `certify` per call, not at
+    import, so that wrappers installed on this module's functions see
+    every call.
     """
     for steps in range(1, max_inner + 1):
-        z_prev, tau_prev = state.z, state.tau
-        state = step(state)
-        cert = certify(z_prev, tau_prev, state)
+        prev, state = state, step(state)
+        cert = certify(prev, state)
         if cert.accepted:
             break
     else:
@@ -387,27 +430,29 @@ def _certified_inner_loop(solver, state, step, certify, max_inner):
 
 
 def _run_pd_noinv_inexact(A, b, alpha, x, eps_k, nonneg, max_inner,
-                          warm=None):
-    """PDNoInv's certified prox from `warm` = (z, q); returns cert, (z, q)."""
-    state = pd_noinv_init(A, b, alpha, x, nonneg, *(warm or ()))
+                          warm=None, atb=None):
+    """PDNoInv's certified prox, warm-started from the state `warm`.
+
+    Returns the certificate and the last state, the next prox's `warm`.
+    """
+    state = pd_noinv_init(A, b, alpha, x, nonneg, warm, atb)
     certify = cert_constrained if nonneg else cert_unconstrained
-    cert, state = _certified_inner_loop(
+    return _certified_inner_loop(
         "PDNoInv", state, partial(pd_noinv_step, A, alpha, nonneg),
         partial(certify, A, alpha, eps_k), max_inner)
-    return cert, (state.z, state.q)
 
 
-def _run_pd_basic(A, b, alpha, x, eps_k, nonneg, max_inner, warm=None):
-    """PDBasic's certified prox, as `_run_pd_noinv_inexact` with (z, p).
+def _run_pd_basic(A, b, alpha, x, eps_k, nonneg, max_inner, warm=None,
+                  atb=None):
+    """PDBasic's certified prox, as `_run_pd_noinv_inexact`.
 
     Its clipped dual makes it constrained whatever `nonneg` says, so
     `AFBSConfig` rejects it without the constraint.
     """
-    state = pd_basic_init(A, b, alpha, x, *(warm or ()))
-    cert, state = _certified_inner_loop(
+    state = pd_basic_init(A, b, alpha, x, warm, atb)
+    return _certified_inner_loop(
         "PDBasic", state, partial(pd_basic_step, A, alpha),
         partial(_cert_pd_basic, A, alpha, eps_k), max_inner)
-    return cert, (state.z, state.p)
 
 
 def objective(A, b, shape, tvparams, x):
@@ -433,7 +478,8 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
     Returns a `metrics.RunResult` with the fallback-certificate
     count and the total inner-iteration count: every prox's steps, which
     are zero only for the direct solve of the unconstrained ExactSMW.
-    Each primal-dual prox starts from the previous one's last pair.
+    Each primal-dual prox starts from the previous one's last state: its
+    pair and, for PDNoInv, the products it holds.
 
     The accelerated loop restarts its momentum (t = T0, y = x_new) after
     any step with <y - x_new, x_new - x> > 0, for every inner solver and
@@ -447,7 +493,9 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
     takes the diagnostic products that give step 1 its gradient. The
     unconstrained ExactSMW hands over r = A z - b from the solve and
     A^T r = (v - z) / alpha, the optimality condition of the prox at v;
-    PDNoInv hands over its certificate's A z - b.
+    PDNoInv hands over its certificate's A z - b. A^T b is taken once per
+    run: the unconstrained ExactSMW charges it, and the other
+    least-squares proxes take it as one uncounted product.
     """
     config.check_lam(tvparams.lam)
     b = np.asarray(b, dtype=np.float64)
@@ -476,9 +524,12 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
             v = y - alpha * (tvparams.lam * tv_smooth_grad(shape, tvparams, y))
         eps_k = float(k) ** (-config.inexact_q)
         r = atr = None
+        if atb is None and not reversed_tv:
+            # constant over the run; only the unconstrained ExactSMW's
+            # cost model charges it
+            charged = config.inner == "ExactSMW" and not config.nonneg
+            atb = A.rmatvec(b) if charged else A.applyT_nocount(b)
         if config.inner == "ExactSMW":
-            if atb is None and not config.nonneg:
-                atb = A.rmatvec(b)  # constant over the run: charged once
             az = None if config.nonneg else np.empty(A.n_rows)
             z, inner_iters = prox_ls_exact(
                 A, b, alpha, v, nonneg=config.nonneg, atb=atb,
@@ -494,7 +545,7 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
             run_pd = (_run_pd_basic if config.inner == "PDBasic"
                       else _run_pd_noinv_inexact)
             cert, warm = run_pd(A, b, alpha, v, eps_k, config.nonneg,
-                                config.max_inner, warm=warm)
+                                config.max_inner, warm=warm, atb=atb)
             z, inner_iters = cert.z, cert.inner_iters
             fallback_count += cert.fallback
             if cert.az is not None:

@@ -158,10 +158,15 @@ def build_parallel_system(geom):
     """
     N = geom.image_side
     offsets = np.linspace(-(N - 1) / 2.0, (N - 1) / 2.0, geom.n_rays)
+    # a ray crosses fewer than 2 N cells; when that bound on nnz and both
+    # dimensions fit int32, scipy stores int32 indices, so casting each
+    # angle's columns now keeps the int64 arrays out of the build's peak
+    bound = max(geom.n_measurements * 2 * N, geom.n_pixels)
+    index_dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
     data, indices, counts = [], [], []
     for angle in geom.angles:
         cols, lengths, kept = _trace_angle(N, offsets, np.deg2rad(angle))
-        indices.append(cols)
+        indices.append(cols.astype(index_dtype))
         data.append(lengths)
         counts.append(kept)
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,9 +232,10 @@ def test_cert_unconstrained_accepts_at_fixed_point():
 
     class FakeState:
         z = z_star
-        q = A.apply_nocount(z_star)
+        q = az = A.apply_nocount(z_star)
+        tau = 0.5
 
-    cert = cert_unconstrained(A, alpha, 1e-8, z_star, 0.5, FakeState())
+    cert = cert_unconstrained(A, alpha, 1e-8, FakeState(), FakeState())
     assert cert.accepted
     assert cert.gap_value <= 1e-18
 
@@ -247,9 +249,8 @@ def test_cert_unconstrained_eps_subdifferential():
     st = pd_noinv_init(A, b, alpha, x, nonneg=False)
     cert = None
     for _ in range(100000):
-        zp, tp = st.z, st.tau
-        st = pd_noinv_step(A, alpha, False, st)
-        cert = cert_unconstrained(A, alpha, eps_k, zp, tp, st)
+        prev, st = st, pd_noinv_step(A, alpha, False, st)
+        cert = cert_unconstrained(A, alpha, eps_k, prev, st)
         if cert.accepted:
             break
     assert cert.accepted
@@ -273,11 +274,12 @@ def test_cert_constrained_accepts_at_fixed_point():
 
     class FakeState:
         z = z_star
-        q = A.apply_nocount(z_star)
-        atq = A.applyT_nocount(q)
+        q = az = A.apply_nocount(z_star)
+        atq = ataz = A.applyT_nocount(q)
         c_alpha = x / alpha + A.applyT_nocount(b)
+        tau = 0.5
 
-    cert = cert_constrained(A, alpha, 1e-6, z_star, 0.5, FakeState())
+    cert = cert_constrained(A, alpha, 1e-6, FakeState(), FakeState())
     assert cert.accepted
 
 
@@ -285,9 +287,10 @@ def _state_at_constrained_prox(A, b, alpha, x):
     # the optimal pair of the constrained prox subproblem: z* and q* = A z*
     z_star = nnls_prox_ls_oracle(A, b, alpha, x)
     q = A.apply_nocount(z_star)
-    return fbs.PDNoInvState(z=z_star, q=q, zbar=z_star, tau=0.5, sigma=0.5,
-                            c_alpha=x / alpha + A.applyT_nocount(b),
-                            atq=A.applyT_nocount(q))
+    atq = A.applyT_nocount(q)
+    return fbs.PDNoInvState(z=z_star, q=q, tau=0.5, sigma=0.5,
+                            c_alpha=x / alpha + A.applyT_nocount(b), az=q,
+                            atq=atq, ataz=atq, azbar=q, atazbar=atq)
 
 
 def test_cert_constrained_fallback_accepts_at_exact_prox():
@@ -299,7 +302,7 @@ def test_cert_constrained_fallback_accepts_at_exact_prox():
     # orthant, so the certificate takes its fallback path
     z_prev = st.z + (st.z == 0)
     assert np.any(st.z == 0)
-    cert = cert_constrained(A, alpha, 1e-6, z_prev, 0.5, st)
+    cert = cert_constrained(A, alpha, 1e-6, replace(st, z=z_prev), st)
     assert cert.fallback and cert.accepted
     assert np.array_equal(cert.z, st.z)
     assert cert.eps_achieved <= 1e-6
@@ -319,8 +322,8 @@ def test_cert_constrained_path_stable_under_last_bit_change():
     nudged = fbs.PDNoInvState(**{**st.__dict__,
                                  "atq": np.nextafter(st.atq, -np.inf)})
     for eps_k in (1e-4, 1e-6):
-        cert = cert_constrained(A, alpha, eps_k, st.z, 0.5, st)
-        cert_nudged = cert_constrained(A, alpha, eps_k, st.z, 0.5, nudged)
+        cert = cert_constrained(A, alpha, eps_k, st, st)
+        cert_nudged = cert_constrained(A, alpha, eps_k, st, nudged)
         assert not cert.fallback and not cert_nudged.fallback
         assert cert.accepted and cert_nudged.accepted
         assert np.min(cert_nudged.z) >= 0.0
@@ -336,9 +339,8 @@ def test_cert_constrained_fallback_bound_dominates_error():
     st = pd_noinv_init(A, b, alpha, x, nonneg=True)
     checked = 0
     for _ in range(2000):
-        zp, tp = st.z, st.tau
-        st = pd_noinv_step(A, alpha, True, st)
-        cert = cert_constrained(A, alpha, 0.0, zp, tp, st)
+        prev, st = st, pd_noinv_step(A, alpha, True, st)
+        cert = cert_constrained(A, alpha, 0.0, prev, st)
         if cert.fallback:
             err = np.linalg.norm(st.z - z_star)
             assert err <= cert.eps_achieved + 1e-9
@@ -379,12 +381,12 @@ def _constrained_certificates(shift, eps_k, steps=300):
     st = pd_noinv_init(A, b, alpha, x, nonneg=True)
     out = []
     for _ in range(steps):
-        zp, tp = st.z, st.tau
-        st = pd_noinv_step(A, alpha, True, st)
+        prev, st = st, pd_noinv_step(A, alpha, True, st)
         del calls[:]
-        cert = cert_constrained(A, alpha, eps_k, zp, tp, st)
+        cert = cert_constrained(A, alpha, eps_k, prev, st)
         products = len(calls)
-        ref = _cert_constrained_reference(A, b, alpha, eps_k, x, zp, tp, st)
+        ref = _cert_constrained_reference(A, b, alpha, eps_k, x, prev.z,
+                                          prev.tau, st)
         out.append((cert, ref, products, st))
     return out
 
@@ -418,8 +420,8 @@ def test_cert_constrained_matches_four_product_reference(shift, fallback,
     assert decisions == {False, True}
 
 
-@pytest.mark.parametrize("shift,fallback,products", [(3.0, False, 3),
-                                                     (-1.0, True, 2)])
+@pytest.mark.parametrize("shift,fallback,products", [(3.0, False, 1),
+                                                     (-1.0, True, 0)])
 def test_cert_constrained_uncounted_products(shift, fallback, products):
     certs = _constrained_certificates(shift, eps_k=0.0, steps=50)
     seen = [n for cert, _, n, _ in certs if cert.fallback == fallback]
@@ -440,11 +442,13 @@ def test_cert_constrained_keeps_a_z_on_either_path(shift, fallback, eps_k):
 def test_cert_unconstrained_keeps_a_z():
     A, b, x = make_instance(seed=13)
     st = pd_noinv_init(A, b, 0.7, x, nonneg=False)
+    calls = count_uncounted_products(A)
     for _ in range(20):
-        zp, tp = st.z, st.tau
-        st = pd_noinv_step(A, 0.7, False, st)
-        cert = cert_unconstrained(A, 0.7, 1e-3, zp, tp, st)
-        assert np.array_equal(cert.az, A.apply_nocount(cert.z))
+        prev, st = st, pd_noinv_step(A, 0.7, False, st)
+        del calls[:]
+        cert = cert_unconstrained(A, 0.7, 1e-3, prev, st)
+        assert not calls  # A z by linearity from the two states' A z
+        assert relative_error(cert.az, A.apply_nocount(cert.z)) <= 1e-12
 
 
 def _tiny_tomo(side=16, seed=0):
@@ -454,6 +458,66 @@ def _tiny_tomo(side=16, seed=0):
     x_true = tomo.shepp_logan(side)
     b = A.apply_nocount(x_true)
     return A, b, GridShape(side, side)
+
+
+@pytest.mark.parametrize("side", [16, 32])
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_pd_noinv_held_products_match_direct_products(side, nonneg):
+    # two proxes at NaturalLS's alpha, the second warm-started from the
+    # first one's last state: A z and A^T A z are the step's own products,
+    # A^T q comes by linearity and must not drift from A^T applied to q
+    from supopt import tomo
+    A, b, _ = _tiny_tomo(side=side)
+    rng = np.random.default_rng(side)
+    alpha = 0.125
+    st = None
+    for _ in range(2):
+        x = tomo.shepp_logan(side) + 0.2 * rng.standard_normal(A.n_cols)
+        st = pd_noinv_init(A, b, alpha, x, nonneg, warm=st)
+        for _ in range(150):
+            st = pd_noinv_step(A, alpha, nonneg, st)
+            assert relative_error(st.az, A.apply_nocount(st.z)) <= 1e-12
+            assert relative_error(st.ataz,
+                                  A.applyT_nocount(st.az)) <= 1e-12
+            assert relative_error(st.atq, A.applyT_nocount(st.q)) <= 1e-12
+
+
+def test_pd_noinv_products_per_start_and_step():
+    # a cold start forms A z0 and A^T A z0 uncounted; a warm start and
+    # every step run none, and a step charges exactly its two products
+    A, b, shape = _tiny_tomo()
+    x = np.random.default_rng(3).standard_normal(A.n_cols)
+    atb = A.applyT_nocount(b)
+    A.norm_sq  # the power iteration runs before the wrapping
+    calls = count_uncounted_products(A)
+    st = pd_noinv_init(A, b, 0.5, x, True, atb=atb)
+    assert len(calls) == 2 and A.matvec_count == 0
+    assert not np.any(st.q) and not np.any(st.atq)
+    st = pd_noinv_step(A, 0.5, True, st)
+    assert len(calls) == 2 and A.matvec_count == 2
+    pd_noinv_init(A, b, 0.5, x, True, warm=st, atb=atb)
+    assert len(calls) == 2 and A.matvec_count == 2
+
+
+@pytest.mark.parametrize("inner,nonneg", [("PDNoInv", False),
+                                          ("PDNoInv", True),
+                                          ("PDBasic", True),
+                                          ("ExactSMW", True)])
+def test_least_squares_proxes_take_atb_once_per_run(inner, nonneg):
+    A, b, shape = _tiny_tomo(side=12)
+    tvp = SmoothedTVParams(tau=0.01, lam=0.01)
+    taken = []
+    applyT = A.applyT_nocount
+
+    def spy(y):
+        taken.append(y is b)
+        return applyT(y)
+
+    A.applyT_nocount = spy
+    res = afbs_run(AFBSConfig("NaturalLS", nonneg=nonneg, inner=inner,
+                              max_outer=4, term_tol=0.0), A, b, shape, tvp)
+    assert res.iterations == 4
+    assert taken.count(True) == 1
 
 
 def test_afbs_t_update_arithmetic():

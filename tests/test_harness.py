@@ -276,6 +276,10 @@ def test_steps_hand_over_what_fresh_products_give(monkeypatch, side, name,
     # that each step's two charged products serve its record and the
     # next gradient, so the run executes its charged products plus these
     ("AFBS:ReversedTV", "term_tol", 2),
+    # the k = 0 record's two, A^T b once per run, the first prox's cold
+    # start A z0 and A^T A z0, and one A^T r per later record: the
+    # unconstrained certificate extrapolates A z from the steps' products
+    ("AFBS:NaturalLS:PDNoInv", "term_tol", 2 + 1 + 2 + 12),
     ("GradSupCG", "eps", 1),    # the k = 0 record's A x - b
     ("GradSupLW", "eps", 13),   # one A x - b per record
 ])
