@@ -12,11 +12,13 @@ FBS and AFBS on each of the 7 splitting and inner-solver spellings.
 `--set image_side=12 --set max_outer=3`. Prints "identical" or
 "differs" for every CSV either side wrote, and for a CSV that both sides
 wrote and that differs, the header names of the differing columns and
-the number of differing rows. Exits 1 on any difference or failed run,
-0 otherwise.
+the number of differing rows, and on the next line the largest relative
+change of each differing numeric column. Exits 1 on any difference or
+failed run, 0 otherwise.
 """
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -73,6 +75,32 @@ def csv_difference(parent, change):
     return names, rows
 
 
+def relative_changes(parent, change):
+    """Largest relative change |c - p| / |p| of each differing numeric column.
+
+    Returns {name: change}, in column order, over the data rows present
+    in both files, for the parent's columns whose differing cells all
+    parse as numbers on both sides; a change from 0 is inf. A cell
+    written differently but equal in value, as 0.5 and 0.50, changes by 0.
+    """
+    a = parent.read_text().splitlines()
+    b = change.read_text().splitlines()
+    header = a[0].split(",") if a else []
+    worst, text = {}, set()
+    for line_a, line_b in zip(a[1:], b[1:]):
+        for j, (x, y) in enumerate(zip(line_a.split(","), line_b.split(","))):
+            if x == y or j >= len(header):
+                continue
+            try:
+                p, c = float(x), float(y)
+            except ValueError:
+                text.add(j)
+                continue
+            rel = abs(c - p) / abs(p) if p else math.inf
+            worst[j] = max(worst.get(j, 0.0), rel)
+    return {header[j]: worst[j] for j in sorted(worst) if j not in text}
+
+
 def describe(parent, change):
     """'identical', or 'differs' with what csv_difference finds."""
     if not (parent.is_file() and change.is_file()):
@@ -101,9 +129,15 @@ def main(argv=None):
                         for p in out.glob("*.csv")})
         differs = 0
         for name in names:
-            verdict = describe(*(out / name for out in outs))
+            paths = [out / name for out in outs]
+            verdict = describe(*paths)
             differs += verdict != "identical"
             print(f"{name}: {verdict}")
+            changes = relative_changes(*paths) \
+                if verdict.startswith("differs in") else {}
+            if changes:
+                print("  largest relative change: " + ", ".join(
+                    f"{column} {rel:.2e}" for column, rel in changes.items()))
     print(f"{len(names)} CSVs, {differs} differ"
           + (", a run failed" if failed else ""))
     return 1 if failed or differs or not names else 0

@@ -3,38 +3,14 @@
 Landweber, projected Landweber, and a regularized conjugate-gradient
 step that recomputes the gradient from the current iterate each call
 (rather than the classical recursive residual update), which is what
-makes it resilient to bounded perturbations of its input. `make_step`
-maps a kind ("LW", "LW+", "CG") to its step; `metrics.run_outer` drives
-the steps.
+makes it resilient to bounded perturbations of its input. The steps are
+plain functions of arrays; `make_step` maps a kind ("LW", "LW+", "CG")
+to its step, and `metrics.run_outer` drives the steps.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 _BREAKDOWN = 1e-300
-
-
-@dataclass(frozen=True)
-class LWParams:
-    """Landweber step size; valid range is (0, 2/||A||_2^2)."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-
-
-@dataclass(frozen=True)
-class CGState:
-    """CG iterate x, direction pair (p, h) and, from `cg_step`, r = A x - b."""
-
-    x: np.ndarray
-    p: np.ndarray
-    h: np.ndarray
-    mu: float
-    r: np.ndarray = None
 
 
 def default_gamma(A):
@@ -47,10 +23,6 @@ def default_mu(A):
     return 1e-6 * A.norm_sq
 
 
-def residual(A, b, x):
-    return A.matvec(x) - b
-
-
 def g_u(A, b, x):
     """0.5 * ||Ax - b||^2 (diagnostic; not charged to the cost model)."""
     r = A.apply_nocount(x) - b
@@ -61,90 +33,76 @@ def g_u_mu(A, b, x, mu):
     return g_u(A, b, x) + 0.5 * mu * float(x @ x)
 
 
-def lw_step(A, b, params, x):
-    """One Landweber update x - gamma * A^T (Ax - b)."""
-    return x - params.gamma * A.rmatvec(residual(A, b, x))
+def lw_step(A, b, gamma, x):
+    """One Landweber update x - gamma A^T (Ax - b); gamma in (0, 2/||A||^2)."""
+    return x - gamma * A.rmatvec(A.matvec(x) - b)
 
 
-def lw_proj_step(A, b, params, x):
+def lw_proj_step(A, b, gamma, x):
     """Projected Landweber update max(x - gamma * A^T(Ax - b), 0)."""
-    return np.maximum(lw_step(A, b, params, x), 0.0)
+    return np.maximum(lw_step(A, b, gamma, x), 0.0)
 
 
-def cg_init(x0, mu):
-    """Initial CG state at x0: the empty direction pair p = h = 0.
-
-    The first `cg_step` finds p @ h = 0 below its breakdown threshold and
-    steps along the steepest descent -g, at the charged cost of every
-    other step; the set-up itself runs no product.
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    return CGState(x=x0, p=np.zeros_like(x0), h=np.zeros_like(x0), mu=mu)
-
-
-def cg_step(A, b, state):
+def cg_step(A, b, mu, x, p, h):
     """One perturbation-resilient CG update on the mu-regularized problem.
 
-    g = A^T(Ax - b) + mu*x is recomputed from x each call. An empty or
-    degenerate direction pair (p @ h below the breakdown threshold, as
-    after `cg_init`) steps along -g; four charged products per step.
-    The new state's r is the residual at its x, by linearity from the
-    products the step already ran: A(x + gamma p) - b = (Ax - b) +
+    g = A^T(Ax - b) + mu*x is recomputed from x each call, and (p, h =
+    (A^T A + mu I) p) is the previous step's direction pair. The
+    direction is -g + beta p, beta = <g, h>/<p, h>; it is -g when <p, h>
+    is below the breakdown threshold (the empty pair p = h = 0 of a first
+    step) or when -g + beta p cancels to zero, a restart. The direction is
+    chosen before the step's one product pair, so every step runs exactly
+    the four products it is charged. A nonzero direction whose curvature
+    <p_new, h_new> falls below the threshold leaves x in place for that
+    step, as a stationary point does, rather than restarting.
+
+    Returns (x_new, p_new, h_new, r) with r = A x_new - b, by linearity
+    from the products the step ran: A(x + gamma p) - b = (Ax - b) +
     gamma A p, so it costs no product.
     """
-    x, p, h, mu = state.x, state.p, state.h, state.mu
-    r = residual(A, b, x)
+    r = A.matvec(x) - b
     g = A.rmatvec(r) + mu * x
     den = float(p @ h)
-    if abs(den) < _BREAKDOWN:
-        p_new = -g
-    else:
-        beta = float(g @ h) / den
-        p_new = -g + beta * p
+    p_new = -g
+    if abs(den) >= _BREAKDOWN:
+        d = p_new + (float(g @ h) / den) * p
+        if d.any():
+            p_new = d
     ap = A.matvec(p_new)
     h_new = A.rmatvec(ap) + mu * p_new
     den2 = float(p_new @ h_new)
     if abs(den2) < _BREAKDOWN:
-        # restart with the steepest-descent direction when -g + beta*p
-        # cancels to a vanishing direction, which keeps long perturbed
-        # runs alive instead of failing
-        p_new = -g
-        ap = A.apply_nocount(p_new)
-        h_new = A.applyT_nocount(ap) + mu * p_new
-        den2 = float(p_new @ h_new)
-        if abs(den2) < _BREAKDOWN:
-            return CGState(x=x, p=p_new, h=h_new, mu=mu, r=r)  # stationary
+        return x, p_new, h_new, r  # stationary
     gamma = -float(g @ p_new) / den2
-    return CGState(x=x + gamma * p_new, p=p_new, h=h_new, mu=mu,
-                   r=r + gamma * ap)
+    return x + gamma * p_new, p_new, h_new, r + gamma * ap
 
 
-def make_step(kind, A, b, x0, mu=None):
+def make_step(kind, A, b):
     """One step of basic operator `kind` ("LW", "LW+" or "CG") as x -> (x, r).
 
     r is the residual A x - b at the returned x where the step holds it
-    (CG, from `cg_step`), else None (LW and LW+, whose products are at the
-    point they start from). LW and LW+ step with `default_gamma(A)`. CG
-    starts from `cg_init`'s empty direction pair at x0 with `mu`, by
-    default `default_mu(A)`, so its first call steps along steepest
-    descent. It carries the pair from call to call, so each call
-    continues from whatever point it is handed, and every call is
-    charged four products. The step functions are looked up when a step
-    runs, so wrappers installed on this module see every call.
+    (CG), else None (LW and LW+, whose products are at the point they
+    start from). LW and LW+ step with `default_gamma(A)`, CG with
+    `default_mu(A)`. CG keeps its direction pair in the closure, from the
+    empty pair of its first call, which steps along steepest descent, to
+    the pair of its last call, so each call continues from whatever point
+    it is handed; every call is charged four products. The step
+    functions are looked up when a step runs, so wrappers installed on
+    this module see every call.
     """
     if kind in ("LW", "LW+"):
-        params = LWParams(default_gamma(A))
+        gamma = default_gamma(A)
         if kind == "LW":
-            return lambda x: (lw_step(A, b, params, x), None)
-        return lambda x: (lw_proj_step(A, b, params, x), None)
+            return lambda x: (lw_step(A, b, gamma, x), None)
+        return lambda x: (lw_proj_step(A, b, gamma, x), None)
     if kind != "CG":
         raise ValueError(f"unknown basic algorithm {kind!r}")
-    mu = default_mu(A) if mu is None else mu
-    state = cg_init(x0, mu)
+    mu = default_mu(A)
+    p = h = np.zeros(A.n_cols)
 
     def cg(x):
-        nonlocal state
-        state = cg_step(A, b, CGState(x=x, p=state.p, h=state.h, mu=mu))
-        return state.x, state.r
+        nonlocal p, h
+        x, p, h, r = cg_step(A, b, mu, x, p, h)
+        return x, r
 
     return cg

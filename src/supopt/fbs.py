@@ -101,14 +101,16 @@ class AFBSConfig:
 class ProxCertificate:
     """Computable acceptance evidence for an inexact prox evaluation.
 
-    az is A z where the certificate formed it, else None.
+    z is the candidate prox; az = A z and ataz = A^T A z where the
+    certificate formed them from held products, else None. The steps
+    that led to it are counted by `_run_pd`, which returns them.
     """
 
     z: np.ndarray
     az: np.ndarray = None
+    ataz: np.ndarray = None
     gap_value: float = 0.0
     eps_achieved: float = 0.0
-    inner_iters: int = 0
     accepted: bool = True
     fallback: bool = False
 
@@ -321,18 +323,19 @@ def cert_unconstrained(A, alpha, eps_k, prev, state):
 
     `prev` and `state` are the `PDNoInvState`s before and after a step.
     Extrapolates z = z_new + (alpha/tau_prev)(z_new - z_prev), and A z
-    from the two states' A z by linearity, and accepts when
-    0.5*||Az - q||^2 <= eps_k^2 / (2*alpha). The extrapolated z is the
-    value to return as the prox, not the raw iterate; the certificate
-    keeps its A z. No product.
+    and A^T A z from the two states' products by linearity, and accepts
+    when 0.5*||Az - q||^2 <= eps_k^2 / (2*alpha). The extrapolated z is
+    the value to return as the prox, not the raw iterate; the certificate
+    keeps its A z and A^T A z. No product.
     """
     ratio = alpha / prev.tau
     z = state.z + ratio * (state.z - prev.z)
     az = state.az + ratio * (state.az - prev.az)
+    ataz = state.ataz + ratio * (state.ataz - prev.ataz)
     resid = az - state.q
     lhs = 0.5 * float(resid @ resid)
     accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
-    return ProxCertificate(z=z, az=az, gap_value=lhs,
+    return ProxCertificate(z=z, az=az, ataz=ataz, gap_value=lhs,
                            eps_achieved=math.sqrt(2.0 * alpha * lhs),
                            accepted=accepted)
 
@@ -405,54 +408,37 @@ def _cert_pd_basic(A, alpha, eps_k, prev, state):
                                                1e-12))
 
 
-def _certified_inner_loop(solver, state, step, certify, max_inner):
-    """Step a primal-dual state until `certify` accepts, or warn once.
+def _run_pd(inner, A, b, alpha, x, eps_k, nonneg, max_inner, warm=None,
+            atb=None):
+    """Certified prox at x by the primal-dual solver `inner`.
 
-    `step(state)` returns the next state; `certify(prev, state)` returns
-    the `ProxCertificate` of the step from `prev` to `state`. After
-    `max_inner` unaccepted steps the last candidate is returned with a
-    `RuntimeWarning`. Returns the certificate, its `inner_iters` set, and
-    the last state. The runners bind `step` and `certify` per call, not at
-    import, so that wrappers installed on this module's functions see
-    every call.
+    `inner` is "PDNoInv" or "PDBasic"; PDBasic's clipped dual makes it
+    constrained whatever `nonneg` says, so `AFBSConfig` rejects it
+    without the constraint. The solver starts from the state `warm`, the
+    last of the previous prox, if given, and steps until its certificate
+    accepts the step from the previous state; after `max_inner`
+    unaccepted steps it warns (`RuntimeWarning`) and returns the last
+    candidate. `atb` = A^T b saves the product that forms c. Returns
+    (certificate, steps, state), the state being the next prox's `warm`.
+    The step and certificate functions are looked up per call, so
+    wrappers installed on this module's functions see every call.
     """
+    if inner == "PDBasic":
+        state = pd_basic_init(A, b, alpha, x, warm, atb)
+        step, certify = partial(pd_basic_step, A, alpha), _cert_pd_basic
+    else:
+        state = pd_noinv_init(A, b, alpha, x, nonneg, warm, atb)
+        step = partial(pd_noinv_step, A, alpha, nonneg)
+        certify = cert_constrained if nonneg else cert_unconstrained
     for steps in range(1, max_inner + 1):
         prev, state = state, step(state)
-        cert = certify(prev, state)
+        cert = certify(A, alpha, eps_k, prev, state)
         if cert.accepted:
-            break
-    else:
-        warnings.warn(f"{solver}: no inexact prox accepted within max_inner "
-                      f"= {max_inner} steps; returning the last candidate",
-                      RuntimeWarning)
-    cert.inner_iters = steps
-    return cert, state
-
-
-def _run_pd_noinv_inexact(A, b, alpha, x, eps_k, nonneg, max_inner,
-                          warm=None, atb=None):
-    """PDNoInv's certified prox, warm-started from the state `warm`.
-
-    Returns the certificate and the last state, the next prox's `warm`.
-    """
-    state = pd_noinv_init(A, b, alpha, x, nonneg, warm, atb)
-    certify = cert_constrained if nonneg else cert_unconstrained
-    return _certified_inner_loop(
-        "PDNoInv", state, partial(pd_noinv_step, A, alpha, nonneg),
-        partial(certify, A, alpha, eps_k), max_inner)
-
-
-def _run_pd_basic(A, b, alpha, x, eps_k, nonneg, max_inner, warm=None,
-                  atb=None):
-    """PDBasic's certified prox, as `_run_pd_noinv_inexact`.
-
-    Its clipped dual makes it constrained whatever `nonneg` says, so
-    `AFBSConfig` rejects it without the constraint.
-    """
-    state = pd_basic_init(A, b, alpha, x, warm, atb)
-    return _certified_inner_loop(
-        "PDBasic", state, partial(pd_basic_step, A, alpha),
-        partial(_cert_pd_basic, A, alpha, eps_k), max_inner)
+            return cert, steps, state
+    warnings.warn(f"{inner}: no inexact prox accepted within max_inner = "
+                  f"{max_inner} steps; returning the last candidate",
+                  RuntimeWarning)
+    return cert, max_inner, state
 
 
 def objective(A, b, shape, tvparams, x):
@@ -493,9 +479,10 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
     takes the diagnostic products that give step 1 its gradient. The
     unconstrained ExactSMW hands over r = A z - b from the solve and
     A^T r = (v - z) / alpha, the optimality condition of the prox at v;
-    PDNoInv hands over its certificate's A z - b. A^T b is taken once per
-    run: the unconstrained ExactSMW charges it, and the other
-    least-squares proxes take it as one uncounted product.
+    PDNoInv hands over its certificate's A z - b and, unconstrained,
+    A^T A z - A^T b. A^T b is taken once per run: the unconstrained
+    ExactSMW charges it, and the other least-squares proxes take it as
+    one uncounted product.
     """
     config.check_lam(tvparams.lam)
     b = np.asarray(b, dtype=np.float64)
@@ -542,14 +529,15 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
                 shape, tvparams, v, alpha * tvparams.lam,
                 nonneg=config.nonneg, max_iter=config.max_inner)
         else:
-            run_pd = (_run_pd_basic if config.inner == "PDBasic"
-                      else _run_pd_noinv_inexact)
-            cert, warm = run_pd(A, b, alpha, v, eps_k, config.nonneg,
-                                config.max_inner, warm=warm, atb=atb)
-            z, inner_iters = cert.z, cert.inner_iters
+            cert, inner_iters, warm = _run_pd(
+                config.inner, A, b, alpha, v, eps_k, config.nonneg,
+                config.max_inner, warm=warm, atb=atb)
+            z = cert.z
             fallback_count += cert.fallback
             if cert.az is not None:
                 r = cert.az - b
+            if cert.ataz is not None:
+                atr = cert.ataz - atb
         x_new = np.asarray(z, dtype=np.float64)
         if iterate_callback is not None:
             iterate_callback(x_new)

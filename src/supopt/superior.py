@@ -168,7 +168,7 @@ def superiorize_run(config, A, b, shape, tvparams, x0=None, x_ref=None,
         gamma0 = 1.9 * tvparams.lam / A.norm_sq
     b = np.asarray(b, dtype=np.float64)
     y = np.zeros(A.n_cols) if x0 is None else np.asarray(x0, dtype=np.float64)
-    basic_step = basic.make_step(kind, A, b, y)
+    basic_step = basic.make_step(kind, A, b)
     ell = 0
 
     def step(k, y):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import relative_error
-from supopt.basic import (CGState, LWParams, cg_init, cg_step, default_gamma,
-                          default_mu, g_u, g_u_mu, lw_proj_step, lw_step,
-                          make_step)
+from oracles import count_uncounted_products, relative_error
+from supopt.basic import (cg_step, default_gamma, default_mu, g_u, g_u_mu,
+                          lw_proj_step, lw_step, make_step)
 from supopt.opslin import SparseOperator
 
 
@@ -15,19 +14,31 @@ def make_system(m, n, seed=0):
     return A, b
 
 
+def _cg(A, b, mu):
+    """`make_step("CG", A, b)` with mu in place of `default_mu(A)`."""
+    p = h = np.zeros(A.n_cols)
+
+    def step(x):
+        nonlocal p, h
+        x, p, h, r = cg_step(A, b, mu, x, p, h)
+        return x, r
+
+    return step
+
+
 def test_lw_step_is_fixed_point_at_solution():
     rng = np.random.default_rng(1)
     A = SparseOperator(rng.standard_normal((3, 6)))
     x = rng.standard_normal(6)
     b = A.apply_nocount(x)
-    out = lw_step(A, b, LWParams(0.1), x)
+    out = lw_step(A, b, 0.1, x)
     assert np.allclose(out, x)
 
 
 def test_lw_step_identity_one_step():
     A = SparseOperator(np.eye(4))
     x = np.array([1.0, -2.0, 3.0, 0.5])
-    out = lw_step(A, np.zeros(4), LWParams(1.0), x)
+    out = lw_step(A, np.zeros(4), 1.0, x)
     assert np.allclose(out, 0.0)
 
 
@@ -35,29 +46,24 @@ def test_lw_step_decreases_residual():
     A, b = make_system(4, 8, seed=2)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(8)
-    out = lw_step(A, b, LWParams(default_gamma(A)), x)
+    out = lw_step(A, b, default_gamma(A), x)
     assert g_u(A, b, out) < g_u(A, b, x)
-
-
-def test_lw_params_validation():
-    with pytest.raises(ValueError):
-        LWParams(0.0)
 
 
 def test_lw_proj_step_composition():
     A, b = make_system(4, 8, seed=4)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(8)
-    params = LWParams(default_gamma(A))
-    assert np.array_equal(lw_proj_step(A, b, params, x),
-                          np.maximum(lw_step(A, b, params, x), 0.0))
-    assert np.min(lw_proj_step(A, b, params, x)) >= 0.0
+    gamma = default_gamma(A)
+    assert np.array_equal(lw_proj_step(A, b, gamma, x),
+                          np.maximum(lw_step(A, b, gamma, x), 0.0))
+    assert np.min(lw_proj_step(A, b, gamma, x)) >= 0.0
 
 
 def test_lw_proj_step_all_clipped():
     A = SparseOperator(np.eye(3))
     x = np.array([-1.0, -2.0, -3.0])
-    out = lw_proj_step(A, np.zeros(3), LWParams(1.0), x)
+    out = lw_proj_step(A, np.zeros(3), 1.0, x)
     assert np.array_equal(out, np.zeros(3))
 
 
@@ -66,37 +72,41 @@ def test_cg_step_zero_gradient_is_fixed_point():
     A = SparseOperator(np.array([[1.0]]))
     b = np.array([1.0])
     mu = 0.01
-    state = cg_init(np.zeros(1), mu)
-    state = cg_step(A, b, state)
-    assert state.x[0] == pytest.approx(1.0 / (1.0 + mu), rel=1e-12)
+    step = _cg(A, b, mu)
+    x, _ = step(np.zeros(1))
+    assert x[0] == pytest.approx(1.0 / (1.0 + mu), rel=1e-12)
     # at the minimizer the next step does not move
-    state2 = cg_step(A, b, state)
-    assert state2.x[0] == pytest.approx(state.x[0], abs=1e-14)
+    x2, _ = step(x)
+    assert x2[0] == pytest.approx(x[0], abs=1e-14)
 
 
 def test_cg_step_stationary_point_stays_and_charges_four_products():
-    # b = 0 and x = 0: g = 0, so the step and its restart both vanish
+    # b = 0 and x = 0: g = 0, so the direction vanishes
     A, _ = make_system(4, 8, seed=17)
-    state = cg_step(A, np.zeros(4), cg_init(np.zeros(8), default_mu(A)))
-    assert np.array_equal(state.x, np.zeros(8))
+    x, _ = make_step("CG", A, np.zeros(4))(np.zeros(8))
+    assert np.array_equal(x, np.zeros(8))
     assert A.matvec_count == 4
 
 
 def test_cg_step_hands_over_its_residual_after_a_restart():
     # r = A x - b at the new x, from the products the step ran: through a
     # regular step and through the restart, forced by p = g and any h
-    # with g @ h != 0, so that beta = 1 and -g + beta p cancels
+    # with g @ h != 0, so that beta = 1 and -g + beta p cancels; the
+    # restart runs the step's 4 charged products and no other
     A, b = make_system(6, 12, seed=18)
     mu = 0.05
-    state = cg_init(np.random.default_rng(19).standard_normal(12), mu)
+    x = np.random.default_rng(19).standard_normal(12)
+    p = h = np.zeros(12)
     for _ in range(3):
-        state = cg_step(A, b, state)
-        assert relative_error(state.r, A.apply_nocount(state.x) - b) <= 1e-10
-    g = A.applyT_nocount(A.apply_nocount(state.x) - b) + mu * state.x
-    restarted = cg_step(A, b, CGState(x=state.x, p=g, h=state.h, mu=mu))
-    assert np.array_equal(restarted.p, -g)
-    assert relative_error(restarted.r,
-                          A.apply_nocount(restarted.x) - b) <= 1e-10
+        x, p, h, r = cg_step(A, b, mu, x, p, h)
+        assert relative_error(r, A.apply_nocount(x) - b) <= 1e-10
+    g = A.applyT_nocount(A.apply_nocount(x) - b) + mu * x
+    calls = count_uncounted_products(A)
+    charged = A.matvec_count
+    restarted, p, _, r = cg_step(A, b, mu, x, g, h)
+    assert not calls and A.matvec_count - charged == 4
+    assert np.array_equal(p, -g)
+    assert relative_error(r, A.apply_nocount(restarted) - b) <= 1e-10
 
 
 def _textbook_cg(M, rhs, x0, steps):
@@ -127,31 +137,29 @@ def test_cg_matches_textbook_cg_without_perturbations():
     Mat = M.T @ M + mu * np.eye(12)
     rhs = M.T @ b
     oracle = _textbook_cg(Mat, rhs, np.zeros(12), 10)
-    state = cg_init(np.zeros(12), mu)
+    x = p = h = np.zeros(12)
     for k in range(1, 11):
-        state = cg_step(A, b, state)
-        assert np.max(np.abs(state.x - oracle[k])) < 1e-10
+        x, p, h, _ = cg_step(A, b, mu, x, p, h)
+        assert np.max(np.abs(x - oracle[k])) < 1e-10
 
 
 def test_cg_restarts_on_breakdown():
-    # the empty pair p = h = 0, which cg_init returns and a degenerate
-    # pair amounts to, steps along steepest descent p = -g
+    # the empty pair p = h = 0, which a first step starts from and a
+    # degenerate pair amounts to, steps along steepest descent p = -g
     A, b = make_system(3, 5, seed=7)
     mu = 0.01
     x = np.random.default_rng(8).standard_normal(5)
-    state = cg_init(x, mu)
-    assert not state.p.any() and not state.h.any()
-    out = cg_step(A, b, state)
+    out, p, _, _ = cg_step(A, b, mu, x, np.zeros(5), np.zeros(5))
     g = A.applyT_nocount(A.apply_nocount(x) - b) + mu * x
-    assert np.array_equal(out.p, -g)
-    assert g_u_mu(A, b, out.x, mu) < g_u_mu(A, b, x, mu)
+    assert np.array_equal(p, -g)
+    assert g_u_mu(A, b, out, mu) < g_u_mu(A, b, x, mu)
 
 
 def test_cg_runs_exactly_the_products_it_is_charged():
     from supopt import tomo
     A = tomo.build_parallel_system(tomo.Geometry(16, 4, 16))
     b = A.apply_nocount(tomo.shepp_logan(16))
-    mu = default_mu(A)  # its power iteration runs before the wrapping
+    A.norm_sq  # the power iteration runs before the wrapping
     runs = []
     for name in ("matvec", "rmatvec", "apply_nocount", "applyT_nocount"):
         def product(v, run=getattr(A, name)):
@@ -159,7 +167,7 @@ def test_cg_runs_exactly_the_products_it_is_charged():
             return run(v)
         setattr(A, name, product)
     x = np.zeros(A.n_cols)
-    step = make_step("CG", A, b, x, mu=mu)
+    step = make_step("CG", A, b)
     for k in range(1, 11):
         x, _ = step(x)
         assert len(runs) == A.matvec_count == 4 * k
@@ -173,10 +181,10 @@ def test_cg_finite_termination_on_small_systems():
         A = SparseOperator(M)
         b = rng.standard_normal(n)
         mu = 0.1
-        state = cg_init(np.zeros(n), mu)
+        step, x = _cg(A, b, mu), np.zeros(n)
         for _ in range(n):
-            state = cg_step(A, b, state)
-        res = M.T @ (M @ state.x - b) + mu * state.x
+            x, _ = step(x)
+        res = M.T @ (M @ x - b) + mu * x
         assert np.linalg.norm(res) < 1e-8
 
 
@@ -194,28 +202,23 @@ def _run_until(step, x, done, max_iter):
 def test_make_step_cg_threads_the_direction_pair_bit_for_bit():
     A, b = make_system(6, 12, seed=13)
     rng = np.random.default_rng(14)
-    for mu in (None, 0.05):
-        x0 = np.zeros(12)
-        step = make_step("CG", A, b, x0, mu=mu)
-        state = cg_init(x0, default_mu(A) if mu is None else mu)
-        x = x0
-        for k in range(8):
-            # odd steps start from a perturbed point, as in a superiorized
-            # run; the first step takes -g0 from the empty pair
-            y = x + 1e-3 * rng.standard_normal(12) if k % 2 else x
-            x, _ = step(y)
-            state = cg_step(A, b, CGState(x=y, p=state.p, h=state.h,
-                                          mu=state.mu))
-            assert np.array_equal(x, state.x)
+    step = make_step("CG", A, b)
+    x = p = h = np.zeros(12)
+    for k in range(8):
+        # odd steps start from a perturbed point, as in a superiorized
+        # run; the first step takes -g0 from the empty pair
+        y = x + 1e-3 * rng.standard_normal(12) if k % 2 else x
+        x, r = step(y)
+        x_ref, p, h, r_ref = cg_step(A, b, default_mu(A), y, p, h)
+        assert np.array_equal(x, x_ref) and np.array_equal(r, r_ref)
 
 
 @pytest.mark.parametrize("kind,op", [("LW", lw_step), ("LW+", lw_proj_step)])
 def test_make_step_landweber_uses_default_gamma(kind, op):
     A, b = make_system(4, 8, seed=15)
     x = np.random.default_rng(16).standard_normal(8)
-    params = LWParams(default_gamma(A))
-    x_new, r = make_step(kind, A, b, x)(x)
-    assert np.array_equal(x_new, op(A, b, params, x))
+    x_new, r = make_step(kind, A, b)(x)
+    assert np.array_equal(x_new, op(A, b, default_gamma(A), x))
     assert r is None  # Landweber holds no product at its new point
 
 
@@ -227,7 +230,7 @@ def test_mu_sweep_approaches_min_norm_solution():
     x_ls = M.T @ np.linalg.solve(M @ M.T, b)
     errs = []
     for mu in (1e-2, 1e-4, 1e-6):
-        step = make_step("CG", A, b, np.zeros(9), mu=mu)
+        step = _cg(A, b, mu)
         x = np.zeros(9)
         for _ in range(2000):
             x, _ = step(x)
@@ -242,8 +245,7 @@ def test_make_step_cg_converges_fast_on_consistent_system():
     x_true = rng.standard_normal(12)
     A = SparseOperator(M)
     b = M @ x_true
-    x, steps = _run_until(make_step("CG", A, b, np.zeros(12), mu=1e-12),
-                          np.zeros(12),
+    x, steps = _run_until(_cg(A, b, 1e-12), np.zeros(12),
                           lambda x: g_u_mu(A, b, x, 1e-12) <= 1e-10, 12)
     assert steps is not None
     assert g_u_mu(A, b, x, 1e-12) <= 1e-8
@@ -261,9 +263,9 @@ def test_lw_much_slower_than_cg_on_ill_conditioned_system():
     b = M @ rng.standard_normal(8)
     eps = 1e-6
     x0 = np.zeros(8)
-    _, cg = _run_until(make_step("CG", A, b, x0, mu=1e-14), x0,
+    _, cg = _run_until(_cg(A, b, 1e-14), x0,
                        lambda x: g_u_mu(A, b, x, 1e-14) <= eps, 100000)
-    _, lw = _run_until(make_step("LW", A, b, x0), x0,
+    _, lw = _run_until(make_step("LW", A, b), x0,
                        lambda x: g_u(A, b, x) <= eps, 100000)
     assert cg is not None and lw is not None
     assert lw >= 10 * cg
@@ -272,7 +274,7 @@ def test_lw_much_slower_than_cg_on_ill_conditioned_system():
 def test_make_step_unknown_kind():
     A, b = make_system(3, 5)
     with pytest.raises(ValueError, match="unknown basic algorithm"):
-        make_step("XX", A, b, np.zeros(5))
+        make_step("XX", A, b)
 
 
 def test_default_mu_scales_with_operator():

@@ -1,10 +1,14 @@
 """scripts/csv_identity.py: a checkout is identical to itself, and a
-differing CSV is reported by column and row."""
+differing CSV is reported by column and row, with the largest relative
+change of each differing numeric column."""
 
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
@@ -51,3 +55,23 @@ def test_csv_difference_counts_missing_rows_and_cells(tmp_path):
         (["b", "column 3"], 1)
     shorter = _write(tmp_path / "shorter.csv", ["a,b", "1,2"])
     assert csv_identity.csv_difference(parent, shorter) == (["a", "b"], 1)
+
+
+def test_relative_changes_of_the_differing_numeric_columns(tmp_path):
+    parent = _write(tmp_path / "parent.csv",
+                    ["k,res,err,tv,status", "0,1.0,2.0,0.0,ok",
+                     "1,0.5,0.25,0.0,ok", "2,0.25,4.0,1.0,ok"])
+    change = _write(tmp_path / "change.csv",
+                    ["k,res,err,tv,status", "0,1.0,2.00,1e-9,ok",
+                     "1,0.5000005,0.25,0.0,diverged", "2,0.25,4.4,1.0,ok"])
+    changes = csv_identity.relative_changes(parent, change)
+    # res, err and tv in column order; a change from 0 is inf, a change of
+    # writing only is 0, and the text column is left out
+    assert list(changes) == ["res", "err", "tv"]
+    assert changes["res"] == pytest.approx(1e-6, rel=1e-9)
+    assert changes["err"] == pytest.approx(0.1, rel=1e-9)
+    assert changes["tv"] == math.inf
+    assert csv_identity.relative_changes(parent, parent) == {}
+    shorter = _write(tmp_path / "shorter.csv", ["k,res,err,tv,status",
+                                                "0,1.0,2.0,0.0,ok"])
+    assert csv_identity.relative_changes(parent, shorter) == {}

@@ -233,6 +233,7 @@ def test_cert_unconstrained_accepts_at_fixed_point():
     class FakeState:
         z = z_star
         q = az = A.apply_nocount(z_star)
+        ataz = A.applyT_nocount(q)
         tau = 0.5
 
     cert = cert_unconstrained(A, alpha, 1e-8, FakeState(), FakeState())
@@ -811,17 +812,21 @@ def test_inexact_inner_runs_warn_when_budget_runs_out():
     A, b, x = make_instance(seed=16)
     x = x - 1.0
     alpha = 0.7
-    for nonneg in (False, True):
-        with pytest.warns(RuntimeWarning, match="max_inner = 1 steps"):
-            cert, _ = fbs._run_pd_noinv_inexact(A, b, alpha, x, 1e-9,
-                                                nonneg, 1)
-        assert not cert.accepted and cert.inner_iters == 1
-    with pytest.warns(RuntimeWarning, match="max_inner = 1 steps"):
-        cert, _ = fbs._run_pd_basic(A, b, alpha, x, 1e-9, True, 1)
-    assert not cert.accepted and cert.inner_iters == 1
+    for inner, nonneg in (("PDNoInv", False), ("PDNoInv", True),
+                          ("PDBasic", True)):
+        with pytest.warns(RuntimeWarning, match=f"{inner}: .*max_inner = 1 "
+                          "steps"):
+            cert, steps, _ = fbs._run_pd(inner, A, b, alpha, x, 1e-9,
+                                         nonneg, 1)
+        assert not cert.accepted and steps == 1
     assert cert.gap_value == dual_gap(
         A, alpha, x / alpha + A.applyT_nocount(b), cert.z) > 1e-14
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        cert, _ = fbs._run_pd_basic(A, b, alpha, x, 0.1, True, 100000)
-    assert cert.accepted and cert.gap_value <= 1e-2
+    for inner in ("PDNoInv", "PDBasic"):
+        charged = A.matvec_count
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cert, steps, _ = fbs._run_pd(inner, A, b, alpha, x, 0.1, True,
+                                         100000)
+        assert cert.accepted and cert.gap_value <= 1e-2
+        # the returned count is the steps run, 2 charged products each
+        assert 1 <= steps == (A.matvec_count - charged) // 2 < 100000

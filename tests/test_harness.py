@@ -231,7 +231,7 @@ def test_run_outer_stops_at_first_iterate_meeting_its_rule(monkeypatch,
 @pytest.mark.parametrize("side", [16, 32])
 @pytest.mark.parametrize("name,first,with_atr", [
     ("AFBS:NaturalLS", 1, True),                  # ExactSMW
-    ("AFBS:NaturalLS:PDNoInv", 1, False),         # cert_unconstrained
+    ("AFBS:NaturalLS:PDNoInv", 1, True),          # cert_unconstrained
     ("AFBS:NaturalLS:PDNoInv:nonneg", 1, False),  # cert_constrained
     ("AFBS:ReversedTV", 0, True),
     ("FBS:ReversedTV", 0, True),
@@ -276,10 +276,10 @@ def test_steps_hand_over_what_fresh_products_give(monkeypatch, side, name,
     # that each step's two charged products serve its record and the
     # next gradient, so the run executes its charged products plus these
     ("AFBS:ReversedTV", "term_tol", 2),
-    # the k = 0 record's two, A^T b once per run, the first prox's cold
-    # start A z0 and A^T A z0, and one A^T r per later record: the
-    # unconstrained certificate extrapolates A z from the steps' products
-    ("AFBS:NaturalLS:PDNoInv", "term_tol", 2 + 1 + 2 + 12),
+    # the k = 0 record's two, A^T b once per run and the first prox's
+    # cold start A z0 and A^T A z0: the unconstrained certificate
+    # extrapolates A z and A^T A z from the steps' products
+    ("AFBS:NaturalLS:PDNoInv", "term_tol", 2 + 1 + 2),
     ("GradSupCG", "eps", 1),    # the k = 0 record's A x - b
     ("GradSupLW", "eps", 13),   # one A x - b per record
 ])
