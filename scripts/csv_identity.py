@@ -13,8 +13,10 @@ FBS and AFBS on each of the 7 splitting and inner-solver spellings.
 "differs" for every CSV either side wrote, and for a CSV that both sides
 wrote and that differs, the header names of the differing columns and
 the number of differing rows, and on the next line the largest relative
-change of each differing numeric column. Exits 1 on any difference or
-failed run, 0 otherwise.
+change of each differing numeric column; for a differing column whose
+cells are integers on both sides, a further line gives the distinct
+differences change - parent. Exits 1 on any difference or failed run,
+0 otherwise.
 """
 
 import argparse
@@ -75,30 +77,59 @@ def csv_difference(parent, change):
     return names, rows
 
 
-def relative_changes(parent, change):
-    """Largest relative change |c - p| / |p| of each differing numeric column.
+def differing_cells(parent, change):
+    """The parent's header names and the cells in which two CSVs differ.
 
-    Returns {name: change}, in column order, over the data rows present
-    in both files, for the parent's columns whose differing cells all
-    parse as numbers on both sides; a change from 0 is inf. A cell
-    written differently but equal in value, as 0.5 and 0.50, changes by 0.
+    Returns (header, cells), cells being (column, parent cell, change
+    cell) for each differing cell of the data rows present in both files
+    and in a column the parent's header names.
     """
     a = parent.read_text().splitlines()
     b = change.read_text().splitlines()
     header = a[0].split(",") if a else []
+    cells = [(j, x, y) for line_a, line_b in zip(a[1:], b[1:])
+             for j, (x, y) in enumerate(zip(line_a.split(","),
+                                            line_b.split(",")))
+             if x != y and j < len(header)]
+    return header, cells
+
+
+def relative_changes(parent, change):
+    """Largest relative change |c - p| / |p| of each differing numeric column.
+
+    Returns {name: change}, in column order, for the columns of
+    `differing_cells` whose cells all parse as numbers on both sides; a
+    change from 0 is inf. A cell written differently but equal in value,
+    as 0.5 and 0.50, changes by 0.
+    """
+    header, cells = differing_cells(parent, change)
     worst, text = {}, set()
-    for line_a, line_b in zip(a[1:], b[1:]):
-        for j, (x, y) in enumerate(zip(line_a.split(","), line_b.split(","))):
-            if x == y or j >= len(header):
-                continue
-            try:
-                p, c = float(x), float(y)
-            except ValueError:
-                text.add(j)
-                continue
-            rel = abs(c - p) / abs(p) if p else math.inf
-            worst[j] = max(worst.get(j, 0.0), rel)
+    for j, x, y in cells:
+        try:
+            p, c = float(x), float(y)
+        except ValueError:
+            text.add(j)
+            continue
+        rel = abs(c - p) / abs(p) if p else math.inf
+        worst[j] = max(worst.get(j, 0.0), rel)
     return {header[j]: worst[j] for j in sorted(worst) if j not in text}
+
+
+def integer_changes(parent, change):
+    """Distinct differences c - p of each differing integer column.
+
+    Returns {name: sorted differences}, in column order, for the columns
+    of `differing_cells` whose cells are all integers on both sides.
+    """
+    header, cells = differing_cells(parent, change)
+    steps, other = {}, set()
+    for j, x, y in cells:
+        try:
+            steps.setdefault(j, set()).add(int(y) - int(x))
+        except ValueError:
+            other.add(j)
+    return {header[j]: sorted(steps[j]) for j in sorted(steps)
+            if j not in other}
 
 
 def describe(parent, change):
@@ -133,11 +164,17 @@ def main(argv=None):
             verdict = describe(*paths)
             differs += verdict != "identical"
             print(f"{name}: {verdict}")
-            changes = relative_changes(*paths) \
-                if verdict.startswith("differs in") else {}
+            if not verdict.startswith("differs in"):
+                continue
+            changes = relative_changes(*paths)
             if changes:
                 print("  largest relative change: " + ", ".join(
                     f"{column} {rel:.2e}" for column, rel in changes.items()))
+            steps = integer_changes(*paths)
+            if steps:
+                print("  integer change - parent: " + ", ".join(
+                    f"{column} {' '.join(f'{d:+d}' for d in diffs)}"
+                    for column, diffs in steps.items()))
     print(f"{len(names)} CSVs, {differs} differ"
           + (", a run failed" if failed else ""))
     return 1 if failed or differs or not names else 0

@@ -28,6 +28,11 @@ describes a whole run; `afbs_run` defines one outer step;
 `metrics.run_outer` records each iterate and stops the run on
 ||grad h||_inf <= term_tol, or on
 ||min(x, grad h)||_inf <= term_tol under the constraint.
+
+Cost is counted in operator products (`SparseOperator.matvec_count`):
+two per outer step of the direct solve and of ReversedTV, two per inner
+step of every other solver. A^T b is data, like b: a run forms it once,
+uncounted, and no solver is charged for it.
 """
 
 import math
@@ -102,15 +107,15 @@ class ProxCertificate:
     """Computable acceptance evidence for an inexact prox evaluation.
 
     z is the candidate prox; az = A z and ataz = A^T A z where the
-    certificate formed them from held products, else None. The steps
-    that led to it are counted by `_run_pd`, which returns them.
+    certificate formed them from held products, else None. gap_value is
+    the quantity the acceptance test compares with its threshold. The
+    steps that led to z are counted by `_run_pd`, which returns them.
     """
 
     z: np.ndarray
     az: np.ndarray = None
     ataz: np.ndarray = None
     gap_value: float = 0.0
-    eps_achieved: float = 0.0
     accepted: bool = True
     fallback: bool = False
 
@@ -132,12 +137,12 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None,
     """Exact prox of 0.5*||Az - b||^2 [+ indicator(z >= 0)] at x.
 
     Returns (z, steps), the prox and the inner steps that computed it.
+    A^T b is data, like b: the caller passes it as `atb`, or it is formed
+    here by one uncounted product.
     Unconstrained: solves (I + alpha A^T A) z = x + alpha A^T b through
-    the reduced m x m system (two counted products, steps = 0), plus one
-    counted product for A^T b unless the caller passes it as `atb`; a
+    the reduced m x m system (two counted products, steps = 0); a
     length-m `az` receives A z from the solve (`shifted_gram_solve`).
-    Constrained: forms c = x/alpha + A^T b once (one uncounted product,
-    none if the caller passes `atb`) and runs projected Nesterov steps
+    Constrained: forms c = x/alpha + A^T b and runs projected Nesterov steps
     (`regtv._projected_nesterov`, two counted products each) on the
     (1/alpha)-strongly convex subproblem until `dual_gap` at c, checked
     at the start, every 10 steps and after the last step, is <= 2 alpha
@@ -146,11 +151,11 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None,
     `max_iter` steps do not get there.
     """
     x = np.asarray(x, dtype=np.float64)
+    if atb is None:
+        atb = A.applyT_nocount(b)
     if not nonneg:
-        if atb is None:
-            atb = A.rmatvec(b)
         return shifted_gram_solve(A, 1.0, alpha, x + alpha * atb, az=az), 0
-    c = _c_alpha(A, b, alpha, x, atb)
+    c = x / alpha + atb
     floor = 2.0 * alpha * (c.size * np.finfo(np.float64).eps) ** 2 \
         * float(c @ c)
 
@@ -336,7 +341,6 @@ def cert_unconstrained(A, alpha, eps_k, prev, state):
     lhs = 0.5 * float(resid @ resid)
     accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
     return ProxCertificate(z=z, az=az, ataz=ataz, gap_value=lhs,
-                           eps_achieved=math.sqrt(2.0 * alpha * lhs),
                            accepted=accepted)
 
 
@@ -357,7 +361,7 @@ def cert_constrained(A, alpha, eps_k, prev, state):
     entry where z1 = z_prev = 0 cannot switch the path.
 
     Fallback path, when z leaves the orthant: z1 is accepted when
-    eps_achieved = sqrt(2 alpha gap) <= eps_k, with gap =
+    sqrt(2 alpha gap) <= eps_k, with gap =
     0.5||A z1 - q||^2 + `_fenchel_gap`(alpha, c - A^T q - z1/alpha, z1)
     the Fenchel gap at the pair (z1, q), which bounds
     ||z1 - z*||^2/(2 alpha) as `dual_gap`'s does.
@@ -381,16 +385,12 @@ def cert_constrained(A, alpha, eps_k, prev, state):
         lhs = 0.5 * float(d @ d) + float(w @ z)
         accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
         return ProxCertificate(z=z, az=az1 + d, gap_value=lhs,
-                               eps_achieved=math.sqrt(
-                                   2.0 * alpha * max(lhs, 0.0)),
                                accepted=accepted)
     resid = az1 - state.q
     gap = 0.5 * float(resid @ resid) \
         + _fenchel_gap(alpha, c - atq - z1 / alpha, z1)
-    eps_achieved = math.sqrt(2.0 * alpha * gap)
     return ProxCertificate(z=z1, az=az1, gap_value=gap,
-                           eps_achieved=eps_achieved,
-                           accepted=eps_achieved <= eps_k,
+                           accepted=math.sqrt(2.0 * alpha * gap) <= eps_k,
                            fallback=True)
 
 
@@ -403,7 +403,6 @@ def _cert_pd_basic(A, alpha, eps_k, prev, state):
     z = np.maximum(state.z, 0.0)
     gap = dual_gap(A, alpha, state.c_alpha, z)
     return ProxCertificate(z=z, gap_value=gap,
-                           eps_achieved=math.sqrt(2.0 * alpha * gap),
                            accepted=gap <= max(eps_k ** 2 / (2.0 * alpha),
                                                1e-12))
 
@@ -472,17 +471,16 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
     both splittings; it cannot fire at k = 1. With accelerated=False the
     loop is plain forward-backward and has no restart.
 
-    Each step hands the record what it holds at x_new. ReversedTV runs
-    its two charged products at x_new: r = A x_new - b and g = A^T r
-    serve the record, and the next gradient at y = x_new + m (x_new - x)
-    is g + m (g - g_x) by linearity, with g_x that of x; the record of x_0
-    takes the diagnostic products that give step 1 its gradient. The
-    unconstrained ExactSMW hands over r = A z - b from the solve and
+    A^T b is data, like b: it is formed once per run, by one uncounted
+    product, before the record of x_0 = 0, which it hands r = -b and
+    A^T r = -A^T b. Each step hands the record what it holds at x_new.
+    ReversedTV runs its two charged products at x_new: r = A x_new - b
+    and g = A^T r serve the record, and the next gradient at y = x_new +
+    m (x_new - x) is g + m (g - g_x) by linearity, with g_x that of x.
+    The unconstrained ExactSMW hands over r = A z - b from the solve and
     A^T r = (v - z) / alpha, the optimality condition of the prox at v;
     PDNoInv hands over its certificate's A z - b and, unconstrained,
-    A^T A z - A^T b. A^T b is taken once per run: the unconstrained
-    ExactSMW charges it, and the other least-squares proxes take it as
-    one uncounted product.
+    A^T A z - A^T b.
     """
     config.check_lam(tvparams.lam)
     b = np.asarray(b, dtype=np.float64)
@@ -493,57 +491,45 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
     x = np.zeros(A.n_cols)
     y = x.copy()
     t = T0
-    atb = None
     warm = None
     fallback_count = 0
-    held = (None, None)
-    if reversed_tv:
-        r = A.apply_nocount(x) - b
-        held = (r, A.applyT_nocount(r))
-    # ReversedTV's gradients A^T(A x - b) at x and at y (None otherwise)
+    atb = A.applyT_nocount(b)  # data, like b: formed once, uncounted
+    held = (-b, -atb)  # r = A x_0 - b and A^T r at x_0 = 0
+    # ReversedTV's gradients A^T(A x - b) at x and at y
     g_x = g_y = held[1]
 
     def step(k, x):
-        nonlocal y, t, atb, warm, fallback_count, g_x, g_y
-        if reversed_tv:
-            v = y - alpha * g_y
-        else:
-            v = y - alpha * (tvparams.lam * tv_smooth_grad(shape, tvparams, y))
-        eps_k = float(k) ** (-config.inexact_q)
+        nonlocal y, t, warm, fallback_count, g_x, g_y
         r = atr = None
-        if atb is None and not reversed_tv:
-            # constant over the run; only the unconstrained ExactSMW's
-            # cost model charges it
-            charged = config.inner == "ExactSMW" and not config.nonneg
-            atb = A.rmatvec(b) if charged else A.applyT_nocount(b)
-        if config.inner == "ExactSMW":
-            az = None if config.nonneg else np.empty(A.n_rows)
-            z, inner_iters = prox_ls_exact(
-                A, b, alpha, v, nonneg=config.nonneg, atb=atb,
-                max_iter=config.max_inner, az=az)
-            if az is not None:
-                # the prox's optimality: A^T(A z - b) + (z - v)/alpha = 0
-                r, atr = az - b, (v - z) / alpha
-        elif config.inner == "TVProx":
-            z, inner_iters, _, _ = prox_tv_with_info(
-                shape, tvparams, v, alpha * tvparams.lam,
-                nonneg=config.nonneg, max_iter=config.max_inner)
-        else:
-            cert, inner_iters, warm = _run_pd(
-                config.inner, A, b, alpha, v, eps_k, config.nonneg,
-                config.max_inner, warm=warm, atb=atb)
-            z = cert.z
-            fallback_count += cert.fallback
-            if cert.az is not None:
-                r = cert.az - b
-            if cert.ataz is not None:
-                atr = cert.ataz - atb
-        x_new = np.asarray(z, dtype=np.float64)
-        if iterate_callback is not None:
-            iterate_callback(x_new)
         if reversed_tv:
+            x_new, inner_iters, _, _ = prox_tv_with_info(
+                shape, tvparams, y - alpha * g_y, alpha * tvparams.lam,
+                nonneg=config.nonneg, max_iter=config.max_inner)
             r = A.matvec(x_new) - b
             atr = A.rmatvec(r)
+        else:
+            v = y - alpha * (tvparams.lam * tv_smooth_grad(shape, tvparams, y))
+            if config.inner == "ExactSMW":
+                az = None if config.nonneg else np.empty(A.n_rows)
+                x_new, inner_iters = prox_ls_exact(
+                    A, b, alpha, v, nonneg=config.nonneg, atb=atb,
+                    max_iter=config.max_inner, az=az)
+                if az is not None:
+                    # the prox's optimality: A^T(A z - b) + (z - v)/alpha = 0
+                    r, atr = az - b, (v - x_new) / alpha
+            else:
+                cert, inner_iters, warm = _run_pd(
+                    config.inner, A, b, alpha, v,
+                    float(k) ** (-config.inexact_q), config.nonneg,
+                    config.max_inner, warm=warm, atb=atb)
+                x_new = cert.z
+                fallback_count += cert.fallback
+                if cert.az is not None:
+                    r = cert.az - b
+                if cert.ataz is not None:
+                    atr = cert.ataz - atb
+        if iterate_callback is not None:
+            iterate_callback(x_new)
         if config.accelerated and float((y - x_new) @ (x_new - x)) <= 0.0:
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             m = (t - 1.0) / t_new

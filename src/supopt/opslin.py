@@ -4,7 +4,9 @@ CSR is the single storage format. Adjoint products go through a CSC view
 of A^T, built once per operator, that shares the CSR arrays, so A^T is
 never materialized.
 Operators are immutable after construction apart from a matvec counter
-used for cost accounting; all products are deterministic.
+used for cost accounting and two caches filled on first use: ||A||_2^2
+(`norm_sq`) and one Cholesky factor of the reduced Gram system
+(`shifted_gram_solve`). All products are deterministic.
 """
 
 import warnings

@@ -13,20 +13,20 @@ import scipy.sparse as sp
 
 from .opslin import SparseOperator
 
-# Shepp-Logan ellipse table: (intensity_original, intensity_modified,
-# semi_axis_x, semi_axis_y, center_x, center_y, rotation_deg).
-# The "modified" column is the MATLAB phantom() default (values in [0,1]).
+# Shepp-Logan ellipse table, MATLAB phantom()'s modified intensities
+# (values in [0, 1]): (intensity, semi_axis_x, semi_axis_y, center_x,
+# center_y, rotation_deg).
 _ELLIPSES = [
-    (2.00, 1.00, 0.6900, 0.9200, 0.00, 0.0000, 0.0),
-    (-0.98, -0.80, 0.6624, 0.8740, 0.00, -0.0184, 0.0),
-    (-0.02, -0.20, 0.1100, 0.3100, 0.22, 0.0000, -18.0),
-    (-0.02, -0.20, 0.1600, 0.4100, -0.22, 0.0000, 18.0),
-    (0.01, 0.10, 0.2100, 0.2500, 0.00, 0.3500, 0.0),
-    (0.01, 0.10, 0.0460, 0.0460, 0.00, 0.1000, 0.0),
-    (0.01, 0.10, 0.0460, 0.0460, 0.00, -0.1000, 0.0),
-    (0.01, 0.10, 0.0460, 0.0230, -0.08, -0.6050, 0.0),
-    (0.01, 0.10, 0.0230, 0.0230, 0.00, -0.6060, 0.0),
-    (0.01, 0.10, 0.0230, 0.0460, 0.06, -0.6050, 0.0),
+    (1.00, 0.6900, 0.9200, 0.00, 0.0000, 0.0),
+    (-0.80, 0.6624, 0.8740, 0.00, -0.0184, 0.0),
+    (-0.20, 0.1100, 0.3100, 0.22, 0.0000, -18.0),
+    (-0.20, 0.1600, 0.4100, -0.22, 0.0000, 18.0),
+    (0.10, 0.2100, 0.2500, 0.00, 0.3500, 0.0),
+    (0.10, 0.0460, 0.0460, 0.00, 0.1000, 0.0),
+    (0.10, 0.0460, 0.0460, 0.00, -0.1000, 0.0),
+    (0.10, 0.0460, 0.0230, -0.08, -0.6050, 0.0),
+    (0.10, 0.0230, 0.0230, 0.00, -0.6060, 0.0),
+    (0.10, 0.0230, 0.0460, 0.06, -0.6050, 0.0),
 ]
 
 
@@ -75,28 +75,21 @@ class NoiseModel:
             raise ValueError("relative_level must be nonnegative")
 
 
-def shepp_logan(image_side, variant="modified"):
+def shepp_logan(image_side):
     """Rasterize the 10-ellipse Shepp-Logan phantom, row-major flat vector.
 
     Pixel value is the sum of intensities of all ellipses containing the
-    pixel center. `variant="modified"` uses the MATLAB default table with
-    values confined to [0, 1]; `variant="original"` uses the low-contrast
-    1974 intensities.
+    pixel center, from MATLAB's modified table (values in [0, 1]).
     """
     if image_side < 2:
         raise ValueError("image_side must be >= 2")
-    if variant not in ("original", "modified"):
-        raise ValueError(f"unknown variant {variant!r}")
     N = image_side
     # pixel centers on [-1, 1]^2, row 0 at the top
     coords = (2.0 * np.arange(N) + 1.0) / N - 1.0
     xs = coords[None, :].repeat(N, axis=0)
     ys = (-coords)[:, None].repeat(N, axis=1)
     img = np.zeros((N, N))
-    col = 0 if variant == "original" else 1
-    for ell in _ELLIPSES:
-        a = ell[col]
-        ax, ay, x0, y0, phi = ell[2], ell[3], ell[4], ell[5], ell[6]
+    for a, ax, ay, x0, y0, phi in _ELLIPSES:
         c, s = np.cos(np.deg2rad(phi)), np.sin(np.deg2rad(phi))
         xr = (xs - x0) * c + (ys - y0) * s
         yr = -(xs - x0) * s + (ys - y0) * c

@@ -1,6 +1,7 @@
 """scripts/csv_identity.py: a checkout is identical to itself, and a
 differing CSV is reported by column and row, with the largest relative
-change of each differing numeric column."""
+change of each differing numeric column and the distinct differences of
+each differing integer column."""
 
 import importlib.util
 import math
@@ -75,3 +76,16 @@ def test_relative_changes_of_the_differing_numeric_columns(tmp_path):
     shorter = _write(tmp_path / "shorter.csv", ["k,res,err,tv,status",
                                                 "0,1.0,2.0,0.0,ok"])
     assert csv_identity.relative_changes(parent, shorter) == {}
+
+
+def test_integer_changes_of_the_differing_integer_columns(tmp_path):
+    parent = _write(tmp_path / "parent.csv",
+                    ["k,matvecs,inner,err", "0,0,0,1.0", "1,3,2,0.5",
+                     "2,5,4,0.25", "3,7,6,0.125"])
+    change = _write(tmp_path / "change.csv",
+                    ["k,matvecs,inner,err", "0,0,0,1.0", "1,2,2.5,0.5",
+                     "2,4,4,0.3", "3,9,6,0.125"])
+    # matvecs moves by -1, -1 and +2; inner has a non-integer cell and
+    # err is a float column, so only matvecs is listed
+    assert csv_identity.integer_changes(parent, change) == {"matvecs": [-1, 2]}
+    assert csv_identity.integer_changes(parent, parent) == {}

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -306,7 +307,7 @@ def test_cert_constrained_fallback_accepts_at_exact_prox():
     cert = cert_constrained(A, alpha, 1e-6, replace(st, z=z_prev), st)
     assert cert.fallback and cert.accepted
     assert np.array_equal(cert.z, st.z)
-    assert cert.eps_achieved <= 1e-6
+    assert math.sqrt(2.0 * alpha * cert.gap_value) <= 1e-6
 
 
 def test_cert_constrained_path_stable_under_last_bit_change():
@@ -344,7 +345,7 @@ def test_cert_constrained_fallback_bound_dominates_error():
         cert = cert_constrained(A, alpha, 0.0, prev, st)
         if cert.fallback:
             err = np.linalg.norm(st.z - z_star)
-            assert err <= cert.eps_achieved + 1e-9
+            assert err <= math.sqrt(2.0 * alpha * cert.gap_value) + 1e-9
             checked += 1
     assert checked > 0
 
@@ -654,19 +655,19 @@ def test_inexact_pd_inner_run_terminates():
 
 @pytest.mark.parametrize("accelerated", [False, True])
 def test_exact_fbs_matvec_count_closed_form(accelerated):
-    # A^T b is charged once, then each exact prox charges its two products
+    # each exact prox charges its two products; A^T b is not charged
     A, b, shape = _tiny_tomo()
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
     cfg = AFBSConfig("NaturalLS", accelerated=accelerated, inner="ExactSMW",
                      max_outer=12, term_tol=0.0)
     res = afbs_run(cfg, A, b, shape, tvp)
     assert [r.cumulative_matvecs for r in res.records] == \
-        [0] + [1 + 2 * k for k in range(1, 13)]
+        [2 * k for k in range(13)]
 
 
-def test_exact_afbs_spends_two_uncounted_products_in_the_whole_run():
-    # the k = 0 record computes A x - b and A^T r; every later record
-    # takes both from the exact prox, whose products are all charged
+def test_exact_afbs_spends_one_uncounted_product_in_the_whole_run():
+    # A^T b, which also gives the k = 0 record its A^T r; every later
+    # record takes both from the exact prox, whose products are all charged
     A, b, shape = _tiny_tomo()
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
     calls = count_uncounted_products(A)
@@ -674,16 +675,18 @@ def test_exact_afbs_spends_two_uncounted_products_in_the_whole_run():
                      term_tol=0.0)
     res = afbs_run(cfg, A, b, shape, tvp)
     assert res.iterations == 12
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_prox_ls_exact_reuses_given_atb():
     A, b, x = make_instance(seed=19)
+    atb = A.applyT_nocount(b)
+    calls = count_uncounted_products(A)
     z, steps = prox_ls_exact(A, b, 0.8, x)
-    assert steps == 0 and A.matvec_count == 3
+    assert steps == 0 and A.matvec_count == 2 and len(calls) == 1
     A.reset_matvec_count()
-    z_hoisted, _ = prox_ls_exact(A, b, 0.8, x, atb=A.applyT_nocount(b))
-    assert A.matvec_count == 2
+    z_hoisted, _ = prox_ls_exact(A, b, 0.8, x, atb=atb)
+    assert A.matvec_count == 2 and len(calls) == 1
     assert np.array_equal(z_hoisted, z)
 
 

@@ -230,9 +230,9 @@ def test_run_outer_stops_at_first_iterate_meeting_its_rule(monkeypatch,
 
 @pytest.mark.parametrize("side", [16, 32])
 @pytest.mark.parametrize("name,first,with_atr", [
-    ("AFBS:NaturalLS", 1, True),                  # ExactSMW
-    ("AFBS:NaturalLS:PDNoInv", 1, True),          # cert_unconstrained
-    ("AFBS:NaturalLS:PDNoInv:nonneg", 1, False),  # cert_constrained
+    ("AFBS:NaturalLS", 0, True),                  # ExactSMW
+    ("AFBS:NaturalLS:PDNoInv", 0, True),          # cert_unconstrained
+    ("AFBS:NaturalLS:PDNoInv:nonneg", 0, False),  # cert_constrained
     ("AFBS:ReversedTV", 0, True),
     ("FBS:ReversedTV", 0, True),
     ("AFBS:ReversedTV:nonneg", 0, True),
@@ -242,7 +242,8 @@ def test_run_outer_stops_at_first_iterate_meeting_its_rule(monkeypatch,
 def test_steps_hand_over_what_fresh_products_give(monkeypatch, side, name,
                                                   first, with_atr):
     # records first, first + 1, ... get r = A x - b from the step, and
-    # A^T r where the step holds it
+    # A^T r where the step holds it; a splitting run hands the record of
+    # x_0 = 0 both, -b and -A^T b
     held = []
 
     def spy(k, A, b, x, *args, r=None, atr=None, **kwargs):
@@ -256,10 +257,10 @@ def test_steps_hand_over_what_fresh_products_give(monkeypatch, side, name,
     problem = build_problem(config)
     _, records, info = run_algorithm(name, problem, config)
     assert [k for k, *_ in held] == list(range(first, len(records)))
-    for _, x, r, atr in held:
+    for k, x, r, atr in held:
         fresh = problem.A.apply_nocount(x) - problem.b
         assert relative_error(r, fresh) <= 1e-10
-        assert (atr is not None) == with_atr
+        assert (atr is not None) == (with_atr or k == 0)
         if with_atr:
             assert relative_error(atr,
                                   problem.A.applyT_nocount(fresh)) <= 1e-10
@@ -269,17 +270,17 @@ def test_steps_hand_over_what_fresh_products_give(monkeypatch, side, name,
 
 
 @pytest.mark.parametrize("name,tol_key,diagnostic", [
-    # the k = 0 record's A x - b and A^T r; every later record takes both
-    # from the exact prox
-    ("AFBS:NaturalLS", "term_tol", 2),
-    # the k = 0 record's two, which also give step 1 its gradient; after
-    # that each step's two charged products serve its record and the
-    # next gradient, so the run executes its charged products plus these
-    ("AFBS:ReversedTV", "term_tol", 2),
-    # the k = 0 record's two, A^T b once per run and the first prox's
-    # cold start A z0 and A^T A z0: the unconstrained certificate
-    # extrapolates A z and A^T A z from the steps' products
-    ("AFBS:NaturalLS:PDNoInv", "term_tol", 2 + 1 + 2),
+    # A^T b once per run, which also gives the k = 0 record its A^T r;
+    # every later record takes both from the exact prox
+    ("AFBS:NaturalLS", "term_tol", 1),
+    # A^T b, which also gives step 1 its gradient; after that each step's
+    # two charged products serve its record and the next gradient, so the
+    # run executes its charged products plus this one
+    ("AFBS:ReversedTV", "term_tol", 1),
+    # A^T b and the first prox's cold start A z0 and A^T A z0: the
+    # unconstrained certificate extrapolates A z and A^T A z from the
+    # steps' products
+    ("AFBS:NaturalLS:PDNoInv", "term_tol", 1 + 2),
     ("GradSupCG", "eps", 1),    # the k = 0 record's A x - b
     ("GradSupLW", "eps", 13),   # one A x - b per record
 ])
