@@ -25,7 +25,6 @@ print()
 print(f"{'variant':<14} {'outer':>6} {'matvecs':>8} {'resid/2m':>12} "
       f"{'TV/n':>10} {'err/n':>10} {'min x':>10}")
 for variant in ("GradSupCG", "GradSupLW", "ProxCSupLW"):
-    A.reset_matvec_count()
     res = superiorize_run(
         SupConfig(variant=variant, eps=eps, max_outer=3000),
         A, b, shape, tvp, x_ref=x_true)

@@ -42,7 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from .metrics import RunResult, run_outer
+from .metrics import run_outer
 from .opslin import shifted_gram_solve
 from .regtv import (_projected_nesterov, prox_tv_with_info, tv_smooth,
                     tv_smooth_grad)
@@ -460,9 +460,8 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
     `metrics.run_outer` drives the steps and stops on rule opt_u, the
     infinity norm of the objective gradient <= term_tol, or opt_c, that
     of min(x, gradient), in the constrained case, or at max_outer.
-    Returns a `metrics.RunResult` with the fallback-certificate
-    count and the total inner-iteration count: every prox's steps, which
-    are zero only for the direct solve of the unconstrained ExactSMW.
+    Returns run_outer's `metrics.RunResult` plus the fallback count;
+    total_inner is zero only for the unconstrained ExactSMW.
     Each primal-dual prox starts from the previous one's last state: its
     pair and, for PDNoInv, the products it holds.
 
@@ -471,9 +470,10 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
     both splittings; it cannot fire at k = 1. With accelerated=False the
     loop is plain forward-backward and has no restart.
 
-    A^T b is data, like b: it is formed once per run, by one uncounted
-    product, before the record of x_0 = 0, which it hands r = -b and
-    A^T r = -A^T b. Each step hands the record what it holds at x_new.
+    A^T b is data, like b: one uncounted product forms it before the
+    record of x_0 = 0, where the product count starts from zero, and that
+    record gets r = -b and A^T r = -A^T b. Each step hands the record
+    what it holds at x_new.
     ReversedTV runs its two charged products at x_new: r = A x_new - b
     and g = A^T r serve the record, and the next gradient at y = x_new +
     m (x_new - x) is g + m (g - g_x) by linearity, with g_x that of x.
@@ -546,12 +546,9 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
         g_x = atr
         return x_new, inner_iters, r, atr
 
-    name = ":".join(["AFBS" if config.accelerated else "FBS", config.kind,
-                     config.inner] + ["nonneg"] * config.nonneg)
-    x, records, converged, iterations = run_outer(
-        step, x, A, b, shape, tvparams,
-        "opt_c" if config.nonneg else "opt_u", config.term_tol,
-        config.max_outer, f"forward-backward run {name}", x_ref=x_ref,
-        record_wall_time=record_wall_time, held=held)
-    return RunResult(x, records, converged, iterations, fallback_count,
-                     sum(r.inner_iters for r in records))
+    result = run_outer(step, x, A, b, shape, tvparams,
+                       "opt_c" if config.nonneg else "opt_u",
+                       config.term_tol, config.max_outer, x_ref=x_ref,
+                       record_wall_time=record_wall_time, held=held)
+    result.fallback_count = fallback_count
+    return result

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fbs, superior, tomo
-from .metrics import FIELD_NAMES, NumericalDivergenceError
+from .metrics import FIELD_NAMES, MetricsRecord, NumericalDivergenceError
 from .regtv import GridShape, SmoothedTVParams
 
 class ConfigError(ValueError):
@@ -81,7 +81,8 @@ def build_problem(config):
 
 # -- CSV output --------------------------------------------------------------
 
-_INT_FIELDS = ("k", "inner_iters", "cumulative_matvecs")
+_INT_FIELDS = {f.name for f in dataclasses.fields(MetricsRecord)
+               if f.type is int}
 
 
 def _fmt(name, value):
@@ -146,7 +147,6 @@ def run_algorithm(name, problem, config):
     A config that the algorithm rejects raises ConfigError before the run.
     """
     run = _configured_run(name, config)
-    problem.A.reset_matvec_count()
     res = run(problem.A, problem.b, problem.shape, problem.tvparams,
               x_ref=problem.x_ref, record_wall_time=config.record_wall_time)
     info = {"converged": res.converged, "iterations": res.iterations,
@@ -161,8 +161,8 @@ def run_experiment(config):
     Every config is checked before anything is written. A run that
     diverges writes the records it made before the failure, and its
     summary row says "diverged"; the other runs go on, and then the first
-    NumericalDivergenceError is raised again. Returns {algorithm name:
-    (x_final, records, info)}.
+    NumericalDivergenceError is raised again, prefixed with the run's
+    configured name. Returns {algorithm name: (x_final, records, info)}.
     """
     try:
         problem = build_problem(config)
@@ -183,8 +183,9 @@ def run_experiment(config):
         try:
             x, records, info = run_algorithm(name, problem, config)
         except NumericalDivergenceError as exc:
-            failure = failure or exc
             records = exc.records
+            failure = failure or NumericalDivergenceError(f"{name}: {exc}",
+                                                          records)
             info = {"iterations": records[-1].k, "converged": "diverged"}
         else:
             results[name] = (x, records, info)

@@ -38,7 +38,7 @@ class MetricsRecord:
     residual_scaled is ||Ax - b||^2 / (2m), tv_scaled is R_tau(x) / n and
     err_scaled is ||x - x_ref||^2 / n (zero when no reference image is
     supplied). cumulative_matvecs counts operator products charged to the
-    cost model up to and including this iteration.
+    cost model from the run's start up to and including this iteration.
     """
 
     k: int
@@ -62,8 +62,8 @@ FIELD_NAMES = tuple(f.name for f in fields(MetricsRecord))
 class RunResult:
     """Final iterate, its records, and whether the stopping rule held.
 
-    iterations counts the steps taken. fallback_count and total_inner are
-    the forward-backward runs' fallback certificates and inner steps.
+    `run_outer` fills in the steps taken (iterations) and the inner
+    steps (total_inner); `fbs.afbs_run` adds its fallback certificates.
     """
 
     x: np.ndarray
@@ -87,9 +87,10 @@ def make_record(k, A, b, x, shape, tvparams, rule, tol, x_ref=None,
     computes it. The caller may pass r and, for the opt rules, atr =
     A^T r, as the step that made x formed them; whichever is not passed
     is computed here by a diagnostic product, which bypasses the matvec
-    counter. Overflow in these sums is left to the finiteness check of
-    `MetricsRecord`, which raises NumericalDivergenceError. Returns
-    (record, stopped).
+    counter; cumulative_matvecs is A.matvec_count, which `run_outer`
+    zeroes at the start of the run. Overflow in these sums is left to the
+    finiteness check of `MetricsRecord`, which raises
+    NumericalDivergenceError. Returns (record, stopped).
     """
     if r is None:
         r = A.apply_nocount(x) - b
@@ -121,23 +122,25 @@ def make_record(k, A, b, x, shape, tvparams, rule, tol, x_ref=None,
     return record, stopped
 
 
-def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer, where,
+def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer,
               x_ref=None, record_wall_time=False, held=(None, None)):
     """Drive `step` from x0 until `rule` holds at tol or max_outer steps.
 
     `step(k, x)` returns (x_k, inner_iters, r, atr) for k = 1, 2, ...;
     the caller keeps its own algorithm state in the closure. r = A x_k -
     b and atr = A^T r are what the step already holds at x_k, or None
-    where it holds nothing; `held` is that pair for x0. Before each step
-    run_outer records the current iterate through `make_record`, which
-    computes only what is None, and stops if the rule holds there.
+    where it holds nothing; `held` is that pair for x0. run_outer zeroes
+    `A.matvec_count`, then before each step records the current iterate
+    through `make_record`, which computes only what is None, and stops
+    if the rule holds there.
     It aborts with NumericalDivergenceError, carrying the records so far,
-    on a non-finite iterate or metric.
+    on a non-finite iterate or metric; the message names k, not the run.
     With `record_wall_time`, record k's wall_time is read when x_k is
     ready, before its own diagnostics, so it covers steps 1..k and the
-    records and stop tests of x_0..x_{k-1}. Returns (x, records,
-    converged, iterations), where converged is the rule at the final x.
+    records and stop tests of x_0..x_{k-1}. Returns the `RunResult`;
+    converged is the rule at the final x.
     """
+    A.reset_matvec_count()
     t_start = time.perf_counter()
     records = []
     x, inner_iters, k = x0, 0, 0
@@ -149,13 +152,13 @@ def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer, where,
                 k, A, b, x, shape, tvparams, rule, tol, x_ref=x_ref,
                 inner_iters=inner_iters, wall_time=wall_time, r=r, atr=atr)
         except NumericalDivergenceError as exc:
-            raise NumericalDivergenceError(f"{exc} in {where}, k={k}",
-                                           records) from None
+            raise NumericalDivergenceError(f"{exc}, k={k}", records) from None
         records.append(record)
         if stopped or k == max_outer:
-            return x, records, stopped, k
+            return RunResult(x, records, stopped, k, total_inner=sum(
+                rec.inner_iters for rec in records))
         k += 1
         x, inner_iters, r, atr = step(k, x)
         if not np.all(np.isfinite(x)):
-            raise NumericalDivergenceError(
-                f"non-finite iterate in {where}, k={k}", records)
+            raise NumericalDivergenceError(f"non-finite iterate, k={k}",
+                                           records)

@@ -25,21 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basic
-from .metrics import RunResult, run_outer
+from .metrics import run_outer
 from .regtv import _smooth_terms, grad_adjoint, prox_tv
 
-# variant -> (basic operator, reduction step, constrained termination,
-# default a, default gamma0); a default gamma0 of None is the
-# step-coupled 1.9 * lam / ||A||_2^2 that `superiorize_run` resolves
+# variant -> (basic operator, reduction step, default a, default gamma0);
+# a None gamma0 is the step-coupled 1.9 * lam / ||A||_2^2 of superiorize_run
 VARIANTS = {
-    "GradSupCG": ("CG", "grad", False, 1.0 - 1e-4, 0.001),
-    "GradSupLW": ("LW", "grad", False, 1.0 - 1e-4, 0.0025),
-    "ProxSupCG": ("CG", "prox", False, 1.0 - 1e-6, 0.001),
-    "ProxSupLW": ("LW", "prox", False, 1.0 - 1e-6, 0.001),
-    "ProxCSupCG": ("CG", "prox+", True, 1.0 - 1e-6, None),
-    "ProxCSupLW": ("LW", "prox+", True, 1.0 - 1e-6, None),
-    "GradSupProjLW": ("LW+", "grad", True, 1.0 - 1e-4, 0.0025),
-    "ProxSupProjLW": ("LW+", "prox", True, 1.0 - 1e-6, None),
+    "GradSupCG": ("CG", "grad", 1.0 - 1e-4, 0.001),
+    "GradSupLW": ("LW", "grad", 1.0 - 1e-4, 0.0025),
+    "ProxSupCG": ("CG", "prox", 1.0 - 1e-6, 0.001),
+    "ProxSupLW": ("LW", "prox", 1.0 - 1e-6, 0.001),
+    "ProxCSupCG": ("CG", "prox+", 1.0 - 1e-6, None),
+    "ProxCSupLW": ("LW", "prox+", 1.0 - 1e-6, None),
+    "GradSupProjLW": ("LW+", "grad", 1.0 - 1e-4, 0.0025),
+    "ProxSupProjLW": ("LW+", "prox", 1.0 - 1e-6, None),
 }
 
 _ELL_MAX = 10 ** 6
@@ -156,13 +155,13 @@ def superiorize_run(config, A, b, shape, tvparams, x0=None, x_ref=None,
     A gamma0 that the config leaves unset is 1.9 * lam / ||A||_2^2, and
     then lam = 0 raises ValueError on entry.
     `metrics.run_outer` drives the steps and stops on rule sup_u,
-    g_u(y) <= eps, or for the constrained variants sup_c, which adds
-    min_i y_i > -1e-8; a CG step hands the record its residual, so only
-    Landweber records run a product of their own. Returns a
-    `metrics.RunResult`.
+    g_u(y) <= eps, or, with LW+ or prox+, sup_c, which adds min_i y_i >
+    -1e-8; a CG step hands the record its residual, so only Landweber
+    records run a product of their own. Returns run_outer's RunResult.
     """
     config.check_lam(tvparams.lam)
-    kind, reduction, constrained = VARIANTS[config.variant][:3]
+    kind, reduction = VARIANTS[config.variant][:2]
+    rule = "sup_c" if kind == "LW+" or reduction == "prox+" else "sup_u"
     gamma0 = config.gamma0
     if gamma0 is None:
         gamma0 = 1.9 * tvparams.lam / A.norm_sq
@@ -185,7 +184,6 @@ def superiorize_run(config, A, b, shape, tvparams, x0=None, x_ref=None,
         y, r = basic_step(y)
         return y, 0, r, None
 
-    return RunResult(*run_outer(
-        step, y, A, b, shape, tvparams, "sup_c" if constrained else "sup_u",
-        config.eps, config.max_outer, f"superiorized run {config.variant}",
-        x_ref=x_ref, record_wall_time=record_wall_time))
+    return run_outer(step, y, A, b, shape, tvparams, rule, config.eps,
+                     config.max_outer, x_ref=x_ref,
+                     record_wall_time=record_wall_time)

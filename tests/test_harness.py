@@ -377,6 +377,28 @@ def test_matvec_counts_logged_per_step():
     assert [r.cumulative_matvecs for r in records] == [0, 4, 8, 12, 16]
 
 
+def test_each_run_counts_its_own_products_from_zero():
+    # back-to-back runs on one operator: each run's records start at 0
+    # and end at the charged products that run executed
+    problem = build_problem(small_config())
+    A = problem.A
+    calls = []
+    for name in ("matvec", "rmatvec"):
+        def counting(v, product=getattr(A, name)):
+            calls.append(1)
+            return product(v)
+        setattr(A, name, counting)
+    runs = [(afbs_run, AFBSConfig("NaturalLS", inner="PDNoInv",
+                                  max_outer=5)),
+            (afbs_run, AFBSConfig("ReversedTV", max_outer=5)),
+            (superiorize_run, SupConfig("GradSupCG", max_outer=5))]
+    for run, cfg in runs:
+        before = len(calls)
+        res = run(cfg, A, problem.b, problem.shape, problem.tvparams)
+        assert res.records[0].cumulative_matvecs == 0
+        assert res.records[-1].cumulative_matvecs == len(calls) - before > 0
+
+
 def test_cli_run(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(
@@ -469,9 +491,8 @@ def test_cli_diverging_run_exits_3(tmp_path, capsys):
                               "override.FBS:ReversedTV.alpha=1e6"))
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: non-finite metric "
-                          "residual_scaled in forward-backward run "
-                          "FBS:ReversedTV:TVProx, k=")
+    assert err.startswith("numerical failure: FBS:ReversedTV: non-finite "
+                          "metric residual_scaled, k=")
     assert err.count("\n") == 1
     k = int(err.rsplit("k=", 1)[1])
     rows = (tmp_path / "FBS_ReversedTV.csv").read_text().splitlines()

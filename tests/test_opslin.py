@@ -123,7 +123,7 @@ def test_shifted_gram_solve_caches_factor():
     assert A._factor_cache[0] == 0.8 and A._factor_cache[1] is not factor
 
 
-def test_smw_solve_keeps_one_factor():
+def test_shifted_gram_solve_keeps_one_factor():
     # PDBasic changes tau_l every inner step: one factor each must not pile up
     A, M = random_operator(4, 10, seed=19)
     rhs = np.random.default_rng(20).standard_normal(10)
@@ -193,7 +193,7 @@ def test_shifted_gram_solve_rejects_nan_operator():
         shifted_gram_solve(A, 1.0, 0.7, np.ones(10))
 
 
-def test_smw_solve_matches_dense():
+def test_shifted_gram_solve_matches_dense():
     A, M = random_operator(5, 12, seed=11)
     rng = np.random.default_rng(12)
     rhs = rng.standard_normal(12)

@@ -214,8 +214,7 @@ def test_all_variants_reduce_residual(variant):
     res = superiorize_run(cfg, A, b, SHAPE, TVP)
     assert g_u(A, b, res.x) < g_u(A, b, np.zeros(SHAPE.n))
     assert len(res.records) == 31
-    constrained = VARIANTS[variant][2]
-    if constrained and VARIANTS[variant][0] == "LW+":
+    if VARIANTS[variant][0] == "LW+":
         assert np.min(res.x) >= 0.0
 
 
