@@ -5,15 +5,13 @@ Usage, with two checkouts of the repository:
     python3 scripts/bench_pairs.py PARENT CHANGE --name reduced_solve \\
         --change-text "what the change does" \\
         --workloads afbs_exact:10,sup_gradcg:2 --first-seed 1 \\
-        [--trace-seeds 1] [--layer-script scripts/reduced_solve_layers.py]
+        [--trace-seeds 1]
 
 Pair i of a workload runs `python3 bench/run.py --workload W --seed S`
 (S = first seed + i) from PARENT and from CHANGE, one after the other,
 and alternates which side runs first. `--trace-seeds` adds, for every
 workload, one traced pair (`--trace 1`) per listed seed and records the
-median of each per-layer metric. `--layer-script` runs that script as
-`python3 SCRIPT CHECKOUT` for three alternating pairs and records the
-median of each number it prints as one JSON object.
+median of each per-layer metric.
 
 Writes BENCH_<name>.json in the current directory: the change text, the
 method, the environment record of the first run, then per workload the
@@ -33,7 +31,6 @@ from pathlib import Path
 TIMINGS = ("setup_s", "solve_s", "solve_cpu_s", "peak_rss_mb")
 RESULTS = ("outer_iters", "matvecs_charged", "final_err_scaled",
            "final_residual_scaled")
-LAYER_PAIRS = 3
 # fields of run.py's environment record that describe one run, not the box
 RUN_FIELDS = ("workload", "algorithm", "seed", "angle_offsets_deg")
 
@@ -105,20 +102,6 @@ def traced_medians(traced):
     return out
 
 
-def run_layers(script, checkouts):
-    samples = {"parent": [], "change": []}
-    for pair in range(LAYER_PAIRS):
-        for side, checkout in sides(checkouts, pair):
-            proc = subprocess.run(
-                [sys.executable, str(script), str(checkout)],
-                capture_output=True, text=True, check=True)
-            samples[side].append(json.loads(proc.stdout))
-    return {"script": script.name, "pairs": LAYER_PAIRS,
-            **{side: {k: statistics.median(s[k] for s in values)
-                      for k in values[0]}
-               for side, values in samples.items()}}
-
-
 def parse_workloads(text):
     out = {}
     for item in text.split(","):
@@ -141,7 +124,6 @@ def main(argv=None):
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--trace-seeds", default="",
                         help="comma list of seeds for traced pairs")
-    parser.add_argument("--layer-script", type=Path)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
@@ -188,12 +170,10 @@ def main(argv=None):
                   "change, alternating which side runs first; pair i uses "
                   f"seed {args.first_seed} + i on both sides. Timings are "
                   "at the benchmark's reference speed (bench/speed.py); "
-                  "the traced per-layer seconds and the layer script's "
-                  "are raw. Written by scripts/bench_pairs.py.",
+                  "the traced per-layer seconds are raw. Written by "
+                  "scripts/bench_pairs.py.",
         "environment": environment,
     }
-    if args.layer_script:
-        out["layers"] = run_layers(args.layer_script.resolve(), checkouts)
     out["workloads"] = workloads
     path = Path(f"BENCH_{args.name}.json")
     path.write_text(json.dumps(out, indent=1) + "\n")

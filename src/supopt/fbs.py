@@ -175,17 +175,22 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None,
         max_iter, stop)[:2]
 
 
-def _fenchel_gap(alpha, r, z):
+def _fenchel_gap(alpha, r, z, u):
     """Fenchel gap of the constrained LS prox less 0.5||Az - q||^2.
 
-    For a dual point q, feasible z and r = c - A^T q - z/alpha, sums
-    (alpha/2) r_i^2 where alpha r_i + z_i >= 0 and -r_i z_i -
+    For a dual point q, feasible z, u = z/alpha and r = c - A^T q - u,
+    sums (alpha/2) r_i^2 where alpha r_i + z_i >= 0 and -r_i z_i -
     z_i^2/(2 alpha) elsewhere, as two nonnegative parts so that nothing
-    cancels: 0.5 alpha ||max(r, -z/alpha)||^2 - <z, min(r + z/alpha, 0)>.
+    cancels: 0.5 alpha ||max(r, -u)||^2 - <z, min(r + u, 0)>. Both
+    callers hold u, having formed r from it; both parts are formed in
+    one scratch array.
     """
-    u = z / alpha
-    top = np.maximum(r, -u)
-    return 0.5 * alpha * float(top @ top) - float(z @ np.minimum(r + u, 0.0))
+    part = np.negative(u)
+    np.maximum(r, part, out=part)
+    top = float(part @ part)
+    np.add(r, u, out=part)
+    np.minimum(part, 0.0, out=part)
+    return 0.5 * alpha * top - float(z @ part)
 
 
 def dual_gap(A, alpha, c, z):
@@ -194,15 +199,20 @@ def dual_gap(A, alpha, c, z):
     The subproblem, the prox at x, is min 0.5 z^T B z - <c, z> over
     z >= 0 with B = A^T A + I/alpha and c = x/alpha + A^T b; callers pass
     the c they hold. Returns P(z) - D(A z), the Fenchel gap at q = A z
-    (`_fenchel_gap`), with dual D(q) = -0.5||q||^2 - (alpha/2)||(c -
-    A^T q)_+||^2: at least ||z - z*||^2/(2 alpha) for feasible z by strong
-    convexity, and zero at the constrained prox. 2 uncounted products.
+    (`_fenchel_gap`), with dual D(q) = -0.5||q||^2 -
+    (alpha/2)||(c - A^T q)_+||^2: at least ||z - z*||^2/(2 alpha) for
+    feasible z by strong convexity, and zero at the constrained prox.
+    2 uncounted products; r = c - (A^T A z + z/alpha) is formed in place
+    in the second product's output.
     """
     z = np.asarray(z, dtype=np.float64)
     if np.min(z) < 0:
         raise ValueError("dual_gap requires a feasible point z >= 0")
-    r = c - (A.applyT_nocount(A.apply_nocount(z)) + z / alpha)
-    return _fenchel_gap(alpha, r, z)
+    u = z / alpha
+    r = A.applyT_nocount(A.apply_nocount(z))
+    r += u
+    np.subtract(c, r, out=r)
+    return _fenchel_gap(alpha, r, z, u)
 
 
 # -- primal-dual inner iterations ------------------------------------------
@@ -294,6 +304,14 @@ def pd_noinv_init(A, b, alpha, x, nonneg, warm=None, atb=None):
                         atq=atq, ataz=ataz, azbar=az, atazbar=ataz)
 
 
+def _extrapolate(new, old, ratio):
+    """new + ratio (new - old), formed in one fresh array."""
+    out = new - old
+    out *= ratio
+    out += new
+    return out
+
+
 def pd_noinv_step(A, alpha, nonneg, state):
     """One inversion-free primal-dual step: exactly one A and one A^T product.
 
@@ -302,22 +320,35 @@ def pd_noinv_step(A, alpha, nonneg, state):
     q_new = (q + sigma A zbar) / (1 + sigma) and A^T q_new = (A^T q +
     sigma A^T A zbar) / (1 + sigma), a convex combination, so rounding
     does not grow over the steps; then A zbar_new = A z_new + theta (A z_new
-    - A z), and A^T A zbar_new the same way.
+    - A z), and A^T A zbar_new the same way; z_new = alpha/(alpha + tau)
+    (z - tau (A^T q_new - c)), clipped to z_new >= 0 under `nonneg`.
+
+    Each new vector is formed in one fresh array and finished in place,
+    every entry through the same operations in the same order as the
+    plain expressions; no array of `state` is written, so the previous
+    state stays valid for the certificates and the warm start.
     """
     s = state
-    q_new = (s.q + s.sigma * s.azbar) / (1.0 + s.sigma)
-    atq = (s.atq + s.sigma * s.atazbar) / (1.0 + s.sigma)
-    v = s.z - s.tau * (atq - s.c_alpha)
-    z_new = alpha / (alpha + s.tau) * v
+    q_new = s.sigma * s.azbar
+    q_new += s.q
+    q_new /= 1.0 + s.sigma
+    atq = s.sigma * s.atazbar
+    atq += s.atq
+    atq /= 1.0 + s.sigma
+    z_new = atq - s.c_alpha
+    z_new *= s.tau
+    np.subtract(s.z, z_new, out=z_new)
+    z_new *= alpha / (alpha + s.tau)
     if nonneg:
-        z_new = np.maximum(z_new, 0.0)
+        np.maximum(z_new, 0.0, out=z_new)
     az = A.matvec(z_new)
     ataz = A.rmatvec(az)
     theta = 1.0 / math.sqrt(1.0 + 2.0 * s.tau / alpha)
     return PDNoInvState(z=z_new, q=q_new, tau=theta * s.tau,
                         sigma=s.sigma / theta, c_alpha=s.c_alpha, az=az,
-                        atq=atq, ataz=ataz, azbar=az + theta * (az - s.az),
-                        atazbar=ataz + theta * (ataz - s.ataz))
+                        atq=atq, ataz=ataz,
+                        azbar=_extrapolate(az, s.az, theta),
+                        atazbar=_extrapolate(ataz, s.ataz, theta))
 
 
 # -- inexactness certificates ------------------------------------------------
@@ -328,15 +359,16 @@ def cert_unconstrained(A, alpha, eps_k, prev, state):
 
     `prev` and `state` are the `PDNoInvState`s before and after a step.
     Extrapolates z = z_new + (alpha/tau_prev)(z_new - z_prev), and A z
-    and A^T A z from the two states' products by linearity, and accepts
-    when 0.5*||Az - q||^2 <= eps_k^2 / (2*alpha). The extrapolated z is
-    the value to return as the prox, not the raw iterate; the certificate
+    and A^T A z from the two states' products by linearity
+    (`_extrapolate`, one fresh array each), and accepts when
+    0.5*||Az - q||^2 <= eps_k^2 / (2*alpha). The extrapolated z is the
+    value to return as the prox, not the raw iterate; the certificate
     keeps its A z and A^T A z. No product.
     """
     ratio = alpha / prev.tau
-    z = state.z + ratio * (state.z - prev.z)
-    az = state.az + ratio * (state.az - prev.az)
-    ataz = state.ataz + ratio * (state.ataz - prev.ataz)
+    z = _extrapolate(state.z, prev.z, ratio)
+    az = _extrapolate(state.az, prev.az, ratio)
+    ataz = _extrapolate(state.ataz, prev.ataz, ratio)
     resid = az - state.q
     lhs = 0.5 * float(resid @ resid)
     accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
@@ -358,38 +390,49 @@ def cert_constrained(A, alpha, eps_k, prev, state):
     approximation). It applies when z is feasible up to rounding: entries
     above -n * eps * alpha * max(|A^T q|, |A^T A z1|) are clipped to 0,
     which keeps w >= 0 and the test exact, so a last-bit change in an
-    entry where z1 = z_prev = 0 cannot switch the path.
+    entry where z1 = z_prev = 0 cannot switch the path. The tolerance is
+    formed only when min(z) >= 0 fails; a NaN in z takes the fallback
+    path.
 
     Fallback path, when z leaves the orthant: z1 is accepted when
-    sqrt(2 alpha gap) <= eps_k, with gap =
-    0.5||A z1 - q||^2 + `_fenchel_gap`(alpha, c - A^T q - z1/alpha, z1)
+    sqrt(2 alpha gap) <= eps_k, with gap = 0.5||A z1 - q||^2 +
+    `_fenchel_gap`(alpha, c - A^T q - u, z1, u), u = z1/alpha,
     the Fenchel gap at the pair (z1, q), which bounds
     ||z1 - z*||^2/(2 alpha) as `dual_gap`'s does.
 
     Uncounted products: none on the fallback path, 1 (A(z - z1)) on the
     primary path. Either path keeps A z for the z it returns: A z1, or
-    A z1 + A(z - z1) on the primary path.
+    A z1 + A(z - z1) on the primary path; the fallback path also keeps
+    the held A^T A z1. The vectors are built in z's array and one work
+    array, in place, through the same operations as the formulas above.
     """
     z1, az1, atatz1 = state.z, state.az, state.ataz
     atq, c = state.atq, state.c_alpha
-    # A^T(q1 - A z1) by linearity
-    z = z1 + (alpha / prev.tau) * (z1 - prev.z) + alpha * (atq - atatz1)
+    z = _extrapolate(z1, prev.z, alpha / prev.tau)
+    work = atq - atatz1  # A^T(q1 - A z1) by linearity
+    work *= alpha
+    z += work
     eps64 = np.finfo(np.float64).eps
-    tol = z.size * eps64 * alpha * max(float(np.max(np.abs(atq))),
-                                       float(np.max(np.abs(atatz1))))
-    if np.min(z) >= -tol:
-        z = np.maximum(z, 0.0)
-        # A^T(A z1 - b) - (x - z)/alpha, by linearity
-        w = atatz1 + z / alpha - c
-        d = A.apply_nocount(z - z1)
-        lhs = 0.5 * float(d @ d) + float(w @ z)
+    low = np.min(z)
+    if low >= 0 or low >= -z.size * eps64 * alpha * max(
+            np.max(atq), -np.min(atq), np.max(atatz1), -np.min(atatz1)):
+        np.maximum(z, 0.0, out=z)
+        # w = A^T(A z1 - b) - (x - z)/alpha, by linearity
+        w = np.divide(z, alpha, out=work)
+        w += atatz1
+        w -= c
+        wz = float(w @ z)
+        d = A.apply_nocount(np.subtract(z, z1, out=work))
+        lhs = 0.5 * float(d @ d) + wz
         accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
-        return ProxCertificate(z=z, az=az1 + d, gap_value=lhs,
-                               accepted=accepted)
+        d += az1
+        return ProxCertificate(z=z, az=d, gap_value=lhs, accepted=accepted)
+    u = np.divide(z1, alpha, out=z)
+    r = np.subtract(c, atq, out=work)
+    r -= u
     resid = az1 - state.q
-    gap = 0.5 * float(resid @ resid) \
-        + _fenchel_gap(alpha, c - atq - z1 / alpha, z1)
-    return ProxCertificate(z=z1, az=az1, gap_value=gap,
+    gap = 0.5 * float(resid @ resid) + _fenchel_gap(alpha, r, z1, u)
+    return ProxCertificate(z=z1, az=az1, ataz=atatz1, gap_value=gap,
                            accepted=math.sqrt(2.0 * alpha * gap) <= eps_k,
                            fallback=True)
 
@@ -479,8 +522,9 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
     m (x_new - x) is g + m (g - g_x) by linearity, with g_x that of x.
     The unconstrained ExactSMW hands over r = A z - b from the solve and
     A^T r = (v - z) / alpha, the optimality condition of the prox at v;
-    PDNoInv hands over its certificate's A z - b and, unconstrained,
-    A^T A z - A^T b.
+    PDNoInv hands over its certificate's A z - b and, where the
+    certificate keeps A^T A z (unconstrained, and the constrained
+    fallback path, whose z is the step's iterate), A^T A z - A^T b.
     """
     config.check_lam(tvparams.lam)
     b = np.asarray(b, dtype=np.float64)

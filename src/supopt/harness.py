@@ -160,7 +160,9 @@ def run_experiment(config):
 
     Every config is checked before anything is written. A run that
     diverges writes the records it made before the failure, and its
-    summary row says "diverged"; the other runs go on, and then the first
+    summary row says "diverged"; if already its x_0 record diverged, the
+    CSV has only its header and the row has iterations 0 and empty metric
+    cells. The other runs go on, and then the first
     NumericalDivergenceError is raised again, prefixed with the run's
     configured name. Returns {algorithm name: (x_final, records, info)}.
     """
@@ -186,18 +188,19 @@ def run_experiment(config):
             records = exc.records
             failure = failure or NumericalDivergenceError(f"{name}: {exc}",
                                                           records)
-            info = {"iterations": records[-1].k, "converged": "diverged"}
+            # a run whose x_0 record diverged has no record at all
+            info = {"iterations": records[-1].k if records else 0,
+                    "converged": "diverged"}
         else:
             results[name] = (x, records, info)
         stem = name.replace(":", "_")
         emit_csv(records, out / f"{stem}.csv")
-        last = records[-1]
+        last = records[-1] if records else None
         summary.append(",".join([
             name, str(info["iterations"]), str(info["converged"]),
-            _fmt("residual_scaled", last.residual_scaled),
-            _fmt("tv_scaled", last.tv_scaled),
-            _fmt("err_scaled", last.err_scaled),
-            str(last.cumulative_matvecs)]))
+            *("" if last is None else _fmt(n, getattr(last, n))
+              for n in ("residual_scaled", "tv_scaled", "err_scaled",
+                        "cumulative_matvecs"))]))
     (out / "summary.csv").write_text("\n".join(summary) + "\n")
     if failure is not None:
         raise failure

@@ -1,8 +1,13 @@
 """Dense reference solutions for the tests (small instances only), a
-relative error and a counter of an operator's diagnostic products."""
+relative error, a counter of an operator's diagnostic products, and the
+PDNoInv step and certificates as plain allocating expressions."""
+
+import math
 
 import numpy as np
 from scipy.optimize import nnls
+
+from supopt.fbs import PDNoInvState, ProxCertificate
 
 
 def dense_prox_ls_oracle(A, b, alpha, x, max_n=4096):
@@ -98,3 +103,76 @@ def count_uncounted_products(A):
 def relative_error(a, ref):
     """||a - ref|| / ||ref|| in the 2-norm."""
     return float(np.linalg.norm(a - ref) / np.linalg.norm(ref))
+
+
+# -- the PDNoInv step and certificates as plain allocating expressions ------
+# The in-place forms in `supopt.fbs` must give these bit for bit.
+
+
+def fenchel_gap_allocating(alpha, r, z):
+    """`fbs._fenchel_gap` as plain expressions, forming z/alpha itself."""
+    u = z / alpha
+    top = np.maximum(r, -u)
+    return 0.5 * alpha * float(top @ top) - float(z @ np.minimum(r + u, 0.0))
+
+
+def dual_gap_allocating(A, alpha, c, z):
+    """`fbs.dual_gap` at a feasible z as plain expressions."""
+    r = c - (A.applyT_nocount(A.apply_nocount(z)) + z / alpha)
+    return fenchel_gap_allocating(alpha, r, z)
+
+
+def pd_noinv_step_allocating(A, alpha, nonneg, state):
+    """`fbs.pd_noinv_step` as plain expressions."""
+    s = state
+    q_new = (s.q + s.sigma * s.azbar) / (1.0 + s.sigma)
+    atq = (s.atq + s.sigma * s.atazbar) / (1.0 + s.sigma)
+    v = s.z - s.tau * (atq - s.c_alpha)
+    z_new = alpha / (alpha + s.tau) * v
+    if nonneg:
+        z_new = np.maximum(z_new, 0.0)
+    az = A.matvec(z_new)
+    ataz = A.rmatvec(az)
+    theta = 1.0 / math.sqrt(1.0 + 2.0 * s.tau / alpha)
+    return PDNoInvState(z=z_new, q=q_new, tau=theta * s.tau,
+                        sigma=s.sigma / theta, c_alpha=s.c_alpha, az=az,
+                        atq=atq, ataz=ataz, azbar=az + theta * (az - s.az),
+                        atazbar=ataz + theta * (ataz - s.ataz))
+
+
+def cert_unconstrained_allocating(A, alpha, eps_k, prev, state):
+    """`fbs.cert_unconstrained` as plain expressions."""
+    ratio = alpha / prev.tau
+    z = state.z + ratio * (state.z - prev.z)
+    az = state.az + ratio * (state.az - prev.az)
+    ataz = state.ataz + ratio * (state.ataz - prev.ataz)
+    resid = az - state.q
+    lhs = 0.5 * float(resid @ resid)
+    accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
+    return ProxCertificate(z=z, az=az, ataz=ataz, gap_value=lhs,
+                           accepted=accepted)
+
+
+def cert_constrained_allocating(A, alpha, eps_k, prev, state):
+    """`fbs.cert_constrained` as plain expressions; the fallback path
+    keeps the state's A^T A z1, as the in-place form does."""
+    z1, az1, atatz1 = state.z, state.az, state.ataz
+    atq, c = state.atq, state.c_alpha
+    z = z1 + (alpha / prev.tau) * (z1 - prev.z) + alpha * (atq - atatz1)
+    eps64 = np.finfo(np.float64).eps
+    tol = z.size * eps64 * alpha * max(float(np.max(np.abs(atq))),
+                                       float(np.max(np.abs(atatz1))))
+    if np.min(z) >= -tol:
+        z = np.maximum(z, 0.0)
+        w = atatz1 + z / alpha - c
+        d = A.apply_nocount(z - z1)
+        lhs = 0.5 * float(d @ d) + float(w @ z)
+        accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
+        return ProxCertificate(z=z, az=az1 + d, gap_value=lhs,
+                               accepted=accepted)
+    resid = az1 - state.q
+    gap = 0.5 * float(resid @ resid) \
+        + fenchel_gap_allocating(alpha, c - atq - z1 / alpha, z1)
+    return ProxCertificate(z=z1, az=az1, ataz=atatz1, gap_value=gap,
+                           accepted=math.sqrt(2.0 * alpha * gap) <= eps_k,
+                           fallback=True)

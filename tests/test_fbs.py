@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (count_uncounted_products, dense_prox_ls_oracle,
                      nnls_prox_ls_oracle, relative_error)
 from supopt import fbs
@@ -482,6 +483,55 @@ def test_pd_noinv_held_products_match_direct_products(side, nonneg):
             assert relative_error(st.ataz,
                                   A.applyT_nocount(st.az)) <= 1e-12
             assert relative_error(st.atq, A.applyT_nocount(st.q)) <= 1e-12
+
+
+def _assert_same_fields(new, ref):
+    # every field equal: arrays by np.array_equal, scalars and None by ==
+    for name, value in vars(ref).items():
+        other = getattr(new, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(other, value), name
+        else:
+            assert other == value, name
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_pd_noinv_in_place_matches_allocating_expressions(nonneg):
+    # the in-place step and certificates against their plain expressions
+    # (tests/oracles.py), side by side from one start, bit for bit
+    from supopt import tomo
+    A = tomo.build_parallel_system(tomo.Geometry(16, 4, 16))
+    x_true = tomo.shepp_logan(16)
+    b = A.apply_nocount(x_true)
+    x = x_true + 0.2 * np.random.default_rng(4).standard_normal(A.n_cols)
+    alpha, eps_k = 0.125, 1e-3
+    certify, certify_ref = (
+        (cert_constrained, oracles.cert_constrained_allocating) if nonneg
+        else (cert_unconstrained, oracles.cert_unconstrained_allocating))
+    new = ref = pd_noinv_init(A, b, alpha, x, nonneg)
+    paths = set()
+    for _ in range(60):
+        prev, new = new, pd_noinv_step(A, alpha, nonneg, new)
+        prev_ref, ref = ref, oracles.pd_noinv_step_allocating(
+            A, alpha, nonneg, ref)
+        _assert_same_fields(new, ref)
+        cert = certify(A, alpha, eps_k, prev, new)
+        _assert_same_fields(cert, certify_ref(A, alpha, eps_k, prev_ref, ref))
+        paths.add(cert.fallback)
+        if nonneg:
+            assert dual_gap(A, alpha, new.c_alpha, new.z) == \
+                oracles.dual_gap_allocating(A, alpha, new.c_alpha, new.z)
+    if nonneg:
+        # the primary path, at the exact prox and with A^T q one unit in
+        # the last place lower, as in the path-stability test
+        st = _state_at_constrained_prox(A, b, alpha, x)
+        nudged = replace(st, atq=np.nextafter(st.atq, -np.inf))
+        for state in (st, nudged):
+            cert = cert_constrained(A, alpha, eps_k, st, state)
+            _assert_same_fields(cert, oracles.cert_constrained_allocating(
+                A, alpha, eps_k, st, state))
+            paths.add(cert.fallback)
+    assert paths == ({False, True} if nonneg else {False})
 
 
 def test_pd_noinv_products_per_start_and_step():

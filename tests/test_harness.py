@@ -260,13 +260,20 @@ def test_steps_hand_over_what_fresh_products_give(monkeypatch, side, name,
     for k, x, r, atr in held:
         fresh = problem.A.apply_nocount(x) - problem.b
         assert relative_error(r, fresh) <= 1e-10
-        assert (atr is not None) == (with_atr or k == 0)
-        if with_atr:
+        if atr is not None:
             assert relative_error(atr,
                                   problem.A.applyT_nocount(fresh)) <= 1e-10
-    if name == "AFBS:NaturalLS:PDNoInv:nonneg" and side == 16:
-        # both certificate paths ran
-        assert 0 < info["fallback_count"] < info["iterations"]
+    handed = [k for k, _, _, atr in held if atr is not None]
+    if name == "AFBS:NaturalLS:PDNoInv:nonneg":
+        # A^T r at x_0 and after each fallback certificate, which keeps
+        # the step's A^T A z
+        assert handed[0] == 0
+        assert len(handed) == 1 + info["fallback_count"]
+        if side == 16:
+            # both certificate paths ran
+            assert 0 < info["fallback_count"] < info["iterations"]
+    else:
+        assert handed == [k for k, *_ in held if with_atr or k == 0]
 
 
 @pytest.mark.parametrize("name,tol_key,diagnostic", [
@@ -294,6 +301,22 @@ def test_records_take_products_only_where_no_step_holds_them(name, tol_key,
     _, records, _ = run_algorithm(name, problem, config)
     assert len(records) == 13
     assert len(calls) == diagnostic
+
+
+def test_constrained_pd_records_take_no_product_after_fallbacks():
+    # at tau = 0.3 every certificate of this run takes the fallback path,
+    # which keeps A z1 and A^T A z1: the run's only diagnostic products
+    # are A^T b and the first prox's cold start A z0 and A^T A z0
+    name = "AFBS:NaturalLS:PDNoInv:nonneg"
+    config = small_config(max_outer=12, tau=0.3, algorithms=[name],
+                          overrides={name: {"term_tol": 0.0}})
+    problem = build_problem(config)
+    problem.A.norm_sq  # the power iteration runs before the wrapping
+    calls = count_uncounted_products(problem.A)
+    _, records, info = run_algorithm(name, problem, config)
+    assert len(records) == 13
+    assert info["fallback_count"] == 12
+    assert len(calls) == 3
 
 
 def test_exact_constrained_afbs_records_its_inner_steps():
@@ -503,6 +526,21 @@ def test_cli_diverging_run_exits_3(tmp_path, capsys):
                                      "diverged", *last[1:4], last[5]]
     assert summary[2].startswith("GradSupCG,")
     assert (tmp_path / "GradSupCG.csv").exists()
+
+
+def test_cli_run_diverging_at_its_first_record_exits_3(tmp_path, capsys):
+    # ||b||^2 overflows, so already the x_0 record is non-finite: a
+    # header-only CSV and a "diverged" row without metrics, then exit 3
+    code = main(_tiny_run(tmp_path, "noisy=true", "noise_level=1e300",
+                          "algorithms=GradSupLW"))
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: GradSupLW: non-finite metric residual_scaled, "
+        "k=0\n")
+    assert (tmp_path / "GradSupLW.csv").read_text() == \
+        ",".join(FIELD_NAMES) + "\n"
+    assert (tmp_path / "summary.csv").read_text().splitlines()[1] == \
+        "GradSupLW,0,diverged,,,,"
 
 
 def _python(*args):
