@@ -10,8 +10,11 @@ Usage, with two checkouts of the repository:
 Pair i of a workload runs `python3 bench/run.py --workload W --seed S`
 (S = first seed + i) from PARENT and from CHANGE, one after the other,
 and alternates which side runs first. `--trace-seeds` adds, for every
-workload, one traced pair (`--trace 1`) per listed seed and records the
-median of each per-layer metric.
+workload, one traced pair (`--trace 1`) per listed seed and records,
+for each side, the median of each per-layer metric over the traced seeds
+with its quartiles. One traced pair carries that pair's noise: a layer
+claim needs at least 3 traced seeds, and a move larger than the
+quartile spread.
 
 Writes BENCH_<name>.json in the current directory: the change text, the
 method, the environment record of the first run, then per workload the
@@ -93,12 +96,16 @@ def summarise(runs):
     return summary
 
 
-def traced_medians(traced):
+def traced_summary(traced):
+    """Per side and per-layer metric: median and quartiles over the seeds."""
     out = {}
     for side in ("parent", "change"):
-        names = sorted(set().union(*(t[side] for t in traced)))
-        out[side] = {n: statistics.median(t[side][n] for t in traced
-                                          if n in t[side]) for n in names}
+        out[side] = {}
+        for name in sorted(set().union(*(t[side] for t in traced))):
+            values = [t[side][name] for t in traced if name in t[side]]
+            q1, q3 = quartiles(values)
+            out[side][name] = {"median": statistics.median(values),
+                               "q1": q1, "q3": q3}
     return out
 
 
@@ -159,7 +166,7 @@ def main(argv=None):
                     entry["summary"]["failed_runs"] += bad
                 traced.append(metrics)
             entry["traced"] = {"seeds": trace_seeds,
-                               **traced_medians(traced)}
+                               **traced_summary(traced)}
         entry["runs"] = runs
         workloads[workload] = entry
 

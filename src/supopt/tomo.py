@@ -50,7 +50,9 @@ class Geometry:
         angles = np.asarray(self.angles, dtype=np.float64)
         if len(angles) != self.n_angles:
             raise ValueError("angles length must equal n_angles")
-        if np.any(np.diff(angles) <= 0) or angles[0] < 0 or angles[-1] >= 180:
+        # NaN fails too
+        if not (np.all(np.diff(angles) > 0) and angles[0] >= 0
+                and angles[-1] < 180):
             raise ValueError("angles must be strictly increasing in [0, 180)")
         object.__setattr__(self, "angles", angles)
 
@@ -79,63 +81,79 @@ def shepp_logan(image_side):
     """Rasterize the 10-ellipse Shepp-Logan phantom, row-major flat vector.
 
     Pixel value is the sum of intensities of all ellipses containing the
-    pixel center, from MATLAB's modified table (values in [0, 1]).
+    pixel center, from MATLAB's modified table (values in [0, 1]). An
+    unrotated ellipse's test splits into a term per column and a term per
+    row: with cos 0 = 1 and sin 0 = 0 the rotation changes at most the
+    sign of a zero, which squaring removes, so the sum of the two terms
+    equals the rotated form's bit for bit.
     """
     if image_side < 2:
         raise ValueError("image_side must be >= 2")
     N = image_side
     # pixel centers on [-1, 1]^2, row 0 at the top
     coords = (2.0 * np.arange(N) + 1.0) / N - 1.0
-    xs = coords[None, :].repeat(N, axis=0)
-    ys = (-coords)[:, None].repeat(N, axis=1)
+    xs, ys = coords[None, :], (-coords)[:, None]
     img = np.zeros((N, N))
     for a, ax, ay, x0, y0, phi in _ELLIPSES:
-        c, s = np.cos(np.deg2rad(phi)), np.sin(np.deg2rad(phi))
-        xr = (xs - x0) * c + (ys - y0) * s
-        yr = -(xs - x0) * s + (ys - y0) * c
-        img[(xr / ax) ** 2 + (yr / ay) ** 2 <= 1.0] += a
+        if phi == 0.0:
+            inside = ((xs - x0) / ax) ** 2 + ((ys - y0) / ay) ** 2 <= 1.0
+        else:
+            c, s = np.cos(np.deg2rad(phi)), np.sin(np.deg2rad(phi))
+            xr = (xs - x0) * c + (ys - y0) * s
+            yr = -(xs - x0) * s + (ys - y0) * c
+            inside = (xr / ax) ** 2 + (yr / ay) ** 2 <= 1.0
+        img[inside] += a
     return img.ravel()
 
 
-def _trace_angle(N, offsets, theta):
+def _trace_angle(N, offsets, theta, index_dtype):
     """Trace all rays of one angle through the unit cells of an N x N grid.
 
     The grid covers [-N/2, N/2]^2. Ray j passes through
     offsets[j] * (-sin t, cos t) with direction (cos t, sin t), so it
     meets the grid line x = g at (g - px_j) / cos t, and likewise for y;
     an axis a ray runs parallel to (|cos t| or |sin t| below 1e-14) adds
-    no crossings. Each ray's N + 1 crossing times per axis, clipped to
-    the span [t_lo, t_hi] in which it is inside the image, are sorted as
-    one row of an (n_rays, 2 N + 2) array. Consecutive times bound the
-    segments, whose midpoints give their pixels. Clipping repeats t_lo
-    and t_hi, and an x crossing that meets a y crossing repeats a time;
-    those segments, like the ones rounding leaves between two nearly
-    equal crossings, go with the filter that keeps lengths above 1e-12.
+    no crossings. Each axis's N + 1 crossing times run in grid order,
+    reversed where the direction is negative, so both runs ascend; their
+    first and last columns are the row minima and maxima, and bound the
+    span [t_lo, t_hi] in which the ray is inside the image. The times,
+    clipped to that span, are sorted as one row of an (n_rays, 2 N + 2)
+    array, and consecutive times bound the segments. Clipping repeats
+    t_lo and t_hi, and an x crossing that meets a y crossing repeats a
+    time; those segments, like the ones rounding leaves between two
+    nearly equal crossings, go with the filter that keeps lengths above
+    1e-12. Only the kept segments' midpoints are formed, and give their
+    pixels.
 
     Returns (cols, lengths, counts): the kept segments' flat row-major
-    pixel indices (image row 0 at the top) and lengths, ray by ray in
-    the order the ray runs, and the number kept per ray.
+    pixel indices (image row 0 at the top) as `index_dtype` and lengths,
+    ray by ray in the order the ray runs, and the number kept per ray.
     """
     half = N / 2.0
     grid = np.arange(-half, half + 1.0)
     dx, dy = np.cos(theta), np.sin(theta)
     px, py = -offsets * np.sin(theta), offsets * np.cos(theta)
-    crossings = [(grid - p[:, None]) / d
+    crossings = [((grid if d > 0 else grid[::-1]) - p[:, None]) / d
                  for p, d in ((px, dx), (py, dy)) if abs(d) >= 1e-14]
     # the first and last grid lines of each axis bound the image
-    t_lo = np.max([ts.min(axis=1) for ts in crossings], axis=0)
-    t_hi = np.min([ts.max(axis=1) for ts in crossings], axis=0)
-    t = np.clip(np.concatenate(crossings, axis=1), t_lo[:, None],
-                t_hi[:, None])
+    t_lo = np.max([ts[:, 0] for ts in crossings], axis=0)
+    t_hi = np.min([ts[:, -1] for ts in crossings], axis=0)
+    t = np.concatenate(crossings, axis=1)
+    np.maximum(t, t_lo[:, None], out=t)
+    np.minimum(t, t_hi[:, None], out=t)
     t.sort(axis=1)
     lengths = np.diff(t, axis=1)
-    tm = 0.5 * (t[:, :-1] + t[:, 1:])
-    ix = np.clip(np.floor(px[:, None] + tm * dx + half).astype(np.int64),
-                 0, N - 1)
-    iy = np.clip(np.floor(py[:, None] + tm * dy + half).astype(np.int64),
-                 0, N - 1)
     keep = lengths > 1e-12
-    return (((N - 1) - iy) * N + ix)[keep], lengths[keep], keep.sum(axis=1)
+    counts = keep.sum(axis=1)
+    tm = 0.5 * (t[:, :-1][keep] + t[:, 1:][keep])
+    # floor, clip and the flat index are exact on float64's integers
+    pixel = []
+    for p, d in ((px, dx), (py, dy)):
+        i = np.floor(tm * d + np.repeat(p, counts) + half)
+        pixel.append(np.minimum(np.maximum(i, 0.0, out=i), N - 1.0, out=i))
+    ix, iy = pixel
+    cols = ((N - 1.0) - iy) * N + ix
+    return cols.astype(index_dtype), lengths[keep], counts
 
 
 def build_parallel_system(geom):
@@ -158,8 +176,9 @@ def build_parallel_system(geom):
     index_dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
     data, indices, counts = [], [], []
     for angle in geom.angles:
-        cols, lengths, kept = _trace_angle(N, offsets, np.deg2rad(angle))
-        indices.append(cols.astype(index_dtype))
+        cols, lengths, kept = _trace_angle(N, offsets, np.deg2rad(angle),
+                                           index_dtype)
+        indices.append(cols)
         data.append(lengths)
         counts.append(kept)
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from supopt.tomo import (Geometry, NoiseModel, add_noise,
+from supopt.tomo import (_ELLIPSES, Geometry, NoiseModel, add_noise,
                          build_parallel_system, noise_sigma, save_pgm,
                          shepp_logan)
 
@@ -69,6 +69,21 @@ def _build_reference(geom):
         shape=(geom.n_measurements, geom.n_pixels))
 
 
+def _shepp_logan_reference(image_side):
+    """The phantom with every ellipse rotated on full coordinate grids."""
+    N = image_side
+    coords = (2.0 * np.arange(N) + 1.0) / N - 1.0
+    xs = coords[None, :].repeat(N, axis=0)
+    ys = (-coords)[:, None].repeat(N, axis=1)
+    img = np.zeros((N, N))
+    for a, ax, ay, x0, y0, phi in _ELLIPSES:
+        c, s = np.cos(np.deg2rad(phi)), np.sin(np.deg2rad(phi))
+        xr = (xs - x0) * c + (ys - y0) * s
+        yr = -(xs - x0) * s + (ys - y0) * c
+        img[(xr / ax) ** 2 + (yr / ay) ** 2 <= 1.0] += a
+    return img.ravel()
+
+
 def test_geometry_default_angles():
     geom = Geometry(16, 4, 10)
     assert np.allclose(geom.angles, [1.0, 45.75, 90.5, 135.25])
@@ -81,6 +96,10 @@ def test_geometry_rejects_bad_angles():
         Geometry(16, 3, 10, angles=np.array([10.0, 5.0, 20.0]))
     with pytest.raises(ValueError):
         Geometry(16, 2, 10, angles=np.array([10.0, 180.0]))
+    # NaN as the only, the first and the last angle
+    for angles in ([np.nan], [np.nan, 10.0], [10.0, np.nan]):
+        with pytest.raises(ValueError):
+            Geometry(8, len(angles), 8, angles=np.array(angles))
 
 
 def test_phantom_value_range():
@@ -93,7 +112,29 @@ def test_phantom_value_range():
     assert img.reshape(64, 64)[32, 32] > 0
 
 
+@pytest.mark.parametrize("side", [2, 3, 12, 24, 32, 64, 127, 128, 129, 256])
+def test_phantom_bitwise_equal_to_rotated_reference(side):
+    assert shepp_logan(side).tobytes() == _shepp_logan_reference(side).tobytes()
+
+
 _PAPER_ANGLES = Geometry(128, 20, 120).angles
+
+
+def _random_geometries(count):
+    """Seeded geometries: N in [2, 70], 1-15 angles on a 0.5 degree grid
+    and 1-90 rays. Geometry i holds the angle 45 (i mod 4) degrees, so
+    0, 45, 90 and 135 degrees occur."""
+    rng = np.random.default_rng(0)
+    geoms = []
+    for i in range(count):
+        others = rng.choice(360, size=int(rng.integers(0, 15)), replace=False)
+        angles = np.union1d(0.5 * others, [45.0 * (i % 4)])
+        geoms.append(Geometry(int(rng.integers(2, 71)), len(angles),
+                              int(rng.integers(1, 91)), angles=angles))
+    return geoms
+
+
+_RANDOM_GEOMETRIES = _random_geometries(12)
 
 
 @pytest.mark.parametrize("geom", [
@@ -109,8 +150,10 @@ _PAPER_ANGLES = Geometry(128, 20, 120).angles
     Geometry(9, 2, 17, angles=np.array([45.0, 135.0])),
     Geometry(9, 3, 9, angles=np.array([0.0, 30.0, 90.0])),
     Geometry(16, 4, 1),
+    *_RANDOM_GEOMETRIES,
 ], ids=["paper", "paper+5.01", "paper-0.97", "0-90", "45-135-even",
-        "45-135-odd", "odd-N", "one-ray"])
+        "45-135-odd", "odd-N", "one-ray",
+        *(f"random-{i}" for i in range(len(_RANDOM_GEOMETRIES)))])
 def test_projector_bitwise_equal_to_per_ray_reference(geom):
     ref = _build_reference(geom)
     csr = build_parallel_system(geom).tocsr()
