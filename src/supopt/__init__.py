@@ -5,5 +5,5 @@ from . import basic, fbs, metrics, opslin, regtv, superior, tomo
 
 __version__ = "0.1.0"
 
-# every submodule but `harness`: `python -m supopt.harness` must find it
-# unloaded; names are imported from the submodules
+# the library's submodules; `harness`, the experiment runner and CLI, is
+# loaded where it is imported; names are imported from the submodules

@@ -127,18 +127,12 @@ def lipschitz_f(kind, A, tvparams):
     return A.norm_sq
 
 
-def _c_alpha(A, b, alpha, x, atb):
-    """c = x/alpha + A^T b, with one uncounted product unless atb is given."""
-    return x / alpha + (A.applyT_nocount(b) if atb is None else atb)
-
-
-def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None,
+def prox_ls_exact(A, atb, alpha, x, nonneg=False,
                   max_iter=AFBSConfig.max_inner, az=None):
     """Exact prox of 0.5*||Az - b||^2 [+ indicator(z >= 0)] at x.
 
     Returns (z, steps), the prox and the inner steps that computed it.
-    A^T b is data, like b: the caller passes it as `atb`, or it is formed
-    here by one uncounted product.
+    b enters only through `atb` = A^T b, data that the caller forms.
     Unconstrained: solves (I + alpha A^T A) z = x + alpha A^T b through
     the reduced m x m system (two counted products, steps = 0); a
     length-m `az` receives A z from the solve (`shifted_gram_solve`).
@@ -151,8 +145,6 @@ def prox_ls_exact(A, b, alpha, x, nonneg=False, atb=None,
     `max_iter` steps do not get there.
     """
     x = np.asarray(x, dtype=np.float64)
-    if atb is None:
-        atb = A.applyT_nocount(b)
     if not nonneg:
         return shifted_gram_solve(A, 1.0, alpha, x + alpha * atb, az=az), 0
     c = x / alpha + atb
@@ -251,17 +243,17 @@ class PDNoInvState:
     atazbar: np.ndarray
 
 
-def pd_basic_init(A, b, alpha, x, warm=None, atb=None):
+def pd_basic_init(A, atb, alpha, x, warm=None):
     """Initial state with tau0 = sigma0 = 1 (tau0*sigma0 <= 1).
 
     Starts from (x, 0), or from the pair (z, p) of the state `warm`;
-    `atb` = A^T b saves the product that forms c.
+    c = x/alpha + atb, with `atb` = A^T b.
     """
     x = np.asarray(x, dtype=np.float64)
     z = x.copy() if warm is None else warm.z
     p = np.zeros_like(z) if warm is None else warm.p
     return PDBasicState(z=z, p=p, zbar=z.copy(), tau=1.0, sigma=1.0,
-                        c_alpha=_c_alpha(A, b, alpha, x, atb))
+                        c_alpha=x / alpha + atb)
 
 
 def pd_basic_step(A, alpha, state):
@@ -281,14 +273,14 @@ def pd_basic_step(A, alpha, state):
                         sigma=state.sigma / theta, c_alpha=state.c_alpha)
 
 
-def pd_noinv_init(A, b, alpha, x, nonneg, warm=None, atb=None):
+def pd_noinv_init(A, atb, alpha, x, nonneg, warm=None):
     """Initial state with tau0 = sigma0 = 1/||A||_2 (tau0*sigma0 <= 1/||A||^2).
 
     A cold start takes z = x (clipped to z >= 0 under `nonneg`) and q = 0,
     so A^T q = 0, and forms A z and A^T A z as two uncounted set-up
     products. A warm start carries z, q and their products over from the
     state `warm`, the last of the previous prox, and runs no product.
-    `atb` = A^T b saves the uncounted product that forms c.
+    c = x/alpha + atb, with `atb` = A^T b.
     """
     x = np.asarray(x, dtype=np.float64)
     if warm is None:
@@ -300,7 +292,7 @@ def pd_noinv_init(A, b, alpha, x, nonneg, warm=None, atb=None):
         z, q, az, atq, ataz = warm.z, warm.q, warm.az, warm.atq, warm.ataz
     t0 = 1.0 / math.sqrt(A.norm_sq)
     return PDNoInvState(z=z, q=q, tau=t0, sigma=t0,
-                        c_alpha=_c_alpha(A, b, alpha, x, atb), az=az,
+                        c_alpha=x / alpha + atb, az=az,
                         atq=atq, ataz=ataz, azbar=az, atazbar=ataz)
 
 
@@ -450,8 +442,7 @@ def _cert_pd_basic(A, alpha, eps_k, prev, state):
                                                1e-12))
 
 
-def _run_pd(inner, A, b, alpha, x, eps_k, nonneg, max_inner, warm=None,
-            atb=None):
+def _run_pd(inner, A, atb, alpha, x, eps_k, nonneg, max_inner, warm=None):
     """Certified prox at x by the primal-dual solver `inner`.
 
     `inner` is "PDNoInv" or "PDBasic"; PDBasic's clipped dual makes it
@@ -460,16 +451,16 @@ def _run_pd(inner, A, b, alpha, x, eps_k, nonneg, max_inner, warm=None,
     last of the previous prox, if given, and steps until its certificate
     accepts the step from the previous state; after `max_inner`
     unaccepted steps it warns (`RuntimeWarning`) and returns the last
-    candidate. `atb` = A^T b saves the product that forms c. Returns
+    candidate. `atb` = A^T b is data, formed by the caller. Returns
     (certificate, steps, state), the state being the next prox's `warm`.
     The step and certificate functions are looked up per call, so
     wrappers installed on this module's functions see every call.
     """
     if inner == "PDBasic":
-        state = pd_basic_init(A, b, alpha, x, warm, atb)
+        state = pd_basic_init(A, atb, alpha, x, warm)
         step, certify = partial(pd_basic_step, A, alpha), _cert_pd_basic
     else:
-        state = pd_noinv_init(A, b, alpha, x, nonneg, warm, atb)
+        state = pd_noinv_init(A, atb, alpha, x, nonneg, warm)
         step = partial(pd_noinv_step, A, alpha, nonneg)
         certify = cert_constrained if nonneg else cert_unconstrained
     for steps in range(1, max_inner + 1):
@@ -496,7 +487,7 @@ def grad_h_u(A, b, shape, tvparams, x):
 
 
 def afbs_run(config, A, b, shape, tvparams, x_ref=None,
-             iterate_callback=None, record_wall_time=False):
+             iterate_callback=None):
     """Run (accelerated) forward-backward splitting to first-order optimality.
 
     Starts at x = 0; lam = 0 raises ValueError on entry.
@@ -556,16 +547,16 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
             if config.inner == "ExactSMW":
                 az = None if config.nonneg else np.empty(A.n_rows)
                 x_new, inner_iters = prox_ls_exact(
-                    A, b, alpha, v, nonneg=config.nonneg, atb=atb,
+                    A, atb, alpha, v, nonneg=config.nonneg,
                     max_iter=config.max_inner, az=az)
                 if az is not None:
                     # the prox's optimality: A^T(A z - b) + (z - v)/alpha = 0
                     r, atr = az - b, (v - x_new) / alpha
             else:
                 cert, inner_iters, warm = _run_pd(
-                    config.inner, A, b, alpha, v,
+                    config.inner, A, atb, alpha, v,
                     float(k) ** (-config.inexact_q), config.nonneg,
-                    config.max_inner, warm=warm, atb=atb)
+                    config.max_inner, warm=warm)
                 x_new = cert.z
                 fallback_count += cert.fallback
                 if cert.az is not None:
@@ -593,6 +584,6 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
     result = run_outer(step, x, A, b, shape, tvparams,
                        "opt_c" if config.nonneg else "opt_u",
                        config.term_tol, config.max_outer, x_ref=x_ref,
-                       record_wall_time=record_wall_time, held=held)
+                       held=held)
     result.fallback_count = fallback_count
     return result

@@ -21,6 +21,7 @@ from . import fbs, superior, tomo
 from .metrics import FIELD_NAMES, MetricsRecord, NumericalDivergenceError
 from .regtv import GridShape, SmoothedTVParams
 
+
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
@@ -148,7 +149,7 @@ def run_algorithm(name, problem, config):
     """
     run = _configured_run(name, config)
     res = run(problem.A, problem.b, problem.shape, problem.tvparams,
-              x_ref=problem.x_ref, record_wall_time=config.record_wall_time)
+              x_ref=problem.x_ref)
     info = {"converged": res.converged, "iterations": res.iterations,
             "fallback_count": res.fallback_count,
             "total_inner": res.total_inner}
@@ -164,7 +165,10 @@ def run_experiment(config):
     CSV has only its header and the row has iterations 0 and empty metric
     cells. The other runs go on, and then the first
     NumericalDivergenceError is raised again, prefixed with the run's
-    configured name. Returns {algorithm name: (x_final, records, info)}.
+    configured name. Every record holds its seconds since the run's
+    start; the CSVs' wall_time column is 0 unless `record_wall_time` is
+    set, so by default the outputs are byte-deterministic. Returns
+    {algorithm name: (x_final, records, info)}.
     """
     try:
         problem = build_problem(config)
@@ -194,7 +198,9 @@ def run_experiment(config):
         else:
             results[name] = (x, records, info)
         stem = name.replace(":", "_")
-        emit_csv(records, out / f"{stem}.csv")
+        emit_csv(records if config.record_wall_time else
+                 [dataclasses.replace(rec, wall_time=0.0) for rec in records],
+                 out / f"{stem}.csv")
         last = records[-1] if records else None
         summary.append(",".join([
             name, str(info["iterations"]), str(info["converged"]),
@@ -325,7 +331,3 @@ def main(argv=None):
 
 def cli_main():
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    cli_main()

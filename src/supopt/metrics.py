@@ -38,7 +38,8 @@ class MetricsRecord:
     residual_scaled is ||Ax - b||^2 / (2m), tv_scaled is R_tau(x) / n and
     err_scaled is ||x - x_ref||^2 / n (zero when no reference image is
     supplied). cumulative_matvecs counts operator products charged to the
-    cost model from the run's start up to and including this iteration.
+    cost model from the run's start up to and including this iteration,
+    and wall_time the seconds from the run's start (`run_outer`).
     """
 
     k: int
@@ -123,7 +124,7 @@ def make_record(k, A, b, x, shape, tvparams, rule, tol, x_ref=None,
 
 
 def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer,
-              x_ref=None, record_wall_time=False, held=(None, None)):
+              x_ref=None, held=(None, None)):
     """Drive `step` from x0 until `rule` holds at tol or max_outer steps.
 
     `step(k, x)` returns (x_k, inner_iters, r, atr) for k = 1, 2, ...;
@@ -135,10 +136,10 @@ def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer,
     if the rule holds there.
     It aborts with NumericalDivergenceError, carrying the records so far,
     on a non-finite iterate or metric; the message names k, not the run.
-    With `record_wall_time`, record k's wall_time is read when x_k is
-    ready, before its own diagnostics, so it covers steps 1..k and the
-    records and stop tests of x_0..x_{k-1}. Returns the `RunResult`;
-    converged is the rule at the final x.
+    Record k's wall_time is read when x_k is ready, before its own
+    diagnostics, so it covers steps 1..k and the records and stop tests
+    of x_0..x_{k-1}. Returns the `RunResult`; converged is the rule at
+    the final x.
     """
     A.reset_matvec_count()
     t_start = time.perf_counter()
@@ -146,7 +147,7 @@ def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer,
     x, inner_iters, k = x0, 0, 0
     r, atr = held
     while True:
-        wall_time = time.perf_counter() - t_start if record_wall_time else 0.0
+        wall_time = time.perf_counter() - t_start
         try:
             record, stopped = make_record(
                 k, A, b, x, shape, tvparams, rule, tol, x_ref=x_ref,

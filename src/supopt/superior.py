@@ -145,7 +145,7 @@ def s_prox_plus(shape, tvparams, y, beta):
 
 
 def superiorize_run(config, A, b, shape, tvparams, x0=None, x_ref=None,
-                    half_callback=None, record_wall_time=False):
+                    half_callback=None):
     """Run one superiorized variant until eps-compatibility or max_outer.
 
     Starts at x0 (zero by default). Outer step k applies the variant's
@@ -185,5 +185,4 @@ def superiorize_run(config, A, b, shape, tvparams, x0=None, x_ref=None,
         return y, 0, r, None
 
     return run_outer(step, y, A, b, shape, tvparams, rule, config.eps,
-                     config.max_outer, x_ref=x_ref,
-                     record_wall_time=record_wall_time)
+                     config.max_outer, x_ref=x_ref)

@@ -159,9 +159,12 @@ def _trace_angle(N, offsets, theta, index_dtype):
 def build_parallel_system(geom):
     """Assemble the parallel-beam system matrix as a SparseOperator.
 
-    Rays are equispaced and centered, spanning a detector width of
-    image_side - 1 pixel units; entries are exact ray/pixel intersection
-    lengths. The rays of one angle are traced together (`_trace_angle`).
+    The rays' offsets are `np.linspace(-(N - 1) / 2, (N - 1) / 2,
+    n_rays)` pixel units from the centre, N = image_side: equispaced and
+    centred for n_rays >= 2, while a single ray sits at -(N - 1) / 2,
+    and at 0 degrees crosses only the bottom pixel row (image row N - 1).
+    Entries are exact ray/pixel intersection lengths. The rays of one
+    angle are traced together (`_trace_angle`).
     Row r = angle_index * n_rays + ray_index holds the cells its ray
     crosses for a length above 1e-12, with columns in ascending order.
     Every ray passes within (N - 1) / 2 of the centre, inside the

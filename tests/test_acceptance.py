@@ -113,13 +113,13 @@ def test_acceptance_03_pd_limits_match_prox_oracles(capfd):
         dense = np.linalg.solve(np.eye(10) + alpha * M.T @ M,
                                 x + alpha * M.T @ b)
         assert np.max(np.abs(smw - dense)) <= 1e-9
-        st = pd_basic_init(A, b, alpha, x)
+        st = pd_basic_init(A, A.applyT_nocount(b), alpha, x)
         for _ in range(3000):
             zp, tp = st.z, st.tau
             st = pd_basic_step(A, alpha, st)
         zb = st.z + (alpha / tp) * (st.z - zp)
         worst_basic = max(worst_basic, float(np.max(np.abs(zb - smw))))
-        st = pd_noinv_init(A, b, alpha, x, nonneg=True)
+        st = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg=True)
         for _ in range(3000):
             zp, tp = st.z, st.tau
             st = pd_noinv_step(A, alpha, True, st)
@@ -134,7 +134,7 @@ def test_acceptance_03_pd_limits_match_prox_oracles(capfd):
         alpha = float(rng.uniform(0.3, 2.0))
         x = rng.standard_normal(10) - 0.5
         z_oracle = _brute_force_nonneg_prox(M, b, alpha, x)
-        st = pd_noinv_init(A, b, alpha, x, nonneg=True)
+        st = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg=True)
         for _ in range(20000):
             zp, tp = st.z, st.tau
             st = pd_noinv_step(A, alpha, True, st)

@@ -62,7 +62,7 @@ def test_lipschitz_constants():
 def test_prox_ls_exact_zero_operator_is_identity():
     A = SparseOperator(np.zeros((3, 5)))
     x = np.arange(5.0)
-    z, _ = prox_ls_exact(A, np.zeros(3), 0.7, x)
+    z, _ = prox_ls_exact(A, np.zeros(5), 0.7, x)
     assert np.allclose(z, x)
 
 
@@ -72,15 +72,16 @@ def test_prox_ls_exact_stationary_point():
     A = SparseOperator(M)
     x = rng.standard_normal(10)
     b = M @ x  # A^T(Ax - b) = 0
-    z, _ = prox_ls_exact(A, b, 0.5, x)
+    z, _ = prox_ls_exact(A, A.applyT_nocount(b), 0.5, x)
     assert np.allclose(z, x, atol=1e-10)
 
 
 def test_prox_ls_exact_residual():
     A, b, x = make_instance(seed=2)
     alpha = 0.8
-    z, _ = prox_ls_exact(A, b, alpha, x)
-    c = x / alpha + A.applyT_nocount(b)
+    atb = A.applyT_nocount(b)
+    z, _ = prox_ls_exact(A, atb, alpha, x)
+    c = x / alpha + atb
     Bz = A.applyT_nocount(A.apply_nocount(z)) + z / alpha
     assert np.linalg.norm(Bz - c) <= 1e-9
 
@@ -88,7 +89,7 @@ def test_prox_ls_exact_residual():
 def test_prox_ls_exact_constrained_kkt():
     A, b, x = make_instance(seed=3)
     alpha = 0.6
-    z, _ = prox_ls_exact(A, b, alpha, x, nonneg=True)
+    z, _ = prox_ls_exact(A, A.applyT_nocount(b), alpha, x, nonneg=True)
     g = A.applyT_nocount(A.apply_nocount(z) - b) + (z - x) / alpha
     assert np.min(z) >= 0.0
     # complementarity: gradient nonnegative where z = 0, ~zero elsewhere
@@ -99,16 +100,15 @@ def test_prox_ls_exact_constrained_kkt():
 def test_dual_gap_zero_at_exact_prox_and_nonneg_elsewhere():
     A, b, x = make_instance(seed=4)
     alpha = 0.7
-    z_star, _ = prox_ls_exact(A, b, alpha, x, nonneg=True)
-    assert dual_gap(A, alpha, x / alpha + A.applyT_nocount(b),
-                    z_star) <= 1e-10
+    atb = A.applyT_nocount(b)
+    z_star, _ = prox_ls_exact(A, atb, alpha, x, nonneg=True)
+    assert dual_gap(A, alpha, x / alpha + atb, z_star) <= 1e-10
     rng = np.random.default_rng(5)
     for _ in range(25):
         z = np.abs(rng.standard_normal(10))
-        assert dual_gap(A, alpha, x / alpha + A.applyT_nocount(b),
-                        z) >= 0.0
+        assert dual_gap(A, alpha, x / alpha + atb, z) >= 0.0
     with pytest.raises(ValueError):
-        dual_gap(A, alpha, x / alpha + A.applyT_nocount(b), -np.ones(10))
+        dual_gap(A, alpha, x / alpha + atb, -np.ones(10))
 
 
 def test_dual_gap_equals_primal_minus_dual_objective():
@@ -161,14 +161,14 @@ def test_dual_gap_takes_two_uncounted_products_and_no_factor():
 def test_pd_step_size_invariant_and_theta():
     A, b, x = make_instance(seed=8)
     alpha = 0.5
-    st = pd_basic_init(A, b, alpha, x)
+    st = pd_basic_init(A, A.applyT_nocount(b), alpha, x)
     prod = st.tau * st.sigma
     for _ in range(20):
         tau_old = st.tau
         st = pd_basic_step(A, alpha, st)
         assert st.tau < tau_old
         assert st.tau * st.sigma == pytest.approx(prod, rel=1e-12)
-    st2 = pd_noinv_init(A, b, alpha, x, nonneg=True)
+    st2 = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg=True)
     prod2 = st2.tau * st2.sigma
     for _ in range(20):
         st2 = pd_noinv_step(A, alpha, True, st2)
@@ -177,7 +177,7 @@ def test_pd_step_size_invariant_and_theta():
 
 def test_pd_dual_clipping():
     A, b, x = make_instance(seed=9)
-    st = pd_basic_init(A, b, 0.5, x)
+    st = pd_basic_init(A, A.applyT_nocount(b), 0.5, x)
     st = pd_basic_step(A, 0.5, st)
     assert np.max(st.p) <= 0.0
 
@@ -185,18 +185,17 @@ def test_pd_dual_clipping():
 def test_pd_basic_converges_to_constrained_prox():
     A, b, x = make_instance(seed=10)
     alpha = 0.7
-    z_star, _ = prox_ls_exact(A, b, alpha, x, nonneg=True)
-    st = pd_basic_init(A, b, alpha, x)
+    atb = A.applyT_nocount(b)
+    z_star, _ = prox_ls_exact(A, atb, alpha, x, nonneg=True)
+    st = pd_basic_init(A, atb, alpha, x)
     for _ in range(1000):
         st = pd_basic_step(A, alpha, st)
-    gap_1k = dual_gap(A, alpha, x / alpha + A.applyT_nocount(b),
-                      np.maximum(st.z, 0.0))
+    gap_1k = dual_gap(A, alpha, x / alpha + atb, np.maximum(st.z, 0.0))
     assert np.max(np.abs(np.maximum(st.z, 0.0) - z_star)) <= 1e-4
     for _ in range(3000):
         st = pd_basic_step(A, alpha, st)
     # the raw iterate converges at rate O(1/l): the gap keeps shrinking
-    gap_4k = dual_gap(A, alpha, x / alpha + A.applyT_nocount(b),
-                      np.maximum(st.z, 0.0))
+    gap_4k = dual_gap(A, alpha, x / alpha + atb, np.maximum(st.z, 0.0))
     assert gap_4k < gap_1k
     assert np.max(np.abs(np.maximum(st.z, 0.0) - z_star)) <= 4e-5
 
@@ -206,7 +205,7 @@ def test_pd_noinv_zero_operator_fixed_point():
     A._norm_sq = 1.0  # zero operator has no spectral norm; fix the step
     x = np.arange(5.0)
     alpha = 0.5
-    st = pd_noinv_init(A, np.zeros(3), alpha, x, nonneg=False)
+    st = pd_noinv_init(A, np.zeros(5), alpha, x, nonneg=False)
     for _ in range(500):
         st = pd_noinv_step(A, alpha, False, st)
     # fixed point z* = alpha * c_alpha = x
@@ -217,7 +216,7 @@ def test_pd_noinv_unconstrained_matches_smw():
     A, b, x = make_instance(seed=11)
     alpha = 0.7
     z_star = dense_prox_ls_oracle(A, b, alpha, x)
-    st = pd_noinv_init(A, b, alpha, x, nonneg=False)
+    st = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg=False)
     for _ in range(3000):
         zp, tp = st.z, st.tau
         st = pd_noinv_step(A, alpha, False, st)
@@ -249,7 +248,7 @@ def test_cert_unconstrained_eps_subdifferential():
     A, b, x = make_instance(seed=13)
     alpha = 0.7
     eps_k = 1e-3
-    st = pd_noinv_init(A, b, alpha, x, nonneg=False)
+    st = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg=False)
     cert = None
     for _ in range(100000):
         prev, st = st, pd_noinv_step(A, alpha, False, st)
@@ -273,7 +272,7 @@ def test_cert_unconstrained_eps_subdifferential():
 def test_cert_constrained_accepts_at_fixed_point():
     A, b, x = make_instance(seed=15)
     alpha = 0.7
-    z_star, _ = prox_ls_exact(A, b, alpha, x, nonneg=True)
+    z_star, _ = prox_ls_exact(A, A.applyT_nocount(b), alpha, x, nonneg=True)
 
     class FakeState:
         z = z_star
@@ -339,7 +338,7 @@ def test_cert_constrained_fallback_bound_dominates_error():
     x = x - 1.0  # make the constraint active
     alpha = 0.7
     z_star = nnls_prox_ls_oracle(A, b, alpha, x)
-    st = pd_noinv_init(A, b, alpha, x, nonneg=True)
+    st = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg=True)
     checked = 0
     for _ in range(2000):
         prev, st = st, pd_noinv_step(A, alpha, True, st)
@@ -381,7 +380,7 @@ def _constrained_certificates(shift, eps_k, steps=300):
     x = x + shift
     alpha = 0.7
     calls = count_uncounted_products(A)
-    st = pd_noinv_init(A, b, alpha, x, nonneg=True)
+    st = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg=True)
     out = []
     for _ in range(steps):
         prev, st = st, pd_noinv_step(A, alpha, True, st)
@@ -444,7 +443,7 @@ def test_cert_constrained_keeps_a_z_on_either_path(shift, fallback, eps_k):
 
 def test_cert_unconstrained_keeps_a_z():
     A, b, x = make_instance(seed=13)
-    st = pd_noinv_init(A, b, 0.7, x, nonneg=False)
+    st = pd_noinv_init(A, A.applyT_nocount(b), 0.7, x, nonneg=False)
     calls = count_uncounted_products(A)
     for _ in range(20):
         prev, st = st, pd_noinv_step(A, 0.7, False, st)
@@ -473,10 +472,11 @@ def test_pd_noinv_held_products_match_direct_products(side, nonneg):
     A, b, _ = _tiny_tomo(side=side)
     rng = np.random.default_rng(side)
     alpha = 0.125
+    atb = A.applyT_nocount(b)
     st = None
     for _ in range(2):
         x = tomo.shepp_logan(side) + 0.2 * rng.standard_normal(A.n_cols)
-        st = pd_noinv_init(A, b, alpha, x, nonneg, warm=st)
+        st = pd_noinv_init(A, atb, alpha, x, nonneg, warm=st)
         for _ in range(150):
             st = pd_noinv_step(A, alpha, nonneg, st)
             assert relative_error(st.az, A.apply_nocount(st.z)) <= 1e-12
@@ -508,7 +508,7 @@ def test_pd_noinv_in_place_matches_allocating_expressions(nonneg):
     certify, certify_ref = (
         (cert_constrained, oracles.cert_constrained_allocating) if nonneg
         else (cert_unconstrained, oracles.cert_unconstrained_allocating))
-    new = ref = pd_noinv_init(A, b, alpha, x, nonneg)
+    new = ref = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg)
     paths = set()
     for _ in range(60):
         prev, new = new, pd_noinv_step(A, alpha, nonneg, new)
@@ -542,12 +542,12 @@ def test_pd_noinv_products_per_start_and_step():
     atb = A.applyT_nocount(b)
     A.norm_sq  # the power iteration runs before the wrapping
     calls = count_uncounted_products(A)
-    st = pd_noinv_init(A, b, 0.5, x, True, atb=atb)
+    st = pd_noinv_init(A, atb, 0.5, x, True)
     assert len(calls) == 2 and A.matvec_count == 0
     assert not np.any(st.q) and not np.any(st.atq)
     st = pd_noinv_step(A, 0.5, True, st)
     assert len(calls) == 2 and A.matvec_count == 2
-    pd_noinv_init(A, b, 0.5, x, True, warm=st, atb=atb)
+    pd_noinv_init(A, atb, 0.5, x, True, warm=st)
     assert len(calls) == 2 and A.matvec_count == 2
 
 
@@ -678,11 +678,11 @@ def test_moreau_envelope_gradient_identity():
         return 0.5 * float(r @ r)
 
     def envelope(v):
-        z, _ = prox_ls_exact(A, b, alpha, v)
+        z, _ = prox_ls_exact(A, A.applyT_nocount(b), alpha, v)
         d = z - v
         return g(z) + float(d @ d) / (2 * alpha)
 
-    z, _ = prox_ls_exact(A, b, alpha, x)
+    z, _ = prox_ls_exact(A, A.applyT_nocount(b), alpha, x)
     grad = (x - z) / alpha
     h = 1e-5
     rng = np.random.default_rng(18)
@@ -728,27 +728,16 @@ def test_exact_afbs_spends_one_uncounted_product_in_the_whole_run():
     assert len(calls) == 1
 
 
-def test_prox_ls_exact_reuses_given_atb():
-    A, b, x = make_instance(seed=19)
-    atb = A.applyT_nocount(b)
-    calls = count_uncounted_products(A)
-    z, steps = prox_ls_exact(A, b, 0.8, x)
-    assert steps == 0 and A.matvec_count == 2 and len(calls) == 1
-    A.reset_matvec_count()
-    z_hoisted, _ = prox_ls_exact(A, b, 0.8, x, atb=atb)
-    assert A.matvec_count == 2 and len(calls) == 1
-    assert np.array_equal(z_hoisted, z)
-
-
 @pytest.mark.parametrize("seed,alpha", [(3, 0.6), (4, 0.7), (10, 0.7),
                                         (15, 0.7)])
 def test_prox_ls_exact_constrained_reaches_gap(seed, alpha):
     A, b, x = make_instance(seed=seed)
+    atb = A.applyT_nocount(b)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        z, steps = prox_ls_exact(A, b, alpha, x, nonneg=True)
+        z, steps = prox_ls_exact(A, atb, alpha, x, nonneg=True)
     assert np.min(z) >= 0.0
-    assert dual_gap(A, alpha, x / alpha + A.applyT_nocount(b), z) <= 1e-12
+    assert dual_gap(A, alpha, x / alpha + atb, z) <= 1e-12
     # two counted products per projected-gradient step
     assert steps > 0 and A.matvec_count == 2 * steps
 
@@ -757,7 +746,7 @@ def test_prox_ls_exact_constrained_returns_a_start_at_its_gap_floor():
     # b = 0 and x <= 0: the clipped start z = 0 is the prox, and the gap
     # test before the first step returns it
     A, _, x = make_instance(seed=5)
-    z, steps = prox_ls_exact(A, np.zeros(A.n_rows), 0.6, -np.abs(x),
+    z, steps = prox_ls_exact(A, np.zeros(A.n_cols), 0.6, -np.abs(x),
                              nonneg=True)
     assert np.array_equal(z, np.zeros_like(x))
     assert steps == 0 and A.matvec_count == 0
@@ -777,7 +766,8 @@ def test_afbs_run_needs_lam():
 def test_prox_ls_exact_constrained_warns_on_budget():
     A, b, x = make_instance(seed=3)
     with pytest.warns(RuntimeWarning, match="duality gap"):
-        z, steps = prox_ls_exact(A, b, 0.6, x, nonneg=True, max_iter=5)
+        z, steps = prox_ls_exact(A, A.applyT_nocount(b), 0.6, x, nonneg=True,
+                                 max_iter=5)
     assert np.min(z) >= 0.0
     assert steps == 5 and A.matvec_count == 10
 
@@ -795,7 +785,8 @@ def test_prox_ls_exact_constrained_tests_the_iterate_it_returns(
 
     monkeypatch.setattr(fbs, "dual_gap", spy)
     with pytest.warns(RuntimeWarning, match="duality gap"):
-        z, _ = prox_ls_exact(A, b, 0.6, x, nonneg=True, max_iter=3)
+        z, _ = prox_ls_exact(A, A.applyT_nocount(b), 0.6, x, nonneg=True,
+                             max_iter=3)
     assert len(tested) == 2
     assert np.array_equal(tested[-1], z)
 
@@ -813,13 +804,15 @@ def test_prox_ls_exact_constrained_stops_at_rounding_floor():
         return 2.0 * alpha * (c.size * np.finfo(np.float64).eps) ** 2 \
             * float(c @ c)
 
-    z_unit, _ = prox_ls_exact(A, b, alpha, x, nonneg=True)
-    c_unit = x / alpha + A.applyT_nocount(b)
+    atb = A.applyT_nocount(b)
+    z_unit, _ = prox_ls_exact(A, atb, alpha, x, nonneg=True)
+    c_unit = x / alpha + atb
     assert dual_gap(A, alpha, c_unit, z_unit) <= floor(c_unit)
     s = 100.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        z, _ = prox_ls_exact(A, s * b, alpha, s * x, nonneg=True)
+        z, _ = prox_ls_exact(A, A.applyT_nocount(s * b), alpha, s * x,
+                             nonneg=True)
     c = s * x / alpha + A.applyT_nocount(s * b)
     assert floor(c) == pytest.approx(s * s * floor(c_unit), rel=1e-12)
     assert np.min(z) >= 0.0
@@ -830,7 +823,7 @@ def test_prox_ls_exact_constrained_stops_at_rounding_floor():
 def test_prox_ls_exact_constrained_builds_no_factor():
     A, b, _ = _tiny_tomo()
     x = np.random.default_rng(2).standard_normal(A.n_cols)
-    z, _ = prox_ls_exact(A, b, 0.5, x, nonneg=True)
+    z, _ = prox_ls_exact(A, A.applyT_nocount(b), 0.5, x, nonneg=True)
     assert np.min(z) >= 0.0 and A._factor_cache is None
 
 
@@ -865,20 +858,21 @@ def test_inexact_inner_runs_warn_when_budget_runs_out():
     A, b, x = make_instance(seed=16)
     x = x - 1.0
     alpha = 0.7
+    atb = A.applyT_nocount(b)
     for inner, nonneg in (("PDNoInv", False), ("PDNoInv", True),
                           ("PDBasic", True)):
         with pytest.warns(RuntimeWarning, match=f"{inner}: .*max_inner = 1 "
                           "steps"):
-            cert, steps, _ = fbs._run_pd(inner, A, b, alpha, x, 1e-9,
+            cert, steps, _ = fbs._run_pd(inner, A, atb, alpha, x, 1e-9,
                                          nonneg, 1)
         assert not cert.accepted and steps == 1
-    assert cert.gap_value == dual_gap(
-        A, alpha, x / alpha + A.applyT_nocount(b), cert.z) > 1e-14
+    assert cert.gap_value == dual_gap(A, alpha, x / alpha + atb,
+                                      cert.z) > 1e-14
     for inner in ("PDNoInv", "PDBasic"):
         charged = A.matvec_count
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            cert, steps, _ = fbs._run_pd(inner, A, b, alpha, x, 0.1, True,
+            cert, steps, _ = fbs._run_pd(inner, A, atb, alpha, x, 0.1, True,
                                          100000)
         assert cert.accepted and cert.gap_value <= 1e-2
         # the returned count is the steps run, 2 charged products each
