@@ -89,8 +89,8 @@ class AFBSConfig:
             raise ValueError("PDBasic solves only the constrained prox "
                              "(:nonneg)")
         # written so that NaN fails every test
-        if not (self.alpha is None or self.alpha > 0):
-            raise ValueError("alpha must be positive")
+        if not (self.alpha is None or 0 < self.alpha < math.inf):
+            raise ValueError("alpha must be positive and finite")
         if not (self.inexact_q > 0 and self.term_tol >= 0) \
                 or self.max_inner < 1 or self.max_outer < 0:
             raise ValueError("need inexact_q > 0, term_tol >= 0, "

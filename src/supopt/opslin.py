@@ -7,14 +7,14 @@ Operators are immutable after construction apart from a matvec counter
 used for cost accounting and two caches filled on first use: ||A||_2^2
 (`norm_sq`) and one Cholesky factor of the reduced Gram system
 (`shifted_gram_solve`). All products are deterministic.
+LAPACK (`scipy.linalg`) loads at the first reduced-system factorization,
+so a run that never factors does not pay its resident memory.
 """
 
 import warnings
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg.blas import dtrsv
 
 
 class DimensionMismatchError(ValueError):
@@ -151,6 +151,10 @@ def _woodbury_factor(A, ratio):
     finiteness check to real entries. L stays Fortran-contiguous, so the
     triangular solves in `shifted_gram_solve` use it without a copy.
     """
+    # imported here, not at module level: scipy.linalg costs about 8 MB
+    # resident, and only ExactSMW and PDBasic ever factor
+    from scipy.linalg import cho_factor
+
     csr, m = A.tocsr(), A.n_rows
     M = np.zeros((m, m), order="F")
     rows = 256
@@ -160,7 +164,7 @@ def _woodbury_factor(A, ratio):
         M[i:, i:i + rows] = (csr[i:] @ csr[i:i + rows].T.tocsr()).toarray()
     M *= ratio
     M[np.diag_indices_from(M)] += 1.0
-    return scipy.linalg.cho_factor(M, lower=True, overwrite_a=True)[0]
+    return cho_factor(M, lower=True, overwrite_a=True)[0]
 
 
 def shifted_gram_solve(A, c_id, c_gram, rhs, az=None):
@@ -178,6 +182,8 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, az=None):
     A z = (A rhs - (g/c) A A^T s) / c = s / c. `az`, if given, is a
     length-m array that receives it, up to the rounding of the solve.
     """
+    from scipy.linalg.blas import dtrsv  # lazily, as in _woodbury_factor
+
     if c_id <= 0 or c_gram < 0:
         raise ValueError("need c_id > 0 and c_gram >= 0")
     rhs = np.asarray(rhs, dtype=np.float64)

@@ -48,10 +48,12 @@ class SmoothedTVParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.tau <= 1:
-            raise ValueError("tau must be in (0, 1]")
-        if not self.lam >= 0:  # NaN fails too
-            raise ValueError("lambda must be nonnegative")
+        # written so that NaN fails every test; a tau whose square
+        # underflows makes d / sqrt(tau^2 + d^2) 0/0 wherever d = 0
+        if not (0 < self.tau <= 1 and self.tau ** 2 > 0):
+            raise ValueError("tau must be in (0, 1], with tau**2 > 0")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lambda must be finite and nonnegative")
 
 
 def _vector(x, length):

@@ -19,6 +19,7 @@ negative and the constrained rule does not stop them; they run to
 max_outer and report converged = False.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -72,10 +73,10 @@ class SupConfig:
         # written so that NaN fails every test
         if not 0 < self.a <= 1:
             raise ValueError("a must be in (0, 1]")
-        if not (self.gamma0 is None or self.gamma0 > 0) or self.kappa < 1 \
-                or not self.eps >= 0 or self.max_outer < 0:
-            raise ValueError("need gamma0 > 0, kappa >= 1, eps >= 0, "
-                             "max_outer >= 0")
+        if not (self.gamma0 is None or 0 < self.gamma0 < math.inf) \
+                or self.kappa < 1 or not self.eps >= 0 or self.max_outer < 0:
+            raise ValueError("need a finite gamma0 > 0, kappa >= 1, "
+                             "eps >= 0, max_outer >= 0")
 
     def check_lam(self, lam):
         """ValueError if gamma0 is the step-coupled one and lam is not > 0."""

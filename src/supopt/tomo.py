@@ -6,6 +6,7 @@ ordered angle-major: row index = angle_index * n_rays + ray_index, so
 m = n_angles * n_rays. Within a row, columns ascend.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.relative_level >= 0:  # NaN fails too
-            raise ValueError("relative_level must be nonnegative")
+        if not 0 <= self.relative_level < math.inf:  # NaN fails too
+            raise ValueError("relative_level must be finite and nonnegative")
 
 
 def shepp_logan(image_side):

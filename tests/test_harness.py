@@ -482,14 +482,20 @@ def _tiny_run(out, *sets):
     "n_rays=0",
     "image_side=1",
     "tau=0",
+    "tau=1e-320",
     "lam=nan",
+    "lam=inf",
+    "lam=inf algorithms=FBS:ReversedTV",
     "noise_level=-1",
+    "noisy=true noise_level=inf",
     "eps=nan",
     "override.AFBS:NaturalLS.alpha=0",
+    "override.AFBS:NaturalLS.alpha=inf",
     "override.AFBS:NaturalLS.term_tol=nan",
     "override.AFBS:NaturalLS.inexact_q=nan",
     "override.AFBS:NaturalLS.warm_start=0",
     "override.GradSupCG.gamma0=nan",
+    "override.GradSupCG.gamma0=inf",
     "svg=true",
     "lam=0",
     "lam=0 algorithms=AFBS:ReversedTV",
@@ -503,6 +509,18 @@ def test_cli_invalid_algorithm_config_exits_2(assignment, tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
     # every config is checked before the output directory is made
     assert not out.exists()
+
+
+def test_cli_tau_with_a_nonzero_square_runs(tmp_path):
+    # 1e-160 ** 2 is a normal double; 1e-320 ** 2 underflows and exits 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(_tiny_run(tmp_path, "max_outer=3", "tau=1e-160",
+                              "algorithms=GradSupCG, AFBS:NaturalLS, "
+                              "FBS:ReversedTV")) == 0
+    rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        "GradSupCG", "AFBS:NaturalLS", "FBS:ReversedTV"]
 
 
 def test_cli_lam_zero_runs_a_variant_with_a_fixed_gamma0(tmp_path):
@@ -572,6 +590,29 @@ def test_package_import_loads_every_submodule_but_harness():
     assert loaded == [
         f"supopt.{name}" for name in ("basic", "fbs", "metrics", "opslin",
                                       "regtv", "superior", "tomo")]
+
+
+def test_runs_that_never_factor_leave_lapack_unloaded():
+    # scipy.linalg costs about 8 MB resident; only the reduced-system
+    # factorization (ExactSMW, PDBasic) loads it. A fresh interpreter,
+    # since this suite's other modules import scipy.linalg themselves
+    script = """
+import sys
+import supopt
+from supopt.harness import ExperimentConfig, build_problem, run_algorithm
+print("scipy.linalg" in sys.modules)
+config = ExperimentConfig(image_side=8, n_angles=2, n_rays=8, max_outer=2)
+problem = build_problem(config)
+for name in ("GradSupCG", "ProxCSupLW", "AFBS:NaturalLS:PDNoInv:nonneg",
+             "FBS:ReversedTV"):
+    run_algorithm(name, problem, config)
+print("scipy.linalg" in sys.modules)
+run_algorithm("AFBS:NaturalLS", problem, config)
+print("scipy.linalg" in sys.modules)
+"""
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 def test_package_entry_point_runs_cli(tmp_path):
