@@ -8,7 +8,7 @@ mapping of the surrogate denoises a piecewise-constant image.
 import numpy as np
 
 from supopt.regtv import (GridShape, SmoothedTVParams, lipschitz_bound,
-                          prox_tv, tv_smooth, tv_value)
+                          prox_tv_with_info, tv_smooth, tv_value)
 
 shape = GridShape(32, 32)
 rng = np.random.default_rng(0)
@@ -31,11 +31,11 @@ tvp = SmoothedTVParams(tau=0.01)
 print(f"\nnoisy image:  TV = {tv_value(shape, noisy):8.2f}, "
       f"distance to truth = {np.linalg.norm(noisy - x):.3f}")
 for beta in (0.01, 0.05, 0.2):
-    den = prox_tv(shape, tvp, noisy, beta)
+    den = prox_tv_with_info(shape, tvp, noisy, beta)[0]
     print(f"prox, beta={beta:<5} TV = {tv_value(shape, den):8.2f}, "
           f"distance to truth = {np.linalg.norm(den - x):.3f}")
 
 # the constrained prox additionally clips to the nonnegative orthant
-den = prox_tv(shape, tvp, noisy, 0.05, nonneg=True)
+den = prox_tv_with_info(shape, tvp, noisy, 0.05, nonneg=True)[0]
 print(f"\nconstrained prox at beta=0.05: min = {den.min():.4f} (>= 0), "
       f"TV = {tv_value(shape, den):.2f}")

@@ -12,9 +12,11 @@ Pair i of a workload runs `python3 bench/run.py --workload W --seed S`
 and alternates which side runs first. `--trace-seeds` adds, for every
 workload, one traced pair (`--trace 1`) per listed seed and records,
 for each side, the median of each per-layer metric over the traced seeds
-with its quartiles. One traced pair carries that pair's noise: a layer
-claim needs at least 3 traced seeds, and a move larger than the
-quartile spread.
+with its quartiles. The traced pairs are spread evenly among the
+workload's untimed pairs (`run_order`), so that a few minutes of host
+load do not decide all of them. One traced pair carries that pair's
+noise: a layer claim needs at least 3 traced seeds, and a move larger
+than the quartile spread.
 
 Writes BENCH_<name>.json in the current directory: the change text, the
 method, the environment record of the first run, then per workload the
@@ -58,6 +60,18 @@ def sides(checkouts, pair):
     """The two sides of pair `pair`, the parent first on even pairs."""
     order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
     return [(side, checkouts[side]) for side in order]
+
+
+def run_order(n_pairs, n_traced):
+    """The order of a workload's untimed and traced pairs.
+
+    Returns a list of (traced, i), for untimed pair i or traced pair i.
+    Untimed pair i sits at (i + 1/2) / n_pairs of the run and traced pair
+    j at (j + 1/2) / n_traced; an untimed pair goes first on a tie.
+    """
+    untimed = [((2 * i + 1) * n_traced, False, i) for i in range(n_pairs)]
+    traced = [((2 * j + 1) * n_pairs, True, j) for j in range(n_traced)]
+    return [(is_traced, i) for _, is_traced, i in sorted(untimed + traced)]
 
 
 def quartiles(values):
@@ -138,8 +152,16 @@ def main(argv=None):
 
     environment, workloads = None, {}
     for workload, n_pairs in args.workloads.items():
-        runs, failed = [], 0
-        for pair in range(n_pairs):
+        runs, traced, failed = [], [], 0
+        for is_traced, pair in run_order(n_pairs, len(trace_seeds)):
+            if is_traced:
+                metrics = {}
+                for side, checkout in sides(checkouts, pair):
+                    _, metrics[side], bad = run_bench(
+                        checkout, workload, trace_seeds[pair], 1)
+                    failed += bad
+                traced.append(metrics)
+                continue
             seed = args.first_seed + pair
             run = {"pair": pair, "seed": seed,
                    "first": sides(checkouts, pair)[0][0]}
@@ -157,14 +179,6 @@ def main(argv=None):
         entry = {"pairs": n_pairs, "summary": summarise(runs)}
         entry["summary"]["failed_runs"] = failed
         if trace_seeds:
-            traced = []
-            for pair, seed in enumerate(trace_seeds):
-                metrics = {}
-                for side, checkout in sides(checkouts, pair):
-                    _, metrics[side], bad = run_bench(checkout, workload,
-                                                      seed, 1)
-                    entry["summary"]["failed_runs"] += bad
-                traced.append(metrics)
             entry["traced"] = {"seeds": trace_seeds,
                                **traced_summary(traced)}
         entry["runs"] = runs

@@ -7,10 +7,12 @@ Usage, with two checkouts of the repository:
 Runs `python -m supopt run` from each checkout, with its own `src` on
 the import path and the BLAS libraries on one thread, on one fixed
 config that spells all 22 algorithms: the 8 superiorized variants and
-FBS and AFBS on each of the 7 splitting and inner-solver spellings.
-`--set` options are passed to both runs after the fixed config, e.g.
-`--set image_side=12 --set max_outer=3`. Prints "identical" or
-"differs" for every CSV either side wrote, and for a CSV that both sides
+FBS and AFBS on each of the 7 splitting and inner-solver spellings. The
+config runs twice, on exact data and with `noise_level=0.02`, into one
+directory each. `--set` options are passed to every run after the fixed
+config and its noise level, e.g. `--set image_side=12 --set
+max_outer=3`. Prints "identical" or "differs" for every CSV either side
+wrote, named `exact/...` or `noisy/...`, and for a CSV that both sides
 wrote and that differs, the header names of the differing columns and
 the number of differing rows, and on the next line the largest relative
 change of each differing numeric column; for a differing column whose
@@ -37,6 +39,7 @@ ALGORITHMS = SUPERIORIZED + tuple(f"{head}:{spec}" for head in ("FBS", "AFBS")
                                   for spec in SPLITTINGS)
 CONFIG = ("image_side=24", "n_angles=6", "n_rays=24", "max_outer=60",
           "algorithms=" + ",".join(ALGORITHMS))
+SETTINGS = {"exact": (), "noisy": ("noise_level=0.02",)}
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 
@@ -153,11 +156,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         outs = [Path(tmp) / "parent", Path(tmp) / "change"]
-        codes = [run_checkout(checkout.resolve(), out, args.set)
-                 for checkout, out in zip((args.parent, args.change), outs)]
-        failed = any(codes)
-        names = sorted({p.name for out in outs if out.is_dir()
-                        for p in out.glob("*.csv")})
+        failed = False
+        for setting, noise in SETTINGS.items():
+            for checkout, out in zip((args.parent, args.change), outs):
+                failed |= run_checkout(checkout.resolve(), out / setting,
+                                       noise + tuple(args.set)) != 0
+        names = sorted({str(p.relative_to(out)) for out in outs
+                        if out.is_dir() for p in out.glob("*/*.csv")})
         differs = 0
         for name in names:
             paths = [out / name for out in outs]

@@ -91,9 +91,10 @@ class AFBSConfig:
         # written so that NaN fails every test
         if not (self.alpha is None or 0 < self.alpha < math.inf):
             raise ValueError("alpha must be positive and finite")
-        if not (self.inexact_q > 0 and self.term_tol >= 0) \
+        if not (0 < self.inexact_q < math.inf
+                and 0 <= self.term_tol < math.inf) \
                 or self.max_inner < 1 or self.max_outer < 0:
-            raise ValueError("need inexact_q > 0, term_tol >= 0, "
+            raise ValueError("need finite inexact_q > 0 and term_tol >= 0, "
                              "max_inner >= 1 and max_outer >= 0")
 
     def check_lam(self, lam):

@@ -40,8 +40,7 @@ class ExperimentConfig:
     image_side: int = 128
     n_angles: int = 20
     n_rays: int = 120
-    noisy: bool = False
-    noise_level: float = 0.02
+    noise_level: float = 0.0  # the data are noisy exactly when it is > 0
     noise_seed: int = 0
     lam: float = None      # default 0.01 exact data, 1.6529 noisy
     tau: float = 0.01
@@ -55,25 +54,23 @@ class ExperimentConfig:
     def resolved_lam(self):
         if self.lam is not None:
             return self.lam
-        return 1.6529 if self.noisy else 0.01
+        return 1.6529 if self.noise_level > 0 else 0.01
 
     def resolved_eps(self):
         if self.eps is not None:
             return self.eps
         m = self.n_angles * self.n_rays
-        return 0.047 * m if self.noisy else 0.001
+        return 0.047 * m if self.noise_level > 0 else 0.001
 
 
 def build_problem(config):
-    """Assemble operator, data (with optional noise) and ground truth."""
+    """Operator, data (noisy when noise_level > 0) and ground truth."""
     geom = tomo.Geometry(config.image_side, config.n_angles, config.n_rays)
     A = tomo.build_parallel_system(geom)
     x_ref = tomo.shepp_logan(config.image_side)
-    b = A.apply_nocount(x_ref)
-    # built, and so range-checked, whether or not the data are noisy
-    noise = tomo.NoiseModel(config.noise_level, config.noise_seed)
-    if config.noisy:
-        b = tomo.add_noise(b, noise)
+    # at noise level 0, add_noise returns a copy of b
+    b = tomo.add_noise(A.apply_nocount(x_ref),
+                       tomo.NoiseModel(config.noise_level, config.noise_seed))
     shape = GridShape(config.image_side, config.image_side)
     tvparams = SmoothedTVParams(tau=config.tau, lam=config.resolved_lam())
     return ProblemInstance(A=A, b=b, shape=shape, tvparams=tvparams,
@@ -174,6 +171,8 @@ def run_experiment(config):
         problem = build_problem(config)
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from exc
+    if not config.algorithms:
+        raise ConfigError("algorithms: need at least one")
     for name in config.algorithms:
         _configured_run(name, config)
     out = Path(config.output_dir)

@@ -71,9 +71,6 @@ class SparseOperator:
     def tocsr(self):
         return self._csr
 
-    def toarray(self):
-        return self._csr.toarray()
-
     def reset_matvec_count(self):
         self.matvec_count = 0
 

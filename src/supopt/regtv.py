@@ -244,8 +244,3 @@ def prox_tv_with_info(shape, params, x, beta, nonneg=False, tol=1e-6,
         if value(z, tv_end) >= value(x0, tv_start):
             z = x0.copy()
     return z, nit, nit, not converged
-
-
-def prox_tv(shape, params, x, beta, nonneg=False, tol=1e-6, max_iter=500):
-    """Proximal map of the smoothed TV; see prox_tv_with_info."""
-    return prox_tv_with_info(shape, params, x, beta, nonneg, tol, max_iter)[0]

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import basic
 from .metrics import run_outer
-from .regtv import _smooth_terms, grad_adjoint, prox_tv
+from .regtv import _smooth_terms, grad_adjoint, prox_tv_with_info
 
 # variant -> (basic operator, reduction step, default a, default gamma0);
 # a None gamma0 is the step-coupled 1.9 * lam / ||A||_2^2 of superiorize_run
@@ -74,8 +74,9 @@ class SupConfig:
         if not 0 < self.a <= 1:
             raise ValueError("a must be in (0, 1]")
         if not (self.gamma0 is None or 0 < self.gamma0 < math.inf) \
-                or self.kappa < 1 or not self.eps >= 0 or self.max_outer < 0:
-            raise ValueError("need a finite gamma0 > 0, kappa >= 1, "
+                or self.kappa < 1 or not 0 <= self.eps < math.inf \
+                or self.max_outer < 0:
+            raise ValueError("need a finite gamma0 > 0, kappa >= 1, a finite "
                              "eps >= 0, max_outer >= 0")
 
     def check_lam(self, lam):
@@ -137,12 +138,12 @@ def s_prox(shape, tvparams, y, beta):
     A bounded perturbation: ||y - out|| <= M * beta with M the sum of the
     difference-operator row norms.
     """
-    return prox_tv(shape, tvparams, y, beta)
+    return prox_tv_with_info(shape, tvparams, y, beta)[0]
 
 
 def s_prox_plus(shape, tvparams, y, beta):
     """Nonnegativity-constrained prox reduction step; output is >= 0."""
-    return prox_tv(shape, tvparams, y, beta, nonneg=True)
+    return prox_tv_with_info(shape, tvparams, y, beta, nonneg=True)[0]
 
 
 def superiorize_run(config, A, b, shape, tvparams, x0=None, x_ref=None,

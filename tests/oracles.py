@@ -18,7 +18,7 @@ def dense_prox_ls_oracle(A, b, alpha, x, max_n=4096):
     """
     if A.n_cols > max_n:
         raise ValueError(f"dense oracle limited to n <= {max_n}")
-    Ad = A.toarray()
+    Ad = A.tocsr().toarray()
     lhs = np.eye(A.n_cols) + alpha * (Ad.T @ Ad)
     rhs = np.asarray(x, dtype=np.float64) + alpha * (Ad.T @ np.asarray(b))
     return np.linalg.solve(lhs, rhs)
@@ -31,7 +31,7 @@ def nnls_prox_ls_oracle(A, b, alpha, x):
     NNLS solution of [A; I/sqrt(alpha)] z ~ [b; x/sqrt(alpha)].
     """
     s = 1.0 / np.sqrt(alpha)
-    M = np.vstack([A.toarray(), s * np.eye(A.n_cols)])
+    M = np.vstack([A.tocsr().toarray(), s * np.eye(A.n_cols)])
     z, _ = nnls(M, np.concatenate([b, s * np.asarray(x, dtype=np.float64)]))
     return z
 

@@ -264,7 +264,7 @@ def test_acceptance_08_inexactness_schedule_sensitivity(capfd):
 
 
 def test_acceptance_09_noisy_runs_stop_at_noise_level(capfd):
-    cfg = ExperimentConfig(noisy=True, noise_level=0.02, max_outer=2000,
+    cfg = ExperimentConfig(noise_level=0.02, max_outer=2000,
                            algorithms=["GradSupCG", "GradSupLW"])
     problem = build_problem(cfg)
     m = problem.A.n_rows

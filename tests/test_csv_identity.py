@@ -26,8 +26,8 @@ def test_csv_identity_of_the_checkout_with_itself():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "23 CSVs, 0 differ"
-    assert sum(line.endswith(": identical") for line in lines) == 23
+    assert lines[-1] == "46 CSVs, 0 differ"
+    assert sum(line.endswith(": identical") for line in lines) == 46
 
 
 def _write(path, lines):

@@ -116,7 +116,7 @@ def test_dual_gap_equals_primal_minus_dual_objective():
     # z >= 0, with D(q) = -0.5||q||^2 - (alpha/2)||(c - A^T q)_+||^2
     A, b, x = make_instance(seed=6)
     alpha = 0.9
-    M = A.toarray()
+    M = A.tocsr().toarray()
     B = M.T @ M + np.eye(10) / alpha
     c = x / alpha + M.T @ b
     rng = np.random.default_rng(7)

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from oracles import count_uncounted_products, relative_error
-from supopt import metrics
+from supopt import metrics, tomo
 from supopt.basic import g_u
 from supopt.fbs import AFBSConfig, afbs_run, grad_h_u
 from supopt.harness import (ConfigError, ExperimentConfig, _parse_fbs_spec,
                             build_problem, emit_csv, load_config, main,
                             parse_config_text, run_algorithm, run_experiment)
 from supopt.metrics import FIELD_NAMES, MetricsRecord, make_record
+from supopt.regtv import GridShape, SmoothedTVParams
 from supopt.superior import VARIANTS, SupConfig, superiorize_run
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -74,23 +75,23 @@ def test_config_defaults_resolve_by_noise():
     cfg = ExperimentConfig()
     assert cfg.resolved_lam() == 0.01
     assert cfg.resolved_eps() == 0.001
-    noisy = ExperimentConfig(noisy=True)
+    noisy = ExperimentConfig(noise_level=0.02)
     assert noisy.resolved_lam() == 1.6529
     assert noisy.resolved_eps() == pytest.approx(0.047 * 20 * 120)
-    pinned = ExperimentConfig(noisy=True, lam=0.5, eps=2.0)
+    pinned = ExperimentConfig(noise_level=0.02, lam=0.5, eps=2.0)
     assert pinned.resolved_lam() == 0.5 and pinned.resolved_eps() == 2.0
 
 
 def test_parse_config_text_values_and_overrides():
     cfg = parse_config_text("""
         image_side = 16     # comment
-        noisy = true
+        noise_level = 0.05
         algorithms = GradSupCG, FBS:ReversedTV
         override.GradSupCG.gamma0 = 0.002
         override.GradSupCG.kappa = 5
         output_dir = foo
     """)
-    assert cfg.image_side == 16 and cfg.noisy
+    assert cfg.image_side == 16 and cfg.noise_level == 0.05
     assert cfg.output_dir == "foo"
     assert cfg.algorithms == ["GradSupCG", "FBS:ReversedTV"]
     assert cfg.overrides["GradSupCG"] == {"gamma0": 0.002, "kappa": 5}
@@ -103,7 +104,7 @@ def test_parse_config_text_errors():
     with pytest.raises(ConfigError):
         parse_config_text("image_side 16")
     with pytest.raises(ConfigError):
-        parse_config_text("noisy = maybe")
+        parse_config_text("record_wall_time = maybe")
     with pytest.raises(ConfigError):
         parse_config_text("override.bad = 1")
     # override values are typed by the algorithm's config class
@@ -487,12 +488,18 @@ def _tiny_run(out, *sets):
     "lam=inf",
     "lam=inf algorithms=FBS:ReversedTV",
     "noise_level=-1",
-    "noisy=true noise_level=inf",
+    "noise_level=inf",
+    "noisy=true",
     "eps=nan",
+    "eps=inf",
+    "algorithms=",
     "override.AFBS:NaturalLS.alpha=0",
     "override.AFBS:NaturalLS.alpha=inf",
     "override.AFBS:NaturalLS.term_tol=nan",
+    "override.AFBS:NaturalLS.term_tol=inf",
     "override.AFBS:NaturalLS.inexact_q=nan",
+    "algorithms=AFBS:NaturalLS:PDNoInv "
+    "override.AFBS:NaturalLS:PDNoInv.inexact_q=inf",
     "override.AFBS:NaturalLS.warm_start=0",
     "override.GradSupCG.gamma0=nan",
     "override.GradSupCG.gamma0=inf",
@@ -557,7 +564,7 @@ def test_cli_diverging_run_exits_3(tmp_path, capsys):
 def test_cli_run_diverging_at_its_first_record_exits_3(tmp_path, capsys):
     # ||b||^2 overflows, so already the x_0 record is non-finite: a
     # header-only CSV and a "diverged" row without metrics, then exit 3
-    code = main(_tiny_run(tmp_path, "noisy=true", "noise_level=1e300",
+    code = main(_tiny_run(tmp_path, "noise_level=1e300",
                           "algorithms=GradSupLW"))
     assert code == 3
     assert capsys.readouterr().err == (
@@ -630,8 +637,44 @@ def test_load_config_set_overrides_file(tmp_path):
     assert cfg.image_side == 16 and cfg.max_outer == 9
 
 
+def test_cli_noise_level_alone_selects_noisy_data_and_defaults(tmp_path):
+    # noise_level > 0 is the whole noisy setting: the data, lam = 1.6529
+    # (here through ProxCSupLW's step-coupled gamma0) and eps = 0.047 m
+    cfg = load_config(None, ["noise_level=0.05", "n_angles=2", "n_rays=8"])
+    assert cfg.resolved_lam() == 1.6529
+    assert cfg.resolved_eps() == pytest.approx(0.047 * 16)
+    assert main(_tiny_run(tmp_path, "noise_level=0.05", "max_outer=3",
+                          "algorithms=ProxCSupLW")) == 0
+    A = tomo.build_parallel_system(tomo.Geometry(8, 2, 8))
+    x_ref = tomo.shepp_logan(8)
+    b = tomo.add_noise(A.apply_nocount(x_ref), tomo.NoiseModel(0.05))
+    res = superiorize_run(
+        SupConfig("ProxCSupLW", eps=0.047 * 16, max_outer=3), A, b,
+        GridShape(8, 8), SmoothedTVParams(tau=0.01, lam=1.6529), x_ref=x_ref)
+    emit_csv([replace(rec, wall_time=0.0) for rec in res.records],
+             tmp_path / "noisy.csv")
+    assert (tmp_path / "ProxCSupLW.csv").read_bytes() == \
+        (tmp_path / "noisy.csv").read_bytes()
+
+
+@pytest.mark.parametrize("setting", ["exact", "noisy"])
+def test_paper_configs_run_every_algorithm(setting, tmp_path):
+    path = Path(__file__).resolve().parents[1] / "configs" / \
+        f"paper_{setting}.cfg"
+    config = load_config(path)
+    assert tuple(config.algorithms) == csv_identity.ALGORITHMS
+    assert (config.noise_level > 0) == (setting == "noisy")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path),
+                 "--set", "image_side=12", "--set", "n_angles=4", "--set",
+                 "n_rays=12", "--set", "max_outer=3"]) == 0
+    written = sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert written == sorted([f"{name.replace(':', '_')}.csv"
+                              for name in csv_identity.ALGORITHMS]
+                             + ["summary.csv"])
+
+
 def test_noisy_problem_residual_at_truth():
-    cfg = small_config(noisy=True, noise_level=0.02, noise_seed=1)
+    cfg = small_config(noise_level=0.02, noise_seed=1)
     problem = build_problem(cfg)
     # the ground truth no longer fits the noisy data exactly
     assert g_u(problem.A, problem.b, problem.x_ref) > 0.0

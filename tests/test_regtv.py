@@ -6,7 +6,7 @@ from oracles import (dense_grad_matrix, grad_adjoint_2d, grad_apply_2d,
 from supopt import regtv
 from supopt.regtv import (GridShape, SmoothedTVParams, _smooth_terms,
                           grad_adjoint, grad_apply, lipschitz_bound,
-                          perturbation_norm_bound, prox_tv, prox_tv_with_info,
+                          perturbation_norm_bound, prox_tv_with_info,
                           tv_smooth, tv_smooth_grad, tv_value)
 
 SHAPE = GridShape(6, 7)
@@ -188,15 +188,15 @@ def test_prox_matches_projected_gradient_oracle():
     # 1e-5 is the step regime of the prox superiorization workloads
     for beta in (0.1, 1e-5):
         for nonneg in (False, True):
-            z = prox_tv(shape, params, x, beta, nonneg=nonneg, tol=1e-9,
-                        max_iter=2000)
+            z = prox_tv_with_info(shape, params, x, beta, nonneg=nonneg,
+                                  tol=1e-9, max_iter=2000)[0]
             oracle = _prox_oracle(shape, params, x, beta, nonneg)
             assert np.max(np.abs(z - oracle)) < 1e-6
 
 
 def test_prox_stationary_point_returned_unchanged():
     x = np.full(SHAPE.n, 2.0)  # constant image: gradient of R_tau is zero
-    z = prox_tv(SHAPE, TVP, x, 0.01)
+    z = prox_tv_with_info(SHAPE, TVP, x, 0.01)[0]
     assert np.array_equal(z, x)
 
 
@@ -205,7 +205,7 @@ def test_prox_never_increases_objective():
     for _ in range(5):
         x = rng.standard_normal(SHAPE.n)
         beta = 10 ** rng.uniform(-4, -1)
-        z = prox_tv(SHAPE, TVP, x, beta)
+        z = prox_tv_with_info(SHAPE, TVP, x, beta)[0]
         d = z - x
         obj_z = tv_smooth(SHAPE, TVP, z) + 0.5 / beta * float(d @ d)
         assert obj_z <= tv_smooth(SHAPE, TVP, x) + 1e-12
@@ -214,7 +214,7 @@ def test_prox_never_increases_objective():
 def test_prox_nonneg_feasible_output():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(SHAPE.n)
-    z = prox_tv(SHAPE, TVP, x, 0.05, nonneg=True)
+    z = prox_tv_with_info(SHAPE, TVP, x, 0.05, nonneg=True)[0]
     assert np.min(z) >= 0.0
 
 
@@ -225,9 +225,9 @@ def test_prox_info_reports_iterations():
     assert nit >= 1 and nfev >= nit
     assert not warn
     with pytest.raises(ValueError):
-        prox_tv(SHAPE, TVP, x, 0.0)
+        prox_tv_with_info(SHAPE, TVP, x, 0.0)
     with pytest.raises(ValueError):
-        prox_tv(SHAPE, TVP, x, 0.05, max_iter=0)
+        prox_tv_with_info(SHAPE, TVP, x, 0.05, max_iter=0)
 
 
 def test_prox_info_warns_when_budget_runs_out():
@@ -239,9 +239,6 @@ def test_prox_info_warns_when_budget_runs_out():
             _, nit, nfev, warn = prox_tv_with_info(SHAPE, TVP, x, 10.0,
                                                    nonneg=nonneg, max_iter=1)
         assert warn and nit == 1 and nfev >= nit
-        # prox_tv drops the flag, so the warning is all its caller sees
-        with pytest.warns(RuntimeWarning, match="max_iter = 1 steps"):
-            prox_tv(SHAPE, TVP, x, 10.0, nonneg=nonneg, max_iter=1)
 
 
 @pytest.mark.parametrize("nonneg", [False, True])
@@ -271,7 +268,7 @@ def test_prox_within_its_distance_certificate(side, beta, nonneg):
     # beta * sqrt(n) * tol); 1e-12 leaves room for rounding
     shape, tol = GridShape(side, side), 1e-4
     x = np.random.default_rng(side).standard_normal(shape.n)
-    z = prox_tv(shape, TVP, x, beta, nonneg=nonneg, tol=tol)
+    z = prox_tv_with_info(shape, TVP, x, beta, nonneg=nonneg, tol=tol)[0]
     oracle = _prox_oracle(shape, TVP, x, beta, nonneg)
     lip = lipschitz_bound(TVP) + 1.0 / beta
     assert np.linalg.norm(z - oracle) \

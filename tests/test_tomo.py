@@ -174,7 +174,7 @@ def test_projector_axis_aligned_geometry():
     # 90-degree rays travel vertically; offsets -1.5..1.5 each cross
     # exactly one pixel column with unit lengths
     geom = Geometry(4, 1, 4, angles=np.array([90.0]))
-    A = build_parallel_system(geom).toarray()
+    A = build_parallel_system(geom).tocsr().toarray()
     for r in range(4):
         row = A[r].reshape(4, 4)
         hit_cols = np.unique(np.nonzero(row)[1])
