@@ -262,8 +262,10 @@ def pd_basic_step(A, alpha, state):
 
     Dual update clips to the nonpositive cone; the primal update solves
     (I + tau B) z = rhs, B = A^T A + I/alpha, as ((1 + tau/alpha) I +
-    tau A^T A) z = rhs through the reduced system (a fresh factorization
-    per step size, so this variant suits small row counts).
+    tau A^T A) z = rhs through the reduced system: a fresh block-row
+    Cholesky factor of the m x m matrix per step size (about m^3/3 flops;
+    it replaces the operator's cached one), so this variant suits small
+    row counts.
     """
     p_new = np.minimum(state.p + state.sigma * state.zbar, 0.0)
     rhs = state.z - state.tau * (p_new - state.c_alpha)

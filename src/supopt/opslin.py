@@ -6,7 +6,9 @@ never materialized.
 Operators are immutable after construction apart from a matvec counter
 used for cost accounting and two caches filled on first use: ||A||_2^2
 (`norm_sq`) and one Cholesky factor of the reduced Gram system
-(`shifted_gram_solve`). All products are deterministic.
+(`shifted_gram_solve`). That factor is stored by block rows of its lower
+triangle, about m^2/2 doubles rather than m^2 (`_woodbury_factor`). All
+products are deterministic.
 LAPACK (`scipy.linalg`) loads at the first reduced-system factorization,
 so a run that never factors does not pay its resident memory.
 """
@@ -15,6 +17,10 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
+
+
+# rows per stored block of the reduced-system Cholesky factor
+_BLOCK_ROWS = 300
 
 
 class DimensionMismatchError(ValueError):
@@ -39,7 +45,9 @@ class SparseOperator:
     cost model (one unit per A or A^T product). Diagnostic quantities
     (termination residuals, logged metrics, inexactness certificates) go
     through the uncounted private products so that the logged cost matches
-    the per-step closed forms.
+    the per-step closed forms. `_factor_cache` holds at most one reduced
+    system factor, as F-ordered block rows of its lower triangle: about
+    4 m^2 bytes, 26 MB at m = 2400.
     """
 
     def __init__(self, matrix):
@@ -138,48 +146,89 @@ def spectral_norm_sq(A):
     return lam
 
 
-def _woodbury_factor(A, ratio):
-    """Lower Cholesky factor L of M = I_m + ratio * A A^T (dense m x m).
+def _gram_rows(A, ratio):
+    """Block rows M[r0:r1, :r1] of M = I_m + ratio * A A^T, F-ordered.
 
-    `cho_factor(lower=True)` reads only the lower triangle of M, so only
-    that is filled, in column blocks of the symmetric A A^T, into a zeroed
-    Fortran-order array that is factored in place: no product of the whole
-    Gram matrix and no copy of A^T. The zero upper triangle keeps the
-    finiteness check to real entries. L stays Fortran-contiguous, so the
-    triangular solves in `shifted_gram_solve` use it without a copy.
+    Block row r0:r1 is the transpose of Gram columns r0:r1 down to row
+    r1, a product of two row slices of A: F-ordered with no copy, and
+    each entry sums over k in ascending order, bit-identical to the
+    same entry of a product of the whole matrix. Raises `ValueError` on
+    a NaN or inf entry before any block is factored.
+    """
+    csr, m = A.tocsr(), A.n_rows
+    rows = []
+    for r0 in range(0, m, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, m)
+        M = (csr[:r1] @ csr[r0:r1].T.tocsr()).toarray().T
+        M *= ratio
+        M[:, r0:][np.diag_indices(r1 - r0)] += 1.0
+        rows.append(np.asarray_chkfinite(M))
+    return rows
+
+
+def _woodbury_factor(A, ratio):
+    """Lower Cholesky factor L of M = I_m + ratio * A A^T, by block rows.
+
+    Returns a tuple of F-ordered block rows L[r0:r1, :r1] of
+    `_BLOCK_ROWS` = B rows each, the last one ragged. Only the lower
+    triangle and the upper half of each diagonal block are stored, the
+    latter still holding M: at most 8 (m(m+1)/2 + mB/2) bytes, 26 MB at
+    m = 2400 against 46 MB for the full array. Each block row of M
+    (`_gram_rows`) is finished in place against the block rows above it,
+    left-looking: `dgemm` and a right `dtrsm` for each block left of the
+    diagonal, then `dsyrk` and `dpotrf` on the diagonal block; BLAS
+    returns at once from a product over zero columns. For m <= B that
+    is one `dpotrf`, as `cho_factor` runs it. Every view passed is
+    F-contiguous, so the `overwrite_*` calls work in place.
+    Packed storage (`dpptrf`) is level-2 and 5x slower to factor;
+    rectangular full packed storage (`dpftrf`) factors at parity, but
+    its solve goes through `dtrsm`, twice as slow per right-hand side,
+    and its blocks cannot reach `dtrsv` without a copy. Raises
+    `LinAlgError` if M is not positive definite.
     """
     # imported here, not at module level: scipy.linalg costs about 8 MB
     # resident, and only ExactSMW and PDBasic ever factor
-    from scipy.linalg import cho_factor
+    from scipy.linalg.blas import dgemm, dsyrk, dtrsm
+    from scipy.linalg.lapack import dpotrf
 
-    csr, m = A.tocsr(), A.n_rows
-    M = np.zeros((m, m), order="F")
-    rows = 256
-    for i in range(0, m, rows):
-        # rows i: of column block i of A A^T; each entry sums over k in
-        # ascending order, as in a product of the whole matrix
-        M[i:, i:i + rows] = (csr[i:] @ csr[i:i + rows].T.tocsr()).toarray()
-    M *= ratio
-    M[np.diag_indices_from(M)] += 1.0
-    return cho_factor(M, lower=True, overwrite_a=True)[0]
+    rows = _gram_rows(A, ratio)
+    for p, L in enumerate(rows):
+        r0 = p * _BLOCK_ROWS
+        for q in range(p):
+            s0, s1 = q * _BLOCK_ROWS, (q + 1) * _BLOCK_ROWS
+            dgemm(-1.0, L[:, :s0], rows[q][:, :s0], 1.0, L[:, s0:s1],
+                  trans_b=1, overwrite_c=1)
+            dtrsm(1.0, rows[q][:, s0:], L[:, s0:s1], side=1, lower=1,
+                  trans_a=1, overwrite_b=1)
+        dsyrk(-1.0, L[:, :r0], 1.0, L[:, r0:], lower=1, overwrite_c=1)
+        info = dpotrf(L[:, r0:], lower=1, clean=0, overwrite_a=1)[1]
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{r0 + info}-th leading minor of the array is not "
+                "positive definite")
+    return tuple(rows)
 
 
 def shifted_gram_solve(A, c_id, c_gram, rhs, az=None):
     """Solve (c_id * I + c_gram * A^T A) z = rhs via the m x m reduced system.
 
     Uses (cI + gA^TA)^{-1} = (1/c) (I - (g/c) A^T (I_m + (g/c) A A^T)^{-1} A)
-    with a dense Cholesky factor L of the inner m x m matrix, solved as
-    L y = t, then L^T s = y by two level-2 triangular solves (`dtrsv`):
-    `cho_solve` takes a single right-hand side through the level-3 `dtrsm`,
-    about twice as slow per triangle. The operator caches one factor, keyed
-    by the exact ratio g/c, the only number it depends on: a repeated ratio
-    (unconstrained ExactSMW) reuses it, and a new one (each PDBasic step)
-    replaces it. Each solve runs two products, both charged to the cost
-    counter. The solve also holds A z: (I_m + (g/c) A A^T) s = A rhs makes
+    with the block-row Cholesky factor L of the inner m x m matrix
+    (`_woodbury_factor`), solved in place as L y = t by block rows
+    (`dgemv`, then `dtrsv` on the diagonal block), then L^T s = y from
+    the last block row up (`dtrsv` with the transpose, then `dgemv`
+    with it). For m <= B that is the two `dtrsv` calls alone: level 2,
+    as `cho_solve` takes a single right-hand side through the level-3
+    `dtrsm`, about twice as slow per triangle. The operator caches one
+    factor, keyed by the exact ratio g/c, the only number it depends on:
+    a repeated ratio (unconstrained ExactSMW) reuses it, and a new one
+    (each PDBasic step) replaces it. Each solve runs two products, both
+    charged to the cost counter. The solve also holds A z:
+    (I_m + (g/c) A A^T) s = A rhs makes
     A z = (A rhs - (g/c) A A^T s) / c = s / c. `az`, if given, is a
     length-m array that receives it, up to the rounding of the solve.
     """
-    from scipy.linalg.blas import dtrsv  # lazily, as in _woodbury_factor
+    from scipy.linalg.blas import dgemv, dtrsv  # lazily: see _woodbury_factor
 
     if c_id <= 0 or c_gram < 0:
         raise ValueError("need c_id > 0 and c_gram >= 0")
@@ -188,11 +237,21 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, az=None):
     if A._factor_cache is None or A._factor_cache[0] != ratio:
         A._factor_cache = None  # free the old factor before building anew
         A._factor_cache = (ratio, _woodbury_factor(A, ratio))
-    L = A._factor_cache[1]
-    t = A.matvec(rhs)
-    # cho_factor checked the matrix once; check only the right-hand side
-    y = dtrsv(L, np.asarray_chkfinite(t), lower=1)
-    s = dtrsv(L, y, lower=1, trans=1, overwrite_x=1)
+    rows = A._factor_cache[1]
+    # the factor was checked once; check only the right-hand side. s holds
+    # A rhs, then y, then s, overwritten one block of rows r0:r1 at a time
+    s = np.asarray_chkfinite(A.matvec(rhs))
+    for L in rows:
+        r0, r1 = L.shape[1] - L.shape[0], L.shape[1]
+        if r0:
+            dgemv(-1.0, L[:, :r0], s[:r0], 1.0, s[r0:r1], overwrite_y=1)
+        dtrsv(L[:, r0:], s[r0:r1], lower=1, overwrite_x=1)
+    for L in reversed(rows):
+        r0, r1 = L.shape[1] - L.shape[0], L.shape[1]
+        dtrsv(L[:, r0:], s[r0:r1], lower=1, trans=1, overwrite_x=1)
+        if r0:
+            dgemv(-1.0, L[:, :r0], s[r0:r1], 1.0, s[:r0], trans=1,
+                  overwrite_y=1)
     if az is not None:
         np.divide(s, c_id, out=az)
     return (rhs - ratio * A.rmatvec(s)) / c_id

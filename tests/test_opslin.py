@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.blas import dtrsv
 
 from oracles import dense_prox_ls_oracle
-from supopt.opslin import (DimensionMismatchError, SparseOperator,
+from supopt.opslin import (_BLOCK_ROWS, DimensionMismatchError,
+                           SparseOperator, _gram_rows, _woodbury_factor,
                            shifted_gram_solve, spectral_norm_sq)
 
 
@@ -156,8 +160,18 @@ def test_shifted_gram_solve_rejects_nan_rhs():
         shifted_gram_solve(A, 1.0, 0.7, rhs)
 
 
+def dense_factor(rows):
+    """The lower triangle of the factor that block rows `rows` store."""
+    m = rows[-1].shape[1]
+    L = np.zeros((m, m))
+    for block in rows:
+        r0, r1 = block.shape[1] - block.shape[0], block.shape[1]
+        L[r0:r1, :r1] = block
+    return np.tril(L)
+
+
 def test_shifted_gram_solve_across_gram_row_blocks():
-    # m = 600 fills A A^T from three blocks of 256 rows of A, one partial
+    # m = 600 fills and factors A A^T in two blocks of 300 rows of A
     rng = np.random.default_rng(22)
     M = sp.random(600, 900, density=0.02, random_state=rng,
                   format="csr").toarray()
@@ -167,22 +181,84 @@ def test_shifted_gram_solve_across_gram_row_blocks():
         z = shifted_gram_solve(A, c_id, c_gram, rhs)
         lhs = c_id * np.eye(900) + c_gram * (M.T @ M)
         assert np.allclose(z, np.linalg.solve(lhs, rhs), atol=1e-10)
-        ratio, L = A._factor_cache
+        ratio, rows = A._factor_cache
         dense = scipy.linalg.cholesky(np.eye(600) + ratio * (M @ M.T),
                                       lower=True)
-        assert np.allclose(np.tril(L), dense, rtol=0, atol=1e-12)
+        assert np.allclose(dense_factor(rows), dense, rtol=0, atol=1e-12)
         # the block fill sums each entry as the whole sparse product does
         csr = A.tocsr()
         gram = ratio * (csr @ csr.T.tocsr()).toarray() + np.eye(600)
-        ref = scipy.linalg.cho_factor(np.asfortranarray(gram), lower=True)[0]
-        assert np.array_equal(np.tril(L), np.tril(ref))
+        filled = _gram_rows(A, ratio)
+        assert [block.shape for block in filled] == [(300, 300), (300, 600)]
+        for r0, block in zip((0, 300), filled):
+            assert np.array_equal(block, gram[r0:r0 + 300, :r0 + 300])
+
+
+def test_one_block_factor_and_solve_are_cho_factor_and_two_dtrsv():
+    # m <= _BLOCK_ROWS: one dpotrf and two dtrsv, bit for bit
+    A, _ = random_operator(_BLOCK_ROWS, 400, seed=25, density=0.05)
+    rhs = np.random.default_rng(26).standard_normal(400)
+    z = shifted_gram_solve(A, 1.5, 0.6, rhs)
+    ratio, (L,) = A._factor_cache
+    csr = A.tocsr()
+    gram = ratio * (csr @ csr.T.tocsr()).toarray() + np.eye(_BLOCK_ROWS)
+    ref = scipy.linalg.cho_factor(np.asfortranarray(gram), lower=True)[0]
+    assert np.array_equal(np.tril(L), np.tril(ref))
+    y = dtrsv(ref, csr @ rhs, lower=1)
+    s = dtrsv(ref, y, lower=1, trans=1)
+    assert np.array_equal(z, (rhs - ratio * (csr.T @ s)) / 1.5)
+
+
+@pytest.mark.parametrize("m", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                               2 * _BLOCK_ROWS + 37])
+def test_shifted_gram_solve_with_ragged_last_block(m):
+    rng = np.random.default_rng(m)
+    M = sp.random(m, 700, density=0.02, random_state=rng,
+                  format="csr").toarray()
+    A = SparseOperator(M)
+    rhs = rng.standard_normal(700)
+    az = np.empty(m)
+    z = shifted_gram_solve(A, 1.3, 0.7, rhs, az=az)
+    lhs = 1.3 * np.eye(700) + 0.7 * (M.T @ M)
+    assert np.allclose(z, np.linalg.solve(lhs, rhs), atol=1e-10)
+    assert np.allclose(az, M @ z, rtol=1e-12, atol=1e-12)
+    dense = scipy.linalg.cholesky(np.eye(m) + (0.7 / 1.3) * (M @ M.T),
+                                  lower=True)
+    assert np.allclose(dense_factor(A._factor_cache[1]), dense, rtol=0,
+                       atol=1e-12)
+
+
+def test_cached_factor_stores_about_half_the_matrix():
+    # the lower triangle plus half of each diagonal block, no full m x m
+    m = 2 * _BLOCK_ROWS + 37
+    A, _ = random_operator(m, 700, seed=27, density=0.02)
+    tracemalloc.start()
+    try:
+        shifted_gram_solve(A, 1.0, 0.7, np.ones(700))
+        held = tracemalloc.get_traced_memory()[0]
+        n_blocks = len(A._factor_cache[1])
+        A._factor_cache = None
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n_blocks == 3
+    assert held <= 8 * (m * (m + 1) / 2 + m * _BLOCK_ROWS / 2) \
+        + 1024 * n_blocks
 
 
 def test_cached_factor_is_fortran_contiguous():
-    # dtrsv copies a C-ordered matrix on every call
-    A, _ = random_operator(300, 500, seed=23, density=0.05)
+    # dtrsv and dgemv copy a C-ordered block on every call
+    A, _ = random_operator(2 * _BLOCK_ROWS + 37, 500, seed=23, density=0.05)
     shifted_gram_solve(A, 1.0, 0.7, np.ones(500))
-    assert A._factor_cache[1].flags.f_contiguous
+    assert all(block.flags.f_contiguous for block in A._factor_cache[1])
+
+
+def test_woodbury_factor_rejects_indefinite_matrix_in_a_later_block():
+    # the first block row is I; rows past it make I - 10 A A^T indefinite
+    M = np.zeros((_BLOCK_ROWS + 20, 50))
+    M[_BLOCK_ROWS:] = np.random.default_rng(28).standard_normal((20, 50))
+    with pytest.raises(np.linalg.LinAlgError):
+        _woodbury_factor(SparseOperator(M), -10.0)
 
 
 def test_shifted_gram_solve_rejects_nan_operator():
