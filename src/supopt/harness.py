@@ -173,6 +173,8 @@ def run_experiment(config):
         raise ConfigError(f"problem: {exc}") from exc
     if not config.algorithms:
         raise ConfigError("algorithms: need at least one")
+    if len(set(config.algorithms)) < len(config.algorithms):
+        raise ConfigError("algorithms: each name may appear only once")
     for name in config.algorithms:
         _configured_run(name, config)
     out = Path(config.output_dir)

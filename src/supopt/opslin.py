@@ -7,8 +7,9 @@ Operators are immutable after construction apart from a matvec counter
 used for cost accounting and two caches filled on first use: ||A||_2^2
 (`norm_sq`) and one Cholesky factor of the reduced Gram system
 (`shifted_gram_solve`). That factor is stored by block rows of its lower
-triangle, about m^2/2 doubles rather than m^2 (`_woodbury_factor`). All
-products are deterministic.
+triangle, about m^2/2 doubles rather than m^2 (`_woodbury_factor`); its
+fill needs beyond that one B x B tile's sparse product, about 1 MB
+(`_gram_rows`). All products are deterministic.
 LAPACK (`scipy.linalg`) loads at the first reduced-system factorization,
 so a run that never factors does not pay its resident memory.
 """
@@ -150,16 +151,28 @@ def _gram_rows(A, ratio):
     """Block rows M[r0:r1, :r1] of M = I_m + ratio * A A^T, F-ordered.
 
     Block row r0:r1 is the transpose of Gram columns r0:r1 down to row
-    r1, a product of two row slices of A: F-ordered with no copy, and
-    each entry sums over k in ascending order, bit-identical to the
-    same entry of a product of the whole matrix. Raises `ValueError` on
-    a NaN or inf entry before any block is factored.
+    r1. It is filled in tiles of `_BLOCK_ROWS` = B rows of that
+    transpose: each tile is the sparse product of B rows of A with the
+    block's transposed rows, written by `toarray(out=)` straight into a
+    C-ordered array whose transpose is the F-ordered block row. A sparse
+    product computes each output row from one row of its left factor,
+    each entry summed over k in ascending order, so every entry is
+    bit-identical to the same entry of a product of the whole matrix.
+    The working memory beyond the block rows is one tile's product,
+    about 12 B^2 bytes (1 MB), rather than a product of the full height.
+    Raises `ValueError` on a NaN or inf entry before any block is
+    factored.
     """
     csr, m = A.tocsr(), A.n_rows
     rows = []
     for r0 in range(0, m, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, m)
-        M = (csr[:r1] @ csr[r0:r1].T.tocsr()).toarray().T
+        right = csr[r0:r1].T.tocsr()
+        Mt = np.empty((r1, r1 - r0))
+        for c0 in range(0, r1, _BLOCK_ROWS):
+            c1 = min(c0 + _BLOCK_ROWS, r1)
+            (csr[c0:c1] @ right).toarray(out=Mt[c0:c1])
+        M = Mt.T
         M *= ratio
         M[:, r0:][np.diag_indices(r1 - r0)] += 1.0
         rows.append(np.asarray_chkfinite(M))
@@ -173,13 +186,15 @@ def _woodbury_factor(A, ratio):
     `_BLOCK_ROWS` = B rows each, the last one ragged. Only the lower
     triangle and the upper half of each diagonal block are stored, the
     latter still holding M: at most 8 (m(m+1)/2 + mB/2) bytes, 26 MB at
-    m = 2400 against 46 MB for the full array. Each block row of M
-    (`_gram_rows`) is finished in place against the block rows above it,
-    left-looking: `dgemm` and a right `dtrsm` for each block left of the
-    diagonal, then `dsyrk` and `dpotrf` on the diagonal block; BLAS
-    returns at once from a product over zero columns. For m <= B that
-    is one `dpotrf`, as `cho_factor` runs it. Every view passed is
-    F-contiguous, so the `overwrite_*` calls work in place.
+    m = 2400 against 46 MB for the full array. The fill's working memory
+    beyond that is one B x B tile's sparse product, about 1 MB
+    (`_gram_rows`). Each block row of M is finished in place against the
+    block rows above it, left-looking: `dgemm` and a right `dtrsm` for
+    each block left of the diagonal, then `dsyrk` and `dpotrf` on the
+    diagonal block; BLAS returns at once from a product over zero
+    columns. For m <= B that is one `dpotrf`, as `cho_factor` runs it.
+    Every view passed is F-contiguous, so the `overwrite_*` calls work in
+    place.
     Packed storage (`dpptrf`) is level-2 and 5x slower to factor;
     rectangular full packed storage (`dpftrf`) factors at parity, but
     its solve goes through `dtrsm`, twice as slow per right-hand side,

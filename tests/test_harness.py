@@ -493,6 +493,7 @@ def _tiny_run(out, *sets):
     "eps=nan",
     "eps=inf",
     "algorithms=",
+    "algorithms=GradSupCG,GradSupCG",
     "override.AFBS:NaturalLS.alpha=0",
     "override.AFBS:NaturalLS.alpha=inf",
     "override.AFBS:NaturalLS.term_tol=nan",

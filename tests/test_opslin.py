@@ -170,6 +170,18 @@ def dense_factor(rows):
     return np.tril(L)
 
 
+def assert_gram_rows_match_whole_product(A, ratio):
+    # the tiled fill sums each entry as the whole sparse product does
+    csr, m = A.tocsr(), A.n_rows
+    gram = ratio * (csr @ csr.T.tocsr()).toarray() + np.eye(m)
+    filled = _gram_rows(A, ratio)
+    assert len(filled) == -(-m // _BLOCK_ROWS)
+    for r0, block in zip(range(0, m, _BLOCK_ROWS), filled):
+        r1 = min(r0 + _BLOCK_ROWS, m)
+        assert block.flags.f_contiguous
+        assert np.array_equal(block, gram[r0:r1, :r1])
+
+
 def test_shifted_gram_solve_across_gram_row_blocks():
     # m = 600 fills and factors A A^T in two blocks of 300 rows of A
     rng = np.random.default_rng(22)
@@ -185,13 +197,11 @@ def test_shifted_gram_solve_across_gram_row_blocks():
         dense = scipy.linalg.cholesky(np.eye(600) + ratio * (M @ M.T),
                                       lower=True)
         assert np.allclose(dense_factor(rows), dense, rtol=0, atol=1e-12)
-        # the block fill sums each entry as the whole sparse product does
-        csr = A.tocsr()
-        gram = ratio * (csr @ csr.T.tocsr()).toarray() + np.eye(600)
-        filled = _gram_rows(A, ratio)
-        assert [block.shape for block in filled] == [(300, 300), (300, 600)]
-        for r0, block in zip((0, 300), filled):
-            assert np.array_equal(block, gram[r0:r0 + 300, :r0 + 300])
+        assert_gram_rows_match_whole_product(A, ratio)
+    # three block rows, the last one and its last tile ragged
+    m = 2 * _BLOCK_ROWS + 37
+    M = sp.random(m, 900, density=0.02, random_state=rng, format="csr")
+    assert_gram_rows_match_whole_product(SparseOperator(M), 0.37)
 
 
 def test_one_block_factor_and_solve_are_cho_factor_and_two_dtrsv():
@@ -244,6 +254,24 @@ def test_cached_factor_stores_about_half_the_matrix():
     assert n_blocks == 3
     assert held <= 8 * (m * (m + 1) / 2 + m * _BLOCK_ROWS / 2) \
         + 1024 * n_blocks
+
+
+def test_gram_fill_transient_is_a_few_tiles():
+    # five block rows of a dense Gram; a product of the whole height
+    # would hold about 5.5 tiles of 8 B^2 bytes beyond the block rows.
+    # scipy.linalg is imported at module level, before tracing starts
+    m = 4 * _BLOCK_ROWS + 37
+    M = sp.random(m, 700, density=0.1, random_state=np.random.default_rng(29),
+                  format="csr")
+    A = SparseOperator(M)
+    tracemalloc.start()
+    try:
+        rows = _woodbury_factor(A, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 5
+    assert peak - sum(block.nbytes for block in rows) <= 24 * _BLOCK_ROWS ** 2
 
 
 def test_cached_factor_is_fortran_contiguous():
