@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .opslin import NonFiniteError
 from .regtv import _smooth_terms, grad_adjoint
 
 FEAS_TOL = -1e-8  # sup_c's floor on min_i x_i
@@ -135,7 +136,8 @@ def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer,
     through `make_record`, which computes only what is None, and stops
     if the rule holds there.
     It aborts with NumericalDivergenceError, carrying the records so far,
-    on a non-finite iterate or metric; the message names k, not the run.
+    on a non-finite iterate or metric, or on a step's `NonFiniteError`
+    (an overflowing reduced system); the message names k, not the run.
     Record k's wall_time is read when x_k is ready, before its own
     diagnostics, so it covers steps 1..k and the records and stop tests
     of x_0..x_{k-1}. Returns the `RunResult`; converged is the rule at
@@ -159,7 +161,10 @@ def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer,
             return RunResult(x, records, stopped, k, total_inner=sum(
                 rec.inner_iters for rec in records))
         k += 1
-        x, inner_iters, r, atr = step(k, x)
+        try:
+            x, inner_iters, r, atr = step(k, x)
+        except NonFiniteError as exc:
+            raise NumericalDivergenceError(f"{exc}, k={k}", records) from None
         if not np.all(np.isfinite(x)):
             raise NumericalDivergenceError(f"non-finite iterate, k={k}",
                                            records)

@@ -28,6 +28,10 @@ class DimensionMismatchError(ValueError):
     """Operator applied to a vector of the wrong length."""
 
 
+class NonFiniteError(ValueError):
+    """A reduced system or its right-hand side holds a NaN or inf."""
+
+
 class SpectralNormWarning(UserWarning):
     """Power iteration did not reach the requested tolerance."""
 
@@ -160,7 +164,7 @@ def _gram_rows(A, ratio):
     bit-identical to the same entry of a product of the whole matrix.
     The working memory beyond the block rows is one tile's product,
     about 12 B^2 bytes (1 MB), rather than a product of the full height.
-    Raises `ValueError` on a NaN or inf entry before any block is
+    Raises `NonFiniteError` on a NaN or inf entry before any block is
     factored.
     """
     csr, m = A.tocsr(), A.n_rows
@@ -175,7 +179,9 @@ def _gram_rows(A, ratio):
         M = Mt.T
         M *= ratio
         M[:, r0:][np.diag_indices(r1 - r0)] += 1.0
-        rows.append(np.asarray_chkfinite(M))
+        if not np.isfinite(M).all():
+            raise NonFiniteError("non-finite reduced system")
+        rows.append(M)
     return rows
 
 
@@ -242,6 +248,8 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, az=None):
     (I_m + (g/c) A A^T) s = A rhs makes
     A z = (A rhs - (g/c) A A^T s) / c = s / c. `az`, if given, is a
     length-m array that receives it, up to the rounding of the solve.
+    Raises `NonFiniteError` on a NaN or inf in the reduced system or in
+    A rhs.
     """
     from scipy.linalg.blas import dgemv, dtrsv  # lazily: see _woodbury_factor
 
@@ -255,7 +263,9 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, az=None):
     rows = A._factor_cache[1]
     # the factor was checked once; check only the right-hand side. s holds
     # A rhs, then y, then s, overwritten one block of rows r0:r1 at a time
-    s = np.asarray_chkfinite(A.matvec(rhs))
+    s = A.matvec(rhs)
+    if not np.isfinite(s).all():
+        raise NonFiniteError("non-finite reduced right-hand side")
     for L in rows:
         r0, r1 = L.shape[1] - L.shape[0], L.shape[1]
         if r0:

@@ -17,6 +17,8 @@ from supopt.harness import (ConfigError, ExperimentConfig, _parse_fbs_spec,
                             build_problem, emit_csv, load_config, main,
                             parse_config_text, run_algorithm, run_experiment)
 from supopt.metrics import FIELD_NAMES, MetricsRecord, make_record
+from supopt.opslin import (DimensionMismatchError, SparseOperator,
+                           shifted_gram_solve)
 from supopt.regtv import GridShape, SmoothedTVParams
 from supopt.superior import VARIANTS, SupConfig, superiorize_run
 
@@ -560,6 +562,39 @@ def test_cli_diverging_run_exits_3(tmp_path, capsys):
                                      "diverged", *last[1:4], last[5]]
     assert summary[2].startswith("GradSupCG,")
     assert (tmp_path / "GradSupCG.csv").exists()
+
+
+def test_cli_overflowing_reduced_system_exits_3(tmp_path, capsys):
+    # alpha A A^T overflows in the first ExactSMW step: the run fails as a
+    # diverging one does, with x_0's record kept, and the next run goes on
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow
+        code = main(_tiny_run(tmp_path, "algorithms=AFBS:NaturalLS, GradSupCG",
+                              "override.AFBS:NaturalLS.alpha=1e308"))
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: AFBS:NaturalLS: non-finite reduced system, "
+        "k=1\n")
+    rows = (tmp_path / "AFBS_NaturalLS.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0"]
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    last = rows[1].split(",")
+    assert summary[1].split(",") == ["AFBS:NaturalLS", "0", "diverged",
+                                     *last[1:4], last[5]]
+    assert summary[2].startswith("GradSupCG,")
+    assert (tmp_path / "GradSupCG.csv").exists()
+
+
+def test_run_outer_passes_on_a_step_dimension_mismatch():
+    # only a non-finite reduced system becomes a numerical failure
+    A = SparseOperator(np.eye(4))
+
+    def step(k, x):
+        return shifted_gram_solve(A, 1.0, 1.0, np.ones(5)), 0, None, None
+
+    with pytest.raises(DimensionMismatchError):
+        metrics.run_outer(step, np.zeros(4), A, np.ones(4), GridShape(2, 2),
+                          SmoothedTVParams(), "opt_u", 0.0, 2)
 
 
 def test_cli_run_diverging_at_its_first_record_exits_3(tmp_path, capsys):

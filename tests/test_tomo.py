@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -150,9 +155,11 @@ _RANDOM_GEOMETRIES = _random_geometries(12)
     Geometry(9, 2, 17, angles=np.array([45.0, 135.0])),
     Geometry(9, 3, 9, angles=np.array([0.0, 30.0, 90.0])),
     Geometry(16, 4, 1),
+    # short corner rays: 154 of the bound's 240 entries filled
+    Geometry(8, 1, 15, angles=np.array([45.0])),
     *_RANDOM_GEOMETRIES,
 ], ids=["paper", "paper+5.01", "paper-0.97", "0-90", "45-135-even",
-        "45-135-odd", "odd-N", "one-ray",
+        "45-135-odd", "odd-N", "one-ray", "45-corners",
         *(f"random-{i}" for i in range(len(_RANDOM_GEOMETRIES)))])
 def test_projector_bitwise_equal_to_per_ray_reference(geom):
     ref = _build_reference(geom)
@@ -160,6 +167,60 @@ def test_projector_bitwise_equal_to_per_ray_reference(geom):
     assert csr.indptr.tobytes() == ref.indptr.tobytes()
     assert csr.indices.tobytes() == ref.indices.tobytes()
     assert csr.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("geom, view", [
+    (Geometry(128, 20, 120), True),  # 367 060 of 614 400 entries
+    (Geometry(8, 1, 15, angles=np.array([45.0])), True),  # 154 of 240
+    (Geometry(16, 4, 1), False),  # 54 of 256
+], ids=["paper", "45-corners", "one-ray"])
+def test_projector_keeps_a_filled_prefix_of_half_the_buffer_as_a_view(
+        geom, view):
+    # scipy copies a prefix shorter than half the buffer it views
+    bound = max(geom.n_measurements * 2 * geom.image_side, geom.n_pixels)
+    csr = build_parallel_system(geom).tocsr()
+    for array in (csr.data, csr.indices):
+        assert array.base.size == (bound if view else csr.nnz)
+
+
+_BUILD_GROWTH = """
+from supopt.tomo import Geometry, build_parallel_system
+
+
+def high_water_mark():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+
+build_parallel_system(Geometry(16, 20, 16))
+before = high_water_mark()
+csr = build_parallel_system(Geometry(128, 20, 120)).tocsr()
+print(high_water_mark() - before - csr.data.nbytes - csr.indices.nbytes
+      - csr.indptr.nbytes)
+"""
+
+
+def test_projector_build_holds_the_operator_once():
+    # the paper-size build's resident peak beyond the CSR arrays it keeps
+    # is one angle's trace, about 1.5 MB; holding every angle's trace and
+    # then their concatenation grows it by about 3 MB more. tracemalloc
+    # cannot see this, as it counts the buffers' untouched tails. A fresh
+    # interpreter, after a small build, so that the peak is this build's;
+    # numpy's huge-page advice is off, since a huge page makes up to
+    # 2 MiB of untouched buffer resident, depending on its alignment
+    status = Path("/proc/self/status")
+    if not status.exists() or "VmHWM:" not in status.read_text():
+        pytest.skip("no VmHWM in /proc/self/status")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "NUMPY_MADVISE_HUGEPAGE": "0"}
+    proc = subprocess.run([sys.executable, "-c", _BUILD_GROWTH], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 3.25e6
 
 
 def test_projector_row_sums_are_chord_lengths():
