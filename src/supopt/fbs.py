@@ -44,10 +44,10 @@ import numpy as np
 
 from .metrics import run_outer
 from .opslin import shifted_gram_solve
-from .regtv import (_projected_nesterov, prox_tv_with_info, tv_smooth,
-                    tv_smooth_grad)
+from .regtv import (_projected_nesterov, lipschitz_bound, prox_tv_with_info,
+                    tv_smooth, tv_smooth_grad)
 
-INNER_SOLVERS = ("ExactSMW", "PDBasic", "PDNoInv", "TVProx")
+INNER_SOLVERS = ("ExactSMW", "PDBasic", "PDNoInv")  # the natural splitting's
 T0 = 1.01  # the momentum parameter t at the start and after a restart
 
 
@@ -57,8 +57,9 @@ class AFBSConfig:
 
     kind names the summand that carries the prox: "NaturalLS" (the least
     squares) or "ReversedTV" (the TV); nonneg adds the constraint to it.
-    inner defaults to ExactSMW for NaturalLS and to TVProx, its only
-    solver, for ReversedTV; PDBasic needs nonneg. alpha defaults to
+    inner names NaturalLS's solver and defaults to ExactSMW; PDBasic
+    needs nonneg. ReversedTV's prox is the TV prox, so it takes no inner
+    solver and its inner stays None. alpha defaults to
     1/L_f; the inexact inner tolerance schedule is eps_k =
     k**(-inexact_q). max_inner caps each prox's inner steps, whichever
     the inner solver; a prox that reaches it warns.
@@ -77,14 +78,13 @@ class AFBSConfig:
     def __post_init__(self):
         if self.kind not in ("NaturalLS", "ReversedTV"):
             raise ValueError(f"unknown splitting {self.kind!r}")
-        if self.inner is None:
-            object.__setattr__(self, "inner", "TVProx"
-                               if self.kind == "ReversedTV" else "ExactSMW")
-        if self.inner not in INNER_SOLVERS:
+        if self.kind == "ReversedTV":
+            if self.inner is not None:
+                raise ValueError("ReversedTV takes no inner solver")
+        elif self.inner is None:
+            object.__setattr__(self, "inner", "ExactSMW")
+        elif self.inner not in INNER_SOLVERS:
             raise ValueError(f"unknown inner solver {self.inner!r}")
-        if (self.kind == "ReversedTV") != (self.inner == "TVProx"):
-            raise ValueError(f"{self.kind} cannot take the {self.inner} "
-                             "solver")
         if self.inner == "PDBasic" and not self.nonneg:
             raise ValueError("PDBasic solves only the constrained prox "
                              "(:nonneg)")
@@ -124,7 +124,7 @@ class ProxCertificate:
 def lipschitz_f(kind, A, tvparams):
     """Lipschitz constant of the smooth part's gradient on splitting `kind`."""
     if kind == "NaturalLS":
-        return tvparams.lam * 8.0 / tvparams.tau
+        return tvparams.lam * lipschitz_bound(tvparams)
     return A.norm_sq
 
 

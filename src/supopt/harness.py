@@ -216,16 +216,16 @@ def run_experiment(config):
 
 # -- configuration parsing ---------------------------------------------------
 
-_BOOL = {"true": True, "1": True, "yes": True,
-         "false": False, "0": False, "no": False}
+_BOOL = {"true": True, "false": False}
 
 
 def _coerce(field_obj, raw):
     t = field_obj.type
     if t is bool:
-        if raw.lower() not in _BOOL:
-            raise ConfigError(f"bad boolean {raw!r} for {field_obj.name}")
-        return _BOOL[raw.lower()]
+        if raw not in _BOOL:
+            raise ConfigError(f"bad boolean {raw!r} for {field_obj.name}: "
+                              "use true or false")
+        return _BOOL[raw]
     if t is int:
         return int(raw)
     if t is float:

@@ -32,10 +32,6 @@ class NonFiniteError(ValueError):
     """A reduced system or its right-hand side holds a NaN or inf."""
 
 
-class SpectralNormWarning(UserWarning):
-    """Power iteration did not reach the requested tolerance."""
-
-
 class SparseOperator:
     """CSR matrix with counted forward/adjoint products.
 
@@ -128,7 +124,7 @@ def spectral_norm_sq(A):
 
     Starts from a standard normal vector drawn with seed 0; stops when the
     Rayleigh quotient changes by <= 1e-8 relative to max(it, 1), else
-    warns (`SpectralNormWarning`) after 500 steps and returns the last
+    warns (`RuntimeWarning`) after 500 steps and returns the last
     estimate.
     """
     if A.nnz == 0:
@@ -147,7 +143,7 @@ def spectral_norm_sq(A):
             return lam_new
         lam = lam_new
     warnings.warn("power iteration did not converge; returning best estimate",
-                  SpectralNormWarning)
+                  RuntimeWarning)
     return lam
 
 

@@ -135,15 +135,16 @@ def s_grad(shape, tvparams, y, ell, a, gamma0, kappa):
 def s_prox(shape, tvparams, y, beta):
     """Single prox reduction step: prox of the smoothed TV at step beta.
 
-    A bounded perturbation: ||y - out|| <= M * beta with M the sum of the
-    difference-operator row norms.
+    Returns (out, steps), the TV prox's Nesterov steps being the run's
+    inner iterations. A bounded perturbation: ||y - out|| <= M * beta
+    with M the sum of the difference-operator row norms.
     """
-    return prox_tv_with_info(shape, tvparams, y, beta)[0]
+    return prox_tv_with_info(shape, tvparams, y, beta)[:2]
 
 
 def s_prox_plus(shape, tvparams, y, beta):
-    """Nonnegativity-constrained prox reduction step; output is >= 0."""
-    return prox_tv_with_info(shape, tvparams, y, beta, nonneg=True)[0]
+    """Nonnegativity-constrained `s_prox`; out is >= 0."""
+    return prox_tv_with_info(shape, tvparams, y, beta, nonneg=True)[:2]
 
 
 def superiorize_run(config, A, b, shape, tvparams, x0=None, x_ref=None,
@@ -159,7 +160,10 @@ def superiorize_run(config, A, b, shape, tvparams, x0=None, x_ref=None,
     `metrics.run_outer` drives the steps and stops on rule sup_u,
     g_u(y) <= eps, or, with LW+ or prox+, sup_c, which adds min_i y_i >
     -1e-8; a CG step hands the record its residual, so only Landweber
-    records run a product of their own. Returns run_outer's RunResult.
+    records run a product of their own. A record's inner_iters are the
+    steps of its outer step's TV prox, as on the reversed splitting, and
+    0 for the gradient reductions, which run no prox. Returns
+    run_outer's RunResult.
     """
     config.check_lam(tvparams.lam)
     kind, reduction = VARIANTS[config.variant][:2]
@@ -174,17 +178,18 @@ def superiorize_run(config, A, b, shape, tvparams, x0=None, x_ref=None,
 
     def step(k, y):
         nonlocal ell
+        inner_iters = 0
         if reduction == "grad":
             y, ell = s_grad(shape, tvparams, y, ell, config.a, gamma0,
                             config.kappa)
         else:
             beta = gamma0 * config.a ** (k - 1)
             prox_step = s_prox_plus if reduction == "prox+" else s_prox
-            y = prox_step(shape, tvparams, y, beta)
+            y, inner_iters = prox_step(shape, tvparams, y, beta)
         if half_callback is not None:
             half_callback(y)
         y, r = basic_step(y)
-        return y, 0, r, None
+        return y, inner_iters, r, None
 
     return run_outer(step, y, A, b, shape, tvparams, rule, config.eps,
                      config.max_outer, x_ref=x_ref)

@@ -189,7 +189,7 @@ def test_acceptance_05_constant_step_prox_superiorization_equals_fbs(capfd):
                     half_callback=lambda y: halves.append(y.copy()))
     iterates = []
     fcfg = AFBSConfig(kind="ReversedTV", nonneg=True, alpha=gamma,
-                      accelerated=False, inner="TVProx", max_outer=50,
+                      accelerated=False, max_outer=50,
                       term_tol=0.0)
     afbs_run(fcfg, A, b, shape, tvp,
              iterate_callback=lambda x: iterates.append(x.copy()))
@@ -210,7 +210,7 @@ def test_acceptance_06_prox_steps_are_bounded_perturbations(capfd):
     for _ in range(200):
         y = np.abs(rng.standard_normal(shape.n)) * rng.uniform(0.2, 3.0)
         beta = 10.0 ** rng.uniform(-4.0, -1.0)
-        y_new = s_prox_plus(shape, tvp, y, beta)
+        y_new, _ = s_prox_plus(shape, tvp, y, beta)
         worst = max(worst, float(np.linalg.norm(y - y_new)) / beta)
     _report(capfd, 6, worst <= M + 1e-9,
             f"prox perturbation norms: max ||y - S(y)||/beta {worst:.2f} "

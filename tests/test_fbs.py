@@ -45,7 +45,10 @@ def test_splitting_validation():
 def test_splitting_config_defaults_its_inner_solver():
     assert AFBSConfig("NaturalLS").inner == "ExactSMW"
     assert AFBSConfig("NaturalLS", nonneg=True).inner == "ExactSMW"
-    assert AFBSConfig("ReversedTV").inner == "TVProx"
+    # the reversed splitting's prox is the TV prox: it takes no solver
+    assert AFBSConfig("ReversedTV").inner is None
+    with pytest.raises(ValueError, match="no inner solver"):
+        AFBSConfig("ReversedTV", inner="TVProx")
     assert AFBSConfig("NaturalLS", inner="PDNoInv").inner == "PDNoInv"
 
 
@@ -626,8 +629,8 @@ def test_acceleration_rate_log_slope():
 def test_reversed_splitting_runs_and_descends():
     A, b, shape = _tiny_tomo()
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
-    cfg = AFBSConfig("ReversedTV", accelerated=True, inner="TVProx",
-                     max_outer=30, term_tol=0.0)
+    cfg = AFBSConfig("ReversedTV", accelerated=True, max_outer=30,
+                     term_tol=0.0)
     res = afbs_run(cfg, A, b, shape, tvp)
     assert objective(A, b, shape, tvp, res.x) < \
         objective(A, b, shape, tvp, np.zeros(shape.n))
@@ -845,8 +848,7 @@ def test_exact_constrained_afbs_stops_each_prox_at_max_inner():
 def test_tv_prox_afbs_stops_each_prox_at_max_inner():
     A, b, shape = _tiny_tomo()
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
-    cfg = AFBSConfig("ReversedTV", inner="TVProx", max_outer=4, max_inner=1,
-                     term_tol=0.0)
+    cfg = AFBSConfig("ReversedTV", max_outer=4, max_inner=1, term_tol=0.0)
     with pytest.warns(RuntimeWarning, match="TV prox"):
         res = afbs_run(cfg, A, b, shape, tvp)
     assert res.iterations == 4

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import count_uncounted_products, relative_error
-from supopt import metrics, tomo
+from supopt import fbs, metrics, regtv, tomo
 from supopt.basic import g_u
 from supopt.fbs import AFBSConfig, afbs_run, grad_h_u
 from supopt.harness import (ConfigError, ExperimentConfig, _parse_fbs_spec,
@@ -105,8 +105,10 @@ def test_parse_config_text_errors():
         parse_config_text("no_such_key = 1")
     with pytest.raises(ConfigError):
         parse_config_text("image_side 16")
-    with pytest.raises(ConfigError):
-        parse_config_text("record_wall_time = maybe")
+    # a boolean has one spelling each: true and false
+    for raw in ("maybe", "yes", "1", "no", "0", "True"):
+        with pytest.raises(ConfigError, match="bad boolean"):
+            parse_config_text(f"record_wall_time = {raw}")
     with pytest.raises(ConfigError):
         parse_config_text("override.bad = 1")
     # override values are typed by the algorithm's config class
@@ -177,6 +179,61 @@ def test_library_defaults_equal_the_cli_runs(name):
               x_ref=problem.x_ref)
     assert [replace(r, wall_time=0.0) for r in res.records] == \
         [replace(r, wall_time=0.0) for r in records]
+
+
+def _prox_steps_per_record(monkeypatch):
+    """Prox steps of each outer step, counted from outside the runs.
+
+    Every step of the projected Nesterov kernel, the TV prox's and the
+    constrained exact least-squares prox's, takes one gradient, and
+    every primal-dual step is one call of its step function; the
+    wrappers count those calls wherever the runs look the functions up,
+    and each `metrics.make_record` call closes the count of the outer
+    step whose iterate it records. Returns the list that the records
+    fill.
+    """
+    count, per_record = [0], []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            count[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    nesterov, record = regtv._projected_nesterov, metrics.make_record
+
+    def nesterov_counting_gradients(name, grad, *args):
+        return nesterov(name, counted(grad), *args)
+
+    def closing_record(*args, **kwargs):
+        per_record.append(count[0])
+        count[0] = 0
+        return record(*args, **kwargs)
+
+    for module in (regtv, fbs):
+        monkeypatch.setattr(module, "_projected_nesterov",
+                            nesterov_counting_gradients)
+    for name in ("pd_noinv_step", "pd_basic_step"):
+        monkeypatch.setattr(fbs, name, counted(getattr(fbs, name)))
+    monkeypatch.setattr(metrics, "make_record", closing_record)
+    return per_record
+
+
+@pytest.mark.parametrize("name", csv_identity.ALGORITHMS)
+def test_inner_iters_are_the_prox_steps_counted_from_outside(name,
+                                                             monkeypatch):
+    # one unit in both families: the steps of the prox the outer step
+    # ran; the gradient reductions and the unconstrained exact prox run
+    # no prox steps and record 0
+    config = ExperimentConfig(image_side=12, n_angles=4, n_rays=12,
+                              max_outer=20, algorithms=[name])
+    problem = build_problem(config)
+    counted = _prox_steps_per_record(monkeypatch)
+    _, records, info = run_algorithm(name, problem, config)
+    assert [r.inner_iters for r in records] == counted
+    assert info["total_inner"] == sum(counted)
+    runs_a_prox = not (name.startswith("Grad") or name.endswith("NaturalLS"))
+    assert (sum(counted) > 0) == runs_a_prox
 
 
 def test_make_record_stopping_rules():
@@ -496,6 +553,7 @@ def _tiny_run(out, *sets):
     "eps=inf",
     "algorithms=",
     "algorithms=GradSupCG,GradSupCG",
+    "algorithms=FBS:ReversedTV:TVProx",
     "override.AFBS:NaturalLS.alpha=0",
     "override.AFBS:NaturalLS.alpha=inf",
     "override.AFBS:NaturalLS.term_tol=nan",

@@ -78,6 +78,16 @@ def test_spectral_norm_sq_deterministic():
     assert spectral_norm_sq(A) == spectral_norm_sq(A)
 
 
+def test_spectral_norm_sq_warns_runtime_warning_when_unconverged():
+    # two top eigenvalues of A^T A within 0.1 %: the Rayleigh quotient
+    # still moves by more than 1e-8 after 500 steps, and the spent
+    # budget warns in the category every other budget warns in
+    A = SparseOperator(np.diag([1.0, np.sqrt(0.999)]))
+    with pytest.warns(RuntimeWarning, match="power iteration"):
+        estimate = spectral_norm_sq(A)
+    assert 0.999 < estimate <= 1.0
+
+
 def test_spectral_norm_sq_rejects_zero_operator():
     A = SparseOperator(np.zeros((3, 4)))
     with pytest.raises(ValueError):

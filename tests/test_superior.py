@@ -176,23 +176,23 @@ def test_s_prox_small_beta_bounded_perturbation():
     y = rng.standard_normal(SHAPE.n)
     y_pos = np.abs(y)
     for beta in (1e-4, 1e-3, 1e-2):
-        y_new = s_prox(SHAPE, TVP, y, beta)
+        y_new, _ = s_prox(SHAPE, TVP, y, beta)
         assert np.linalg.norm(y - y_new) <= M * beta + 1e-12
         # the constrained step obeys the same bound from a feasible point
-        y_new = s_prox_plus(SHAPE, TVP, y_pos, beta)
+        y_new, _ = s_prox_plus(SHAPE, TVP, y_pos, beta)
         assert np.linalg.norm(y_pos - y_new) <= M * beta + 1e-12
 
 
 def test_s_prox_plus_feasible_output():
     rng = np.random.default_rng(3)
     y = rng.standard_normal(SHAPE.n)
-    assert np.min(s_prox_plus(SHAPE, TVP, y, 0.01)) >= 0.0
+    assert np.min(s_prox_plus(SHAPE, TVP, y, 0.01)[0]) >= 0.0
 
 
 def test_s_prox_reduces_target_from_feasible_point():
     rng = np.random.default_rng(4)
     y = np.abs(rng.standard_normal(SHAPE.n))
-    z = s_prox_plus(SHAPE, TVP, y, 0.05)
+    z, _ = s_prox_plus(SHAPE, TVP, y, 0.05)
     assert tv_smooth(SHAPE, TVP, z) <= tv_smooth(SHAPE, TVP, y) + 1e-12
 
 
