@@ -7,6 +7,7 @@ The superiorized runs steer the iterates toward lower TV with vanishing
 perturbations while keeping the original convergence.
 """
 
+from supopt.metrics import ProblemInstance
 from supopt.regtv import GridShape, SmoothedTVParams
 from supopt.superior import SupConfig, superiorize_run
 from supopt.tomo import Geometry, build_parallel_system, shepp_logan
@@ -16,8 +17,8 @@ geom = Geometry(side, n_angles=10, n_rays=32)
 A = build_parallel_system(geom)
 x_true = shepp_logan(side)
 b = A.apply_nocount(x_true)
-shape = GridShape(side, side)
-tvp = SmoothedTVParams(tau=0.01, lam=0.01)
+problem = ProblemInstance(A, b, GridShape(side, side),
+                          SmoothedTVParams(tau=0.01, lam=0.01), x_ref=x_true)
 eps = 2.0
 
 print(f"instance: {A.shape[0]} x {A.shape[1]}, target g_u(x) <= {eps}")
@@ -26,8 +27,7 @@ print(f"{'variant':<14} {'outer':>6} {'matvecs':>8} {'resid/2m':>12} "
       f"{'TV/n':>10} {'err/n':>10} {'min x':>10}")
 for variant in ("GradSupCG", "GradSupLW", "ProxCSupLW"):
     res = superiorize_run(
-        SupConfig(variant=variant, eps=eps, max_outer=3000),
-        A, b, shape, tvp, x_ref=x_true)
+        SupConfig(variant=variant, eps=eps, max_outer=3000), problem)
     last = res.records[-1]
     flag = "" if res.converged else "  (budget hit)"
     print(f"{variant:<14} {res.iterations:>6} {last.cumulative_matvecs:>8} "

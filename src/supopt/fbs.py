@@ -489,11 +489,11 @@ def grad_h_u(A, b, shape, tvparams, x):
         + tvparams.lam * tv_smooth_grad(shape, tvparams, x)
 
 
-def afbs_run(config, A, b, shape, tvparams, x_ref=None,
-             iterate_callback=None):
+def afbs_run(config, problem, iterate_callback=None):
     """Run (accelerated) forward-backward splitting to first-order optimality.
 
-    Starts at x = 0; lam = 0 raises ValueError on entry.
+    Solves the `metrics.ProblemInstance` `problem`, starting at x = 0;
+    lam = 0 raises ValueError on entry.
     `metrics.run_outer` drives the steps and stops on rule opt_u, the
     infinity norm of the objective gradient <= term_tol, or opt_c, that
     of min(x, gradient), in the constrained case, or at max_outer.
@@ -520,8 +520,9 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
     certificate keeps A^T A z (unconstrained, and the constrained
     fallback path, whose z is the step's iterate), A^T A z - A^T b.
     """
+    A, b = problem.A, problem.b
+    shape, tvparams = problem.shape, problem.tvparams
     config.check_lam(tvparams.lam)
-    b = np.asarray(b, dtype=np.float64)
     L = lipschitz_f(config.kind, A, tvparams)
     alpha = 1.0 / L if config.alpha is None else config.alpha
     reversed_tv = config.kind == "ReversedTV"
@@ -584,9 +585,8 @@ def afbs_run(config, A, b, shape, tvparams, x_ref=None,
         g_x = atr
         return x_new, inner_iters, r, atr
 
-    result = run_outer(step, x, A, b, shape, tvparams,
+    result = run_outer(step, x, problem,
                        "opt_c" if config.nonneg else "opt_u",
-                       config.term_tol, config.max_outer, x_ref=x_ref,
-                       held=held)
+                       config.term_tol, config.max_outer, held=held)
     result.fallback_count = fallback_count
     return result

@@ -18,21 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import fbs, superior, tomo
-from .metrics import FIELD_NAMES, MetricsRecord, NumericalDivergenceError
+from .metrics import (FIELD_NAMES, MetricsRecord, NumericalDivergenceError,
+                      ProblemInstance)
 from .regtv import GridShape, SmoothedTVParams
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-@dataclass
-class ProblemInstance:
-    A: object
-    b: np.ndarray
-    shape: GridShape
-    tvparams: SmoothedTVParams
-    x_ref: np.ndarray = None
 
 
 @dataclass
@@ -144,9 +136,7 @@ def run_algorithm(name, problem, config):
 
     A config that the algorithm rejects raises ConfigError before the run.
     """
-    run = _configured_run(name, config)
-    res = run(problem.A, problem.b, problem.shape, problem.tvparams,
-              x_ref=problem.x_ref)
+    res = _configured_run(name, config)(problem)
     info = {"converged": res.converged, "iterations": res.iterations,
             "fallback_count": res.fallback_count,
             "total_inner": res.total_inner}

@@ -1,5 +1,7 @@
-"""Per-iteration records, stopping rules and the outer-loop driver.
+"""The problem, per-iteration records, stopping rules and the outer loop.
 
+A `ProblemInstance` holds one TV-regularized least-squares problem and
+is checked once, where it is made; the run functions take it whole.
 Every iterative family (superiorization and forward-backward splitting)
 runs through `run_outer`. It records each iterate with `make_record`,
 which also decides the family's stopping rule from the same residual
@@ -15,9 +17,42 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .opslin import NonFiniteError
-from .regtv import _smooth_terms, grad_adjoint
+from .regtv import GridShape, SmoothedTVParams, _smooth_terms, grad_adjoint
 
 FEAS_TOL = -1e-8  # sup_c's floor on min_i x_i
+
+
+@dataclass(frozen=True)
+class ProblemInstance:
+    """min 0.5*||Ax - b||^2 + lam * R_tau(x) on the grid `shape`.
+
+    x_ref is the reference image that records measure err_scaled against
+    (the phantom, or an optimum x* by `dataclasses.replace`), or None.
+    Making one, `dataclasses.replace` included, turns b and x_ref into
+    float64 arrays and raises ValueError unless b has length A.n_rows,
+    and shape.n and the length of x_ref, where given, are A.n_cols.
+    """
+
+    A: object
+    b: np.ndarray
+    shape: GridShape
+    tvparams: SmoothedTVParams
+    x_ref: np.ndarray = None
+
+    def __post_init__(self):
+        m, n = self.A.n_rows, self.A.n_cols
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
+        if self.b.shape != (m,):
+            raise ValueError(f"b has shape {self.b.shape}, A has {m} rows")
+        if self.shape.n != n:
+            raise ValueError(f"shape has {self.shape.n} pixels, A has {n} "
+                             "columns")
+        if self.x_ref is not None:
+            object.__setattr__(self, "x_ref",
+                               np.asarray(self.x_ref, dtype=np.float64))
+            if self.x_ref.shape != (n,):
+                raise ValueError(f"x_ref has shape {self.x_ref.shape}, A has "
+                                 f"{n} columns")
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -77,9 +112,9 @@ class RunResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def make_record(k, A, b, x, shape, tvparams, rule, tol, x_ref=None,
-                inner_iters=0, wall_time=0.0, r=None, atr=None):
-    """Record the iterate x and decide the stopping rule `rule` at `tol`.
+def make_record(k, problem, x, rule, tol, inner_iters=0, wall_time=0.0,
+                r=None, atr=None):
+    """Record the iterate x of `problem` and decide `rule` at `tol`.
 
     The rules: sup_u is g_u(x) = 0.5*||Ax - b||^2 <= tol, and sup_c adds
     min_i x_i > FEAS_TOL; opt_u is ||grad h_u(x)||_inf <= tol, and opt_c
@@ -90,12 +125,14 @@ def make_record(k, A, b, x, shape, tvparams, rule, tol, x_ref=None,
     A^T r, as the step that made x formed them; whichever is not passed
     is computed here by a diagnostic product, which bypasses the matvec
     counter; cumulative_matvecs is A.matvec_count, which `run_outer`
-    zeroes at the start of the run. Overflow in these sums is left to the
-    finiteness check of `MetricsRecord`, which raises
-    NumericalDivergenceError. Returns (record, stopped).
+    zeroes at the start of the run; err_scaled is measured against the
+    problem's x_ref. Overflow in these sums is left to the finiteness
+    check of `MetricsRecord`, which raises NumericalDivergenceError.
+    Returns (record, stopped).
     """
+    A, shape, tvparams = problem.A, problem.shape, problem.tvparams
     if r is None:
-        r = A.apply_nocount(x) - b
+        r = A.apply_nocount(x) - problem.b
     rr = float(r @ r)
     d, root = _smooth_terms(shape, tvparams, x)
     if rule in ("sup_u", "sup_c"):
@@ -110,10 +147,10 @@ def make_record(k, A, b, x, shape, tvparams, rule, tol, x_ref=None,
         stopped = float(np.max(np.abs(g))) <= tol
     else:
         raise ValueError(f"unknown stopping rule {rule!r}")
-    if x_ref is None:
+    if problem.x_ref is None:
         err_scaled = 0.0
     else:
-        e = x - x_ref
+        e = x - problem.x_ref
         err_scaled = float(e @ e) / shape.n
     record = MetricsRecord(k=int(k), residual_scaled=rr / (2.0 * A.n_rows),
                            tv_scaled=float(root.sum()) / shape.n,
@@ -124,17 +161,16 @@ def make_record(k, A, b, x, shape, tvparams, rule, tol, x_ref=None,
     return record, stopped
 
 
-def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer,
-              x_ref=None, held=(None, None)):
+def run_outer(step, x0, problem, rule, tol, max_outer, held=(None, None)):
     """Drive `step` from x0 until `rule` holds at tol or max_outer steps.
 
     `step(k, x)` returns (x_k, inner_iters, r, atr) for k = 1, 2, ...;
     the caller keeps its own algorithm state in the closure. r = A x_k -
     b and atr = A^T r are what the step already holds at x_k, or None
     where it holds nothing; `held` is that pair for x0. run_outer zeroes
-    `A.matvec_count`, then before each step records the current iterate
-    through `make_record`, which computes only what is None, and stops
-    if the rule holds there.
+    the problem's `A.matvec_count`, then before each step records the
+    current iterate through `make_record`, which computes only what is
+    None, and stops if the rule holds there.
     It aborts with NumericalDivergenceError, carrying the records so far,
     on a non-finite iterate or metric, or on a step's `NonFiniteError`
     (an overflowing reduced system); the message names k, not the run.
@@ -143,7 +179,7 @@ def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer,
     of x_0..x_{k-1}. Returns the `RunResult`; converged is the rule at
     the final x.
     """
-    A.reset_matvec_count()
+    problem.A.reset_matvec_count()
     t_start = time.perf_counter()
     records = []
     x, inner_iters, k = x0, 0, 0
@@ -152,8 +188,8 @@ def run_outer(step, x0, A, b, shape, tvparams, rule, tol, max_outer,
         wall_time = time.perf_counter() - t_start
         try:
             record, stopped = make_record(
-                k, A, b, x, shape, tvparams, rule, tol, x_ref=x_ref,
-                inner_iters=inner_iters, wall_time=wall_time, r=r, atr=atr)
+                k, problem, x, rule, tol, inner_iters=inner_iters,
+                wall_time=wall_time, r=r, atr=atr)
         except NumericalDivergenceError as exc:
             raise NumericalDivergenceError(f"{exc}, k={k}", records) from None
         records.append(record)

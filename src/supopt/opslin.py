@@ -249,7 +249,8 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, az=None):
     """
     from scipy.linalg.blas import dgemv, dtrsv  # lazily: see _woodbury_factor
 
-    if c_id <= 0 or c_gram < 0:
+    # written so that NaN fails every test
+    if not (c_id > 0 and c_gram >= 0):
         raise ValueError("need c_id > 0 and c_gram >= 0")
     rhs = np.asarray(rhs, dtype=np.float64)
     ratio = c_gram / c_id

@@ -208,8 +208,9 @@ def prox_tv_with_info(shape, params, x, beta, nonneg=False, tol=1e-6,
     point never increases the objective relative to a feasible input x;
     that check reuses R_tau(x0) from the first step's gradient.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    # written so that NaN fails every test
+    if not (beta > 0 and tol >= 0):
+        raise ValueError("need beta > 0 and tol >= 0")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     x = np.asarray(x, dtype=np.float64)

@@ -147,14 +147,14 @@ def s_prox_plus(shape, tvparams, y, beta):
     return prox_tv_with_info(shape, tvparams, y, beta, nonneg=True)[:2]
 
 
-def superiorize_run(config, A, b, shape, tvparams, x0=None, x_ref=None,
-                    half_callback=None):
+def superiorize_run(config, problem, x0=None, half_callback=None):
     """Run one superiorized variant until eps-compatibility or max_outer.
 
-    Starts at x0 (zero by default). Outer step k applies the variant's
-    reduction step(s) to get y_{k-1/2}, optionally reported through
-    `half_callback`, then one basic operator step: Landweber with step
-    `basic.default_gamma`, or CG with `basic.default_mu`.
+    Solves the `metrics.ProblemInstance` `problem`, starting at x0 (zero
+    by default). Outer step k applies the variant's reduction step(s) to
+    get y_{k-1/2}, optionally reported through `half_callback`, then one
+    basic operator step: Landweber with step `basic.default_gamma`, or CG
+    with `basic.default_mu`.
     A gamma0 that the config leaves unset is 1.9 * lam / ||A||_2^2, and
     then lam = 0 raises ValueError on entry.
     `metrics.run_outer` drives the steps and stops on rule sup_u,
@@ -165,15 +165,15 @@ def superiorize_run(config, A, b, shape, tvparams, x0=None, x_ref=None,
     0 for the gradient reductions, which run no prox. Returns
     run_outer's RunResult.
     """
+    A, shape, tvparams = problem.A, problem.shape, problem.tvparams
     config.check_lam(tvparams.lam)
     kind, reduction = VARIANTS[config.variant][:2]
     rule = "sup_c" if kind == "LW+" or reduction == "prox+" else "sup_u"
     gamma0 = config.gamma0
     if gamma0 is None:
         gamma0 = 1.9 * tvparams.lam / A.norm_sq
-    b = np.asarray(b, dtype=np.float64)
     y = np.zeros(A.n_cols) if x0 is None else np.asarray(x0, dtype=np.float64)
-    basic_step = basic.make_step(kind, A, b)
+    basic_step = basic.make_step(kind, A, problem.b)
     ell = 0
 
     def step(k, y):
@@ -191,5 +191,4 @@ def superiorize_run(config, A, b, shape, tvparams, x0=None, x_ref=None,
         y, r = basic_step(y)
         return y, inner_iters, r, None
 
-    return run_outer(step, y, A, b, shape, tvparams, rule, config.eps,
-                     config.max_outer, x_ref=x_ref)
+    return run_outer(step, y, problem, rule, config.eps, config.max_outer)

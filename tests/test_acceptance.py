@@ -16,6 +16,7 @@ from supopt.fbs import (AFBSConfig, afbs_run, dual_gap, objective,
                         pd_basic_init, pd_basic_step, pd_noinv_init,
                         pd_noinv_step)
 from supopt.harness import ExperimentConfig, build_problem, run_algorithm
+from supopt.metrics import ProblemInstance
 from supopt.opslin import SparseOperator, shifted_gram_solve
 from supopt.regtv import (GridShape, SmoothedTVParams,
                           perturbation_norm_bound, tv_smooth, tv_smooth_grad)
@@ -185,13 +186,13 @@ def test_acceptance_05_constant_step_prox_superiorization_equals_fbs(capfd):
     halves = []
     cfg = SupConfig(variant="ProxCSupLW", a=1.0, gamma0=gamma * tvp.lam,
                     kappa=1, eps=0.0, max_outer=50)
-    superiorize_run(cfg, A, b, shape, tvp, x0=y0,
+    superiorize_run(cfg, ProblemInstance(A, b, shape, tvp), x0=y0,
                     half_callback=lambda y: halves.append(y.copy()))
     iterates = []
     fcfg = AFBSConfig(kind="ReversedTV", nonneg=True, alpha=gamma,
                       accelerated=False, max_outer=50,
                       term_tol=0.0)
-    afbs_run(fcfg, A, b, shape, tvp,
+    afbs_run(fcfg, ProblemInstance(A, b, shape, tvp),
              iterate_callback=lambda x: iterates.append(x.copy()))
     assert len(halves) == len(iterates) == 50
     worst = max(float(np.linalg.norm(h - z) / np.linalg.norm(z))
@@ -222,12 +223,10 @@ def test_acceptance_07_accelerated_fbs_outer_iteration_count(capfd):
     problem = build_problem(cfg)
     fcfg = AFBSConfig(kind="NaturalLS", nonneg=False, inner="ExactSMW",
                       accelerated=True, max_outer=300, term_tol=0.001)
-    acc = afbs_run(fcfg, problem.A, problem.b, problem.shape,
-                   problem.tvparams)
+    acc = afbs_run(fcfg, problem)
     pcfg = AFBSConfig(kind="NaturalLS", nonneg=False, inner="ExactSMW",
                       accelerated=False, max_outer=300, term_tol=0.001)
-    plain = afbs_run(pcfg, problem.A, problem.b, problem.shape,
-                     problem.tvparams)
+    plain = afbs_run(pcfg, problem)
     faster = (not plain.converged) or acc.iterations < plain.iterations
     ok = acc.converged and acc.iterations <= 150 and faster
     plain_txt = (str(plain.iterations) if plain.converged
@@ -248,14 +247,14 @@ def test_acceptance_08_inexactness_schedule_sensitivity(capfd):
         fcfg = AFBSConfig(kind="NaturalLS", nonneg=False, inner="PDNoInv",
                           inexact_q=q, max_outer=40, max_inner=20000,
                           term_tol=0.0)
-        res = afbs_run(fcfg, A, b, shape, tvp)
+        res = afbs_run(fcfg, problem)
         objs[q] = objective(A, b, shape, tvp, res.x)
     # a short constrained run exercises the fallback certificate path,
     # which fires whenever the extrapolated candidate leaves the orthant
     fcfg = AFBSConfig(kind="NaturalLS", nonneg=True, inner="PDNoInv",
                       inexact_q=2.0, max_outer=10, max_inner=5000,
                       term_tol=0.0)
-    res = afbs_run(fcfg, A, b, shape, tvp)
+    res = afbs_run(fcfg, problem)
     ok = objs[2.0] < objs[1.2] and res.fallback_count >= 1
     _report(capfd, 8, ok,
             f"inexactness schedules at equal outer budget: h(q=2.0) = "
@@ -296,8 +295,7 @@ def test_acceptance_10_matvec_accounting_closed_form(capfd):
         [4 * k for k in range(21)]
     problem.A.reset_matvec_count()
     res = afbs_run(AFBSConfig(kind="NaturalLS", nonneg=False, inner="PDNoInv",
-                              max_outer=20, term_tol=0.0),
-                   problem.A, problem.b, problem.shape, problem.tvparams)
+                              max_outer=20, term_tol=0.0), problem)
     want = np.cumsum([2 * rec.inner_iters for rec in res.records]).tolist()
     got = [rec.cumulative_matvecs for rec in res.records]
     ok = ok and got == want

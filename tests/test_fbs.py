@@ -13,6 +13,7 @@ from supopt.fbs import (AFBSConfig, afbs_run, cert_constrained,
                         cert_unconstrained, dual_gap, grad_h_u, lipschitz_f,
                         objective, pd_basic_init, pd_basic_step,
                         pd_noinv_init, pd_noinv_step, prox_ls_exact)
+from supopt.metrics import ProblemInstance
 from supopt.opslin import SparseOperator
 from supopt.regtv import GridShape, SmoothedTVParams
 
@@ -570,7 +571,8 @@ def test_least_squares_proxes_take_atb_once_per_run(inner, nonneg):
 
     A.applyT_nocount = spy
     res = afbs_run(AFBSConfig("NaturalLS", nonneg=nonneg, inner=inner,
-                              max_outer=4, term_tol=0.0), A, b, shape, tvp)
+                              max_outer=4, term_tol=0.0),
+                   ProblemInstance(A, b, shape, tvp))
     assert res.iterations == 4
     assert taken.count(True) == 1
 
@@ -588,7 +590,7 @@ def test_plain_fbs_monotone_descent():
     cfg = AFBSConfig("NaturalLS", accelerated=False, inner="ExactSMW",
                      max_outer=40, term_tol=0.0)
     objs = []
-    res = afbs_run(cfg, A, b, shape, tvp,
+    res = afbs_run(cfg, ProblemInstance(A, b, shape, tvp),
                    iterate_callback=lambda x: objs.append(
                        objective(A, b, shape, tvp, x)))
     assert all(b2 <= a2 + 1e-10 for a2, b2 in zip(objs, objs[1:]))
@@ -601,7 +603,7 @@ def test_accelerated_beats_plain_in_objective():
     for acc in (False, True):
         cfg = AFBSConfig("NaturalLS", accelerated=acc, inner="ExactSMW",
                          max_outer=60, term_tol=0.0)
-        res = afbs_run(cfg, A, b, shape, tvp)
+        res = afbs_run(cfg, ProblemInstance(A, b, shape, tvp))
         runs[acc] = objective(A, b, shape, tvp, res.x)
     assert runs[True] < runs[False]
 
@@ -612,12 +614,12 @@ def test_acceleration_rate_log_slope():
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
     ref = afbs_run(AFBSConfig("NaturalLS", accelerated=True, inner="ExactSMW",
                               max_outer=3000, term_tol=0.0),
-                   A, b, shape, tvp)
+                   ProblemInstance(A, b, shape, tvp))
     h_star = objective(A, b, shape, tvp, ref.x)
     objs = []
     afbs_run(AFBSConfig("NaturalLS", accelerated=True, inner="ExactSMW",
                         max_outer=100, term_tol=0.0),
-             A, b, shape, tvp,
+             ProblemInstance(A, b, shape, tvp),
              iterate_callback=lambda x: objs.append(
                  objective(A, b, shape, tvp, x)))
     ks = np.arange(10, 101)
@@ -631,7 +633,7 @@ def test_reversed_splitting_runs_and_descends():
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
     cfg = AFBSConfig("ReversedTV", accelerated=True, max_outer=30,
                      term_tol=0.0)
-    res = afbs_run(cfg, A, b, shape, tvp)
+    res = afbs_run(cfg, ProblemInstance(A, b, shape, tvp))
     assert objective(A, b, shape, tvp, res.x) < \
         objective(A, b, shape, tvp, np.zeros(shape.n))
 
@@ -641,14 +643,14 @@ def test_inner_solver_splitting_consistency():
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
     with pytest.raises(ValueError):
         afbs_run(AFBSConfig("ReversedTV", inner="ExactSMW"),
-                 A, b, shape, tvp)
+                 ProblemInstance(A, b, shape, tvp))
     with pytest.raises(ValueError):
         afbs_run(AFBSConfig("NaturalLS", inner="TVProx"),
-                 A, b, shape, tvp)
+                 ProblemInstance(A, b, shape, tvp))
     # its dual is clipped to <= 0: PDBasic solves only the constrained prox
     with pytest.raises(ValueError, match="PDBasic"):
         afbs_run(AFBSConfig("NaturalLS", inner="PDBasic"),
-                 A, b, shape, tvp)
+                 ProblemInstance(A, b, shape, tvp))
 
 
 def test_afbs_pd_basic_nonneg_end_to_end():
@@ -659,7 +661,7 @@ def test_afbs_pd_basic_nonneg_end_to_end():
     iterates = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = afbs_run(cfg, A, b, shape, tvp,
+        res = afbs_run(cfg, ProblemInstance(A, b, shape, tvp),
                        iterate_callback=iterates.append)
     assert res.iterations == 10 and len(iterates) == 10
     assert all(np.min(x) >= 0.0 for x in iterates)
@@ -701,7 +703,7 @@ def test_inexact_pd_inner_run_terminates():
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
     cfg = AFBSConfig("NaturalLS", accelerated=True, inner="PDNoInv",
                      max_outer=10, term_tol=0.0, max_inner=5000)
-    res = afbs_run(cfg, A, b, shape, tvp)
+    res = afbs_run(cfg, ProblemInstance(A, b, shape, tvp))
     assert res.total_inner > 0
     assert all(np.isfinite(r.residual_scaled) for r in res.records)
 
@@ -713,7 +715,7 @@ def test_exact_fbs_matvec_count_closed_form(accelerated):
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
     cfg = AFBSConfig("NaturalLS", accelerated=accelerated, inner="ExactSMW",
                      max_outer=12, term_tol=0.0)
-    res = afbs_run(cfg, A, b, shape, tvp)
+    res = afbs_run(cfg, ProblemInstance(A, b, shape, tvp))
     assert [r.cumulative_matvecs for r in res.records] == \
         [2 * k for k in range(13)]
 
@@ -726,7 +728,7 @@ def test_exact_afbs_spends_one_uncounted_product_in_the_whole_run():
     calls = count_uncounted_products(A)
     cfg = AFBSConfig("NaturalLS", inner="ExactSMW", max_outer=12,
                      term_tol=0.0)
-    res = afbs_run(cfg, A, b, shape, tvp)
+    res = afbs_run(cfg, ProblemInstance(A, b, shape, tvp))
     assert res.iterations == 12
     assert len(calls) == 1
 
@@ -762,8 +764,8 @@ def test_afbs_run_needs_lam():
     tvp = SmoothedTVParams(tau=0.01, lam=0.0)
     for kind in ("NaturalLS", "ReversedTV"):
         with pytest.raises(ValueError, match="lam > 0"):
-            afbs_run(AFBSConfig(kind, max_outer=1), A, b, GridShape(2, 5),
-                     tvp)
+            afbs_run(AFBSConfig(kind, max_outer=1),
+                     ProblemInstance(A, b, GridShape(2, 5), tvp))
 
 
 def test_prox_ls_exact_constrained_warns_on_budget():
@@ -838,7 +840,7 @@ def test_exact_constrained_afbs_stops_each_prox_at_max_inner():
     cfg = AFBSConfig("NaturalLS", nonneg=True, inner="ExactSMW",
                      max_outer=4, max_inner=3, term_tol=0.0)
     with pytest.warns(RuntimeWarning, match="duality gap") as caught:
-        res = afbs_run(cfg, A, b, shape, tvp)
+        res = afbs_run(cfg, ProblemInstance(A, b, shape, tvp))
     assert len([w for w in caught if "duality gap" in str(w.message)]) == 4
     assert [r.inner_iters for r in res.records] == [0, 3, 3, 3, 3]
     assert [r.cumulative_matvecs for r in res.records] == \
@@ -850,7 +852,7 @@ def test_tv_prox_afbs_stops_each_prox_at_max_inner():
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
     cfg = AFBSConfig("ReversedTV", max_outer=4, max_inner=1, term_tol=0.0)
     with pytest.warns(RuntimeWarning, match="TV prox"):
-        res = afbs_run(cfg, A, b, shape, tvp)
+        res = afbs_run(cfg, ProblemInstance(A, b, shape, tvp))
     assert res.iterations == 4
     assert all(r.inner_iters <= 1 for r in res.records)
     assert res.total_inner >= 1

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from oracles import count_uncounted_products, relative_error
-from supopt import fbs, metrics, regtv, tomo
+from supopt import fbs, harness, metrics, regtv, tomo
 from supopt.basic import g_u
 from supopt.fbs import AFBSConfig, afbs_run, grad_h_u
 from supopt.harness import (ConfigError, ExperimentConfig, _parse_fbs_spec,
                             build_problem, emit_csv, load_config, main,
                             parse_config_text, run_algorithm, run_experiment)
-from supopt.metrics import FIELD_NAMES, MetricsRecord, make_record
+from supopt.metrics import (FIELD_NAMES, MetricsRecord, ProblemInstance,
+                            make_record)
 from supopt.opslin import (DimensionMismatchError, SparseOperator,
                            shifted_gram_solve)
 from supopt.regtv import GridShape, SmoothedTVParams
@@ -175,8 +176,7 @@ def test_library_defaults_equal_the_cli_runs(name):
                          accelerated=head == "AFBS",
                          max_outer=config.max_outer)
     problem.A.reset_matvec_count()
-    res = run(cfg, problem.A, problem.b, problem.shape, problem.tvparams,
-              x_ref=problem.x_ref)
+    res = run(cfg, problem)
     assert [replace(r, wall_time=0.0) for r in res.records] == \
         [replace(r, wall_time=0.0) for r in records]
 
@@ -236,13 +236,30 @@ def test_inner_iters_are_the_prox_steps_counted_from_outside(name,
     assert (sum(counted) > 0) == runs_a_prox
 
 
+def test_problem_instance_checks_its_parts_against_the_operator():
+    A = SparseOperator(np.ones((3, 4)))
+    shape, tvp = GridShape(2, 2), SmoothedTVParams()
+    problem = ProblemInstance(A, [1, 2, 3], shape, tvp, x_ref=[0, 1, 2, 3])
+    assert problem.b.dtype == problem.x_ref.dtype == np.float64
+    assert harness.ProblemInstance is ProblemInstance
+    for b, grid, x_ref in [(np.ones(4), shape, None),
+                           (np.array([1.0]), shape, None),
+                           (np.ones(3), GridShape(2, 3), None),
+                           (np.ones(3), shape, 0.0),
+                           (np.ones(3), shape, np.array([0.5]))]:
+        with pytest.raises(ValueError):
+            ProblemInstance(A, b, grid, tvp, x_ref)
+    # dataclasses.replace makes a new instance and checks it again
+    with pytest.raises(ValueError, match="x_ref"):
+        replace(problem, x_ref=np.ones(5))
+
+
 def test_make_record_stopping_rules():
     problem = build_problem(small_config())
     x = problem.x_ref
 
     def stopped(x, rule, tol):
-        return make_record(0, problem.A, problem.b, x, problem.shape,
-                           problem.tvparams, rule, tol)[1]
+        return make_record(0, problem, x, rule, tol)[1]
 
     assert stopped(x, "sup_u", 1e-12)
     assert stopped(x, "sup_c", 1e-12)
@@ -276,8 +293,8 @@ def test_run_outer_stops_at_first_iterate_meeting_its_rule(monkeypatch,
     problem = build_problem(small_config())
     seen = []
 
-    def spy(k, A, b, x, *args, **kwargs):
-        record, stopped = make_record(k, A, b, x, *args, **kwargs)
+    def spy(k, problem, x, *args, **kwargs):
+        record, stopped = make_record(k, problem, x, *args, **kwargs)
         seen.append((x.copy(), stopped))
         return record, stopped
 
@@ -309,10 +326,10 @@ def test_steps_hand_over_what_fresh_products_give(monkeypatch, side, name,
     # x_0 = 0 both, -b and -A^T b
     held = []
 
-    def spy(k, A, b, x, *args, r=None, atr=None, **kwargs):
+    def spy(k, problem, x, *args, r=None, atr=None, **kwargs):
         if r is not None:
             held.append((k, x.copy(), r, atr))
-        return make_record(k, A, b, x, *args, r=r, atr=atr, **kwargs)
+        return make_record(k, problem, x, *args, r=r, atr=atr, **kwargs)
 
     monkeypatch.setattr(metrics, "make_record", spy)
     config = small_config(image_side=side, n_rays=side, max_outer=30,
@@ -485,7 +502,7 @@ def test_each_run_counts_its_own_products_from_zero():
             (superiorize_run, SupConfig("GradSupCG", max_outer=5))]
     for run, cfg in runs:
         before = len(calls)
-        res = run(cfg, A, problem.b, problem.shape, problem.tvparams)
+        res = run(cfg, problem)
         assert res.records[0].cumulative_matvecs == 0
         assert res.records[-1].cumulative_matvecs == len(calls) - before > 0
 
@@ -651,8 +668,9 @@ def test_run_outer_passes_on_a_step_dimension_mismatch():
         return shifted_gram_solve(A, 1.0, 1.0, np.ones(5)), 0, None, None
 
     with pytest.raises(DimensionMismatchError):
-        metrics.run_outer(step, np.zeros(4), A, np.ones(4), GridShape(2, 2),
-                          SmoothedTVParams(), "opt_u", 0.0, 2)
+        metrics.run_outer(step, np.zeros(4), ProblemInstance(
+            A, np.ones(4), GridShape(2, 2), SmoothedTVParams()),
+            "opt_u", 0.0, 2)
 
 
 def test_cli_run_diverging_at_its_first_record_exits_3(tmp_path, capsys):
@@ -743,8 +761,9 @@ def test_cli_noise_level_alone_selects_noisy_data_and_defaults(tmp_path):
     x_ref = tomo.shepp_logan(8)
     b = tomo.add_noise(A.apply_nocount(x_ref), tomo.NoiseModel(0.05))
     res = superiorize_run(
-        SupConfig("ProxCSupLW", eps=0.047 * 16, max_outer=3), A, b,
-        GridShape(8, 8), SmoothedTVParams(tau=0.01, lam=1.6529), x_ref=x_ref)
+        SupConfig("ProxCSupLW", eps=0.047 * 16, max_outer=3),
+        ProblemInstance(A, b, GridShape(8, 8),
+                        SmoothedTVParams(tau=0.01, lam=1.6529), x_ref))
     emit_csv([replace(rec, wall_time=0.0) for rec in res.records],
              tmp_path / "noisy.csv")
     assert (tmp_path / "ProxCSupLW.csv").read_bytes() == \

@@ -122,6 +122,18 @@ def test_shifted_gram_solve_hands_over_a_z(c_id, c_gram):
     assert A.matvec_count == 4
 
 
+@pytest.mark.parametrize("c_id,c_gram", [(0.0, 1.0), (1.0, -1.0),
+                                         (np.nan, 1.0), (1.0, np.nan)])
+def test_shifted_gram_solve_rejects_bad_shifts(c_id, c_gram):
+    # NaN fails too, before the cached factor is touched
+    A, _ = random_operator(4, 10, seed=9)
+    shifted_gram_solve(A, 1.0, 0.7, np.ones(10))
+    cached = A._factor_cache
+    with pytest.raises(ValueError, match="need c_id"):
+        shifted_gram_solve(A, c_id, c_gram, np.ones(10))
+    assert A._factor_cache is cached
+
+
 def test_shifted_gram_solve_caches_factor():
     A, _ = random_operator(4, 10, seed=9)
     rhs = np.ones(10)

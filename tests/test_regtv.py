@@ -228,6 +228,11 @@ def test_prox_info_reports_iterations():
         prox_tv_with_info(SHAPE, TVP, x, 0.0)
     with pytest.raises(ValueError):
         prox_tv_with_info(SHAPE, TVP, x, 0.05, max_iter=0)
+    # NaN fails both range checks
+    with pytest.raises(ValueError):
+        prox_tv_with_info(SHAPE, TVP, x, np.nan)
+    with pytest.raises(ValueError):
+        prox_tv_with_info(SHAPE, TVP, x, 0.05, tol=np.nan)
 
 
 def test_prox_info_warns_when_budget_runs_out():

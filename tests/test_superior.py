@@ -4,11 +4,14 @@ import pytest
 from oracles import grad_adjoint_2d, smooth_terms_2d
 from supopt import superior
 from supopt.basic import default_gamma, g_u
+from supopt.fbs import AFBSConfig, afbs_run
+from supopt.metrics import ProblemInstance
 from supopt.opslin import SparseOperator
 from supopt.regtv import (GridShape, SmoothedTVParams,
                           perturbation_norm_bound, tv_smooth)
 from supopt.superior import (SupConfig, VARIANTS, s_grad, s_prox,
                              s_prox_plus, superiorize_run)
+from supopt.tomo import Geometry, build_parallel_system, shepp_logan
 
 SHAPE = GridShape(8, 8)
 TVP = SmoothedTVParams(tau=0.01)
@@ -48,10 +51,10 @@ def test_config_takes_unset_a_and_gamma0_from_the_variant():
     A, b = make_instance(seed=3)
     tvp = SmoothedTVParams(tau=0.01, lam=0.01)
     coupled = superiorize_run(SupConfig("ProxCSupLW", max_outer=3),
-                              A, b, SHAPE, tvp)
+                              ProblemInstance(A, b, SHAPE, tvp))
     pinned = superiorize_run(
         SupConfig("ProxCSupLW", gamma0=1.9 * tvp.lam / A.norm_sq,
-                  max_outer=3), A, b, SHAPE, tvp)
+                  max_outer=3), ProblemInstance(A, b, SHAPE, tvp))
     assert np.array_equal(coupled.x, pinned.x)
 
 
@@ -62,9 +65,10 @@ def test_run_needs_lam_only_for_a_step_coupled_gamma0():
         config = SupConfig(name, max_outer=1)
         if gamma0 is None:
             with pytest.raises(ValueError, match="lam > 0"):
-                superiorize_run(config, A, b, SHAPE, tvp)
+                superiorize_run(config, ProblemInstance(A, b, SHAPE, tvp))
             config = SupConfig(name, gamma0=0.001, max_outer=1)
-        assert superiorize_run(config, A, b, SHAPE, tvp).iterations == 1
+        assert superiorize_run(
+            config, ProblemInstance(A, b, SHAPE, tvp)).iterations == 1
 
 
 def test_s_grad_constant_image_advances_ell_by_kappa():
@@ -201,7 +205,7 @@ def test_run_returns_immediately_when_compatible():
     x0 = np.zeros(SHAPE.n)
     eps = g_u(A, b, x0) + 1.0
     cfg = SupConfig(variant="ProxSupLW", eps=eps, max_outer=100)
-    res = superiorize_run(cfg, A, b, SHAPE, TVP, x0=x0)
+    res = superiorize_run(cfg, ProblemInstance(A, b, SHAPE, TVP), x0=x0)
     assert res.converged and res.iterations == 0
     assert len(res.records) == 1 and res.records[0].k == 0
 
@@ -211,7 +215,7 @@ def test_all_variants_reduce_residual(variant):
     A, b = make_instance(seed=6, m=24)
     cfg = SupConfig(variant=variant, gamma0=1e-3, a=1 - 1e-4, kappa=3,
                     eps=0.0, max_outer=30)
-    res = superiorize_run(cfg, A, b, SHAPE, TVP)
+    res = superiorize_run(cfg, ProblemInstance(A, b, SHAPE, TVP))
     assert g_u(A, b, res.x) < g_u(A, b, np.zeros(SHAPE.n))
     assert len(res.records) == 31
     if VARIANTS[variant][0] == "LW+":
@@ -229,7 +233,7 @@ def test_constrained_variant_terminates_feasibly():
     A, b = make_instance(seed=7, m=16)
     cfg = SupConfig(variant="ProxCSupLW", gamma0=1e-3, a=1 - 1e-6, eps=0.5,
                     max_outer=2000)
-    res = superiorize_run(cfg, A, b, SHAPE, TVP)
+    res = superiorize_run(cfg, ProblemInstance(A, b, SHAPE, TVP))
     assert res.converged
     assert g_u(A, b, res.x) <= 0.5
     assert np.min(res.x) > -1e-8
@@ -239,10 +243,40 @@ def test_callbacks_fire_each_outer_iteration():
     A, b = make_instance(seed=8)
     halves = []
     cfg = SupConfig(variant="ProxSupLW", eps=0.0, max_outer=5)
-    res = superiorize_run(cfg, A, b, SHAPE, TVP,
+    res = superiorize_run(cfg, ProblemInstance(A, b, SHAPE, TVP),
                           half_callback=lambda y: halves.append(y.copy()))
     assert [r.k for r in res.records] == [0, 1, 2, 3, 4, 5]
     assert len(halves) == 5
+
+
+@pytest.mark.parametrize("variant,nonneg", [("ProxCSupLW", True),
+                                            ("ProxSupLW", False)])
+def test_constant_step_prox_superiorization_is_fbs_bit_for_bit(variant,
+                                                                nonneg):
+    # at a = 1 the prox step beta = gamma0 = gamma * lam is the reversed
+    # splitting's prox at alpha = gamma, and the Landweber step is its
+    # forward step: from FBS's first forward step, every half-iterate is
+    # the FBS iterate (acceptance 05's instance, where 05 bounds the gap)
+    A = build_parallel_system(Geometry(32, 8, 20))
+    b = A.apply_nocount(shepp_logan(32))
+    gamma = default_gamma(A)
+    if nonneg:
+        lam = 0.01
+        cfg = SupConfig(variant, a=1.0, gamma0=gamma * lam, eps=0.0,
+                        max_outer=50)
+    else:
+        cfg = SupConfig(variant, a=1.0, eps=0.0, max_outer=50)
+        lam = cfg.gamma0 / gamma
+    problem = ProblemInstance(A, b, GridShape(32, 32),
+                              SmoothedTVParams(tau=0.01, lam=lam))
+    halves, iterates = [], []
+    superiorize_run(cfg, problem, x0=gamma * A.applyT_nocount(b),
+                    half_callback=lambda y: halves.append(y.copy()))
+    afbs_run(AFBSConfig("ReversedTV", nonneg=nonneg, alpha=gamma,
+                        accelerated=False, max_outer=50, term_tol=0.0),
+             problem, iterate_callback=lambda x: iterates.append(x.copy()))
+    assert len(halves) == len(iterates) == 50
+    assert all(np.array_equal(h, z) for h, z in zip(halves, iterates))
 
 
 def test_metrics_use_reference_image():
@@ -250,7 +284,7 @@ def test_metrics_use_reference_image():
     rng = np.random.default_rng(10)
     x_ref = rng.standard_normal(SHAPE.n)
     cfg = SupConfig(variant="GradSupLW", eps=0.0, max_outer=2, kappa=2)
-    res = superiorize_run(cfg, A, b, SHAPE, TVP, x_ref=x_ref)
+    res = superiorize_run(cfg, ProblemInstance(A, b, SHAPE, TVP, x_ref))
     d = np.zeros(SHAPE.n) - x_ref
     assert res.records[0].err_scaled == pytest.approx(float(d @ d) / SHAPE.n)
 
@@ -263,8 +297,8 @@ def test_grad_cg_beats_grad_lw_in_error_decay():
                        kappa=5, eps=0.0, max_outer=25)
     cfg_lw = SupConfig(variant="GradSupLW", a=1 - 1e-4, gamma0=0.0025,
                        kappa=5, eps=0.0, max_outer=25)
-    res_cg = superiorize_run(cfg_cg, A, b, SHAPE, TVP)
-    res_lw = superiorize_run(cfg_lw, A, b, SHAPE, TVP)
+    res_cg = superiorize_run(cfg_cg, ProblemInstance(A, b, SHAPE, TVP))
+    res_lw = superiorize_run(cfg_lw, ProblemInstance(A, b, SHAPE, TVP))
     r_cg = [r.residual_scaled for r in res_cg.records]
     r_lw = [r.residual_scaled for r in res_lw.records]
     assert all(c <= l + 1e-12 for c, l in zip(r_cg[5:], r_lw[5:]))
