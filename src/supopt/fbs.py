@@ -13,6 +13,7 @@ objective h = 0.5*||Ax-b||^2 + lam*R_tau(x) [+ indicator(x >= 0)]:
   duality gap at the step's feasible primal-dual pair, which bounds the
   prox error because the subproblem is strongly convex; the constrained
   exact prox and PDBasic stop on the same closed-form gap (`dual_gap`).
+  Every solver takes the subproblem as one checked `LSProx`.
 - ReversedTV: f = least squares, g = lam*R_tau (+ constraint); the prox
   of g is the TV prox.
 
@@ -38,7 +39,7 @@ uncounted, and no solver is charged for it.
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 
 import numpy as np
 
@@ -121,6 +122,43 @@ class ProxCertificate:
     fallback: bool = False
 
 
+@dataclass(frozen=True)
+class LSProx:
+    """The least-squares prox subproblem at x, NaturalLS's backward step.
+
+    min_z 0.5*||Az - b||^2 + ||z - x||^2/(2 alpha), over z >= 0 under
+    `nonneg`; equivalently min 0.5 z^T B z - <c, z> with B = A^T A +
+    I/alpha and c = x/alpha + A^T b. b enters only through `atb` = A^T b,
+    data that the caller forms. Making one turns x and atb into float64
+    arrays and raises ValueError unless alpha is positive and finite and
+    both have shape (A.n_cols,). c is formed on first use and kept.
+    """
+
+    A: object
+    atb: np.ndarray
+    alpha: float
+    x: np.ndarray
+    nonneg: bool = False
+
+    def __post_init__(self):
+        n = self.A.n_cols
+        # written so that NaN fails the test
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got "
+                             f"{self.alpha}")
+        for name in ("atb", "x"):
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if value.shape != (n,):
+                raise ValueError(f"{name} has shape {value.shape}, A has {n} "
+                                 "columns")
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def c(self):
+        x, alpha, atb = self.x, self.alpha, self.atb
+        return x / alpha + atb
+
+
 def lipschitz_f(kind, A, tvparams):
     """Lipschitz constant of the smooth part's gradient on splitting `kind`."""
     if kind == "NaturalLS":
@@ -128,27 +166,27 @@ def lipschitz_f(kind, A, tvparams):
     return A.norm_sq
 
 
-def prox_ls_exact(A, atb, alpha, x, nonneg=False,
-                  max_iter=AFBSConfig.max_inner, az=None):
-    """Exact prox of 0.5*||Az - b||^2 [+ indicator(z >= 0)] at x.
+def prox_ls_exact(prob, max_inner=AFBSConfig.max_inner, az=None):
+    """Exact solution of the `LSProx` subproblem `prob`.
 
     Returns (z, steps), the prox and the inner steps that computed it.
-    b enters only through `atb` = A^T b, data that the caller forms.
     Unconstrained: solves (I + alpha A^T A) z = x + alpha A^T b through
     the reduced m x m system (two counted products, steps = 0); a
     length-m `az` receives A z from the solve (`shifted_gram_solve`).
-    Constrained: forms c = x/alpha + A^T b and runs projected Nesterov steps
+    Constrained: runs projected Nesterov steps
     (`regtv._projected_nesterov`, two counted products each) on the
-    (1/alpha)-strongly convex subproblem until `dual_gap` at c, checked
+    (1/alpha)-strongly convex subproblem until `dual_gap`, checked
     at the start, every 10 steps and after the last step, is <= 2 alpha
     ||delta||^2, delta_i = n * eps * |c_i| (eps the float64 machine
     epsilon): the gap that rounding of c - Bz alone can show. Warns if
-    `max_iter` steps do not get there.
+    `max_inner` steps do not get there.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if not nonneg:
-        return shifted_gram_solve(A, 1.0, alpha, x + alpha * atb, az=az), 0
-    c = x / alpha + atb
+    A, alpha, x = prob.A, prob.alpha, prob.x
+    if not prob.nonneg:
+        # x + alpha A^T b, not alpha * c: the two round differently
+        return shifted_gram_solve(A, 1.0, alpha, x + alpha * prob.atb,
+                                  az=az), 0
+    c = prob.c
     floor = 2.0 * alpha * (c.size * np.finfo(np.float64).eps) ** 2 \
         * float(c @ c)
 
@@ -156,16 +194,15 @@ def prox_ls_exact(A, atb, alpha, x, nonneg=False,
         return A.rmatvec(A.matvec(z)) + z / alpha - c
 
     def stop(k, z, y):
-        return (k % 10 == 0 or k == max_iter) \
-            and dual_gap(A, alpha, c, z) <= floor
+        return (k % 10 == 0 or k == max_inner) and dual_gap(prob, z) <= floor
 
     z = np.maximum(x, 0.0)
-    if dual_gap(A, alpha, c, z) <= floor:
+    if dual_gap(prob, z) <= floor:
         return z, 0
     return _projected_nesterov(
         "constrained least-squares prox: duality gap above its rounding "
         "floor", grad, z, A.norm_sq + 1.0 / alpha, 1.0 / alpha, True,
-        max_iter, stop)[:2]
+        max_inner, stop)[:2]
 
 
 def _fenchel_gap(alpha, r, z, u):
@@ -186,26 +223,25 @@ def _fenchel_gap(alpha, r, z, u):
     return 0.5 * alpha * top - float(z @ part)
 
 
-def dual_gap(A, alpha, c, z):
-    """Duality gap of the constrained least-squares prox subproblem at z.
+def dual_gap(prob, z):
+    """Duality gap of `prob`'s subproblem, constrained, at z.
 
-    The subproblem, the prox at x, is min 0.5 z^T B z - <c, z> over
-    z >= 0 with B = A^T A + I/alpha and c = x/alpha + A^T b; callers pass
-    the c they hold. Returns P(z) - D(A z), the Fenchel gap at q = A z
-    (`_fenchel_gap`), with dual D(q) = -0.5||q||^2 -
-    (alpha/2)||(c - A^T q)_+||^2: at least ||z - z*||^2/(2 alpha) for
-    feasible z by strong convexity, and zero at the constrained prox.
-    2 uncounted products; r = c - (A^T A z + z/alpha) is formed in place
-    in the second product's output.
+    The constrained subproblem is min 0.5 z^T B z - <c, z> over z >= 0
+    (`LSProx`), whatever prob.nonneg says. Returns P(z) - D(A z), the
+    Fenchel gap at q = A z (`_fenchel_gap`), with dual D(q) =
+    -0.5||q||^2 - (alpha/2)||(c - A^T q)_+||^2: at least
+    ||z - z*||^2/(2 alpha) for feasible z by strong convexity, and zero
+    at the constrained prox. 2 uncounted products; r = c - (A^T A z +
+    z/alpha) is formed in place in the second product's output.
     """
     z = np.asarray(z, dtype=np.float64)
     if np.min(z) < 0:
         raise ValueError("dual_gap requires a feasible point z >= 0")
-    u = z / alpha
-    r = A.applyT_nocount(A.apply_nocount(z))
+    u = z / prob.alpha
+    r = prob.A.applyT_nocount(prob.A.apply_nocount(z))
     r += u
-    np.subtract(c, r, out=r)
-    return _fenchel_gap(alpha, r, z, u)
+    np.subtract(prob.c, r, out=r)
+    return _fenchel_gap(prob.alpha, r, z, u)
 
 
 # -- primal-dual inner iterations ------------------------------------------
@@ -218,7 +254,6 @@ class PDBasicState:
     zbar: np.ndarray
     tau: float
     sigma: float
-    c_alpha: np.ndarray
 
 
 @dataclass
@@ -236,7 +271,6 @@ class PDNoInvState:
     q: np.ndarray
     tau: float
     sigma: float
-    c_alpha: np.ndarray
     az: np.ndarray
     atq: np.ndarray
     ataz: np.ndarray
@@ -244,21 +278,18 @@ class PDNoInvState:
     atazbar: np.ndarray
 
 
-def pd_basic_init(A, atb, alpha, x, warm=None):
+def pd_basic_init(prob, warm=None):
     """Initial state with tau0 = sigma0 = 1 (tau0*sigma0 <= 1).
 
-    Starts from (x, 0), or from the pair (z, p) of the state `warm`;
-    c = x/alpha + atb, with `atb` = A^T b.
+    Starts from (x, 0), or from the pair (z, p) of the state `warm`.
     """
-    x = np.asarray(x, dtype=np.float64)
-    z = x.copy() if warm is None else warm.z
+    z = prob.x.copy() if warm is None else warm.z
     p = np.zeros_like(z) if warm is None else warm.p
-    return PDBasicState(z=z, p=p, zbar=z.copy(), tau=1.0, sigma=1.0,
-                        c_alpha=x / alpha + atb)
+    return PDBasicState(z=z, p=p, zbar=z.copy(), tau=1.0, sigma=1.0)
 
 
-def pd_basic_step(A, alpha, state):
-    """One primal-dual step on the constrained prox subproblem.
+def pd_basic_step(prob, state):
+    """One primal-dual step on `prob`'s subproblem, constrained.
 
     Dual update clips to the nonpositive cone; the primal update solves
     (I + tau B) z = rhs, B = A^T A + I/alpha, as ((1 + tau/alpha) I +
@@ -267,36 +298,36 @@ def pd_basic_step(A, alpha, state):
     it replaces the operator's cached one), so this variant suits small
     row counts.
     """
+    alpha = prob.alpha
     p_new = np.minimum(state.p + state.sigma * state.zbar, 0.0)
-    rhs = state.z - state.tau * (p_new - state.c_alpha)
-    z_new = shifted_gram_solve(A, 1.0 + state.tau / alpha, state.tau, rhs)
+    rhs = state.z - state.tau * (p_new - prob.c)
+    z_new = shifted_gram_solve(prob.A, 1.0 + state.tau / alpha, state.tau,
+                               rhs)
     theta = 1.0 / math.sqrt(1.0 + 2.0 * state.tau / alpha)
     zbar = z_new + theta * (z_new - state.z)
     return PDBasicState(z=z_new, p=p_new, zbar=zbar, tau=theta * state.tau,
-                        sigma=state.sigma / theta, c_alpha=state.c_alpha)
+                        sigma=state.sigma / theta)
 
 
-def pd_noinv_init(A, atb, alpha, x, nonneg, warm=None):
+def pd_noinv_init(prob, warm=None):
     """Initial state with tau0 = sigma0 = 1/||A||_2 (tau0*sigma0 <= 1/||A||^2).
 
     A cold start takes z = x (clipped to z >= 0 under `nonneg`) and q = 0,
     so A^T q = 0, and forms A z and A^T A z as two uncounted set-up
     products. A warm start carries z, q and their products over from the
     state `warm`, the last of the previous prox, and runs no product.
-    c = x/alpha + atb, with `atb` = A^T b.
     """
-    x = np.asarray(x, dtype=np.float64)
+    A, x = prob.A, prob.x
     if warm is None:
-        z = np.maximum(x, 0.0) if nonneg else x.copy()
+        z = np.maximum(x, 0.0) if prob.nonneg else x.copy()
         q, atq = np.zeros(A.n_rows), np.zeros(A.n_cols)
         az = A.apply_nocount(z)
         ataz = A.applyT_nocount(az)
     else:
         z, q, az, atq, ataz = warm.z, warm.q, warm.az, warm.atq, warm.ataz
     t0 = 1.0 / math.sqrt(A.norm_sq)
-    return PDNoInvState(z=z, q=q, tau=t0, sigma=t0,
-                        c_alpha=x / alpha + atb, az=az,
-                        atq=atq, ataz=ataz, azbar=az, atazbar=ataz)
+    return PDNoInvState(z=z, q=q, tau=t0, sigma=t0, az=az, atq=atq,
+                        ataz=ataz, azbar=az, atazbar=ataz)
 
 
 def _extrapolate(new, old, ratio):
@@ -307,7 +338,7 @@ def _extrapolate(new, old, ratio):
     return out
 
 
-def pd_noinv_step(A, alpha, nonneg, state):
+def pd_noinv_step(prob, state):
     """One inversion-free primal-dual step: exactly one A and one A^T product.
 
     The two charged products are A z_new and A^T A z_new at the new
@@ -323,25 +354,24 @@ def pd_noinv_step(A, alpha, nonneg, state):
     plain expressions; no array of `state` is written, so the previous
     state stays valid for the certificates and the warm start.
     """
-    s = state
+    s, alpha = state, prob.alpha
     q_new = s.sigma * s.azbar
     q_new += s.q
     q_new /= 1.0 + s.sigma
     atq = s.sigma * s.atazbar
     atq += s.atq
     atq /= 1.0 + s.sigma
-    z_new = atq - s.c_alpha
+    z_new = atq - prob.c
     z_new *= s.tau
     np.subtract(s.z, z_new, out=z_new)
     z_new *= alpha / (alpha + s.tau)
-    if nonneg:
+    if prob.nonneg:
         np.maximum(z_new, 0.0, out=z_new)
-    az = A.matvec(z_new)
-    ataz = A.rmatvec(az)
+    az = prob.A.matvec(z_new)
+    ataz = prob.A.rmatvec(az)
     theta = 1.0 / math.sqrt(1.0 + 2.0 * s.tau / alpha)
     return PDNoInvState(z=z_new, q=q_new, tau=theta * s.tau,
-                        sigma=s.sigma / theta, c_alpha=s.c_alpha, az=az,
-                        atq=atq, ataz=ataz,
+                        sigma=s.sigma / theta, az=az, atq=atq, ataz=ataz,
                         azbar=_extrapolate(az, s.az, theta),
                         atazbar=_extrapolate(ataz, s.ataz, theta))
 
@@ -349,7 +379,7 @@ def pd_noinv_step(A, alpha, nonneg, state):
 # -- inexactness certificates ------------------------------------------------
 
 
-def cert_unconstrained(A, alpha, eps_k, prev, state):
+def cert_unconstrained(prob, eps_k, prev, state):
     """Acceptance test for the unconstrained inexact prox.
 
     `prev` and `state` are the `PDNoInvState`s before and after a step.
@@ -360,6 +390,7 @@ def cert_unconstrained(A, alpha, eps_k, prev, state):
     value to return as the prox, not the raw iterate; the certificate
     keeps its A z and A^T A z. No product.
     """
+    alpha = prob.alpha
     ratio = alpha / prev.tau
     z = _extrapolate(state.z, prev.z, ratio)
     az = _extrapolate(state.az, prev.az, ratio)
@@ -371,12 +402,12 @@ def cert_unconstrained(A, alpha, eps_k, prev, state):
                            accepted=accepted)
 
 
-def cert_constrained(A, alpha, eps_k, prev, state):
+def cert_constrained(prob, eps_k, prev, state):
     """Acceptance test for the constrained inexact prox.
 
     `prev` and `state` are the `PDNoInvState`s before and after a step;
     the certificate reads the step's feasible iterate z1 = state.z, its
-    held A z1, A^T A z1 and A^T q, and c = x/alpha + A^T b (`c_alpha`).
+    held A z1, A^T A z1 and A^T q, and `prob`'s c = x/alpha + A^T b.
 
     Primary path: the extrapolated z = z1 + (alpha/tau_prev)(z1 - z_prev)
     + alpha A^T(q - A z1), with normal-cone element
@@ -401,8 +432,8 @@ def cert_constrained(A, alpha, eps_k, prev, state):
     the held A^T A z1. The vectors are built in z's array and one work
     array, in place, through the same operations as the formulas above.
     """
-    z1, az1, atatz1 = state.z, state.az, state.ataz
-    atq, c = state.atq, state.c_alpha
+    alpha, c = prob.alpha, prob.c
+    z1, az1, atatz1, atq = state.z, state.az, state.ataz, state.atq
     z = _extrapolate(z1, prev.z, alpha / prev.tau)
     work = atq - atatz1  # A^T(q1 - A z1) by linearity
     work *= alpha
@@ -417,7 +448,7 @@ def cert_constrained(A, alpha, eps_k, prev, state):
         w += atatz1
         w -= c
         wz = float(w @ z)
-        d = A.apply_nocount(np.subtract(z, z1, out=work))
+        d = prob.A.apply_nocount(np.subtract(z, z1, out=work))
         lhs = 0.5 * float(d @ d) + wz
         accepted = lhs <= eps_k ** 2 / (2.0 * alpha)
         d += az1
@@ -432,43 +463,43 @@ def cert_constrained(A, alpha, eps_k, prev, state):
                            fallback=True)
 
 
-def _cert_pd_basic(A, alpha, eps_k, prev, state):
+def _cert_pd_basic(prob, eps_k, prev, state):
     """PDBasic's test: `dual_gap` at (z_l)_+ <= max(eps_k^2/(2a), 1e-12).
 
     Here a = alpha; the gap bounds ||z - z*||^2/(2a); 2 uncounted products.
     `prev` is unused: the test needs only the step's state.
     """
     z = np.maximum(state.z, 0.0)
-    gap = dual_gap(A, alpha, state.c_alpha, z)
+    gap = dual_gap(prob, z)
     return ProxCertificate(z=z, gap_value=gap,
-                           accepted=gap <= max(eps_k ** 2 / (2.0 * alpha),
+                           accepted=gap <= max(eps_k ** 2 / (2.0 * prob.alpha),
                                                1e-12))
 
 
-def _run_pd(inner, A, atb, alpha, x, eps_k, nonneg, max_inner, warm=None):
-    """Certified prox at x by the primal-dual solver `inner`.
+def _run_pd(inner, prob, eps_k, max_inner, warm=None):
+    """Certified solution of the `LSProx` `prob` by the primal-dual `inner`.
 
     `inner` is "PDNoInv" or "PDBasic"; PDBasic's clipped dual makes it
-    constrained whatever `nonneg` says, so `AFBSConfig` rejects it
+    constrained whatever prob.nonneg says, so `AFBSConfig` rejects it
     without the constraint. The solver starts from the state `warm`, the
     last of the previous prox, if given, and steps until its certificate
     accepts the step from the previous state; after `max_inner`
     unaccepted steps it warns (`RuntimeWarning`) and returns the last
-    candidate. `atb` = A^T b is data, formed by the caller. Returns
-    (certificate, steps, state), the state being the next prox's `warm`.
-    The step and certificate functions are looked up per call, so
-    wrappers installed on this module's functions see every call.
+    candidate. Returns (certificate, steps, state), the state being the
+    next prox's `warm`. The step and certificate functions are looked up
+    per call, so wrappers installed on this module's functions see every
+    call.
     """
     if inner == "PDBasic":
-        state = pd_basic_init(A, atb, alpha, x, warm)
-        step, certify = partial(pd_basic_step, A, alpha), _cert_pd_basic
+        state = pd_basic_init(prob, warm)
+        step, certify = pd_basic_step, _cert_pd_basic
     else:
-        state = pd_noinv_init(A, atb, alpha, x, nonneg, warm)
-        step = partial(pd_noinv_step, A, alpha, nonneg)
-        certify = cert_constrained if nonneg else cert_unconstrained
+        state = pd_noinv_init(prob, warm)
+        step = pd_noinv_step
+        certify = cert_constrained if prob.nonneg else cert_unconstrained
     for steps in range(1, max_inner + 1):
-        prev, state = state, step(state)
-        cert = certify(A, alpha, eps_k, prev, state)
+        prev, state = state, step(prob, state)
+        cert = certify(prob, eps_k, prev, state)
         if cert.accepted:
             return cert, steps, state
     warnings.warn(f"{inner}: no inexact prox accepted within max_inner = "
@@ -548,18 +579,17 @@ def afbs_run(config, problem, iterate_callback=None):
             atr = A.rmatvec(r)
         else:
             v = y - alpha * (tvparams.lam * tv_smooth_grad(shape, tvparams, y))
+            prob = LSProx(A, atb, alpha, v, config.nonneg)
             if config.inner == "ExactSMW":
                 az = None if config.nonneg else np.empty(A.n_rows)
-                x_new, inner_iters = prox_ls_exact(
-                    A, atb, alpha, v, nonneg=config.nonneg,
-                    max_iter=config.max_inner, az=az)
+                x_new, inner_iters = prox_ls_exact(prob, config.max_inner,
+                                                   az=az)
                 if az is not None:
                     # the prox's optimality: A^T(A z - b) + (z - v)/alpha = 0
                     r, atr = az - b, (v - x_new) / alpha
             else:
                 cert, inner_iters, warm = _run_pd(
-                    config.inner, A, atb, alpha, v,
-                    float(k) ** (-config.inexact_q), config.nonneg,
+                    config.inner, prob, float(k) ** (-config.inexact_q),
                     config.max_inner, warm=warm)
                 x_new = cert.z
                 fallback_count += cert.fallback

@@ -168,7 +168,8 @@ def run_outer(step, x0, problem, rule, tol, max_outer, held=(None, None)):
     the caller keeps its own algorithm state in the closure. r = A x_k -
     b and atr = A^T r are what the step already holds at x_k, or None
     where it holds nothing; `held` is that pair for x0. run_outer zeroes
-    the problem's `A.matvec_count`, then before each step records the
+    the problem's `A.matvec_count` and drops its cached reduced-system
+    factor (`SparseOperator.start_run`), then before each step records the
     current iterate through `make_record`, which computes only what is
     None, and stops if the rule holds there.
     It aborts with NumericalDivergenceError, carrying the records so far,
@@ -179,7 +180,7 @@ def run_outer(step, x0, problem, rule, tol, max_outer, held=(None, None)):
     of x_0..x_{k-1}. Returns the `RunResult`; converged is the rule at
     the final x.
     """
-    problem.A.reset_matvec_count()
+    problem.A.start_run()
     t_start = time.perf_counter()
     records = []
     x, inner_iters, k = x0, 0, 0

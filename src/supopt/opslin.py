@@ -5,11 +5,12 @@ of A^T, built once per operator, that shares the CSR arrays, so A^T is
 never materialized.
 Operators are immutable after construction apart from a matvec counter
 used for cost accounting and two caches filled on first use: ||A||_2^2
-(`norm_sq`) and one Cholesky factor of the reduced Gram system
-(`shifted_gram_solve`). That factor is stored by block rows of its lower
-triangle, about m^2/2 doubles rather than m^2 (`_woodbury_factor`); its
-fill needs beyond that one B x B tile's sparse product, about 1 MB
-(`_gram_rows`). All products are deterministic.
+(`norm_sq`), kept for the operator's life, and one Cholesky factor of
+the reduced Gram system (`shifted_gram_solve`), kept only within a run:
+`start_run` drops it with the counter. That factor is stored by block
+rows of its lower triangle, about m^2/2 doubles rather than m^2
+(`_woodbury_factor`); its fill needs beyond that one B x B tile's sparse
+product, about 1 MB (`_gram_rows`). All products are deterministic.
 LAPACK (`scipy.linalg`) loads at the first reduced-system factorization,
 so a run that never factors does not pay its resident memory.
 """
@@ -48,7 +49,8 @@ class SparseOperator:
     through the uncounted private products so that the logged cost matches
     the per-step closed forms. `_factor_cache` holds at most one reduced
     system factor, as F-ordered block rows of its lower triangle: about
-    4 m^2 bytes, 26 MB at m = 2400.
+    4 m^2 bytes, 26 MB at m = 2400. `start_run` zeroes the counter and
+    drops the factor, so each run is charged and timed for its own.
     """
 
     def __init__(self, matrix):
@@ -80,8 +82,10 @@ class SparseOperator:
     def tocsr(self):
         return self._csr
 
-    def reset_matvec_count(self):
+    def start_run(self):
+        """Zero `matvec_count` and drop the cached reduced-system factor."""
         self.matvec_count = 0
+        self._factor_cache = None
 
     @property
     def norm_sq(self):
@@ -90,33 +94,36 @@ class SparseOperator:
             self._norm_sq = spectral_norm_sq(self)
         return self._norm_sq
 
+    @staticmethod
+    def _vector(name, v, length):
+        """v as a float64 vector; DimensionMismatchError unless of `length`."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (length,):
+            raise DimensionMismatchError(
+                f"{name}: expected length {length}, got {v.shape}")
+        return v
+
     # -- counted products ---------------------------------------------------
 
     def matvec(self, x):
         """Return A @ x."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_cols,):
-            raise DimensionMismatchError(
-                f"matvec: expected length {self.n_cols}, got {x.shape}")
+        x = self._vector("matvec", x, self.n_cols)
         self.matvec_count += 1
         return self._csr @ x
 
     def rmatvec(self, y):
         """Return A.T @ y."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.n_rows,):
-            raise DimensionMismatchError(
-                f"rmatvec: expected length {self.n_rows}, got {y.shape}")
+        y = self._vector("rmatvec", y, self.n_rows)
         self.matvec_count += 1
         return self._csr_t @ y
 
     # -- uncounted products (diagnostics, termination checks) ---------------
 
     def apply_nocount(self, x):
-        return self._csr @ np.asarray(x, dtype=np.float64)
+        return self._csr @ self._vector("apply_nocount", x, self.n_cols)
 
     def applyT_nocount(self, y):
-        return self._csr_t @ np.asarray(y, dtype=np.float64)
+        return self._csr_t @ self._vector("applyT_nocount", y, self.n_rows)
 
 
 def spectral_norm_sq(A):
@@ -238,8 +245,9 @@ def shifted_gram_solve(A, c_id, c_gram, rhs, az=None):
     as `cho_solve` takes a single right-hand side through the level-3
     `dtrsm`, about twice as slow per triangle. The operator caches one
     factor, keyed by the exact ratio g/c, the only number it depends on:
-    a repeated ratio (unconstrained ExactSMW) reuses it, and a new one
-    (each PDBasic step) replaces it. Each solve runs two products, both
+    a repeated ratio (unconstrained ExactSMW) reuses it within a run, a
+    new one (each PDBasic step) replaces it, and `start_run` drops it,
+    so no run reuses another's factor. Each solve runs two products, both
     charged to the cost counter. The solve also holds A z:
     (I_m + (g/c) A A^T) s = A rhs makes
     A z = (A rhs - (g/c) A A^T s) / c = s / c. `az`, if given, is a

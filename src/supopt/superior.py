@@ -151,10 +151,11 @@ def superiorize_run(config, problem, x0=None, half_callback=None):
     """Run one superiorized variant until eps-compatibility or max_outer.
 
     Solves the `metrics.ProblemInstance` `problem`, starting at x0 (zero
-    by default). Outer step k applies the variant's reduction step(s) to
-    get y_{k-1/2}, optionally reported through `half_callback`, then one
-    basic operator step: Landweber with step `basic.default_gamma`, or CG
-    with `basic.default_mu`.
+    by default; ValueError unless its shape is (A.n_cols,)). Outer step k
+    applies the variant's reduction step(s) to get y_{k-1/2}, optionally
+    reported through `half_callback`, then one basic operator step:
+    Landweber with step `basic.default_gamma`, or CG with
+    `basic.default_mu`.
     A gamma0 that the config leaves unset is 1.9 * lam / ||A||_2^2, and
     then lam = 0 raises ValueError on entry.
     `metrics.run_outer` drives the steps and stops on rule sup_u,
@@ -166,13 +167,15 @@ def superiorize_run(config, problem, x0=None, half_callback=None):
     run_outer's RunResult.
     """
     A, shape, tvparams = problem.A, problem.shape, problem.tvparams
+    y = np.zeros(A.n_cols) if x0 is None else np.asarray(x0, dtype=np.float64)
+    if y.shape != (A.n_cols,):
+        raise ValueError(f"x0 has shape {y.shape}, A has {A.n_cols} columns")
     config.check_lam(tvparams.lam)
     kind, reduction = VARIANTS[config.variant][:2]
     rule = "sup_c" if kind == "LW+" or reduction == "prox+" else "sup_u"
     gamma0 = config.gamma0
     if gamma0 is None:
         gamma0 = 1.9 * tvparams.lam / A.norm_sq
-    y = np.zeros(A.n_cols) if x0 is None else np.asarray(x0, dtype=np.float64)
     basic_step = basic.make_step(kind, A, problem.b)
     ell = 0
 

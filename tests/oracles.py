@@ -116,32 +116,34 @@ def fenchel_gap_allocating(alpha, r, z):
     return 0.5 * alpha * float(top @ top) - float(z @ np.minimum(r + u, 0.0))
 
 
-def dual_gap_allocating(A, alpha, c, z):
+def dual_gap_allocating(prob, z):
     """`fbs.dual_gap` at a feasible z as plain expressions."""
-    r = c - (A.applyT_nocount(A.apply_nocount(z)) + z / alpha)
+    A, alpha = prob.A, prob.alpha
+    r = prob.c - (A.applyT_nocount(A.apply_nocount(z)) + z / alpha)
     return fenchel_gap_allocating(alpha, r, z)
 
 
-def pd_noinv_step_allocating(A, alpha, nonneg, state):
+def pd_noinv_step_allocating(prob, state):
     """`fbs.pd_noinv_step` as plain expressions."""
-    s = state
+    s, A, alpha = state, prob.A, prob.alpha
     q_new = (s.q + s.sigma * s.azbar) / (1.0 + s.sigma)
     atq = (s.atq + s.sigma * s.atazbar) / (1.0 + s.sigma)
-    v = s.z - s.tau * (atq - s.c_alpha)
+    v = s.z - s.tau * (atq - prob.c)
     z_new = alpha / (alpha + s.tau) * v
-    if nonneg:
+    if prob.nonneg:
         z_new = np.maximum(z_new, 0.0)
     az = A.matvec(z_new)
     ataz = A.rmatvec(az)
     theta = 1.0 / math.sqrt(1.0 + 2.0 * s.tau / alpha)
     return PDNoInvState(z=z_new, q=q_new, tau=theta * s.tau,
-                        sigma=s.sigma / theta, c_alpha=s.c_alpha, az=az,
-                        atq=atq, ataz=ataz, azbar=az + theta * (az - s.az),
+                        sigma=s.sigma / theta, az=az, atq=atq, ataz=ataz,
+                        azbar=az + theta * (az - s.az),
                         atazbar=ataz + theta * (ataz - s.ataz))
 
 
-def cert_unconstrained_allocating(A, alpha, eps_k, prev, state):
+def cert_unconstrained_allocating(prob, eps_k, prev, state):
     """`fbs.cert_unconstrained` as plain expressions."""
+    alpha = prob.alpha
     ratio = alpha / prev.tau
     z = state.z + ratio * (state.z - prev.z)
     az = state.az + ratio * (state.az - prev.az)
@@ -153,11 +155,11 @@ def cert_unconstrained_allocating(A, alpha, eps_k, prev, state):
                            accepted=accepted)
 
 
-def cert_constrained_allocating(A, alpha, eps_k, prev, state):
+def cert_constrained_allocating(prob, eps_k, prev, state):
     """`fbs.cert_constrained` as plain expressions; the fallback path
     keeps the state's A^T A z1, as the in-place form does."""
-    z1, az1, atatz1 = state.z, state.az, state.ataz
-    atq, c = state.atq, state.c_alpha
+    A, alpha, c = prob.A, prob.alpha, prob.c
+    z1, az1, atatz1, atq = state.z, state.az, state.ataz, state.atq
     z = z1 + (alpha / prev.tau) * (z1 - prev.z) + alpha * (atq - atatz1)
     eps64 = np.finfo(np.float64).eps
     tol = z.size * eps64 * alpha * max(float(np.max(np.abs(atq))),

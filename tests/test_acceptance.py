@@ -12,7 +12,7 @@ import pytest
 
 from oracles import dense_grad_matrix
 from supopt.basic import default_gamma, g_u
-from supopt.fbs import (AFBSConfig, afbs_run, dual_gap, objective,
+from supopt.fbs import (AFBSConfig, LSProx, afbs_run, dual_gap, objective,
                         pd_basic_init, pd_basic_step, pd_noinv_init,
                         pd_noinv_step)
 from supopt.harness import ExperimentConfig, build_problem, run_algorithm
@@ -114,16 +114,17 @@ def test_acceptance_03_pd_limits_match_prox_oracles(capfd):
         dense = np.linalg.solve(np.eye(10) + alpha * M.T @ M,
                                 x + alpha * M.T @ b)
         assert np.max(np.abs(smw - dense)) <= 1e-9
-        st = pd_basic_init(A, A.applyT_nocount(b), alpha, x)
+        prob = LSProx(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+        st = pd_basic_init(prob)
         for _ in range(3000):
             zp, tp = st.z, st.tau
-            st = pd_basic_step(A, alpha, st)
+            st = pd_basic_step(prob, st)
         zb = st.z + (alpha / tp) * (st.z - zp)
         worst_basic = max(worst_basic, float(np.max(np.abs(zb - smw))))
-        st = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+        st = pd_noinv_init(prob)
         for _ in range(3000):
             zp, tp = st.z, st.tau
-            st = pd_noinv_step(A, alpha, True, st)
+            st = pd_noinv_step(prob, st)
         zn = st.z + (alpha / tp) * (st.z - zp) \
             + alpha * (M.T @ (st.q - M @ st.z))
         worst_noinv = max(worst_noinv, float(np.max(np.abs(zn - smw))))
@@ -135,10 +136,11 @@ def test_acceptance_03_pd_limits_match_prox_oracles(capfd):
         alpha = float(rng.uniform(0.3, 2.0))
         x = rng.standard_normal(10) - 0.5
         z_oracle = _brute_force_nonneg_prox(M, b, alpha, x)
-        st = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+        prob = LSProx(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+        st = pd_noinv_init(prob)
         for _ in range(20000):
             zp, tp = st.z, st.tau
-            st = pd_noinv_step(A, alpha, True, st)
+            st = pd_noinv_step(prob, st)
         zn = st.z + (alpha / tp) * (st.z - zp) \
             + alpha * (M.T @ (st.q - M @ st.z))
         zn = np.maximum(zn, 0.0)
@@ -154,20 +156,20 @@ def test_acceptance_04_duality_gap_properties(capfd):
     rng = np.random.default_rng(4)
     A, M, b, alpha, x, _ = _inactive_prox_instance(rng)
     z_star = shifted_gram_solve(A, 1.0, alpha, x + alpha * (M.T @ b))
-    gap_star = dual_gap(A, alpha, x / alpha + A.applyT_nocount(b), z_star)
+    prob = LSProx(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+    gap_star = dual_gap(prob, z_star)
     # an instance with active constraints, solved by enumeration
     M2 = rng.standard_normal((4, 10))
     A2 = SparseOperator(M2)
     b2 = rng.standard_normal(4)
     x2 = rng.standard_normal(10) - 0.5
     z2 = _brute_force_nonneg_prox(M2, b2, alpha, x2)
-    gap_active = dual_gap(A2, alpha, x2 / alpha + A2.applyT_nocount(b2),
-                          z2)
+    gap_active = dual_gap(
+        LSProx(A2, A2.applyT_nocount(b2), alpha, x2, nonneg=True), z2)
     min_gap = np.inf
     for _ in range(100):
         z = np.abs(rng.standard_normal(10)) * rng.uniform(0.1, 3.0)
-        min_gap = min(min_gap, dual_gap(
-            A, alpha, x / alpha + A.applyT_nocount(b), z))
+        min_gap = min(min_gap, dual_gap(prob, z))
     ok = gap_star <= 1e-10 and gap_active <= 1e-10 and min_gap >= 0.0
     _report(capfd, 4, ok,
             f"duality gap at exact prox {gap_star:.1e}/{gap_active:.1e} "
@@ -293,7 +295,7 @@ def test_acceptance_10_matvec_accounting_closed_form(capfd):
     _, records, _ = run_algorithm("GradSupCG", problem, cfg)
     ok = ok and [r.cumulative_matvecs for r in records] == \
         [4 * k for k in range(21)]
-    problem.A.reset_matvec_count()
+    problem.A.start_run()
     res = afbs_run(AFBSConfig(kind="NaturalLS", nonneg=False, inner="PDNoInv",
                               max_outer=20, term_tol=0.0), problem)
     want = np.cumsum([2 * rec.inner_iters for rec in res.records]).tolist()

@@ -8,8 +8,8 @@ import pytest
 import oracles
 from oracles import (count_uncounted_products, dense_prox_ls_oracle,
                      nnls_prox_ls_oracle, relative_error)
-from supopt import fbs
-from supopt.fbs import (AFBSConfig, afbs_run, cert_constrained,
+from supopt import fbs, opslin
+from supopt.fbs import (AFBSConfig, LSProx, afbs_run, cert_constrained,
                         cert_unconstrained, dual_gap, grad_h_u, lipschitz_f,
                         objective, pd_basic_init, pd_basic_step,
                         pd_noinv_init, pd_noinv_step, prox_ls_exact)
@@ -63,10 +63,26 @@ def test_lipschitz_constants():
         pytest.approx(spectral_norm_sq(A))
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+def test_ls_prox_rejects_alpha_outside_the_positive_reals(alpha):
+    A, b, x = make_instance()
+    with pytest.raises(ValueError, match="^alpha "):
+        LSProx(A, A.applyT_nocount(b), alpha, x)
+
+
+@pytest.mark.parametrize("name", ["x", "atb"])
+@pytest.mark.parametrize("shape", [(9,), (), (10, 1)])
+def test_ls_prox_rejects_vectors_of_the_wrong_shape(name, shape):
+    A, b, x = make_instance()
+    parts = {"atb": A.applyT_nocount(b), "x": x, name: np.ones(shape)}
+    with pytest.raises(ValueError, match=f"^{name} has shape"):
+        LSProx(A, alpha=0.7, **parts)
+
+
 def test_prox_ls_exact_zero_operator_is_identity():
     A = SparseOperator(np.zeros((3, 5)))
     x = np.arange(5.0)
-    z, _ = prox_ls_exact(A, np.zeros(5), 0.7, x)
+    z, _ = prox_ls_exact(LSProx(A, np.zeros(5), 0.7, x))
     assert np.allclose(z, x)
 
 
@@ -76,7 +92,7 @@ def test_prox_ls_exact_stationary_point():
     A = SparseOperator(M)
     x = rng.standard_normal(10)
     b = M @ x  # A^T(Ax - b) = 0
-    z, _ = prox_ls_exact(A, A.applyT_nocount(b), 0.5, x)
+    z, _ = prox_ls_exact(LSProx(A, A.applyT_nocount(b), 0.5, x))
     assert np.allclose(z, x, atol=1e-10)
 
 
@@ -84,7 +100,7 @@ def test_prox_ls_exact_residual():
     A, b, x = make_instance(seed=2)
     alpha = 0.8
     atb = A.applyT_nocount(b)
-    z, _ = prox_ls_exact(A, atb, alpha, x)
+    z, _ = prox_ls_exact(LSProx(A, atb, alpha, x))
     c = x / alpha + atb
     Bz = A.applyT_nocount(A.apply_nocount(z)) + z / alpha
     assert np.linalg.norm(Bz - c) <= 1e-9
@@ -93,7 +109,8 @@ def test_prox_ls_exact_residual():
 def test_prox_ls_exact_constrained_kkt():
     A, b, x = make_instance(seed=3)
     alpha = 0.6
-    z, _ = prox_ls_exact(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+    z, _ = prox_ls_exact(LSProx(A, A.applyT_nocount(b), alpha, x,
+                                nonneg=True))
     g = A.applyT_nocount(A.apply_nocount(z) - b) + (z - x) / alpha
     assert np.min(z) >= 0.0
     # complementarity: gradient nonnegative where z = 0, ~zero elsewhere
@@ -104,15 +121,15 @@ def test_prox_ls_exact_constrained_kkt():
 def test_dual_gap_zero_at_exact_prox_and_nonneg_elsewhere():
     A, b, x = make_instance(seed=4)
     alpha = 0.7
-    atb = A.applyT_nocount(b)
-    z_star, _ = prox_ls_exact(A, atb, alpha, x, nonneg=True)
-    assert dual_gap(A, alpha, x / alpha + atb, z_star) <= 1e-10
+    prob = LSProx(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+    z_star, _ = prox_ls_exact(prob)
+    assert dual_gap(prob, z_star) <= 1e-10
     rng = np.random.default_rng(5)
     for _ in range(25):
         z = np.abs(rng.standard_normal(10))
-        assert dual_gap(A, alpha, x / alpha + atb, z) >= 0.0
+        assert dual_gap(prob, z) >= 0.0
     with pytest.raises(ValueError):
-        dual_gap(A, alpha, x / alpha + atb, -np.ones(10))
+        dual_gap(prob, -np.ones(10))
 
 
 def test_dual_gap_equals_primal_minus_dual_objective():
@@ -131,8 +148,8 @@ def test_dual_gap_equals_primal_minus_dual_objective():
         primal = 0.5 * z @ B @ z - c @ z
         dual = -0.5 * q @ q \
             - 0.5 * alpha * np.sum(np.maximum(c - M.T @ q, 0.0) ** 2)
-        assert dual_gap(A, alpha, c, z) == pytest.approx(primal - dual,
-                                                         rel=1e-10)
+        assert dual_gap(LSProx(A, M.T @ b, alpha, x, nonneg=True), z) == \
+            pytest.approx(primal - dual, rel=1e-10)
 
 
 @pytest.mark.parametrize("shift", [1.0, 0.0, -1.0])
@@ -145,19 +162,19 @@ def test_dual_gap_bounds_distance_to_constrained_prox(shift):
         x = x + shift
         alpha = float(rng.uniform(0.3, 2.0))
         z_star = nnls_prox_ls_oracle(A, b, alpha, x)
-        c = x / alpha + A.applyT_nocount(b)
+        prob = LSProx(A, A.applyT_nocount(b), alpha, x, nonneg=True)
         for _ in range(20):
             z = np.maximum(z_star + rng.standard_normal(10)
                            * rng.uniform(1e-4, 1.0), 0.0)
             dist = float(np.sum((z - z_star) ** 2)) / (2.0 * alpha)
-            assert dual_gap(A, alpha, c, z) >= dist * (1.0 - 1e-9)
+            assert dual_gap(prob, z) >= dist * (1.0 - 1e-9)
 
 
 def test_dual_gap_takes_two_uncounted_products_and_no_factor():
     A, b, x = make_instance(seed=21)
-    c = x / 0.7 + A.applyT_nocount(b)
+    prob = LSProx(A, A.applyT_nocount(b), 0.7, x, nonneg=True)
     calls = count_uncounted_products(A)
-    assert dual_gap(A, 0.7, c, np.abs(x)) > 0.0
+    assert dual_gap(prob, np.abs(x)) > 0.0
     assert len(calls) == 2
     assert A.matvec_count == 0 and A._factor_cache is None
 
@@ -165,41 +182,42 @@ def test_dual_gap_takes_two_uncounted_products_and_no_factor():
 def test_pd_step_size_invariant_and_theta():
     A, b, x = make_instance(seed=8)
     alpha = 0.5
-    st = pd_basic_init(A, A.applyT_nocount(b), alpha, x)
+    prob = LSProx(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+    st = pd_basic_init(prob)
     prod = st.tau * st.sigma
     for _ in range(20):
         tau_old = st.tau
-        st = pd_basic_step(A, alpha, st)
+        st = pd_basic_step(prob, st)
         assert st.tau < tau_old
         assert st.tau * st.sigma == pytest.approx(prod, rel=1e-12)
-    st2 = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+    st2 = pd_noinv_init(prob)
     prod2 = st2.tau * st2.sigma
     for _ in range(20):
-        st2 = pd_noinv_step(A, alpha, True, st2)
+        st2 = pd_noinv_step(prob, st2)
         assert st2.tau * st2.sigma == pytest.approx(prod2, rel=1e-12)
 
 
 def test_pd_dual_clipping():
     A, b, x = make_instance(seed=9)
-    st = pd_basic_init(A, A.applyT_nocount(b), 0.5, x)
-    st = pd_basic_step(A, 0.5, st)
+    prob = LSProx(A, A.applyT_nocount(b), 0.5, x, nonneg=True)
+    st = pd_basic_step(prob, pd_basic_init(prob))
     assert np.max(st.p) <= 0.0
 
 
 def test_pd_basic_converges_to_constrained_prox():
     A, b, x = make_instance(seed=10)
     alpha = 0.7
-    atb = A.applyT_nocount(b)
-    z_star, _ = prox_ls_exact(A, atb, alpha, x, nonneg=True)
-    st = pd_basic_init(A, atb, alpha, x)
+    prob = LSProx(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+    z_star, _ = prox_ls_exact(prob)
+    st = pd_basic_init(prob)
     for _ in range(1000):
-        st = pd_basic_step(A, alpha, st)
-    gap_1k = dual_gap(A, alpha, x / alpha + atb, np.maximum(st.z, 0.0))
+        st = pd_basic_step(prob, st)
+    gap_1k = dual_gap(prob, np.maximum(st.z, 0.0))
     assert np.max(np.abs(np.maximum(st.z, 0.0) - z_star)) <= 1e-4
     for _ in range(3000):
-        st = pd_basic_step(A, alpha, st)
+        st = pd_basic_step(prob, st)
     # the raw iterate converges at rate O(1/l): the gap keeps shrinking
-    gap_4k = dual_gap(A, alpha, x / alpha + atb, np.maximum(st.z, 0.0))
+    gap_4k = dual_gap(prob, np.maximum(st.z, 0.0))
     assert gap_4k < gap_1k
     assert np.max(np.abs(np.maximum(st.z, 0.0) - z_star)) <= 4e-5
 
@@ -209,10 +227,11 @@ def test_pd_noinv_zero_operator_fixed_point():
     A._norm_sq = 1.0  # zero operator has no spectral norm; fix the step
     x = np.arange(5.0)
     alpha = 0.5
-    st = pd_noinv_init(A, np.zeros(5), alpha, x, nonneg=False)
+    prob = LSProx(A, np.zeros(5), alpha, x)
+    st = pd_noinv_init(prob)
     for _ in range(500):
-        st = pd_noinv_step(A, alpha, False, st)
-    # fixed point z* = alpha * c_alpha = x
+        st = pd_noinv_step(prob, st)
+    # fixed point z* = alpha * c = x
     assert np.allclose(st.z, x, atol=1e-8)
 
 
@@ -220,10 +239,11 @@ def test_pd_noinv_unconstrained_matches_smw():
     A, b, x = make_instance(seed=11)
     alpha = 0.7
     z_star = dense_prox_ls_oracle(A, b, alpha, x)
-    st = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg=False)
+    prob = LSProx(A, A.applyT_nocount(b), alpha, x)
+    st = pd_noinv_init(prob)
     for _ in range(3000):
         zp, tp = st.z, st.tau
-        st = pd_noinv_step(A, alpha, False, st)
+        st = pd_noinv_step(prob, st)
     z_ext = st.z + (alpha / tp) * (st.z - zp)
     assert np.max(np.abs(z_ext - z_star)) <= 1e-6
     # dual vector converges to the image of the prox under A
@@ -241,7 +261,8 @@ def test_cert_unconstrained_accepts_at_fixed_point():
         ataz = A.applyT_nocount(q)
         tau = 0.5
 
-    cert = cert_unconstrained(A, alpha, 1e-8, FakeState(), FakeState())
+    prob = LSProx(A, A.applyT_nocount(b), alpha, x)
+    cert = cert_unconstrained(prob, 1e-8, FakeState(), FakeState())
     assert cert.accepted
     assert cert.gap_value <= 1e-18
 
@@ -252,11 +273,12 @@ def test_cert_unconstrained_eps_subdifferential():
     A, b, x = make_instance(seed=13)
     alpha = 0.7
     eps_k = 1e-3
-    st = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg=False)
+    prob = LSProx(A, A.applyT_nocount(b), alpha, x)
+    st = pd_noinv_init(prob)
     cert = None
     for _ in range(100000):
-        prev, st = st, pd_noinv_step(A, alpha, False, st)
-        cert = cert_unconstrained(A, alpha, eps_k, prev, st)
+        prev, st = st, pd_noinv_step(prob, st)
+        cert = cert_unconstrained(prob, eps_k, prev, st)
         if cert.accepted:
             break
     assert cert.accepted
@@ -276,39 +298,39 @@ def test_cert_unconstrained_eps_subdifferential():
 def test_cert_constrained_accepts_at_fixed_point():
     A, b, x = make_instance(seed=15)
     alpha = 0.7
-    z_star, _ = prox_ls_exact(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+    prob = LSProx(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+    z_star, _ = prox_ls_exact(prob)
 
     class FakeState:
         z = z_star
         q = az = A.apply_nocount(z_star)
         atq = ataz = A.applyT_nocount(q)
-        c_alpha = x / alpha + A.applyT_nocount(b)
         tau = 0.5
 
-    cert = cert_constrained(A, alpha, 1e-6, FakeState(), FakeState())
+    cert = cert_constrained(prob, 1e-6, FakeState(), FakeState())
     assert cert.accepted
 
 
 def _state_at_constrained_prox(A, b, alpha, x):
-    # the optimal pair of the constrained prox subproblem: z* and q* = A z*
+    # the constrained prox subproblem and its optimal pair: z* and q* = A z*
     z_star = nnls_prox_ls_oracle(A, b, alpha, x)
     q = A.apply_nocount(z_star)
     atq = A.applyT_nocount(q)
-    return fbs.PDNoInvState(z=z_star, q=q, tau=0.5, sigma=0.5,
-                            c_alpha=x / alpha + A.applyT_nocount(b), az=q,
-                            atq=atq, ataz=atq, azbar=q, atazbar=atq)
+    return (LSProx(A, A.applyT_nocount(b), alpha, x, nonneg=True),
+            fbs.PDNoInvState(z=z_star, q=q, tau=0.5, sigma=0.5, az=q,
+                             atq=atq, ataz=atq, azbar=q, atazbar=atq))
 
 
 def test_cert_constrained_fallback_accepts_at_exact_prox():
     A, b, x = make_instance(seed=16)
     x = x - 1.0  # make the constraint active
     alpha = 0.7
-    st = _state_at_constrained_prox(A, b, alpha, x)
+    prob, st = _state_at_constrained_prox(A, b, alpha, x)
     # a previous iterate above z* where z* = 0 extrapolates out of the
     # orthant, so the certificate takes its fallback path
     z_prev = st.z + (st.z == 0)
     assert np.any(st.z == 0)
-    cert = cert_constrained(A, alpha, 1e-6, replace(st, z=z_prev), st)
+    cert = cert_constrained(prob, 1e-6, replace(st, z=z_prev), st)
     assert cert.fallback and cert.accepted
     assert np.array_equal(cert.z, st.z)
     assert math.sqrt(2.0 * alpha * cert.gap_value) <= 1e-6
@@ -323,13 +345,13 @@ def test_cert_constrained_path_stable_under_last_bit_change():
     rng = np.random.default_rng(1)
     x = 0.5 * rng.standard_normal(A.n_cols)
     alpha = 0.5
-    st = _state_at_constrained_prox(A, b, alpha, x)
+    prob, st = _state_at_constrained_prox(A, b, alpha, x)
     assert np.count_nonzero(st.z == 0) >= 10
     nudged = fbs.PDNoInvState(**{**st.__dict__,
                                  "atq": np.nextafter(st.atq, -np.inf)})
     for eps_k in (1e-4, 1e-6):
-        cert = cert_constrained(A, alpha, eps_k, st, st)
-        cert_nudged = cert_constrained(A, alpha, eps_k, st, nudged)
+        cert = cert_constrained(prob, eps_k, st, st)
+        cert_nudged = cert_constrained(prob, eps_k, st, nudged)
         assert not cert.fallback and not cert_nudged.fallback
         assert cert.accepted and cert_nudged.accepted
         assert np.min(cert_nudged.z) >= 0.0
@@ -342,11 +364,12 @@ def test_cert_constrained_fallback_bound_dominates_error():
     x = x - 1.0  # make the constraint active
     alpha = 0.7
     z_star = nnls_prox_ls_oracle(A, b, alpha, x)
-    st = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+    prob = LSProx(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+    st = pd_noinv_init(prob)
     checked = 0
     for _ in range(2000):
-        prev, st = st, pd_noinv_step(A, alpha, True, st)
-        cert = cert_constrained(A, alpha, 0.0, prev, st)
+        prev, st = st, pd_noinv_step(prob, st)
+        cert = cert_constrained(prob, 0.0, prev, st)
         if cert.fallback:
             err = np.linalg.norm(st.z - z_star)
             assert err <= math.sqrt(2.0 * alpha * cert.gap_value) + 1e-9
@@ -379,22 +402,24 @@ def _cert_constrained_reference(A, b, alpha, eps_k, x, z_prev, tau_prev,
 
 
 def _constrained_certificates(shift, eps_k, steps=300):
-    # (certificate, reference, uncounted products, state) per PDNoInv step
+    # the subproblem, and (certificate, reference, uncounted products,
+    # state) per PDNoInv step
     A, b, x = make_instance(seed=20)
     x = x + shift
     alpha = 0.7
     calls = count_uncounted_products(A)
-    st = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+    prob = LSProx(A, A.applyT_nocount(b), alpha, x, nonneg=True)
+    st = pd_noinv_init(prob)
     out = []
     for _ in range(steps):
-        prev, st = st, pd_noinv_step(A, alpha, True, st)
+        prev, st = st, pd_noinv_step(prob, st)
         del calls[:]
-        cert = cert_constrained(A, alpha, eps_k, prev, st)
+        cert = cert_constrained(prob, eps_k, prev, st)
         products = len(calls)
         ref = _cert_constrained_reference(A, b, alpha, eps_k, x, prev.z,
                                           prev.tau, st)
         out.append((cert, ref, products, st))
-    return out
+    return prob, out
 
 
 @pytest.mark.parametrize("shift,fallback,eps_k", [(3.0, False, 1.7e-3),
@@ -404,8 +429,8 @@ def test_cert_constrained_matches_four_product_reference(shift, fallback,
     # eps_k puts the acceptance switch inside the run on the path tested
     alpha = 0.7
     decisions = set()
-    for cert, (z, _, gap, accepted, floor), _, st in \
-            _constrained_certificates(shift, eps_k):
+    prob, certs = _constrained_certificates(shift, eps_k)
+    for cert, (z, _, gap, accepted, floor), _, st in certs:
         if cert.fallback != fallback:
             continue
         decisions.add(accepted)
@@ -418,7 +443,7 @@ def test_cert_constrained_matches_four_product_reference(shift, fallback,
             assert abs(cert.gap_value - gap) <= floor
         else:
             # 1e-12 relative to the magnitude of the terms summed into z
-            mag = np.max(np.abs(st.c_alpha)) + np.max(np.abs(st.atq))
+            mag = np.max(np.abs(prob.c)) + np.max(np.abs(st.atq))
             assert np.max(np.abs(cert.z - z)) <= \
                 1e-12 * max(np.max(np.abs(z)), alpha * mag)
             assert abs(cert.gap_value - gap) <= \
@@ -429,7 +454,7 @@ def test_cert_constrained_matches_four_product_reference(shift, fallback,
 @pytest.mark.parametrize("shift,fallback,products", [(3.0, False, 1),
                                                      (-1.0, True, 0)])
 def test_cert_constrained_uncounted_products(shift, fallback, products):
-    certs = _constrained_certificates(shift, eps_k=0.0, steps=50)
+    certs = _constrained_certificates(shift, eps_k=0.0, steps=50)[1]
     seen = [n for cert, _, n, _ in certs if cert.fallback == fallback]
     assert seen and set(seen) == {products}
 
@@ -438,7 +463,7 @@ def test_cert_constrained_uncounted_products(shift, fallback, products):
                                                   (-1.0, True, 6e-3)])
 def test_cert_constrained_keeps_a_z_on_either_path(shift, fallback, eps_k):
     A, _, _ = make_instance(seed=20)  # the operator of the certificates
-    certs = [cert for cert, *_ in _constrained_certificates(shift, eps_k)
+    certs = [cert for cert, *_ in _constrained_certificates(shift, eps_k)[1]
              if cert.fallback == fallback]
     assert certs
     for cert in certs:
@@ -447,12 +472,13 @@ def test_cert_constrained_keeps_a_z_on_either_path(shift, fallback, eps_k):
 
 def test_cert_unconstrained_keeps_a_z():
     A, b, x = make_instance(seed=13)
-    st = pd_noinv_init(A, A.applyT_nocount(b), 0.7, x, nonneg=False)
+    prob = LSProx(A, A.applyT_nocount(b), 0.7, x)
+    st = pd_noinv_init(prob)
     calls = count_uncounted_products(A)
     for _ in range(20):
-        prev, st = st, pd_noinv_step(A, 0.7, False, st)
+        prev, st = st, pd_noinv_step(prob, st)
         del calls[:]
-        cert = cert_unconstrained(A, 0.7, 1e-3, prev, st)
+        cert = cert_unconstrained(prob, 1e-3, prev, st)
         assert not calls  # A z by linearity from the two states' A z
         assert relative_error(cert.az, A.apply_nocount(cert.z)) <= 1e-12
 
@@ -480,9 +506,10 @@ def test_pd_noinv_held_products_match_direct_products(side, nonneg):
     st = None
     for _ in range(2):
         x = tomo.shepp_logan(side) + 0.2 * rng.standard_normal(A.n_cols)
-        st = pd_noinv_init(A, atb, alpha, x, nonneg, warm=st)
+        prob = LSProx(A, atb, alpha, x, nonneg)
+        st = pd_noinv_init(prob, warm=st)
         for _ in range(150):
-            st = pd_noinv_step(A, alpha, nonneg, st)
+            st = pd_noinv_step(prob, st)
             assert relative_error(st.az, A.apply_nocount(st.z)) <= 1e-12
             assert relative_error(st.ataz,
                                   A.applyT_nocount(st.az)) <= 1e-12
@@ -512,28 +539,28 @@ def test_pd_noinv_in_place_matches_allocating_expressions(nonneg):
     certify, certify_ref = (
         (cert_constrained, oracles.cert_constrained_allocating) if nonneg
         else (cert_unconstrained, oracles.cert_unconstrained_allocating))
-    new = ref = pd_noinv_init(A, A.applyT_nocount(b), alpha, x, nonneg)
+    prob = LSProx(A, A.applyT_nocount(b), alpha, x, nonneg)
+    new = ref = pd_noinv_init(prob)
     paths = set()
     for _ in range(60):
-        prev, new = new, pd_noinv_step(A, alpha, nonneg, new)
-        prev_ref, ref = ref, oracles.pd_noinv_step_allocating(
-            A, alpha, nonneg, ref)
+        prev, new = new, pd_noinv_step(prob, new)
+        prev_ref, ref = ref, oracles.pd_noinv_step_allocating(prob, ref)
         _assert_same_fields(new, ref)
-        cert = certify(A, alpha, eps_k, prev, new)
-        _assert_same_fields(cert, certify_ref(A, alpha, eps_k, prev_ref, ref))
+        cert = certify(prob, eps_k, prev, new)
+        _assert_same_fields(cert, certify_ref(prob, eps_k, prev_ref, ref))
         paths.add(cert.fallback)
         if nonneg:
-            assert dual_gap(A, alpha, new.c_alpha, new.z) == \
-                oracles.dual_gap_allocating(A, alpha, new.c_alpha, new.z)
+            assert dual_gap(prob, new.z) == \
+                oracles.dual_gap_allocating(prob, new.z)
     if nonneg:
         # the primary path, at the exact prox and with A^T q one unit in
         # the last place lower, as in the path-stability test
-        st = _state_at_constrained_prox(A, b, alpha, x)
+        prob, st = _state_at_constrained_prox(A, b, alpha, x)
         nudged = replace(st, atq=np.nextafter(st.atq, -np.inf))
         for state in (st, nudged):
-            cert = cert_constrained(A, alpha, eps_k, st, state)
+            cert = cert_constrained(prob, eps_k, st, state)
             _assert_same_fields(cert, oracles.cert_constrained_allocating(
-                A, alpha, eps_k, st, state))
+                prob, eps_k, st, state))
             paths.add(cert.fallback)
     assert paths == ({False, True} if nonneg else {False})
 
@@ -546,12 +573,13 @@ def test_pd_noinv_products_per_start_and_step():
     atb = A.applyT_nocount(b)
     A.norm_sq  # the power iteration runs before the wrapping
     calls = count_uncounted_products(A)
-    st = pd_noinv_init(A, atb, 0.5, x, True)
+    prob = LSProx(A, atb, 0.5, x, True)
+    st = pd_noinv_init(prob)
     assert len(calls) == 2 and A.matvec_count == 0
     assert not np.any(st.q) and not np.any(st.atq)
-    st = pd_noinv_step(A, 0.5, True, st)
+    st = pd_noinv_step(prob, st)
     assert len(calls) == 2 and A.matvec_count == 2
-    pd_noinv_init(A, atb, 0.5, x, True, warm=st)
+    pd_noinv_init(prob, warm=st)
     assert len(calls) == 2 and A.matvec_count == 2
 
 
@@ -575,6 +603,25 @@ def test_least_squares_proxes_take_atb_once_per_run(inner, nonneg):
                    ProblemInstance(A, b, shape, tvp))
     assert res.iterations == 4
     assert taken.count(True) == 1
+
+
+def test_each_exact_run_factors_its_own_reduced_system(monkeypatch):
+    # the operator's cached factor does not carry over into the next run
+    A, b, shape = _tiny_tomo(side=12)
+    problem = ProblemInstance(A, b, shape, SmoothedTVParams(tau=0.01,
+                                                            lam=0.01))
+    factored = []
+    factor = opslin._woodbury_factor
+
+    def counting(*args):
+        factored.append(1)
+        return factor(*args)
+
+    monkeypatch.setattr(opslin, "_woodbury_factor", counting)
+    config = AFBSConfig("NaturalLS", max_outer=3, term_tol=0.0)
+    runs = [afbs_run(config, problem) for _ in range(2)]
+    assert len(factored) == 2
+    assert np.array_equal(runs[0].x, runs[1].x)
 
 
 def test_afbs_t_update_arithmetic():
@@ -683,11 +730,11 @@ def test_moreau_envelope_gradient_identity():
         return 0.5 * float(r @ r)
 
     def envelope(v):
-        z, _ = prox_ls_exact(A, A.applyT_nocount(b), alpha, v)
+        z, _ = prox_ls_exact(LSProx(A, A.applyT_nocount(b), alpha, v))
         d = z - v
         return g(z) + float(d @ d) / (2 * alpha)
 
-    z, _ = prox_ls_exact(A, A.applyT_nocount(b), alpha, x)
+    z, _ = prox_ls_exact(LSProx(A, A.applyT_nocount(b), alpha, x))
     grad = (x - z) / alpha
     h = 1e-5
     rng = np.random.default_rng(18)
@@ -737,12 +784,12 @@ def test_exact_afbs_spends_one_uncounted_product_in_the_whole_run():
                                         (15, 0.7)])
 def test_prox_ls_exact_constrained_reaches_gap(seed, alpha):
     A, b, x = make_instance(seed=seed)
-    atb = A.applyT_nocount(b)
+    prob = LSProx(A, A.applyT_nocount(b), alpha, x, nonneg=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        z, steps = prox_ls_exact(A, atb, alpha, x, nonneg=True)
+        z, steps = prox_ls_exact(prob)
     assert np.min(z) >= 0.0
-    assert dual_gap(A, alpha, x / alpha + atb, z) <= 1e-12
+    assert dual_gap(prob, z) <= 1e-12
     # two counted products per projected-gradient step
     assert steps > 0 and A.matvec_count == 2 * steps
 
@@ -751,8 +798,8 @@ def test_prox_ls_exact_constrained_returns_a_start_at_its_gap_floor():
     # b = 0 and x <= 0: the clipped start z = 0 is the prox, and the gap
     # test before the first step returns it
     A, _, x = make_instance(seed=5)
-    z, steps = prox_ls_exact(A, np.zeros(A.n_cols), 0.6, -np.abs(x),
-                             nonneg=True)
+    z, steps = prox_ls_exact(LSProx(A, np.zeros(A.n_cols), 0.6, -np.abs(x),
+                                    nonneg=True))
     assert np.array_equal(z, np.zeros_like(x))
     assert steps == 0 and A.matvec_count == 0
 
@@ -771,8 +818,8 @@ def test_afbs_run_needs_lam():
 def test_prox_ls_exact_constrained_warns_on_budget():
     A, b, x = make_instance(seed=3)
     with pytest.warns(RuntimeWarning, match="duality gap"):
-        z, steps = prox_ls_exact(A, A.applyT_nocount(b), 0.6, x, nonneg=True,
-                                 max_iter=5)
+        z, steps = prox_ls_exact(
+            LSProx(A, A.applyT_nocount(b), 0.6, x, nonneg=True), max_inner=5)
     assert np.min(z) >= 0.0
     assert steps == 5 and A.matvec_count == 10
 
@@ -784,14 +831,14 @@ def test_prox_ls_exact_constrained_tests_the_iterate_it_returns(
     A, b, x = make_instance(seed=3)
     tested = []
 
-    def spy(A, alpha, c, z):
+    def spy(prob, z):
         tested.append(z.copy())
-        return dual_gap(A, alpha, c, z)
+        return dual_gap(prob, z)
 
     monkeypatch.setattr(fbs, "dual_gap", spy)
     with pytest.warns(RuntimeWarning, match="duality gap"):
-        z, _ = prox_ls_exact(A, A.applyT_nocount(b), 0.6, x, nonneg=True,
-                             max_iter=3)
+        z, _ = prox_ls_exact(
+            LSProx(A, A.applyT_nocount(b), 0.6, x, nonneg=True), max_inner=3)
     assert len(tested) == 2
     assert np.array_equal(tested[-1], z)
 
@@ -810,25 +857,26 @@ def test_prox_ls_exact_constrained_stops_at_rounding_floor():
             * float(c @ c)
 
     atb = A.applyT_nocount(b)
-    z_unit, _ = prox_ls_exact(A, atb, alpha, x, nonneg=True)
+    unit = LSProx(A, atb, alpha, x, nonneg=True)
+    z_unit, _ = prox_ls_exact(unit)
     c_unit = x / alpha + atb
-    assert dual_gap(A, alpha, c_unit, z_unit) <= floor(c_unit)
+    assert dual_gap(unit, z_unit) <= floor(c_unit)
     s = 100.0
+    scaled = LSProx(A, A.applyT_nocount(s * b), alpha, s * x, nonneg=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        z, _ = prox_ls_exact(A, A.applyT_nocount(s * b), alpha, s * x,
-                             nonneg=True)
+        z, _ = prox_ls_exact(scaled)
     c = s * x / alpha + A.applyT_nocount(s * b)
     assert floor(c) == pytest.approx(s * s * floor(c_unit), rel=1e-12)
     assert np.min(z) >= 0.0
-    assert dual_gap(A, alpha, c, z) <= floor(c)
+    assert dual_gap(scaled, z) <= floor(c)
     assert np.max(np.abs(z / s - z_unit)) <= 1e-8 * np.max(z_unit)
 
 
 def test_prox_ls_exact_constrained_builds_no_factor():
     A, b, _ = _tiny_tomo()
     x = np.random.default_rng(2).standard_normal(A.n_cols)
-    z, _ = prox_ls_exact(A, A.applyT_nocount(b), 0.5, x, nonneg=True)
+    z, _ = prox_ls_exact(LSProx(A, A.applyT_nocount(b), 0.5, x, nonneg=True))
     assert np.min(z) >= 0.0 and A._factor_cache is None
 
 
@@ -865,19 +913,17 @@ def test_inexact_inner_runs_warn_when_budget_runs_out():
     atb = A.applyT_nocount(b)
     for inner, nonneg in (("PDNoInv", False), ("PDNoInv", True),
                           ("PDBasic", True)):
+        prob = LSProx(A, atb, alpha, x, nonneg)
         with pytest.warns(RuntimeWarning, match=f"{inner}: .*max_inner = 1 "
                           "steps"):
-            cert, steps, _ = fbs._run_pd(inner, A, atb, alpha, x, 1e-9,
-                                         nonneg, 1)
+            cert, steps, _ = fbs._run_pd(inner, prob, 1e-9, 1)
         assert not cert.accepted and steps == 1
-    assert cert.gap_value == dual_gap(A, alpha, x / alpha + atb,
-                                      cert.z) > 1e-14
+    assert cert.gap_value == dual_gap(prob, cert.z) > 1e-14
     for inner in ("PDNoInv", "PDBasic"):
         charged = A.matvec_count
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            cert, steps, _ = fbs._run_pd(inner, A, atb, alpha, x, 0.1, True,
-                                         100000)
+            cert, steps, _ = fbs._run_pd(inner, prob, 0.1, 100000)
         assert cert.accepted and cert.gap_value <= 1e-2
         # the returned count is the steps run, 2 charged products each
         assert 1 <= steps == (A.matvec_count - charged) // 2 < 100000

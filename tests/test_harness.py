@@ -175,7 +175,7 @@ def test_library_defaults_equal_the_cli_runs(name):
                          inner=rest[0] if len(rest) > nonneg else None,
                          accelerated=head == "AFBS",
                          max_outer=config.max_outer)
-    problem.A.reset_matvec_count()
+    problem.A.start_run()
     res = run(cfg, problem)
     assert [replace(r, wall_time=0.0) for r in res.records] == \
         [replace(r, wall_time=0.0) for r in records]

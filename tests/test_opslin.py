@@ -40,7 +40,7 @@ def test_matvec_count_and_nocount():
     A.apply_nocount(x)
     A.applyT_nocount(y)
     assert A.matvec_count == 2
-    A.reset_matvec_count()
+    A.start_run()
     assert A.matvec_count == 0
 
 
@@ -54,10 +54,12 @@ def test_adjoint_products_byte_equal_to_transposed_csr():
 
 def test_dimension_mismatch():
     A, _ = random_operator(5, 8)
-    with pytest.raises(DimensionMismatchError):
-        A.matvec(np.ones(5))
-    with pytest.raises(DimensionMismatchError):
-        A.rmatvec(np.ones(8))
+    for product in (A.matvec, A.apply_nocount):
+        with pytest.raises(DimensionMismatchError, match=product.__name__):
+            product(np.ones(5))
+    for product in (A.rmatvec, A.applyT_nocount):
+        with pytest.raises(DimensionMismatchError, match=product.__name__):
+            product(np.ones(8))
 
 
 def test_explicit_zeros_pruned():

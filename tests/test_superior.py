@@ -210,6 +210,15 @@ def test_run_returns_immediately_when_compatible():
     assert len(res.records) == 1 and res.records[0].k == 0
 
 
+@pytest.mark.parametrize("bad", [np.zeros(SHAPE.n - 1), 0.0,
+                                 np.zeros((SHAPE.n, 1))])
+def test_run_rejects_an_x0_of_the_wrong_shape(bad):
+    A, b = make_instance(seed=5)
+    cfg = SupConfig(variant="GradSupLW", max_outer=3)
+    with pytest.raises(ValueError, match="x0"):
+        superiorize_run(cfg, ProblemInstance(A, b, SHAPE, TVP), x0=bad)
+
+
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_all_variants_reduce_residual(variant):
     A, b = make_instance(seed=6, m=24)
