@@ -190,8 +190,9 @@ def prox_ls_exact(prob, max_inner=AFBSConfig.max_inner, az=None):
     floor = 2.0 * alpha * (c.size * np.finfo(np.float64).eps) ** 2 \
         * float(c @ c)
 
-    def grad(z):
-        return A.rmatvec(A.matvec(z)) + z / alpha - c
+    def forward(y, out):
+        np.subtract(y, (A.rmatvec(A.matvec(y)) + y / alpha - c) / lip,
+                    out=out)
 
     def stop(k, z, y):
         return (k % 10 == 0 or k == max_inner) and dual_gap(prob, z) <= floor
@@ -199,10 +200,10 @@ def prox_ls_exact(prob, max_inner=AFBSConfig.max_inner, az=None):
     z = np.maximum(x, 0.0)
     if dual_gap(prob, z) <= floor:
         return z, 0
+    lip = A.norm_sq + 1.0 / alpha
     return _projected_nesterov(
         "constrained least-squares prox: duality gap above its rounding "
-        "floor", grad, z, A.norm_sq + 1.0 / alpha, 1.0 / alpha, True,
-        max_inner, stop)[:2]
+        "floor", forward, z, lip, 1.0 / alpha, True, max_inner, stop)[:2]
 
 
 def _fenchel_gap(alpha, r, z, u):

@@ -1,12 +1,17 @@
 """Discrete gradient, anisotropic TV, its smoothing, and the TV prox.
 
 The prox runs `_projected_nesterov`, the kernel that also solves the
-constrained least-squares prox in `fbs`. Each step takes one TV
-gradient, at the extrapolated point y, and the prox stops on the
-(projected) gradient mapping at y that the step already holds:
-L * ||y - z_new||_inf <= tol. So n_evaluations == n_iterations, and the
-returned z_new lies within (beta - 1/L) * sqrt(n) * tol of the exact
-prox (in the 2-norm).
+constrained least-squares prox in `fbs`. The kernel takes a forward
+step, `forward(y, out)`, which writes y - grad(y)/L into `out`, and
+keeps its iterates in three buffers allocated once per call, never
+writing the start array. Each step takes one TV gradient, at the
+extrapolated point y, and the prox stops on the (projected) gradient
+mapping at y that the step already holds: L * ||y - z_new||_inf <= tol.
+So n_evaluations == n_iterations, and the returned z_new lies within
+(beta - 1/L) * sqrt(n) * tol of the exact prox (in the 2-norm). The
+prox's forward step is (1 - 1/(beta L)) y - D^T (d / root) / L +
+x / (beta L), with the scalars and x / (beta L) formed once per call, so
+d / root is its one divide.
 
 The gradient stacks forward differences along rows and columns with a
 zero final row/column (the one-dimensional difference stencil has no +1
@@ -157,13 +162,14 @@ def perturbation_norm_bound(shape):
     return math.sqrt(2.0) * (m1 + m2)
 
 
-def _projected_nesterov(name, grad, z, lip, mu, nonneg, max_iter, stop):
+def _projected_nesterov(name, forward, z, lip, mu, nonneg, max_iter, stop):
     """Constant-momentum projected Nesterov on a mu-strongly convex objective.
 
-    Minimizes an objective with `lip`-Lipschitz gradient `grad`, over
-    z >= 0 when `nonneg` (the start z must then be feasible). Step k takes
-    one gradient, at the extrapolated point y (the start at k = 1):
-    z_new = y - grad(y)/lip, clipped at 0 when `nonneg`, then
+    Minimizes an objective with `lip`-Lipschitz gradient over z >= 0 when
+    `nonneg` (the start z must then be feasible). `forward(y, out)`
+    writes the forward step y - grad(y)/lip into `out`. Step k takes one
+    forward step, from the extrapolated point y (the start at k = 1):
+    z_new is that step, clipped at 0 when `nonneg`, then
     y = z_new + m (z_new - z) with m = (sqrt(lip) - sqrt(mu)) /
     (sqrt(lip) + sqrt(mu)); the objective gap contracts by
     1 - sqrt(mu/lip) per step. After each step k, `stop(k, z_new, y)` is
@@ -171,18 +177,27 @@ def _projected_nesterov(name, grad, z, lip, mu, nonneg, max_iter, stop):
     converged is False exactly when `max_iter` steps ran without `stop`
     accepting, which a RuntimeWarning headed by `name` (the solver and
     its unmet test) reports.
+
+    The first step reads the start array and never writes it; y, z and
+    z_new then live in three buffers allocated once per call, the
+    momentum formed in y in place. `stop` gets two distinct arrays, and
+    the returned z is one of this call's buffers.
     """
     root_l, root_mu = math.sqrt(lip), math.sqrt(mu)
     momentum = (root_l - root_mu) / (root_l + root_mu)
-    y = z
+    start = y = z
+    y_buf, z_new = np.empty_like(z), np.empty_like(z)
     for k in range(1, max_iter + 1):
-        z_new = y - grad(y) / lip
+        forward(y, z_new)
         if nonneg:
             np.maximum(z_new, 0.0, out=z_new)
         if stop(k, z_new, y):
             return z_new, k, True
-        y = z_new + momentum * (z_new - z)
-        z = z_new
+        y = np.subtract(z_new, z, out=y_buf)
+        y *= momentum
+        y += z_new
+        # the start is only read: the step after it gets a third buffer
+        z, z_new = z_new, (np.empty_like(z) if z is start else z)
     warnings.warn(f"{name} after max_iter = {max_iter} steps; returning the "
                   "last iterate", RuntimeWarning)
     return z, max_iter, False
@@ -216,32 +231,39 @@ def prox_tv_with_info(shape, params, x, beta, nonneg=False, tol=1e-6,
     x = np.asarray(x, dtype=np.float64)
     x0 = np.maximum(x, 0.0) if nonneg else x
     lip = lipschitz_bound(params) + 1.0 / beta
+    # the forward step y - (grad R_tau(y) + (y - x)/beta)/L, regrouped
+    keep, step = 1.0 - 1.0 / (beta * lip), 1.0 / lip
+    pull = x / (beta * lip)
     d, root = np.empty(2 * shape.n), np.empty(2 * shape.n)
-    g, shift = np.empty(shape.n), np.empty(shape.n)
-    tv_start = None  # R_tau(x0): the first gradient is taken at y = x0
+    work = np.empty(shape.n)
+    # the guard runs for a feasible x, where x0 = x, and compares with
+    # R_tau(x0), taken from the first step at y = x0
+    guarded = not nonneg or x.min() >= 0
+    tv_start = None
 
-    def grad(z):
+    def forward(y, out):
         nonlocal tv_start
-        _smooth_terms(shape, params, z, d=d, root=root)
-        if tv_start is None:
+        _smooth_terms(shape, params, y, d=d, root=root)
+        if guarded and tv_start is None:
             tv_start = root.sum()
-        grad_adjoint(shape, np.divide(d, root, out=d), out=g)
-        np.divide(np.subtract(z, x, out=shift), beta, out=shift)
-        return np.add(g, shift, out=g)
+        g = grad_adjoint(shape, np.divide(d, root, out=d), out=work)
+        g *= step
+        np.multiply(y, keep, out=out)
+        out -= g
+        out += pull
 
     def stop(k, z, y):
-        return lip * float(np.max(np.abs(y - z))) <= tol
-
-    def value(z, tv):
-        diff = z - x
-        return tv + 0.5 / beta * float(diff @ diff)
+        # L * max|y - z| from one difference, without an |.| pass
+        np.subtract(y, z, out=work)
+        return lip * max(work.max(), -work.min()) <= tol
 
     z, nit, converged = _projected_nesterov(
-        f"TV prox: projected gradient above tol = {tol}", grad, x0, lip,
+        f"TV prox: projected gradient above tol = {tol}", forward, x0, lip,
         1.0 / beta, nonneg, max_iter, stop)
-    # never accept an objective increase relative to a feasible input
-    if not nonneg or np.all(x >= 0):
+    # never accept an objective increase; at x0 = x the objective is R_tau
+    if guarded:
         tv_end = _smooth_terms(shape, params, z, d=d, root=root)[1].sum()
-        if value(z, tv_end) >= value(x0, tv_start):
+        diff = np.subtract(z, x, out=work)
+        if tv_end + 0.5 / beta * float(diff @ diff) >= tv_start:
             z = x0.copy()
     return z, nit, nit, not converged

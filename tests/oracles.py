@@ -1,6 +1,7 @@
 """Dense reference solutions for the tests (small instances only), a
-relative error, a counter of an operator's diagnostic products, and the
-PDNoInv step and certificates as plain allocating expressions."""
+relative error, a counter of an operator's diagnostic products, the TV
+prox as a plain projected Nesterov loop, and the PDNoInv step and
+certificates as plain allocating expressions."""
 
 import math
 
@@ -83,6 +84,42 @@ def smooth_terms_2d(shape, params, x):
     root = np.square(d)
     root += params.tau ** 2
     return d, np.sqrt(root, out=root)
+
+
+def prox_tv_nesterov_2d(shape, params, x, beta, nonneg=False, tol=1e-6,
+                        max_iter=500):
+    """The TV prox's projected Nesterov loop, one plain formula a step.
+
+    Step k from y: z_new = y - (grad R_tau(y) + (y - x)/beta)/L, clipped
+    at 0 when `nonneg`; stop when L * max|y - z_new| <= tol; else
+    y = z_new + m (z_new - z). Then the objective guard of
+    `regtv.prox_tv_with_info`. Built on the two-dimensional reference
+    kernels, so it shares no difference kernel with the code under test.
+    Returns (z, steps).
+    """
+    lip = 8.0 / params.tau + 1.0 / beta
+    momentum = (math.sqrt(lip) - math.sqrt(1.0 / beta)) \
+        / (math.sqrt(lip) + math.sqrt(1.0 / beta))
+
+    def objective(z):
+        return float(smooth_terms_2d(shape, params, z)[1].sum()) \
+            + 0.5 / beta * float((z - x) @ (z - x))
+
+    x0 = np.maximum(x, 0.0) if nonneg else x
+    y = z = x0
+    for k in range(1, max_iter + 1):
+        d, root = smooth_terms_2d(shape, params, y)
+        z_new = y - (grad_adjoint_2d(shape, d / root) + (y - x) / beta) / lip
+        if nonneg:
+            z_new = np.maximum(z_new, 0.0)
+        if lip * np.max(np.abs(y - z_new)) <= tol:
+            break
+        y, z = z_new + momentum * (z_new - z), z_new
+    else:
+        k, z_new = max_iter, z
+    if (not nonneg or np.all(x >= 0)) and objective(z_new) >= objective(x0):
+        z_new = x0.copy()
+    return z_new, k
 
 
 def count_uncounted_products(A):

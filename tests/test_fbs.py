@@ -118,6 +118,32 @@ def test_prox_ls_exact_constrained_kkt():
     assert np.max(np.abs(g[z > 1e-8])) < 1e-6
 
 
+def test_prox_ls_exact_constrained_never_aliases_caller_arrays(
+        monkeypatch):
+    pairs = []
+    nesterov = fbs._projected_nesterov
+
+    def watched(name, forward, z, lip, mu, nonneg, max_iter, stop):
+        def watched_stop(k, z_new, y):
+            pairs.append(not np.shares_memory(z_new, y))
+            return stop(k, z_new, y)
+        return nesterov(name, forward, z, lip, mu, nonneg, max_iter,
+                        watched_stop)
+
+    monkeypatch.setattr(fbs, "_projected_nesterov", watched)
+    A, b, x = make_instance(seed=3)
+    x_bytes = x.tobytes()
+    prob = LSProx(A, A.applyT_nocount(b), 0.6, x, nonneg=True)
+    z1, steps = prox_ls_exact(prob)
+    z2, _ = prox_ls_exact(prob)
+    assert x.tobytes() == x_bytes
+    assert steps >= 2 and len(pairs) == 2 * steps and all(pairs)
+    for z in (z1, z2):
+        assert not np.shares_memory(z, x)
+    assert not np.shares_memory(z1, z2)
+    assert z1.tobytes() == z2.tobytes()
+
+
 def test_dual_gap_zero_at_exact_prox_and_nonneg_elsewhere():
     A, b, x = make_instance(seed=4)
     alpha = 0.7

@@ -185,7 +185,7 @@ def _prox_steps_per_record(monkeypatch):
     """Prox steps of each outer step, counted from outside the runs.
 
     Every step of the projected Nesterov kernel, the TV prox's and the
-    constrained exact least-squares prox's, takes one gradient, and
+    constrained exact least-squares prox's, takes one forward step, and
     every primal-dual step is one call of its step function; the
     wrappers count those calls wherever the runs look the functions up,
     and each `metrics.make_record` call closes the count of the outer
@@ -202,8 +202,8 @@ def _prox_steps_per_record(monkeypatch):
 
     nesterov, record = regtv._projected_nesterov, metrics.make_record
 
-    def nesterov_counting_gradients(name, grad, *args):
-        return nesterov(name, counted(grad), *args)
+    def nesterov_counting_steps(name, forward, *args):
+        return nesterov(name, counted(forward), *args)
 
     def closing_record(*args, **kwargs):
         per_record.append(count[0])
@@ -212,7 +212,7 @@ def _prox_steps_per_record(monkeypatch):
 
     for module in (regtv, fbs):
         monkeypatch.setattr(module, "_projected_nesterov",
-                            nesterov_counting_gradients)
+                            nesterov_counting_steps)
     for name in ("pd_noinv_step", "pd_basic_step"):
         monkeypatch.setattr(fbs, name, counted(getattr(fbs, name)))
     monkeypatch.setattr(metrics, "make_record", closing_record)

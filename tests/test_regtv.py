@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (dense_grad_matrix, grad_adjoint_2d, grad_apply_2d,
-                     smooth_terms_2d)
+                     prox_tv_nesterov_2d, relative_error, smooth_terms_2d)
 from supopt import regtv
 from supopt.regtv import (GridShape, SmoothedTVParams, _smooth_terms,
                           grad_adjoint, grad_apply, lipschitz_bound,
@@ -280,3 +280,45 @@ def test_prox_within_its_distance_certificate(side, beta, nonneg):
         <= (beta - 1.0 / lip) * np.sqrt(shape.n) * tol + 1e-12
     if nonneg:
         assert np.min(z) >= 0.0
+
+
+@pytest.mark.parametrize("side", [8, 16])
+@pytest.mark.parametrize("beta", [1e-5, 0.05, 0.1])
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_prox_matches_plain_nesterov_reference(side, beta, nonneg):
+    # the fused forward step regroups y - (grad R_tau(y) + (y - x)/beta)/L,
+    # so it agrees with the plain formula up to rounding, step for step
+    shape = GridShape(side, side)
+    x = np.random.default_rng(10 * side).standard_normal(shape.n)
+    z, nit, _, warn = prox_tv_with_info(shape, TVP, x, beta, nonneg=nonneg)
+    z_ref, nit_ref = prox_tv_nesterov_2d(shape, TVP, x, beta, nonneg=nonneg)
+    assert not warn and nit == nit_ref
+    assert relative_error(z, z_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_prox_buffers_never_alias_caller_arrays(monkeypatch, nonneg):
+    starts, pairs = [], []
+    nesterov = regtv._projected_nesterov
+
+    def watched(name, forward, z, lip, mu, nonneg, max_iter, stop):
+        def watched_stop(k, z_new, y):
+            pairs.append(not np.shares_memory(z_new, y))
+            return stop(k, z_new, y)
+        starts.append(z)
+        return nesterov(name, forward, z, lip, mu, nonneg, max_iter,
+                        watched_stop)
+
+    monkeypatch.setattr(regtv, "_projected_nesterov", watched)
+    x = np.random.default_rng(11).standard_normal(SHAPE.n)
+    x_bytes = x.tobytes()
+    z1, nit, _, _ = prox_tv_with_info(SHAPE, TVP, x, 0.05, nonneg=nonneg)
+    z2 = prox_tv_with_info(SHAPE, TVP, x, 0.05, nonneg=nonneg)[0]
+    assert x.tobytes() == x_bytes
+    # the unconstrained prox starts from x itself, which no step writes
+    assert (starts[0] is x) == (not nonneg)
+    assert nit >= 2 and len(pairs) == 2 * nit and all(pairs)
+    for z in (z1, z2):
+        assert not np.shares_memory(z, x)
+    assert not np.shares_memory(z1, z2)
+    assert z1.tobytes() == z2.tobytes()
