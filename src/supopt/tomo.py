@@ -107,63 +107,39 @@ def shepp_logan(image_side):
     return img.ravel()
 
 
-def _slab(N, offsets, theta):
-    """The rays of one angle and the span in which each is in the image.
+def _trace_angle(N, offsets, theta, index_dtype):
+    """Trace all rays of one angle through the unit cells of an N x N grid.
 
     The grid covers [-N/2, N/2]^2. Ray j passes through
     offsets[j] * (-sin t, cos t) with direction (cos t, sin t), so it
     meets the grid line x = g at (g - px_j) / cos t, and likewise for y;
-    an axis a ray runs parallel to (|cos t| or |sin t| below 1e-14) has
-    no crossings. On each other axis, the first and last grid lines the
-    ray meets bound the span [t_lo, t_hi] in which it is inside the
-    image.
-
-    Returns (axes, t_lo, t_hi), axes being ((px, cos t), (py, sin t)).
-    """
-    half = N / 2.0
-    axes = ((-offsets * np.sin(theta), np.cos(theta)),
-            (offsets * np.cos(theta), np.sin(theta)))
-    ends = [((-half - p) / d, (half - p) / d)[::1 if d > 0 else -1]
-            for p, d in axes if abs(d) >= 1e-14]
-    t_lo = np.max([first for first, _ in ends], axis=0)
-    t_hi = np.min([last for _, last in ends], axis=0)
-    return axes, t_lo, t_hi
-
-
-def _cells_bound(slab):
-    """A bound on the cells each ray of one `_slab` crosses.
-
-    A ray whose chord in the image is l meets at most ceil(l |cos t|)
-    vertical and ceil(l |sin t|) horizontal grid lines strictly inside
-    it, so it crosses at most floor(l (|cos t| + |sin t|)) + 3 cells.
-    """
-    ((_, dx), (_, dy)), t_lo, t_hi = slab
-    chord = np.maximum(t_hi - t_lo, 0.0)
-    return np.floor(chord * (abs(dx) + abs(dy))).astype(np.int64) + 3
-
-
-def _trace_angle(N, offsets, theta, index_dtype):
-    """Trace all rays of one angle through the unit cells of an N x N grid.
-
-    The rays and their spans [t_lo, t_hi] are those of `_slab`. Each
-    axis's N + 1 crossing times run in grid order, reversed where the
-    direction is negative, so both runs ascend. The times, clipped to
-    the span, are sorted as one row of an (n_rays, 2 N + 2) array, and
-    consecutive times bound the segments. Clipping repeats t_lo and
-    t_hi, and an x crossing that meets a y crossing repeats a time;
-    those segments, like the ones rounding leaves between two nearly
-    equal crossings, go with the filter that keeps lengths above 1e-12.
-    Only the kept segments' midpoints are formed, and give their pixels.
+    an axis a ray runs parallel to (|cos t| or |sin t| below 1e-14) adds
+    no crossings. Each axis's N + 1 crossing times run in grid order,
+    reversed where the direction is negative, so both runs ascend; their
+    first and last columns are the row minima and maxima, and bound the
+    span [t_lo, t_hi] in which the ray is inside the image. The times,
+    clipped to that span, are sorted as one row of an (n_rays, 2 N + 2)
+    array, and consecutive times bound the segments. Clipping repeats
+    t_lo and t_hi, and an x crossing that meets a y crossing repeats a
+    time; those segments, like the ones rounding leaves between two
+    nearly equal crossings, go with the filter that keeps lengths above
+    1e-12. Only the kept segments' midpoints are formed, and give their
+    pixels.
 
     Returns (cols, lengths, counts): the kept segments' flat row-major
     pixel indices (image row 0 at the top) as `index_dtype` and lengths,
     ray by ray in the order the ray runs, and the number kept per ray.
     """
-    axes, t_lo, t_hi = _slab(N, offsets, theta)
     half = N / 2.0
     grid = np.arange(-half, half + 1.0)
-    t = np.concatenate([((grid if d > 0 else grid[::-1]) - p[:, None]) / d
-                        for p, d in axes if abs(d) >= 1e-14], axis=1)
+    dx, dy = np.cos(theta), np.sin(theta)
+    px, py = -offsets * np.sin(theta), offsets * np.cos(theta)
+    crossings = [((grid if d > 0 else grid[::-1]) - p[:, None]) / d
+                 for p, d in ((px, dx), (py, dy)) if abs(d) >= 1e-14]
+    # the first and last grid lines of each axis bound the image
+    t_lo = np.max([ts[:, 0] for ts in crossings], axis=0)
+    t_hi = np.min([ts[:, -1] for ts in crossings], axis=0)
+    t = np.concatenate(crossings, axis=1)
     np.maximum(t, t_lo[:, None], out=t)
     np.minimum(t, t_hi[:, None], out=t)
     t.sort(axis=1)
@@ -173,7 +149,7 @@ def _trace_angle(N, offsets, theta, index_dtype):
     tm = 0.5 * (t[:, :-1][keep] + t[:, 1:][keep])
     # floor, clip and the flat index are exact on float64's integers
     pixel = []
-    for p, d in axes:
+    for p, d in ((px, dx), (py, dy)):
         i = np.floor(tm * d + np.repeat(p, counts) + half)
         pixel.append(np.minimum(np.maximum(i, 0.0, out=i), N - 1.0, out=i))
     ix, iy = pixel
@@ -195,28 +171,24 @@ def build_parallel_system(geom):
     Every ray passes within (N - 1) / 2 of the centre, inside the
     image's inscribed circle, so no row is empty.
 
-    One pair of arrays, `data` and `indices`, sized by the sum of
-    `_cells_bound` over all rays, receives each angle's trace at a
-    running offset, and the CSR takes their filled prefix, so the build
-    holds the operator's arrays once, plus one angle's trace. At 128^2,
-    20 angles and 120 rays the bound is 373 278 entries, of which
-    367 060 are filled, so `data` stays under the 4 MiB from which numpy
-    asks for huge pages, and no page of its untouched tail becomes
-    resident. scipy keeps the prefix as a view when it is at least half
-    the buffer (rounded down), and copies it otherwise, as concatenating
-    the traces would.
+    A ray crosses fewer than 2 N cells. One pair of arrays, `data` and
+    `indices`, sized by that bound on nnz, receives each angle's trace
+    at a running offset, and the CSR takes their filled prefix, so the
+    build holds the operator's arrays once, plus one angle's trace. The
+    tail past nnz is never written, so its pages stay out of memory,
+    bar the rest of a huge page the prefix ends in (numpy asks for huge
+    pages for arrays of 4 MiB and more, as `data` is at 128^2). scipy
+    keeps the prefix as a view when it is at least half the buffer
+    (367 060 of 614 400 entries at 128^2, 20 angles, 120 rays), and
+    copies it otherwise, as concatenating the traces would.
     """
     N = geom.image_side
     n_rays = geom.n_rays
     offsets = np.linspace(-(N - 1) / 2.0, (N - 1) / 2.0, n_rays)
-    # each angle's slab is formed again as it is traced: holding all of
-    # them fragments the heap that the first solve's buffers then reuse
-    bound = sum(int(_cells_bound(_slab(N, offsets, np.deg2rad(a))).sum())
-                for a in geom.angles)
-    # when nnz and both dimensions fit int32, scipy stores int32 indices,
-    # so the columns are cast as each angle is traced
-    largest = max(bound, geom.n_pixels, geom.n_measurements)
-    index_dtype = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+    # when the bound on nnz and both dimensions fit int32, scipy stores
+    # int32 indices, so the columns are cast as each angle is traced
+    bound = max(geom.n_measurements * 2 * N, geom.n_pixels)
+    index_dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
     data = np.empty(bound)
     indices = np.empty(bound, dtype=index_dtype)
     indptr = np.zeros(geom.n_measurements + 1, dtype=np.int64)

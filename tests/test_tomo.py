@@ -6,10 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from supopt import tomo
 from supopt.tomo import (_ELLIPSES, Geometry, NoiseModel, add_noise,
                          build_parallel_system, noise_sigma, save_pgm,
                          shepp_logan)
@@ -172,38 +169,18 @@ def test_projector_bitwise_equal_to_per_ray_reference(geom):
     assert csr.data.tobytes() == ref.data.tobytes()
 
 
-@pytest.mark.parametrize("geom, bound, view", [
-    (Geometry(128, 20, 120), 373_278, True),  # 367 060 entries filled
-    (Geometry(8, 1, 15, angles=np.array([45.0])), 198, True),  # 154
-    (Geometry(16, 4, 1), 64, True),  # 54
-    # rays of chord 2 cross 2 cells, against a bound of 5 each
-    (Geometry(2, 2, 3, angles=np.array([0.0, 90.0])), 30, False),  # 12
-], ids=["paper", "45-corners", "one-ray", "2x2"])
+@pytest.mark.parametrize("geom, view", [
+    (Geometry(128, 20, 120), True),  # 367 060 of 614 400 entries
+    (Geometry(8, 1, 15, angles=np.array([45.0])), True),  # 154 of 240
+    (Geometry(16, 4, 1), False),  # 54 of 256
+], ids=["paper", "45-corners", "one-ray"])
 def test_projector_keeps_a_filled_prefix_of_half_the_buffer_as_a_view(
-        geom, bound, view):
-    # scipy copies a prefix shorter than half the buffer it views; the
-    # buffers hold the sum over rays of floor(l (|cos| + |sin|)) + 3
+        geom, view):
+    # scipy copies a prefix shorter than half the buffer it views
+    bound = max(geom.n_measurements * 2 * geom.image_side, geom.n_pixels)
     csr = build_parallel_system(geom).tocsr()
-    assert (csr.nnz >= bound // 2) == view
     for array in (csr.data, csr.indices):
         assert array.base.size == (bound if view else csr.nnz)
-
-
-_ANGLE = st.one_of(st.sampled_from([0.0, 45.0, 90.0, 135.0]),
-                   st.floats(0.0, 180.0, exclude_max=True))
-
-
-@settings(max_examples=80, deadline=None, database=None)
-@given(N=st.integers(2, 48), n_rays=st.integers(1, 40),
-       angles=st.lists(_ANGLE, min_size=1, max_size=6, unique=True))
-def test_cells_bound_covers_every_traced_ray(N, n_rays, angles):
-    # the bound holds ray by ray, also at 0 and 90 degrees, where one
-    # axis has no crossings, and for a single ray off the centre
-    offsets = np.linspace(-(N - 1) / 2.0, (N - 1) / 2.0, n_rays)
-    for theta in np.deg2rad(angles):
-        counts = tomo._trace_angle(N, offsets, theta, np.int64)[2]
-        assert np.all(counts <= tomo._cells_bound(
-            tomo._slab(N, offsets, theta)))
 
 
 _BUILD_GROWTH = """
