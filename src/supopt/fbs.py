@@ -37,6 +37,7 @@ uncounted, and no solver is charged for it.
 """
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .metrics import run_outer
-from .opslin import shifted_gram_solve
+from .opslin import as_vector, shifted_gram_solve
 from .regtv import (_projected_nesterov, lipschitz_bound, prox_tv_with_info,
                     tv_smooth, tv_smooth_grad)
 
@@ -63,7 +64,8 @@ class AFBSConfig:
     solver and its inner stays None. alpha defaults to
     1/L_f; the inexact inner tolerance schedule is eps_k =
     k**(-inexact_q). max_inner caps each prox's inner steps, whichever
-    the inner solver; a prox that reaches it warns.
+    the inner solver; a prox that reaches it warns. max_outer and
+    max_inner must be integers (numpy's too), else TypeError.
     """
 
     kind: str
@@ -92,9 +94,12 @@ class AFBSConfig:
         # written so that NaN fails every test
         if not (self.alpha is None or 0 < self.alpha < math.inf):
             raise ValueError("alpha must be positive and finite")
+        # operator.index rejects a NaN or 2.5 count: run_outer stops only
+        # on k == max_outer
         if not (0 < self.inexact_q < math.inf
                 and 0 <= self.term_tol < math.inf) \
-                or self.max_inner < 1 or self.max_outer < 0:
+                or operator.index(self.max_inner) < 1 \
+                or operator.index(self.max_outer) < 0:
             raise ValueError("need finite inexact_q > 0 and term_tol >= 0, "
                              "max_inner >= 1 and max_outer >= 0")
 
@@ -130,8 +135,9 @@ class LSProx:
     `nonneg`; equivalently min 0.5 z^T B z - <c, z> with B = A^T A +
     I/alpha and c = x/alpha + A^T b. b enters only through `atb` = A^T b,
     data that the caller forms. Making one turns x and atb into float64
-    arrays and raises ValueError unless alpha is positive and finite and
-    both have shape (A.n_cols,). c is formed on first use and kept.
+    arrays. It raises ValueError unless alpha is positive and finite, and
+    `opslin.DimensionMismatchError`, naming the argument, unless both
+    have shape (A.n_cols,). c is formed on first use and kept.
     """
 
     A: object
@@ -141,16 +147,12 @@ class LSProx:
     nonneg: bool = False
 
     def __post_init__(self):
-        n = self.A.n_cols
         # written so that NaN fails the test
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got "
                              f"{self.alpha}")
         for name in ("atb", "x"):
-            value = np.asarray(getattr(self, name), dtype=np.float64)
-            if value.shape != (n,):
-                raise ValueError(f"{name} has shape {value.shape}, A has {n} "
-                                 "columns")
+            value = as_vector(name, getattr(self, name), self.A.n_cols)
             object.__setattr__(self, name, value)
 
     @cached_property

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .opslin import NonFiniteError
+from .opslin import NonFiniteError, as_vector
 from .regtv import GridShape, SmoothedTVParams, _smooth_terms, grad_adjoint
 
 FEAS_TOL = -1e-8  # sup_c's floor on min_i x_i
@@ -29,8 +29,9 @@ class ProblemInstance:
     x_ref is the reference image that records measure err_scaled against
     (the phantom, or an optimum x* by `dataclasses.replace`), or None.
     Making one, `dataclasses.replace` included, turns b and x_ref into
-    float64 arrays and raises ValueError unless b has length A.n_rows,
-    and shape.n and the length of x_ref, where given, are A.n_cols.
+    float64 arrays. It raises `opslin.DimensionMismatchError`, naming the
+    argument, unless b has length A.n_rows and x_ref, where given,
+    A.n_cols, and ValueError unless shape.n is A.n_cols.
     """
 
     A: object
@@ -40,19 +41,14 @@ class ProblemInstance:
     x_ref: np.ndarray = None
 
     def __post_init__(self):
-        m, n = self.A.n_rows, self.A.n_cols
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
-        if self.b.shape != (m,):
-            raise ValueError(f"b has shape {self.b.shape}, A has {m} rows")
+        n = self.A.n_cols
+        object.__setattr__(self, "b", as_vector("b", self.b, self.A.n_rows))
         if self.shape.n != n:
             raise ValueError(f"shape has {self.shape.n} pixels, A has {n} "
                              "columns")
         if self.x_ref is not None:
             object.__setattr__(self, "x_ref",
-                               np.asarray(self.x_ref, dtype=np.float64))
-            if self.x_ref.shape != (n,):
-                raise ValueError(f"x_ref has shape {self.x_ref.shape}, A has "
-                                 f"{n} columns")
+                               as_vector("x_ref", self.x_ref, n))
 
 
 class NumericalDivergenceError(RuntimeError):

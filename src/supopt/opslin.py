@@ -26,11 +26,24 @@ _BLOCK_ROWS = 300
 
 
 class DimensionMismatchError(ValueError):
-    """Operator applied to a vector of the wrong length."""
+    """A vector of the wrong length entered `supopt`."""
 
 
 class NonFiniteError(ValueError):
     """A reduced system or its right-hand side holds a NaN or inf."""
+
+
+def as_vector(name, v, length):
+    """v as a float64 array; DimensionMismatchError unless of shape (length,).
+
+    The one check of every vector that enters `supopt`; the message names
+    the argument `name`.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (length,):
+        raise DimensionMismatchError(
+            f"{name} has shape {v.shape}, expected length {length}")
+    return v
 
 
 class SparseOperator:
@@ -47,10 +60,12 @@ class SparseOperator:
     cost model (one unit per A or A^T product). Diagnostic quantities
     (termination residuals, logged metrics, inexactness certificates) go
     through the uncounted private products so that the logged cost matches
-    the per-step closed forms. `_factor_cache` holds at most one reduced
-    system factor, as F-ordered block rows of its lower triangle: about
-    4 m^2 bytes, 26 MB at m = 2400. `start_run` zeroes the counter and
-    drops the factor, so each run is charged and timed for its own.
+    the per-step closed forms. Each product raises `DimensionMismatchError`,
+    naming the product, on a vector of the wrong length. `_factor_cache`
+    holds at most one reduced system factor, as F-ordered block rows of
+    its lower triangle: about 4 m^2 bytes, 26 MB at m = 2400. `start_run`
+    zeroes the counter and drops the factor, so each run is charged and
+    timed for its own.
     """
 
     def __init__(self, matrix):
@@ -94,36 +109,27 @@ class SparseOperator:
             self._norm_sq = spectral_norm_sq(self)
         return self._norm_sq
 
-    @staticmethod
-    def _vector(name, v, length):
-        """v as a float64 vector; DimensionMismatchError unless of `length`."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (length,):
-            raise DimensionMismatchError(
-                f"{name}: expected length {length}, got {v.shape}")
-        return v
-
     # -- counted products ---------------------------------------------------
 
     def matvec(self, x):
         """Return A @ x."""
-        x = self._vector("matvec", x, self.n_cols)
+        x = as_vector("matvec", x, self.n_cols)
         self.matvec_count += 1
         return self._csr @ x
 
     def rmatvec(self, y):
         """Return A.T @ y."""
-        y = self._vector("rmatvec", y, self.n_rows)
+        y = as_vector("rmatvec", y, self.n_rows)
         self.matvec_count += 1
         return self._csr_t @ y
 
     # -- uncounted products (diagnostics, termination checks) ---------------
 
     def apply_nocount(self, x):
-        return self._csr @ self._vector("apply_nocount", x, self.n_cols)
+        return self._csr @ as_vector("apply_nocount", x, self.n_cols)
 
     def applyT_nocount(self, y):
-        return self._csr_t @ self._vector("applyT_nocount", y, self.n_rows)
+        return self._csr_t @ as_vector("applyT_nocount", y, self.n_rows)
 
 
 def spectral_norm_sq(A):

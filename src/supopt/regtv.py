@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .opslin import as_vector
+
 
 @dataclass(frozen=True)
 class GridShape:
@@ -61,13 +63,6 @@ class SmoothedTVParams:
             raise ValueError("lambda must be finite and nonnegative")
 
 
-def _vector(x, length):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (length,):
-        raise ValueError(f"expected length {length}, got {x.shape}")
-    return x
-
-
 def grad_apply(shape, x, out=None):
     """Stacked forward differences (D1 x; D2 x), each of length n.
 
@@ -75,7 +70,7 @@ def grad_apply(shape, x, out=None):
     receives the result.
     """
     n, c = shape.n, shape.cols
-    x = _vector(x, n)
+    x = as_vector("x", x, n)
     if out is None:
         out = np.empty(2 * n)
     d1, d2 = out[:n], out[n:]
@@ -97,7 +92,7 @@ def grad_adjoint(shape, y, out=None):
     operations, in the same order, as the two-dimensional stencil.
     """
     n, c = shape.n, shape.cols
-    y = _vector(y, 2 * n)
+    y = as_vector("y", y, 2 * n)
     y1, y2 = y[:n], y[n:]
     if out is None:
         out = np.empty(n)

@@ -20,6 +20,7 @@ max_outer and report converged = False.
 """
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import basic
 from .metrics import run_outer
+from .opslin import as_vector
 from .regtv import _smooth_terms, grad_adjoint, prox_tv_with_info
 
 # variant -> (basic operator, reduction step, default a, default gamma0);
@@ -52,7 +54,8 @@ class SupConfig:
     kappa is the number of reduction passes per outer iteration (gradient
     variants only); the perturbation sizes gamma0 * a^l are summable
     whenever a < 1. An unset a or gamma0 takes the variant's default
-    from `VARIANTS`.
+    from `VARIANTS`. kappa and max_outer must be integers (numpy's too),
+    else TypeError.
     """
 
     variant: str
@@ -70,12 +73,14 @@ class SupConfig:
             object.__setattr__(self, "a", a)
         if self.gamma0 is None:
             object.__setattr__(self, "gamma0", gamma0)
-        # written so that NaN fails every test
+        # written so that NaN fails every test; operator.index rejects a
+        # NaN or 2.5 count: run_outer stops only on k == max_outer
         if not 0 < self.a <= 1:
             raise ValueError("a must be in (0, 1]")
         if not (self.gamma0 is None or 0 < self.gamma0 < math.inf) \
-                or self.kappa < 1 or not 0 <= self.eps < math.inf \
-                or self.max_outer < 0:
+                or operator.index(self.kappa) < 1 \
+                or not 0 <= self.eps < math.inf \
+                or operator.index(self.max_outer) < 0:
             raise ValueError("need a finite gamma0 > 0, kappa >= 1, a finite "
                              "eps >= 0, max_outer >= 0")
 
@@ -151,11 +156,11 @@ def superiorize_run(config, problem, x0=None, half_callback=None):
     """Run one superiorized variant until eps-compatibility or max_outer.
 
     Solves the `metrics.ProblemInstance` `problem`, starting at x0 (zero
-    by default; ValueError unless its shape is (A.n_cols,)). Outer step k
-    applies the variant's reduction step(s) to get y_{k-1/2}, optionally
-    reported through `half_callback`, then one basic operator step:
-    Landweber with step `basic.default_gamma`, or CG with
-    `basic.default_mu`.
+    by default; `opslin.DimensionMismatchError` unless its shape is
+    (A.n_cols,)). Outer step k applies the variant's reduction step(s) to
+    get y_{k-1/2}, optionally reported through `half_callback`, then one
+    basic operator step: Landweber with step `basic.default_gamma`, or CG
+    with `basic.default_mu`.
     A gamma0 that the config leaves unset is 1.9 * lam / ||A||_2^2, and
     then lam = 0 raises ValueError on entry.
     `metrics.run_outer` drives the steps and stops on rule sup_u,
@@ -167,9 +172,7 @@ def superiorize_run(config, problem, x0=None, half_callback=None):
     run_outer's RunResult.
     """
     A, shape, tvparams = problem.A, problem.shape, problem.tvparams
-    y = np.zeros(A.n_cols) if x0 is None else np.asarray(x0, dtype=np.float64)
-    if y.shape != (A.n_cols,):
-        raise ValueError(f"x0 has shape {y.shape}, A has {A.n_cols} columns")
+    y = np.zeros(A.n_cols) if x0 is None else as_vector("x0", x0, A.n_cols)
     config.check_lam(tvparams.lam)
     kind, reduction = VARIANTS[config.variant][:2]
     rule = "sup_c" if kind == "LW+" or reduction == "prox+" else "sup_u"

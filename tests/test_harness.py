@@ -254,6 +254,50 @@ def test_problem_instance_checks_its_parts_against_the_operator():
         replace(problem, x_ref=np.ones(5))
 
 
+# a vector of length 2 enters each entry point of the 3 x 4 operator A on
+# the 2 x 2 grid, whose vectors have length 3, 4 or 8
+@pytest.mark.parametrize("name, call", [
+    ("matvec", lambda A, grid, tvp: A.matvec(np.ones(2))),
+    ("rmatvec", lambda A, grid, tvp: A.rmatvec(np.ones(2))),
+    ("apply_nocount", lambda A, grid, tvp: A.apply_nocount(np.ones(2))),
+    ("applyT_nocount", lambda A, grid, tvp: A.applyT_nocount(np.ones(2))),
+    ("x", lambda A, grid, tvp: regtv.grad_apply(grid, np.ones(2))),
+    ("y", lambda A, grid, tvp: regtv.grad_adjoint(grid, np.ones(2))),
+    ("b", lambda A, grid, tvp: ProblemInstance(A, np.ones(2), grid, tvp)),
+    ("x_ref", lambda A, grid, tvp: ProblemInstance(A, np.ones(3), grid, tvp,
+                                                   x_ref=np.ones(2))),
+    ("atb", lambda A, grid, tvp: fbs.LSProx(A, np.ones(2), 1.0, np.ones(4))),
+    ("x", lambda A, grid, tvp: fbs.LSProx(A, np.ones(4), 1.0, np.ones(2))),
+    ("x0", lambda A, grid, tvp: superiorize_run(
+        SupConfig("GradSupLW", max_outer=1),
+        ProblemInstance(A, np.ones(3), grid, tvp), x0=np.ones(2))),
+], ids=["matvec", "rmatvec", "apply_nocount", "applyT_nocount", "grad_apply",
+        "grad_adjoint", "ProblemInstance.b", "ProblemInstance.x_ref",
+        "LSProx.atb", "LSProx.x", "superiorize_run.x0"])
+def test_a_wrong_length_vector_raises_dimension_mismatch_naming_it(name,
+                                                                   call):
+    A = SparseOperator(np.ones((3, 4)))
+    grid, tvp = GridShape(2, 2), SmoothedTVParams(lam=0.01)
+    with pytest.raises(DimensionMismatchError,
+                       match=rf"^{name} has shape \(2,\), expected length"):
+        call(A, grid, tvp)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 2.5])
+@pytest.mark.parametrize("make, field", [
+    (lambda **kw: AFBSConfig("ReversedTV", **kw), "max_outer"),
+    (lambda **kw: AFBSConfig("NaturalLS", **kw), "max_inner"),
+    (lambda **kw: SupConfig("GradSupCG", **kw), "max_outer"),
+    (lambda **kw: SupConfig("GradSupCG", **kw), "kappa"),
+], ids=["AFBSConfig.max_outer", "AFBSConfig.max_inner", "SupConfig.max_outer",
+        "SupConfig.kappa"])
+def test_configs_take_only_integer_counts(make, field, value):
+    # a NaN or 2.5 max_outer never equals run_outer's k: the run would not end
+    with pytest.raises(TypeError):
+        make(**{field: value})
+    assert getattr(make(**{field: np.int64(5)}), field) == 5
+
+
 def test_make_record_stopping_rules():
     problem = build_problem(small_config())
     x = problem.x_ref
