@@ -14,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from supopt.tomo import (Geometry, NoiseModel, add_noise,
-                         build_parallel_system, noise_sigma, save_pgm,
-                         shepp_logan)
+from supopt.tomo import (Geometry, add_noise, build_parallel_system,
+                         noise_sigma, save_pgm, shepp_logan)
 
 out = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
 out.mkdir(parents=True, exist_ok=True)
@@ -33,15 +32,14 @@ print(f"phantom range: [{x.min():.3f}, {x.max():.3f}], "
 
 A = build_parallel_system(geom)
 nnz = A.nnz
-print(f"system matrix: {A.shape[0]} x {A.shape[1]}, {nnz} nonzeros "
-      f"({100.0 * nnz / (A.shape[0] * A.shape[1]):.2f}% dense)")
+print(f"system matrix: {A.n_rows} x {A.n_cols}, {nnz} nonzeros "
+      f"({100.0 * nnz / (A.n_rows * A.n_cols):.2f}% dense)")
 
 b = A.apply_nocount(x)
 print(f"sinogram range: [{b.min():.3f}, {b.max():.3f}]")
 
-model = NoiseModel(relative_level=0.02, seed=0)
-b_noisy = add_noise(b, model)
-print(f"noise sigma at 2% relative level: {noise_sigma(b, model):.4f}")
+b_noisy = add_noise(b, 0.02, seed=0)
+print(f"noise sigma at 2% relative level: {noise_sigma(b, 0.02):.4f}")
 print(f"||b_noisy - b|| = {np.linalg.norm(b_noisy - b):.4f}")
 
 save_pgm(out / "phantom.pgm", x, (side, side))

@@ -21,7 +21,7 @@ problem = ProblemInstance(A, b, GridShape(side, side),
                           SmoothedTVParams(tau=0.01, lam=0.01), x_ref=x_true)
 eps = 2.0
 
-print(f"instance: {A.shape[0]} x {A.shape[1]}, target g_u(x) <= {eps}")
+print(f"instance: {A.n_rows} x {A.n_cols}, target g_u(x) <= {eps}")
 print()
 print(f"{'variant':<14} {'outer':>6} {'matvecs':>8} {'resid/2m':>12} "
       f"{'TV/n':>10} {'err/n':>10} {'min x':>10}")

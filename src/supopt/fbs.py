@@ -64,8 +64,11 @@ class AFBSConfig:
     solver and its inner stays None. alpha defaults to
     1/L_f; the inexact inner tolerance schedule is eps_k =
     k**(-inexact_q). max_inner caps each prox's inner steps, whichever
-    the inner solver; a prox that reaches it warns. max_outer and
-    max_inner must be integers (numpy's too), else TypeError.
+    the inner solver (the unconstrained ExactSMW takes none); a prox
+    that reaches it warns. A superiorized run's TV prox is not capped
+    here: it stops at `prox_tv_with_info`'s own budget of 500 steps.
+    max_outer and max_inner must be integers (numpy's too), else
+    TypeError.
     """
 
     kind: str
@@ -159,13 +162,6 @@ class LSProx:
     def c(self):
         x, alpha, atb = self.x, self.alpha, self.atb
         return x / alpha + atb
-
-
-def lipschitz_f(kind, A, tvparams):
-    """Lipschitz constant of the smooth part's gradient on splitting `kind`."""
-    if kind == "NaturalLS":
-        return tvparams.lam * lipschitz_bound(tvparams)
-    return A.norm_sq
 
 
 def prox_ls_exact(prob, max_inner=AFBSConfig.max_inner, az=None):
@@ -557,9 +553,11 @@ def afbs_run(config, problem, iterate_callback=None):
     A, b = problem.A, problem.b
     shape, tvparams = problem.shape, problem.tvparams
     config.check_lam(tvparams.lam)
-    L = lipschitz_f(config.kind, A, tvparams)
-    alpha = 1.0 / L if config.alpha is None else config.alpha
     reversed_tv = config.kind == "ReversedTV"
+    alpha = config.alpha
+    if alpha is None:  # 1/L_f, L_f the Lipschitz constant of grad f
+        alpha = 1.0 / (A.norm_sq if reversed_tv
+                       else tvparams.lam * lipschitz_bound(tvparams))
 
     x = np.zeros(A.n_cols)
     y = x.copy()

@@ -61,8 +61,8 @@ def build_problem(config):
     A = tomo.build_parallel_system(geom)
     x_ref = tomo.shepp_logan(config.image_side)
     # at noise level 0, add_noise returns a copy of b
-    b = tomo.add_noise(A.apply_nocount(x_ref),
-                       tomo.NoiseModel(config.noise_level, config.noise_seed))
+    b = tomo.add_noise(A.apply_nocount(x_ref), config.noise_level,
+                       config.noise_seed)
     shape = GridShape(config.image_side, config.image_side)
     tvparams = SmoothedTVParams(tau=config.tau, lam=config.resolved_lam())
     return ProblemInstance(A=A, b=b, shape=shape, tvparams=tvparams,
@@ -165,6 +165,9 @@ def run_experiment(config):
         raise ConfigError("algorithms: need at least one")
     if len(set(config.algorithms)) < len(config.algorithms):
         raise ConfigError("algorithms: each name may appear only once")
+    for name in config.overrides:
+        if name not in config.algorithms:
+            raise ConfigError(f"override.{name}: not in algorithms")
     for name in config.algorithms:
         _configured_run(name, config)
     out = Path(config.output_dir)

@@ -87,10 +87,6 @@ class SparseOperator:
         return self._csr.shape[1]
 
     @property
-    def shape(self):
-        return self._csr.shape
-
-    @property
     def nnz(self):
         return self._csr.nnz
 

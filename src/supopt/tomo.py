@@ -66,18 +66,6 @@ class Geometry:
         return self.n_angles * self.n_rays
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Additive Gaussian noise with sigma = relative_level/m * sum(b)."""
-
-    relative_level: float = 0.02
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.relative_level < math.inf:  # NaN fails too
-            raise ValueError("relative_level must be finite and nonnegative")
-
-
 def shepp_logan(image_side):
     """Rasterize the 10-ellipse Shepp-Logan phantom, row-major flat vector.
 
@@ -207,26 +195,29 @@ def build_parallel_system(geom):
         shape=(geom.n_measurements, geom.n_pixels)))
 
 
-def noise_sigma(b, model):
-    """sigma = relative_level / m * sum_j b_j; requires sum(b) > 0."""
+def noise_sigma(b, level):
+    """sigma = level / m * sum_j b_j; requires sum(b) > 0."""
     b = np.asarray(b, dtype=np.float64)
     total = float(np.sum(b))
     if total <= 0:
         raise ValueError("sum(b) must be positive to define sigma")
-    return model.relative_level / len(b) * total
+    return level / len(b) * total
 
 
-def add_noise(b, model):
-    """Add i.i.d. N(0, sigma^2) noise to b.
+def add_noise(b, level, seed):
+    """Add i.i.d. N(0, sigma^2) noise, sigma = `noise_sigma(b, level)`.
 
-    Noise is drawn from numpy's PCG64 generator seeded with `model.seed`,
-    so results are bit-reproducible across runs and platforms.
+    `level` must be finite and nonnegative; at 0, returns a copy of b.
+    Noise is drawn from numpy's PCG64 generator seeded with `seed`, so
+    results are bit-reproducible across runs and platforms.
     """
+    if not 0 <= level < math.inf:  # NaN fails too
+        raise ValueError("noise level must be finite and nonnegative")
     b = np.asarray(b, dtype=np.float64)
-    if model.relative_level == 0:
+    if level == 0:
         return b.copy()
-    sigma = noise_sigma(b, model)
-    rng = np.random.default_rng(model.seed)
+    sigma = noise_sigma(b, level)
+    rng = np.random.default_rng(seed)
     return b + sigma * rng.standard_normal(len(b))
 
 

@@ -10,11 +10,11 @@ from oracles import (count_uncounted_products, dense_prox_ls_oracle,
                      nnls_prox_ls_oracle, relative_error)
 from supopt import fbs, opslin
 from supopt.fbs import (AFBSConfig, LSProx, afbs_run, cert_constrained,
-                        cert_unconstrained, dual_gap, grad_h_u, lipschitz_f,
-                        objective, pd_basic_init, pd_basic_step,
-                        pd_noinv_init, pd_noinv_step, prox_ls_exact)
+                        cert_unconstrained, dual_gap, grad_h_u, objective,
+                        pd_basic_init, pd_basic_step, pd_noinv_init,
+                        pd_noinv_step, prox_ls_exact)
 from supopt.metrics import ProblemInstance
-from supopt.opslin import SparseOperator
+from supopt.opslin import SparseOperator, spectral_norm_sq
 from supopt.regtv import GridShape, SmoothedTVParams
 
 
@@ -54,13 +54,20 @@ def test_splitting_config_defaults_its_inner_solver():
 
 
 def test_lipschitz_constants():
-    A, _, _ = make_instance()
+    # alpha = None is 1/L_f: lam * 8/tau for lam R_tau, ||A||^2 for the
+    # least squares
+    A, b, shape = _tiny_tomo(side=12)
     tvp = SmoothedTVParams(tau=0.01, lam=0.02)
-    assert lipschitz_f("NaturalLS", A, tvp) == \
-        pytest.approx(0.02 * 800.0)
-    from supopt.opslin import spectral_norm_sq
-    assert lipschitz_f("ReversedTV", A, tvp) == \
-        pytest.approx(spectral_norm_sq(A))
+    for kind, L in (("NaturalLS", tvp.lam * (8.0 / tvp.tau)),
+                    ("ReversedTV", spectral_norm_sq(A))):
+        runs = [afbs_run(AFBSConfig(kind, alpha=alpha, max_outer=4,
+                                    term_tol=0.0),
+                         ProblemInstance(A, b, shape, tvp))
+                for alpha in (None, 1.0 / L)]
+        assert [len(res.records) for res in runs] == [5, 5]
+        assert np.array_equal(runs[0].x, runs[1].x)
+        assert [replace(rec, wall_time=0.0) for rec in runs[0].records] == \
+            [replace(rec, wall_time=0.0) for rec in runs[1].records]
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])

@@ -629,6 +629,8 @@ def _tiny_run(out, *sets):
     "lam=0",
     "lam=0 algorithms=AFBS:ReversedTV",
     "lam=0 algorithms=ProxCSupLW",
+    # an override for an algorithm that does not run
+    "override.FBS:NaturalLS.max_outer=1",
 ])
 def test_cli_invalid_algorithm_config_exits_2(assignment, tmp_path, capsys):
     out = tmp_path / "out"
@@ -803,7 +805,7 @@ def test_cli_noise_level_alone_selects_noisy_data_and_defaults(tmp_path):
                           "algorithms=ProxCSupLW")) == 0
     A = tomo.build_parallel_system(tomo.Geometry(8, 2, 8))
     x_ref = tomo.shepp_logan(8)
-    b = tomo.add_noise(A.apply_nocount(x_ref), tomo.NoiseModel(0.05))
+    b = tomo.add_noise(A.apply_nocount(x_ref), 0.05, 0)
     res = superiorize_run(
         SupConfig("ProxCSupLW", eps=0.047 * 16, max_outer=3),
         ProblemInstance(A, b, GridShape(8, 8),
@@ -821,6 +823,9 @@ def test_paper_configs_run_every_algorithm(setting, tmp_path):
     config = load_config(path)
     assert tuple(config.algorithms) == csv_identity.ALGORITHMS
     assert (config.noise_level > 0) == (setting == "noisy")
+    # the two configs differ only in noise_level
+    assert replace(config, noise_level=0.0) == \
+        load_config(path.with_name("paper_exact.cfg"))
     assert main(["run", "--config", str(path), "--out", str(tmp_path),
                  "--set", "image_side=12", "--set", "n_angles=4", "--set",
                  "n_rays=12", "--set", "max_outer=3"]) == 0
@@ -828,6 +833,12 @@ def test_paper_configs_run_every_algorithm(setting, tmp_path):
     assert written == sorted([f"{name.replace(':', '_')}.csv"
                               for name in csv_identity.ALGORITHMS]
                              + ["summary.csv"])
+    # an override wins over the experiment-wide max_outer
+    rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    outers = {row.split(",")[0]: int(row.split(",")[1]) for row in rows}
+    assert outers["FBS:NaturalLS:PDBasic:nonneg"] == \
+        outers["AFBS:NaturalLS:PDBasic:nonneg"] == 5
+    assert all(n <= 3 for name, n in outers.items() if "PDBasic" not in name)
 
 
 def test_noisy_problem_residual_at_truth():

@@ -66,7 +66,7 @@ def test_explicit_zeros_pruned():
     M = np.array([[1.0, 0.0], [0.0, 2.0]])
     A = SparseOperator(M)
     assert A.nnz == 2
-    assert A.shape == (2, 2)
+    assert (A.n_rows, A.n_cols) == (2, 2)
 
 
 def test_spectral_norm_sq_matches_dense():
