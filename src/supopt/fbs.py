@@ -44,13 +44,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .metrics import run_outer
+from .metrics import run_outer, settle_read_fields
 from .opslin import as_vector, shifted_gram_solve
 from .regtv import (_projected_nesterov, lipschitz_bound, prox_tv_with_info,
                     tv_smooth, tv_smooth_grad)
 
 INNER_SOLVERS = ("ExactSMW", "PDBasic", "PDNoInv")  # the natural splitting's
 T0 = 1.01  # the momentum parameter t at the start and after a restart
+MAX_INNER = 100000  # a prox's default cap on its inner steps
 
 
 @dataclass(frozen=True)
@@ -59,16 +60,19 @@ class AFBSConfig:
 
     kind names the summand that carries the prox: "NaturalLS" (the least
     squares) or "ReversedTV" (the TV); nonneg adds the constraint to it.
-    inner names NaturalLS's solver and defaults to ExactSMW; PDBasic
-    needs nonneg. ReversedTV's prox is the TV prox, so it takes no inner
-    solver and its inner stays None. alpha defaults to
-    1/L_f; the inexact inner tolerance schedule is eps_k =
-    k**(-inexact_q). max_inner caps each prox's inner steps, whichever
-    the inner solver (the unconstrained ExactSMW takes none); a prox
-    that reaches it warns. A superiorized run's TV prox is not capped
-    here: it stops at `prox_tv_with_info`'s own budget of 500 steps.
-    max_outer and max_inner must be integers (numpy's too), else
-    TypeError.
+    alpha defaults to 1/L_f. Three fields are read only by some
+    spellings, and each takes its default there: inner, NaturalLS's
+    solver (ExactSMW; PDBasic needs nonneg), which ReversedTV does not
+    read, since its prox is the TV prox; inexact_q, read only by the
+    inexact solvers PDNoInv and PDBasic (2.0), whose inner tolerance
+    schedule is eps_k = k**(-inexact_q); and max_inner, the cap on each
+    prox's inner steps, read by every prox but the unconstrained ExactSMW
+    (`MAX_INNER`); a prox that reaches it warns. Setting such a field on
+    a spelling that does not read it raises ValueError, which names the
+    spelling and the field (`metrics.settle_read_fields`); an unread
+    field stays None. A superiorized run's TV prox is not capped here: it
+    stops at `prox_tv_with_info`'s own budget of 500 steps. max_outer
+    and max_inner must be integers (numpy's too), else TypeError.
     """
 
     kind: str
@@ -76,32 +80,37 @@ class AFBSConfig:
     inner: str = None
     alpha: float = None
     accelerated: bool = True
-    inexact_q: float = 2.0
+    inexact_q: float = None
     max_outer: int = 2000
-    max_inner: int = 100000
+    max_inner: int = None
     term_tol: float = 0.001
 
     def __post_init__(self):
         if self.kind not in ("NaturalLS", "ReversedTV"):
             raise ValueError(f"unknown splitting {self.kind!r}")
-        if self.kind == "ReversedTV":
-            if self.inner is not None:
-                raise ValueError("ReversedTV takes no inner solver")
-        elif self.inner is None:
-            object.__setattr__(self, "inner", "ExactSMW")
-        elif self.inner not in INNER_SOLVERS:
+        natural = self.kind == "NaturalLS"
+        settle_read_fields(self, self.kind,
+                           {"inner": "ExactSMW" if natural else None})
+        if natural and self.inner not in INNER_SOLVERS:
             raise ValueError(f"unknown inner solver {self.inner!r}")
         if self.inner == "PDBasic" and not self.nonneg:
             raise ValueError("PDBasic solves only the constrained prox "
                              "(:nonneg)")
+        spelling = ":".join(filter(None, (self.kind, self.inner))) \
+            + ":nonneg" * self.nonneg
+        settle_read_fields(self, spelling, {
+            "inexact_q": 2.0 if self.inner in ("PDBasic", "PDNoInv") else None,
+            "max_inner": None if self.inner == "ExactSMW" and not self.nonneg
+            else MAX_INNER})
         # written so that NaN fails every test
         if not (self.alpha is None or 0 < self.alpha < math.inf):
             raise ValueError("alpha must be positive and finite")
         # operator.index rejects a NaN or 2.5 count: run_outer stops only
         # on k == max_outer
-        if not (0 < self.inexact_q < math.inf
+        if not ((self.inexact_q is None or 0 < self.inexact_q < math.inf)
                 and 0 <= self.term_tol < math.inf) \
-                or operator.index(self.max_inner) < 1 \
+                or not (self.max_inner is None
+                        or operator.index(self.max_inner) >= 1) \
                 or operator.index(self.max_outer) < 0:
             raise ValueError("need finite inexact_q > 0 and term_tol >= 0, "
                              "max_inner >= 1 and max_outer >= 0")
@@ -164,7 +173,7 @@ class LSProx:
         return x / alpha + atb
 
 
-def prox_ls_exact(prob, max_inner=AFBSConfig.max_inner, az=None):
+def prox_ls_exact(prob, max_inner=MAX_INNER, az=None):
     """Exact solution of the `LSProx` subproblem `prob`.
 
     Returns (z, steps), the prox and the inner steps that computed it.

@@ -4,8 +4,11 @@ Configuration files are flat `key = value` text; `#` starts a comment.
 An algorithm name fixes fields of its config class (`SupConfig` or
 `AFBSConfig`), which holds the defaults and range checks; overrides
 set the other fields through dotted keys,
-e.g. `override.GradSupCG.gamma0 = 0.002`. A run writes one metric CSV
-per algorithm and `summary.csv`, its only output.
+e.g. `override.GradSupCG.gamma0 = 0.002`. The config class also knows
+which fields each name reads, and refuses a set field that its run
+would ignore, such as `kappa` on a prox variant; like every config it
+rejects, that exits 2 before anything is written. A run writes one
+metric CSV per algorithm and `summary.csv`, its only output.
 """
 
 import argparse
@@ -213,6 +216,9 @@ _BOOL = {"true": True, "false": False}
 
 
 def _coerce(field_obj, raw):
+    # "none" picks the default resolved at run time, where there is one
+    if raw.lower() == "none" and field_obj.default is None:
+        return None
     t = field_obj.type
     if t is bool:
         if raw not in _BOOL:
@@ -222,9 +228,7 @@ def _coerce(field_obj, raw):
     if t is int:
         return int(raw)
     if t is float:
-        # "none" picks the default resolved at run time, where there is one
-        none = raw.lower() == "none" and field_obj.default is None
-        return None if none else float(raw)
+        return float(raw)
     if t is list:
         return [s.strip() for s in raw.split(",") if s.strip()]
     return raw

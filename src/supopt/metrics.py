@@ -8,7 +8,8 @@ which also decides the family's stopping rule from the same residual
 and difference terms, so each iterate is evaluated once. A step that
 already holds the residual r = A x_k - b at its new iterate, and A^T r
 where it has it, hands them over, and the record takes no product of
-its own for them.
+its own for them. Both run configs settle the fields that only some of
+their spellings read through `settle_read_fields`.
 """
 
 import time
@@ -49,6 +50,23 @@ class ProblemInstance:
         if self.x_ref is not None:
             object.__setattr__(self, "x_ref",
                                as_vector("x_ref", self.x_ref, n))
+
+
+def settle_read_fields(config, spelling, reads):
+    """Give the fields that `spelling` reads their defaults; refuse the rest.
+
+    `reads` maps fields of the frozen dataclass `config` whose unset
+    value is None to their default where the algorithm spelled
+    `spelling` reads them, or to None where it does not. An unset field
+    that is read takes its default; a set field that is not read raises
+    ValueError naming the spelling and the field, since the run would
+    ignore it.
+    """
+    for name, default in reads.items():
+        if getattr(config, name) is None:
+            object.__setattr__(config, name, default)
+        elif default is None:
+            raise ValueError(f"{spelling} does not read {name}")
 
 
 class NumericalDivergenceError(RuntimeError):

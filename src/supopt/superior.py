@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basic
-from .metrics import run_outer
+from .metrics import run_outer, settle_read_fields
 from .opslin import as_vector
 from .regtv import _smooth_terms, grad_adjoint, prox_tv_with_info
 
@@ -45,21 +45,25 @@ VARIANTS = {
 }
 
 _ELL_MAX = 10 ** 6
+# a smaller prox weight beta has no finite 1/beta: its prox step is skipped
+_VANISHED = 1.0 / np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
 class SupConfig:
     """Parameters of a superiorized run.
 
-    kappa is the number of reduction passes per outer iteration (gradient
-    variants only); the perturbation sizes gamma0 * a^l are summable
-    whenever a < 1. An unset a or gamma0 takes the variant's default
-    from `VARIANTS`. kappa and max_outer must be integers (numpy's too),
-    else TypeError.
+    kappa is the number of reduction passes per outer iteration; only
+    the gradient variants (`GradSup*`) read it, and there it defaults to
+    20. Setting it on a prox variant raises ValueError, which names the
+    variant and the field (`metrics.settle_read_fields`). The
+    perturbation sizes gamma0 * a^l are summable whenever a < 1. An
+    unset a or gamma0 takes the variant's default from `VARIANTS`. kappa
+    and max_outer must be integers (numpy's too), else TypeError.
     """
 
     variant: str
-    kappa: int = 20
+    kappa: int = None
     a: float = None
     gamma0: float = None
     eps: float = 0.001
@@ -68,7 +72,9 @@ class SupConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        *_, a, gamma0 = VARIANTS[self.variant]
+        _, reduction, a, gamma0 = VARIANTS[self.variant]
+        settle_read_fields(self, self.variant,
+                           {"kappa": 20 if reduction == "grad" else None})
         if self.a is None:
             object.__setattr__(self, "a", a)
         if self.gamma0 is None:
@@ -78,7 +84,8 @@ class SupConfig:
         if not 0 < self.a <= 1:
             raise ValueError("a must be in (0, 1]")
         if not (self.gamma0 is None or 0 < self.gamma0 < math.inf) \
-                or operator.index(self.kappa) < 1 \
+                or not (self.kappa is None
+                        or operator.index(self.kappa) >= 1) \
                 or not 0 <= self.eps < math.inf \
                 or operator.index(self.max_outer) < 0:
             raise ValueError("need a finite gamma0 > 0, kappa >= 1, a finite "
@@ -168,7 +175,10 @@ def superiorize_run(config, problem, x0=None, half_callback=None):
     -1e-8; a CG step hands the record its residual, so only Landweber
     records run a product of their own. A record's inner_iters are the
     steps of its outer step's TV prox, as on the reversed splitting, and
-    0 for the gradient reductions, which run no prox. Returns
+    0 for the gradient reductions, which run no prox. Once the prox
+    weight gamma0 * a^(k-1) falls below 1/(the largest float), where
+    1/beta overflows, the reduction step is the prox at weight 0: y
+    itself, or max(y, 0) under prox+, with no inner step. Returns
     run_outer's RunResult.
     """
     A, shape, tvparams = problem.A, problem.shape, problem.tvparams
@@ -190,8 +200,11 @@ def superiorize_run(config, problem, x0=None, half_callback=None):
                             config.kappa)
         else:
             beta = gamma0 * config.a ** (k - 1)
-            prox_step = s_prox_plus if reduction == "prox+" else s_prox
-            y, inner_iters = prox_step(shape, tvparams, y, beta)
+            if beta >= _VANISHED:
+                prox_step = s_prox_plus if reduction == "prox+" else s_prox
+                y, inner_iters = prox_step(shape, tvparams, y, beta)
+            elif reduction == "prox+":
+                y = np.maximum(y, 0.0)  # the constrained prox at weight 0
         if half_callback is not None:
             half_callback(y)
         y, r = basic_step(y)

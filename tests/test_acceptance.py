@@ -187,7 +187,7 @@ def test_acceptance_05_constant_step_prox_superiorization_equals_fbs(capfd):
                                         - b)
     halves = []
     cfg = SupConfig(variant="ProxCSupLW", a=1.0, gamma0=gamma * tvp.lam,
-                    kappa=1, eps=0.0, max_outer=50)
+                    eps=0.0, max_outer=50)
     superiorize_run(cfg, ProblemInstance(A, b, shape, tvp), x0=y0,
                     half_callback=lambda y: halves.append(y.copy()))
     iterates = []

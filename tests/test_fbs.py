@@ -32,15 +32,15 @@ def test_splitting_validation():
     with pytest.raises(ValueError):
         AFBSConfig("NaturalLS", inner="NoSuch")
     with pytest.raises(ValueError):
-        AFBSConfig("NaturalLS", max_inner=0)
+        AFBSConfig("NaturalLS", nonneg=True, max_inner=0)
     with pytest.raises(ValueError):
         AFBSConfig("NaturalLS", max_outer=-1)
-    # NaN fails every range check
+    # NaN fails every range check; PDNoInv reads every field checked here
     for bad in ({"alpha": 0.0}, {"alpha": -1.0}, {"alpha": np.nan},
                 {"inexact_q": 0.0}, {"inexact_q": np.nan},
                 {"term_tol": -1.0}, {"term_tol": np.nan}):
-        with pytest.raises(ValueError):
-            AFBSConfig("NaturalLS", **bad)
+        with pytest.raises(ValueError, match="need|alpha"):
+            AFBSConfig("NaturalLS", inner="PDNoInv", **bad)
 
 
 def test_splitting_config_defaults_its_inner_solver():
@@ -48,7 +48,7 @@ def test_splitting_config_defaults_its_inner_solver():
     assert AFBSConfig("NaturalLS", nonneg=True).inner == "ExactSMW"
     # the reversed splitting's prox is the TV prox: it takes no solver
     assert AFBSConfig("ReversedTV").inner is None
-    with pytest.raises(ValueError, match="no inner solver"):
+    with pytest.raises(ValueError, match="ReversedTV does not read inner"):
         AFBSConfig("ReversedTV", inner="TVProx")
     assert AFBSConfig("NaturalLS", inner="PDNoInv").inner == "PDNoInv"
 

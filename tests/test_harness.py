@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import count_uncounted_products, relative_error
-from supopt import fbs, harness, metrics, regtv, tomo
+from supopt import fbs, harness, metrics, regtv, superior, tomo
 from supopt.basic import g_u
 from supopt.fbs import AFBSConfig, afbs_run, grad_h_u
 from supopt.harness import (ConfigError, ExperimentConfig, _parse_fbs_spec,
@@ -129,9 +129,18 @@ def test_parse_config_text_errors():
 
 def test_parse_config_text_override_none_picks_run_time_default():
     cfg = parse_config_text("override.AFBS:NaturalLS.alpha = none\n"
-                            "override.AFBS:NaturalLS.max_inner = 7")
-    assert cfg.overrides["AFBS:NaturalLS"] == {"alpha": None,
-                                               "max_inner": 7}
+                            "override.AFBS:NaturalLS:nonneg.max_inner = 7")
+    assert cfg.overrides == {"AFBS:NaturalLS": {"alpha": None},
+                             "AFBS:NaturalLS:nonneg": {"max_inner": 7}}
+    # int fields whose default is unset take `none` too, and the run that
+    # reads the field takes its default
+    cfg = parse_config_text("override.GradSupCG.kappa = none\n"
+                            "override.AFBS:NaturalLS:nonneg.max_inner = none")
+    assert cfg.overrides == {"GradSupCG": {"kappa": None},
+                             "AFBS:NaturalLS:nonneg": {"max_inner": None}}
+    assert SupConfig("GradSupCG", **cfg.overrides["GradSupCG"]).kappa == 20
+    assert AFBSConfig("NaturalLS", nonneg=True, **cfg.overrides[
+        "AFBS:NaturalLS:nonneg"]).max_inner == fbs.MAX_INNER
 
 
 def test_parse_fbs_spec():
@@ -286,7 +295,7 @@ def test_a_wrong_length_vector_raises_dimension_mismatch_naming_it(name,
 @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5])
 @pytest.mark.parametrize("make, field", [
     (lambda **kw: AFBSConfig("ReversedTV", **kw), "max_outer"),
-    (lambda **kw: AFBSConfig("NaturalLS", **kw), "max_inner"),
+    (lambda **kw: AFBSConfig("NaturalLS", nonneg=True, **kw), "max_inner"),
     (lambda **kw: SupConfig("GradSupCG", **kw), "max_outer"),
     (lambda **kw: SupConfig("GradSupCG", **kw), "kappa"),
 ], ids=["AFBSConfig.max_outer", "AFBSConfig.max_inner", "SupConfig.max_outer",
@@ -296,6 +305,81 @@ def test_configs_take_only_integer_counts(make, field, value):
     with pytest.raises(TypeError):
         make(**{field: value})
     assert getattr(make(**{field: np.int64(5)}), field) == 5
+
+
+# a valid value of every field that an override may set
+_VALID_OVERRIDE = {"kappa": 5, "a": 0.5, "gamma0": 0.002, "eps": 0.01,
+                   "max_outer": 3, "alpha": 0.5, "inexact_q": 3.0,
+                   "max_inner": 7, "term_tol": 0.01}
+
+
+def _reads(name, field):
+    """Whether the run of algorithm `name` reads its config's `field`."""
+    if field == "kappa":
+        return name.startswith("GradSup")
+    if field == "inexact_q":
+        return ":PD" in name
+    if field == "max_inner":  # every splitting prox but unconstrained ExactSMW
+        return name not in superior.VARIANTS \
+            and name.partition(":")[2] != "NaturalLS"
+    return True
+
+
+def test_each_algorithm_accepts_exactly_the_overrides_it_reads():
+    offered = accepted = 0
+    for name in csv_identity.ALGORITHMS:
+        for field in harness._override_fields(name):
+            offered += 1
+            config = small_config(algorithms=[name], overrides={
+                name: {field: _VALID_OVERRIDE[field]}})
+            if _reads(name, field):
+                harness._configured_run(name, config)
+                accepted += 1
+            else:
+                with pytest.raises(ConfigError, match=rf"^{name}: "
+                                   rf"[\w:]+ does not read {field}$"):
+                    harness._configured_run(name, config)
+    # 8 superiorized variants and 14 splitting runs
+    assert (offered, accepted) == (110, 95)
+
+
+def test_configs_refuse_a_field_their_run_does_not_read():
+    for make, match in (
+            (lambda: SupConfig("ProxSupLW", kappa=5),
+             "^ProxSupLW does not read kappa$"),
+            (lambda: AFBSConfig("NaturalLS", max_inner=7),
+             "^NaturalLS:ExactSMW does not read max_inner$"),
+            (lambda: AFBSConfig("ReversedTV", inexact_q=3.0),
+             "^ReversedTV does not read inexact_q$")):
+        with pytest.raises(ValueError, match=match):
+            make()
+    # where the field is read, an unset one takes its default
+    assert SupConfig("GradSupCG").kappa == 20
+    pd = AFBSConfig("NaturalLS", inner="PDNoInv")
+    assert pd.inexact_q == 2.0 and pd.max_inner == 100000
+    # and where it is not, it stays unset
+    assert SupConfig("ProxSupLW").kappa is None
+    exact = AFBSConfig("NaturalLS")
+    assert exact.inexact_q is None and exact.max_inner is None
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("GradSupCG", "kappa", 3),
+    ("AFBS:NaturalLS:nonneg", "max_inner", 1),
+    ("AFBS:ReversedTV", "max_inner", 1),
+    ("AFBS:NaturalLS:PDNoInv", "inexact_q", 9.0),
+])
+def test_an_override_that_the_run_reads_changes_it(name, field, value):
+    config = small_config(algorithms=[name])
+    problem = build_problem(config)
+    with warnings.catch_warnings():
+        # a cap of one inner step warns in every prox that reaches it
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runs = [run_algorithm(name, problem, replace(
+            config, overrides=overrides))[1]
+                for overrides in ({}, {name: {field: value}})]
+    assert [replace(r, wall_time=0.0) for r in runs[0]] != \
+        [replace(r, wall_time=0.0) for r in runs[1]]
 
 
 def test_make_record_stopping_rules():
@@ -619,9 +703,18 @@ def _tiny_run(out, *sets):
     "override.AFBS:NaturalLS.alpha=inf",
     "override.AFBS:NaturalLS.term_tol=nan",
     "override.AFBS:NaturalLS.term_tol=inf",
-    "override.AFBS:NaturalLS.inexact_q=nan",
+    "algorithms=AFBS:NaturalLS:PDNoInv "
+    "override.AFBS:NaturalLS:PDNoInv.inexact_q=nan",
     "algorithms=AFBS:NaturalLS:PDNoInv "
     "override.AFBS:NaturalLS:PDNoInv.inexact_q=inf",
+    "algorithms=AFBS:NaturalLS:nonneg "
+    "override.AFBS:NaturalLS:nonneg.max_inner=0",
+    # a field that the algorithm's run does not read
+    "algorithms=ProxCSupLW override.ProxCSupLW.kappa=3",
+    "override.AFBS:NaturalLS.max_inner=7",
+    "override.AFBS:NaturalLS.inexact_q=9",
+    "override.AFBS:NaturalLS.inexact_q=nan",
+    "algorithms=AFBS:ReversedTV override.AFBS:ReversedTV.inexact_q=9",
     "override.AFBS:NaturalLS.warm_start=0",
     "override.GradSupCG.gamma0=nan",
     "override.GradSupCG.gamma0=inf",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -222,7 +224,9 @@ def test_run_rejects_an_x0_of_the_wrong_shape(bad):
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_all_variants_reduce_residual(variant):
     A, b = make_instance(seed=6, m=24)
-    cfg = SupConfig(variant=variant, gamma0=1e-3, a=1 - 1e-4, kappa=3,
+    # only the gradient variants read kappa
+    kappa = 3 if VARIANTS[variant][1] == "grad" else None
+    cfg = SupConfig(variant=variant, gamma0=1e-3, a=1 - 1e-4, kappa=kappa,
                     eps=0.0, max_outer=30)
     res = superiorize_run(cfg, ProblemInstance(A, b, SHAPE, TVP))
     assert g_u(A, b, res.x) < g_u(A, b, np.zeros(SHAPE.n))
@@ -311,3 +315,32 @@ def test_grad_cg_beats_grad_lw_in_error_decay():
     r_cg = [r.residual_scaled for r in res_cg.records]
     r_lw = [r.residual_scaled for r in res_lw.records]
     assert all(c <= l + 1e-12 for c, l in zip(r_cg[5:], r_lw[5:]))
+
+
+@pytest.mark.parametrize("variant", ["ProxSupLW", "ProxCSupLW"])
+@pytest.mark.parametrize("a, first", [(0.5, 1016), (1e-3, 103)])
+def test_a_vanished_prox_weight_ends_the_prox_steps(variant, a, first):
+    # beta = gamma0 a^(k-1) drops below 1/max float at k = `first`, where
+    # 1/beta overflows, and later underflows to 0; from there each
+    # reduction step is the prox at weight 0, with no inner step: y
+    # itself, or max(y, 0) under the constraint
+    geom = Geometry(16, 4, 16)
+    A = build_parallel_system(geom)
+    problem = ProblemInstance(A, A.apply_nocount(shepp_logan(16)),
+                              GridShape(16, 16), SmoothedTVParams(lam=0.01))
+    halves = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = superiorize_run(
+            SupConfig(variant, a=a, gamma0=0.001, eps=0.0, max_outer=1100),
+            problem, half_callback=lambda y: halves.append(y.copy()))
+    assert res.iterations == 1100
+    assert 0.001 * a ** (first - 2) * np.finfo(np.float64).max >= 1.0 \
+        > 0.001 * a ** (first - 1) * np.finfo(np.float64).max
+    steps = [rec.inner_iters for rec in res.records[1:]]
+    assert min(steps[:first - 1]) >= 1 and max(steps[first - 1:]) == 0
+    assert all(np.isfinite([rec.residual_scaled, rec.tv_scaled,
+                            rec.err_scaled]).all() for rec in res.records)
+    assert np.isfinite(res.x).all()
+    if variant == "ProxCSupLW":
+        assert min(float(h.min()) for h in halves) >= 0.0
